@@ -338,12 +338,7 @@ class CqBroadcastChannel:
 
     def commuting_b(self, tol: float = COMMUTE_TOL) -> bool:
         """Whether all B-marginal conditionals pairwise commute."""
-        mats = self.marginal_conditionals(self.b_label)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max() > tol:
-                    return False
-        return True
+        return _all_commute(self.marginal_conditionals(self.b_label), tol)
 
     def tensor_power(self, k: int) -> "CqBroadcastChannel":
         """k parallel uses: tuple symbols, B factors and C factors each merged."""
@@ -557,36 +552,29 @@ def _probe_densities(dim: int) -> list[np.ndarray]:
     return probes
 
 
+def _all_commute(mats: list[np.ndarray], tol: float = COMMUTE_TOL) -> bool:
+    """Whether every pair of the matrices commutes within ``tol`` (max-entry norm)."""
+    return not any(np.abs(a @ b - b @ a).max() > tol for i, a in enumerate(mats) for b in mats[i + 1:])
+
+
 def _probe_pairs(bc) -> tuple[list[np.ndarray], list[np.ndarray], bool]:
     """(B-side states, C-side states, all_b_commute) for the degrading search."""
     if isinstance(bc, CqBroadcastChannel):
         b_states = bc.marginal_conditionals(bc.b_label)
         c_states = bc.marginal_conditionals(bc.c_label)
-    elif isinstance(bc, BroadcastChannel):
-        ch_b, ch_c = bc.marginals()
-        probes = _probe_densities(bc.in_dim)
-        lay_in = layout(("in", bc.in_dim))
-        b_states = [ch_b.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
-        c_states = [ch_c.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
-    elif isinstance(bc, tuple) and len(bc) == 2:
-        ch_b, ch_c = bc
-        if ch_b.in_dim != ch_c.in_dim:
-            raise ValidationError("marginal pair must share the input dimension")
-        probes = _probe_densities(ch_b.in_dim)
-        lay_in = layout(("in", ch_b.in_dim))
-        b_states = [ch_b.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
-        c_states = [ch_c.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
-    else:
+        return b_states, c_states, _all_commute(b_states)
+    if isinstance(bc, BroadcastChannel):
+        bc = bc.marginals()
+    elif not (isinstance(bc, tuple) and len(bc) == 2):
         raise ValidationError("expected a BroadcastChannel, CqBroadcastChannel, or (to-B, to-C) pair")
-    commute = True
-    for i in range(len(b_states)):
-        for j in range(i + 1, len(b_states)):
-            if np.abs(b_states[i] @ b_states[j] - b_states[j] @ b_states[i]).max() > COMMUTE_TOL:
-                commute = False
-                break
-        if not commute:
-            break
-    return b_states, c_states, commute
+    ch_b, ch_c = bc
+    if ch_b.in_dim != ch_c.in_dim:
+        raise ValidationError("marginal pair must share the input dimension")
+    probes = _probe_densities(ch_b.in_dim)
+    lay_in = layout(("in", ch_b.in_dim))
+    b_states = [ch_b.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
+    c_states = [ch_c.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
+    return b_states, c_states, _all_commute(b_states)
 
 
 def _apply_map_stack(kraus_stack: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from .quantities import (
     mutual_information,
 )
 from .regions import (
-    build_evaluator,
     cq_broadcast_frontier,
     cq_entanglement_frontier,
     dephasing_cq_frontier,
@@ -248,14 +247,8 @@ def _recompute_entry(mode: str, channel, k: int, entry: dict) -> tuple[float, fl
     if "joint" in entry:
         if channel is None:
             raise ValidationError(f"{entry.get('witness_id', '?')}: grid witness without a channel document")
-        joint = np.asarray(entry["joint"], dtype=float)
-        p_t = joint.sum(axis=1)
-        safe = np.where(p_t > 0, p_t, 1.0)
-        cond = joint / safe[:, None]
-        cond[p_t == 0] = 1.0 / joint.shape[1]
-        ev = build_evaluator("cq", channel, k=1, t_size=joint.shape[0])
-        c, p = ev.rates_from_dists(p_t[None], cond[None])
-        return max(0.0, float(c[0])), max(0.0, float(p[0]))
+        c, p = evaluate_witness(mode, channel, {"joint": entry["joint"]})
+        return max(0.0, c), max(0.0, p)
     if entry.get("kind") == "closed-form":
         pt = pinching_boundary(float(entry["p"]))
         return pt.common_rate, pt.personal_rate
@@ -270,20 +263,26 @@ def _cmd_verify(args) -> int:
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise ValidationError(f"witness: expected a {WITNESS_FORMAT} document")
     mode = doc.get("mode", "")
-    k = int(doc.get("k", 1))
+    k = doc.get("k", 1)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValidationError(f"witness: k must be an integer, got {k!r}")
     channel = parse_channel_spec(doc["channel"]) if doc.get("channel") else None
     failures = 0
     for entry in doc.get("points", []):
         wid = entry.get("witness_id", "?")
+        try:
+            stored_c, stored_p = float(entry["common_rate"]), float(entry["personal_rate"])
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError(f"{wid}: stored common_rate and personal_rate must both be numbers")
         common, personal = _recompute_entry(mode, channel, k, entry)
-        dc = abs(common - float(entry["common_rate"]))
-        dp = abs(personal - float(entry["personal_rate"]))
+        dc = abs(common - stored_c)
+        dp = abs(personal - stored_p)
         if max(dc, dp) <= args.tol:
             sys.stdout.write(f"{wid} ok common={_fmt(common)} personal={_fmt(personal)}\n")
         else:
             failures += 1
             sys.stdout.write(
-                f"{wid} mismatch stored=({_fmt(entry['common_rate'])},{_fmt(entry['personal_rate'])}) "
+                f"{wid} mismatch stored=({_fmt(stored_c)},{_fmt(stored_p)}) "
                 f"recomputed=({_fmt(common)},{_fmt(personal)})\n"
             )
     if failures:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -38,7 +40,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("restarts", "max_iters", "step_init", "step_grow", "step_shrink", "step_min", "tol", "fd_step", "r_grid"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"OptimizerConfig.{name} must be positive")
+                raise ValidationError(f"OptimizerConfig.{name} must be positive")
 
 
 _LADDER = 4  # trial step sizes evaluated per line search

@@ -1,16 +1,24 @@
 """Achievable-rate-region frontiers for broadcast channels.
 
-Each region evaluator turns optimizer parameters into a (common, personal)
-rate pair; a penalty sweep over a grid of common-rate targets traces the upper
-boundary and stores the achieving parameters as a re-evaluatable witness.
-Closed-form and entropy-oracle evaluators for the small worked cases live at
-the bottom.
+Every frontier mode optimizes the same object: a label distribution p(t) plus
+one payload per label.  A single evaluator, ``_LabelEnsembleEvaluator``, owns
+that shape: the tensor power, the label count and matrix budget, the softmax
+decode of p(t), the restart inits, the Holevo term that binds the common rate
+and witness (de)serialization.  The mode table ``_MODES`` is plain data: each
+mode names a channel family (receiver stacks, payload kind, the payload-to-
+receiver-states map and the personal-rate term), the receivers that bind the
+common rate, and its rate labels.  A penalty sweep over a grid of common-rate
+targets traces the upper boundary and stores the achieving parameters as a
+re-evaluatable witness.  Closed-form and entropy-oracle evaluators for the
+small worked cases live at the bottom.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,8 +27,6 @@ from .errors import BudgetError, ValidationError
 from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax
 from .quantities import coherent_information
 from .states import ENTROPY_CLAMP, PureState, binary_entropy
-
-RATE_CLIP = -1e-9
 
 
 @dataclass
@@ -129,205 +135,70 @@ def _budget_check(dense_load: int, cfg: OptimizerConfig, what: str):
 
 
 # ---------------------------------------------------------------------------
-# evaluators
+# the label-ensemble evaluator and its mode table
 
 
-class _CqEvaluator:
-    """Classical common + classical personal rates from joint distributions p(t, x).
+class _Family(NamedTuple):
+    """A channel model: its receiver states, personal-rate term and payload kind."""
 
-    Rates are per channel use: common = min over receivers of the label/receiver
-    Holevo quantity (or the degraded receiver only, in certified mode), personal
-    = the conditional Holevo quantity of the input given the label at receiver B.
+    what: str  # names the frontier in validation and budget messages
+    accepts: Callable  # channel -> whether the family can evaluate it
+    requires: str  # ends the validation message for a channel it cannot evaluate
+    setup: Callable  # (k-use channel, common) -> (fixed tensors, payload length, default t_size, d_B d_C)
+    states: Callable  # (evaluator, payload) -> {receiver: (m, t, d, d) per-label states}
+    personal: Callable  # (evaluator, p_t, payload, {receiver: per-label entropies}) -> (m,)
+    decode: Callable  # raw (m, t, payload length) -> payload batch
+    structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
+    init_scale: float  # standard deviation of the seeded random init rows
+    key: str  # witness key of the payload
+    dump: Callable  # one label set's payload -> JSON value
+    load: Callable  # JSON value -> payload batch of one
+
+
+class _LabelEnsembleEvaluator:
+    """Rates per channel use from a label distribution p(t) plus one payload per label.
+
+    The first ``t_size`` parameters are the logits of p(t), the rest one payload
+    of the mode's kind per label.  The common rate is the smallest Holevo
+    quantity chi = S(sum_t p_t rho_t) - sum_t p_t S(rho_t) over the mode's
+    binding receivers; the personal rate is the mode family's own term.
     """
 
-    def __init__(self, w: CqBroadcastChannel, k: int = 1, cfg: OptimizerConfig | None = None,
-                 t_size: int | None = None, common: str = "min"):
-        cfg = cfg or OptimizerConfig()
-        if not isinstance(w, CqBroadcastChannel):
-            raise ValidationError("cq frontier expects a CqBroadcastChannel")
-        wk = w.tensor_power(k)
+    def __init__(self, mode: str, channel, k: int = 1, cfg: OptimizerConfig | None = None,
+                 t_size: int | None = None):
+        if mode not in _MODES:
+            raise ValidationError(f"unknown frontier mode {mode!r}")
+        self.mode = mode
+        self.family, self.common, self.rate_labels = _MODES[mode]
+        if not self.family.accepts(channel):
+            raise ValidationError(f"{self.family.what} {self.family.requires}")
         self.k = k
-        self.common_kind = common
-        self.symbols = list(wk.symbols)
-        self.b_stack = np.stack(wk.marginal_conditionals(wk.b_label))
-        self.c_stack = np.stack(wk.marginal_conditionals(wk.c_label))
-        self.h_b_x = batched_entropy(self.b_stack)
-        n_x = len(self.symbols)
-        db, dc = self.b_stack.shape[1], self.c_stack.shape[1]
-        if common == "c":
-            bound = min(n_x, db * db)
-        else:
-            bound = min(n_x, db * db + dc * dc - 1)
+        self.fixed, self.payload_len, bound, dense = self.family.setup(channel.tensor_power(k), self.common)
         self.t_size = int(t_size) if t_size is not None else bound
         if self.t_size < 1:
             raise ValidationError("t_size must be at least 1")
-        self.n_x = n_x
-        self.n_params = self.t_size + self.t_size * n_x
-        _budget_check(db * dc * self.t_size, cfg, "cq frontier")
+        self.n_params = self.t_size + self.t_size * self.payload_len
+        _budget_check(dense * self.t_size, cfg or OptimizerConfig(), self.family.what)
 
     def decode(self, thetas: np.ndarray):
         t = self.t_size
-        p_t = softmax(thetas[:, :t])
-        cond = softmax(thetas[:, t:].reshape(thetas.shape[0], t, self.n_x), axis=-1)
-        return p_t, cond
+        raw = thetas[:, t:].reshape(thetas.shape[0], t, self.payload_len)
+        return softmax(thetas[:, :t]), self.family.decode(raw)
 
-    def rates_from_dists(self, p_t: np.ndarray, cond: np.ndarray):
-        rho_bt = np.einsum("mtx,xij->mtij", cond, self.b_stack, optimize=True)
-        rho_ct = np.einsum("mtx,xij->mtij", cond, self.c_stack, optimize=True)
-        h_bt = batched_entropy(rho_bt)
-        h_ct = batched_entropy(rho_ct)
-        rho_b = np.einsum("mt,mtij->mij", p_t, rho_bt, optimize=True)
-        rho_c = np.einsum("mt,mtij->mij", p_t, rho_ct, optimize=True)
-        i_tb = batched_entropy(rho_b) - (p_t * h_bt).sum(axis=1)
-        i_tc = batched_entropy(rho_c) - (p_t * h_ct).sum(axis=1)
-        p_x = np.einsum("mt,mtx->mx", p_t, cond, optimize=True)
-        personal = (p_t * h_bt).sum(axis=1) - p_x @ self.h_b_x
-        common = i_tc if self.common_kind == "c" else np.minimum(i_tb, i_tc)
+    def rates(self, p_t: np.ndarray, payload: np.ndarray):
+        states = self.family.states(self, payload)
+        h = {r: batched_entropy(rho) for r, rho in states.items()}
+        chi = [batched_entropy(np.einsum("mt,mtij->mij", p_t, states[r], optimize=True))
+               - (p_t * h[r]).sum(axis=1) for r in self.common]
+        common = functools.reduce(np.minimum, chi)
+        personal = self.family.personal(self, p_t, payload, h)
         return common / self.k, personal / self.k
 
     def batch_rates(self, thetas: np.ndarray):
-        return self.rates_from_dists(*self.decode(thetas))
+        return self.rates(*self.decode(thetas))
 
     def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
-        rows = []
-        for r in range(n_restarts):
-            if r == 0 and warm is not None:
-                rows.append(np.array(warm))
-                continue
-            if r == 1 or (r == 0 and warm is None):
-                logits = np.zeros(self.n_params)
-                for t in range(self.t_size):
-                    logits[self.t_size + t * self.n_x + (t % self.n_x)] = 8.0
-                rows.append(logits)
-                continue
-            rng = seeded_rng(*path, r)
-            rows.append(rng.standard_normal(self.n_params) * 2.0)
-        return np.stack(rows)
-
-    def witness_params(self, theta: np.ndarray) -> dict:
-        p_t, cond = self.decode(theta[None])
-        return {"p_t": p_t[0].tolist(), "p_x_given_t": cond[0].tolist()}
-
-    def rates_from_witness(self, params: dict):
-        p_t = np.asarray(params["p_t"], dtype=float)[None]
-        cond = np.asarray(params["p_x_given_t"], dtype=float)[None]
-        c, p = self.rates_from_dists(p_t, cond)
-        return float(c[0]), float(p[0])
-
-
-class _DephasingEvaluator:
-    """Classical common + quantum personal rates for generalized dephasing channels.
-
-    Parameters are joint distributions p(t, x) over the dephasing basis; the
-    personal rate is the input entropy given the label minus the leaked
-    environment entropy, the common rate is the label/receiver-C Holevo
-    quantity.
-    """
-
-    def __init__(self, u: BroadcastChannel, k: int = 1, cfg: OptimizerConfig | None = None,
-                 t_size: int | None = None):
-        cfg = cfg or OptimizerConfig()
-        if not isinstance(u, BroadcastChannel) or u.dephasing is None:
-            raise ValidationError("dephasing frontier requires a channel built from a DephasingSpec")
-        uk = u.tensor_power(k)
-        spec = uk.dephasing
-        self.k = k
-        self.spec = spec
-        n_x = spec.n_in
-        vecs = spec.images
-        self.ce_stack = np.einsum("xi,xj->xij", vecs, vecs.conj())
-        self.c_stack = spec.c_states()
-        self.t_size = int(t_size) if t_size is not None else n_x
-        self.n_x = n_x
-        self.n_params = self.t_size + self.t_size * n_x
-        db, dc = uk.out_layout.dims
-        _budget_check(db * dc * self.t_size, cfg, "dephasing frontier")
-
-    def decode(self, thetas: np.ndarray):
-        t = self.t_size
-        p_t = softmax(thetas[:, :t])
-        cond = softmax(thetas[:, t:].reshape(thetas.shape[0], t, self.n_x), axis=-1)
-        return p_t, cond
-
-    def rates_from_dists(self, p_t: np.ndarray, cond: np.ndarray):
-        sig_ce = np.einsum("mtx,xij->mtij", cond, self.ce_stack, optimize=True)
-        sig_c = np.einsum("mtx,xij->mtij", cond, self.c_stack, optimize=True)
-        h_ce = batched_entropy(sig_ce)
-        h_c = batched_entropy(sig_c)
-        h_x_t = _prob_entropy(cond)
-        personal = (p_t * (h_x_t - h_ce)).sum(axis=1)
-        sig_c_avg = np.einsum("mt,mtij->mij", p_t, sig_c, optimize=True)
-        common = batched_entropy(sig_c_avg) - (p_t * h_c).sum(axis=1)
-        return common / self.k, personal / self.k
-
-    def batch_rates(self, thetas: np.ndarray):
-        return self.rates_from_dists(*self.decode(thetas))
-
-    inits = _CqEvaluator.inits
-    witness_params = _CqEvaluator.witness_params
-    rates_from_witness = _CqEvaluator.rates_from_witness
-
-
-class _EnsembleEvaluator:
-    """Classical common + coherent-information personal rates from pure-state ensembles.
-
-    Parameters are a label distribution p(t) plus one reference/input pure state
-    per label; the channel acts on the input half, the personal rate is the
-    label-averaged coherent information to receiver B with the label kept.
-    """
-
-    def __init__(self, n: BroadcastChannel, k: int = 1, cfg: OptimizerConfig | None = None,
-                 t_size: int | None = None):
-        cfg = cfg or OptimizerConfig()
-        if not isinstance(n, BroadcastChannel):
-            raise ValidationError("ensemble frontier expects a BroadcastChannel")
-        nk = n.tensor_power(k)
-        self.k = k
-        self.kraus = np.stack(nk.ops)  # (ne, dout, din)
-        self.db, self.dc = nk.out_layout.dims
-        self.din = nk.in_dim
-        self.dref = self.din
-        bound = min(self.din * self.din, self.db * self.db + self.dc * self.dc - 1)
-        self.t_size = int(t_size) if t_size is not None else bound
-        self.state_len = 2 * self.dref * self.din
-        self.n_params = self.t_size + self.t_size * self.state_len
-        _budget_check(self.db * self.dc * self.t_size, cfg, "ensemble frontier")
-
-    def decode(self, thetas: np.ndarray):
-        m = thetas.shape[0]
-        t = self.t_size
-        p_t = softmax(thetas[:, :t])
-        raw = thetas[:, t:].reshape(m, t, 2, self.dref * self.din)
-        phi = raw[:, :, 0] + 1j * raw[:, :, 1]
-        norms = np.linalg.norm(phi, axis=-1, keepdims=True)
-        phi = phi / np.maximum(norms, 1e-15)
-        return p_t, phi.reshape(m, t, self.dref, self.din)
-
-    def rates_from_dists(self, p_t: np.ndarray, phi: np.ndarray):
-        amp = np.einsum("eoi,mtri->mtroe", self.kraus, phi, optimize=True)
-        m, t = amp.shape[0], amp.shape[1]
-        amp = amp.reshape(m, t, self.dref, self.db, self.dc, self.kraus.shape[0])
-        rho_b = np.einsum("mtrbce,mtrdce->mtbd", amp, amp.conj(), optimize=True)
-        rho_c = np.einsum("mtrbce,mtrbde->mtcd", amp, amp.conj(), optimize=True)
-        rho_ab = np.einsum("mtrbce,mtsdce->mtrbsd", amp, amp.conj(), optimize=True)
-        rho_ab = rho_ab.reshape(m, t, self.dref * self.db, self.dref * self.db)
-        h_b = batched_entropy(rho_b)
-        h_c = batched_entropy(rho_c)
-        h_ab = batched_entropy(rho_ab)
-        personal = (p_t * (h_b - h_ab)).sum(axis=1)
-        avg_b = np.einsum("mt,mtbd->mbd", p_t, rho_b, optimize=True)
-        avg_c = np.einsum("mt,mtcd->mcd", p_t, rho_c, optimize=True)
-        i_tb = batched_entropy(avg_b) - (p_t * h_b).sum(axis=1)
-        i_tc = batched_entropy(avg_c) - (p_t * h_c).sum(axis=1)
-        common = np.minimum(i_tb, i_tc)
-        return common / self.k, personal / self.k
-
-    def batch_rates(self, thetas: np.ndarray):
-        return self.rates_from_dists(*self.decode(thetas))
-
-    def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
-        ent = np.eye(self.dref, self.din, dtype=complex).reshape(-1)
-        ent = ent / np.linalg.norm(ent)
+        """Warm start, then the family's structured row, then seeded random rows."""
         rows = []
         for r in range(n_restarts):
             if r == 0 and warm is not None:
@@ -335,29 +206,159 @@ class _EnsembleEvaluator:
                 continue
             rng = seeded_rng(*path, r)
             if r == 1 or (r == 0 and warm is None):
-                theta = np.zeros(self.n_params)
-                for t in range(self.t_size):
-                    vec = ent + 0.02 * (rng.standard_normal(ent.shape) + 1j * rng.standard_normal(ent.shape))
-                    base = self.t_size + t * self.state_len
-                    theta[base:base + self.state_len // 2] = vec.real
-                    theta[base + self.state_len // 2:base + self.state_len] = vec.imag
-                rows.append(theta)
-                continue
-            rows.append(rng.standard_normal(self.n_params))
+                rows.append(np.concatenate([np.zeros(self.t_size), self.family.structured(self, rng).reshape(-1)]))
+            else:
+                rows.append(rng.standard_normal(self.n_params) * self.family.init_scale)
         return np.stack(rows)
 
     def witness_params(self, theta: np.ndarray) -> dict:
-        p_t, phi = self.decode(theta[None])
-        flat = phi[0].reshape(self.t_size, -1)
-        states = [[[float(z.real), float(z.imag)] for z in row] for row in flat]
-        return {"p_t": p_t[0].tolist(), "states": states}
+        p_t, payload = self.decode(theta[None])
+        return {"p_t": p_t[0].tolist(), self.family.key: self.family.dump(payload[0])}
 
     def rates_from_witness(self, params: dict):
         p_t = np.asarray(params["p_t"], dtype=float)[None]
-        states = np.asarray(params["states"], dtype=float)
-        phi = (states[..., 0] + 1j * states[..., 1]).reshape(1, len(params["p_t"]), self.dref, self.din)
-        c, p = self.rates_from_dists(p_t, phi)
+        c, p = self.rates(p_t, self.family.load(params[self.family.key]))
         return float(c[0]), float(p[0])
+
+
+def _conditional_structured(ev, rng) -> np.ndarray:
+    rows = np.zeros((ev.t_size, ev.payload_len))
+    rows[np.arange(ev.t_size), np.arange(ev.t_size) % ev.payload_len] = 8.0
+    return rows
+
+
+# payload p(x | t): a softmax over the input alphabet per label
+_CONDITIONAL = dict(
+    decode=lambda raw: softmax(raw, axis=-1),
+    structured=_conditional_structured,
+    init_scale=2.0,
+    key="p_x_given_t",
+    dump=lambda cond: cond.tolist(),
+    load=lambda value: np.asarray(value, dtype=float)[None],
+)
+
+
+def _pure_decode(raw: np.ndarray) -> np.ndarray:
+    half = raw.shape[-1] // 2
+    phi = raw[..., :half] + 1j * raw[..., half:]
+    norms = np.linalg.norm(phi, axis=-1, keepdims=True)
+    return phi / np.maximum(norms, 1e-15)
+
+
+def _pure_structured(ev, rng) -> np.ndarray:
+    """A slightly perturbed maximally entangled reference/input state per label."""
+    ent = np.eye(ev.fixed["din"], dtype=complex).reshape(-1)
+    ent = ent / np.linalg.norm(ent)
+    rows = []
+    for _ in range(ev.t_size):
+        vec = ent + 0.02 * (rng.standard_normal(ent.shape) + 1j * rng.standard_normal(ent.shape))
+        rows.append(np.concatenate([vec.real, vec.imag]))
+    return np.stack(rows)
+
+
+def _pure_load(value) -> np.ndarray:
+    pairs = np.asarray(value, dtype=float)
+    return (pairs[..., 0] + 1j * pairs[..., 1])[None]
+
+
+# payload: one pure state on reference (x) input per label, flattened; witnesses
+# store each amplitude as a [real, imag] pair
+_PURE = dict(
+    decode=_pure_decode,
+    structured=_pure_structured,
+    init_scale=1.0,
+    key="states",
+    dump=lambda phi: np.stack([phi.real, phi.imag], axis=-1).tolist(),
+    load=_pure_load,
+)
+
+
+def _mix_stacks(ev, cond: np.ndarray) -> dict:
+    """Per-label receiver states sum_x p(x|t) rho_x for every fixed per-symbol stack."""
+    return {r: np.einsum("mtx,xij->mtij", cond, stack, optimize=True) for r, stack in ev.fixed["stacks"].items()}
+
+
+def _cq_setup(wk: CqBroadcastChannel, common: tuple):
+    b_stack = np.stack(wk.marginal_conditionals(wk.b_label))
+    c_stack = np.stack(wk.marginal_conditionals(wk.c_label))
+    n_x, db, dc = len(wk.symbols), b_stack.shape[1], c_stack.shape[1]
+    bound = min(n_x, db * db if common == ("C",) else db * db + dc * dc - 1)
+    return {"stacks": {"B": b_stack, "C": c_stack}, "h_b_x": batched_entropy(b_stack)}, n_x, bound, db * dc
+
+
+def _cq_personal(ev, p_t, cond, h) -> np.ndarray:
+    """Conditional Holevo quantity I(X; B | T)."""
+    p_x = np.einsum("mt,mtx->mx", p_t, cond, optimize=True)
+    return (p_t * h["B"]).sum(axis=1) - p_x @ ev.fixed["h_b_x"]
+
+
+def _dephasing_setup(uk: BroadcastChannel, common: tuple):
+    spec = uk.dephasing
+    vecs = spec.images
+    fixed = {"stacks": {"CE": np.einsum("xi,xj->xij", vecs, vecs.conj()), "C": spec.c_states()}}
+    db, dc = uk.out_layout.dims
+    return fixed, spec.n_in, spec.n_in, db * dc
+
+
+def _dephasing_personal(ev, p_t, cond, h) -> np.ndarray:
+    """Input entropy given the label minus the leaked environment entropy."""
+    return (p_t * (_prob_entropy(cond) - h["CE"])).sum(axis=1)
+
+
+def _ensemble_setup(nk: BroadcastChannel, common: tuple):
+    db, dc = nk.out_layout.dims
+    din = nk.in_dim
+    fixed = {"kraus": np.stack(nk.ops), "din": din, "db": db, "dc": dc}  # kraus: (ne, dout, din)
+    return fixed, 2 * din * din, min(din * din, db * db + dc * dc - 1), db * dc
+
+
+def _ensemble_states(ev, phi: np.ndarray) -> dict:
+    kraus, din, db, dc = (ev.fixed[key] for key in ("kraus", "din", "db", "dc"))
+    m, t = phi.shape[0], phi.shape[1]
+    amp = np.einsum("eoi,mtri->mtroe", kraus, phi.reshape(m, t, din, din), optimize=True)
+    amp = amp.reshape(m, t, din, db, dc, kraus.shape[0])
+    rho_rb = np.einsum("mtrbce,mtsdce->mtrbsd", amp, amp.conj(), optimize=True)
+    return {
+        "B": np.einsum("mtrbce,mtrdce->mtbd", amp, amp.conj(), optimize=True),
+        "C": np.einsum("mtrbce,mtrbde->mtcd", amp, amp.conj(), optimize=True),
+        "RB": rho_rb.reshape(m, t, din * db, din * db),
+    }
+
+
+def _ensemble_personal(ev, p_t, phi, h) -> np.ndarray:
+    """Label-averaged coherent information I(R > B)."""
+    return (p_t * (h["B"] - h["RB"])).sum(axis=1)
+
+
+_CQ = _Family(
+    what="cq frontier",
+    accepts=lambda ch: isinstance(ch, CqBroadcastChannel),
+    requires="expects a CqBroadcastChannel",
+    setup=_cq_setup, states=_mix_stacks, personal=_cq_personal, **_CONDITIONAL,
+)
+_DEPHASING = _Family(
+    what="dephasing frontier",
+    accepts=lambda ch: isinstance(ch, BroadcastChannel) and ch.dephasing is not None,
+    requires="requires a channel built from a DephasingSpec",
+    setup=_dephasing_setup, states=_mix_stacks, personal=_dephasing_personal, **_CONDITIONAL,
+)
+_ENSEMBLE = _Family(
+    what="ensemble frontier",
+    accepts=lambda ch: isinstance(ch, BroadcastChannel),
+    requires="expects a BroadcastChannel",
+    setup=_ensemble_setup, states=_ensemble_states, personal=_ensemble_personal, **_PURE,
+)
+
+# mode -> (family, receivers whose Holevo quantities bind the common rate (minimum
+# taken), (common, personal) rate labels recorded in the frontier metadata)
+_MODES = {
+    "cq": (_CQ, ("B", "C"), ("R", "R_B")),
+    "cq-certified": (_CQ, ("C",), ("R", "R_B")),
+    "dephasing": (_DEPHASING, ("C",), ("R", "Q_B")),
+    "qq-dephasing": (_DEPHASING, ("C",), ("Q", "Q_B")),
+    "cq-eg": (_ENSEMBLE, ("B", "C"), ("R", "Q")),
+    "qq": (_ENSEMBLE, ("B", "C"), ("Q", "Q_B")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +398,25 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
         }
         rows.append((_clip_rate(min(r_target, raw_c)), _clip_rate(raw_p), witness))
         warm = theta
-    meta = dict(metadata or {})
-    meta.update({
+    meta = {
+        "mode": ev.mode,
+        "rates": ev.rate_labels,
+        **(metadata or {}),
         "k": ev.k,
         "t_size": ev.t_size,
         "seed": cfg.seed,
         "restarts": cfg.restarts,
         "grid": int(len(r_values)),
         "r_max": r_max,
-    })
+    }
     return Frontier(_pareto_cleanup(rows), meta)
+
+
+def _frontier(mode: str, channel, k: int, cfg: OptimizerConfig | None, r_values, t_size,
+              **metadata) -> Frontier:
+    cfg = cfg or OptimizerConfig()
+    ev = _LabelEnsembleEvaluator(mode, channel, k=k, cfg=cfg, t_size=t_size)
+    return _sweep(ev, cfg, r_values=r_values, metadata=metadata)
 
 
 def cq_broadcast_frontier(w: CqBroadcastChannel, k: int = 1, cfg: OptimizerConfig | None = None,
@@ -417,9 +427,7 @@ def cq_broadcast_frontier(w: CqBroadcastChannel, k: int = 1, cfg: OptimizerConfi
     common rate must be decodable by both receivers, the personal rate goes to
     receiver B on top of it.
     """
-    cfg = cfg or OptimizerConfig()
-    ev = _CqEvaluator(w, k=k, cfg=cfg, t_size=t_size)
-    return _sweep(ev, cfg, r_values=r_values, metadata={"mode": "cq", "rates": ("R", "R_B")})
+    return _frontier("cq", w, k, cfg, r_values, t_size)
 
 
 @dataclass
@@ -448,10 +456,7 @@ def certify_single_letter_cq(w: CqBroadcastChannel, cfg: OptimizerConfig | None 
     certified = bool(commuting and report.certified)
     frontier = None
     if certified:
-        ev = _CqEvaluator(w, k=1, cfg=cfg, common="c")
-        frontier = _sweep(ev, cfg, r_values=r_values,
-                          metadata={"mode": "cq-certified", "rates": ("R", "R_B"),
-                                    "residual": report.residual})
+        frontier = _frontier("cq-certified", w, 1, cfg, r_values, None, residual=report.residual)
     return CqCertification(commuting, report.residual, certified, report.method, frontier)
 
 
@@ -462,9 +467,7 @@ def cq_entanglement_frontier(n: BroadcastChannel, k: int = 1, cfg: OptimizerConf
     Optimizes ensembles of bipartite pure states fed through the k-use channel;
     the personal rate is the label-averaged coherent information to B.
     """
-    cfg = cfg or OptimizerConfig()
-    ev = _EnsembleEvaluator(n, k=k, cfg=cfg, t_size=t_size)
-    return _sweep(ev, cfg, r_values=r_values, metadata={"mode": "cq-eg", "rates": ("R", "Q")})
+    return _frontier("cq-eg", n, k, cfg, r_values, t_size)
 
 
 def dephasing_cq_frontier(u: BroadcastChannel, cfg: OptimizerConfig | None = None,
@@ -474,9 +477,7 @@ def dephasing_cq_frontier(u: BroadcastChannel, cfg: OptimizerConfig | None = Non
     The channel must carry its DephasingSpec; the optimization is over joint
     distributions p(t, x) on the dephasing basis only.
     """
-    cfg = cfg or OptimizerConfig()
-    ev = _DephasingEvaluator(u, k=k, cfg=cfg, t_size=t_size)
-    return _sweep(ev, cfg, r_values=r_values, metadata={"mode": "dephasing", "rates": ("R", "Q_B")})
+    return _frontier("dephasing", u, k, cfg, r_values, t_size)
 
 
 def qq_frontier(u: BroadcastChannel, k: int = 1, cfg: OptimizerConfig | None = None,
@@ -484,21 +485,14 @@ def qq_frontier(u: BroadcastChannel, k: int = 1, cfg: OptimizerConfig | None = N
     """Frontier of common quantum rate vs personal quantum rate for isometric channels.
 
     For channels carrying a DephasingSpec the computation delegates to the
-    dephasing evaluator (same region with the common rate read as quantum);
-    otherwise it runs the pure-state-ensemble evaluator with quantum labels.
+    dephasing family (same region with the common rate read as quantum);
+    otherwise it runs the pure-state-ensemble family with quantum labels.
     """
-    cfg = cfg or OptimizerConfig()
     if not isinstance(u, BroadcastChannel):
         raise ValidationError("qq frontier expects a BroadcastChannel")
     if not u.is_isometric():
         raise ValidationError("qq frontier requires an isometric channel (single Kraus, V†V = I)")
-    if u.dephasing is not None:
-        ev = _DephasingEvaluator(u, k=k, cfg=cfg, t_size=t_size)
-        fr = _sweep(ev, cfg, r_values=r_values,
-                    metadata={"mode": "qq-dephasing", "rates": ("Q", "Q_B")})
-        return fr
-    ev = _EnsembleEvaluator(u, k=k, cfg=cfg, t_size=t_size)
-    return _sweep(ev, cfg, r_values=r_values, metadata={"mode": "qq", "rates": ("Q", "Q_B")})
+    return _frontier("qq-dephasing" if u.dephasing is not None else "qq", u, k, cfg, r_values, t_size)
 
 
 def pinching_boundary(p: float) -> RatePoint:
@@ -565,20 +559,23 @@ def independent_rates(n: BroadcastChannel, psi_in: PureState) -> IndependentRate
 def build_evaluator(mode: str, channel, k: int = 1, t_size: int | None = None,
                     cfg: OptimizerConfig | None = None):
     """Reconstruct the evaluator a witness was produced by."""
-    cfg = cfg or OptimizerConfig()
-    if mode == "cq":
-        return _CqEvaluator(channel, k=k, cfg=cfg, t_size=t_size)
-    if mode == "cq-certified":
-        return _CqEvaluator(channel, k=k, cfg=cfg, t_size=t_size, common="c")
-    if mode in ("dephasing", "qq-dephasing"):
-        return _DephasingEvaluator(channel, k=k, cfg=cfg, t_size=t_size)
-    if mode in ("cq-eg", "qq"):
-        return _EnsembleEvaluator(channel, k=k, cfg=cfg, t_size=t_size)
-    raise ValidationError(f"unknown frontier mode {mode!r}")
+    return _LabelEnsembleEvaluator(mode, channel, k=k, cfg=cfg, t_size=t_size)
 
 
 def evaluate_witness(mode: str, channel, params: dict, k: int = 1) -> tuple[float, float]:
-    """Recompute (common, personal) from stored witness parameters."""
-    t_size = len(params["p_t"])
-    ev = build_evaluator(mode, channel, k=k, t_size=t_size)
+    """Recompute (common, personal) from stored witness parameters.
+
+    ``params`` is a frontier witness (``p_t`` plus the mode's payload) or a
+    grid-oracle witness ``{"joint": p(t, x)}``, which is read as a single-use
+    ``cq`` witness whatever ``mode`` says.
+    """
+    if "joint" in params:
+        joint = np.asarray(params["joint"], dtype=float)
+        p_t = joint.sum(axis=1)
+        safe = np.where(p_t > 0, p_t, 1.0)
+        cond = joint / safe[:, None]
+        cond[p_t == 0] = 1.0 / joint.shape[1]
+        c, p = build_evaluator("cq", channel, t_size=joint.shape[0]).rates(p_t[None], cond[None])
+        return float(c[0]), float(p[0])
+    ev = build_evaluator(mode, channel, k=k, t_size=len(params["p_t"]))
     return ev.rates_from_witness(params)

@@ -8,9 +8,20 @@ from qbroadcast.cli import WITNESS_FORMAT, run
 from qbroadcast.specio import complex_to_json
 
 
-def region_args(out, channel="noiseless-bit", mode="cq"):
-    return ["region", mode, "--channel", channel,
-            "--grid", "3", "--restarts", "4", "--out", str(out)]
+def region_args(out, channel="noiseless-bit", mode="cq", size=("--grid", "3", "--restarts", "4")):
+    return ["region", mode, "--channel", channel, *size, "--out", str(out)]
+
+
+# (mode, channel, sweep size, sidecar mode): one witness family per frontier mode,
+# each small enough to run in seconds
+WITNESS_SWEEPS = [
+    ("cq", "noiseless-bit", ("--grid", "3", "--restarts", "4"), "cq"),
+    ("dephasing", "pinching", ("--grid", "3", "--restarts", "4"), "dephasing"),
+    ("qq", "ghz-copy", ("--grid", "3", "--restarts", "4"), "qq-dephasing"),
+    ("cq-eg", "pinching", ("--t-size", "2", "--grid", "2", "--restarts", "2"), "cq-eg"),
+]
+sweeps = pytest.mark.parametrize("mode,channel,size,sidecar_mode", WITNESS_SWEEPS,
+                                 ids=[w[0] for w in WITNESS_SWEEPS])
 
 
 class TestExitCodes:
@@ -30,6 +41,16 @@ class TestExitCodes:
     def test_mode_channel_mismatch(self, capsys):
         assert run(["region", "cq", "--channel", "pinching",
                     "--grid", "2", "--restarts", "2"]) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "cq", "--channel", "pinching-cq", "--restarts", "0"],
+        ["region", "cq", "--channel", "pinching-cq", "--grid", "0"],
+        ["region", "dephasing", "--channel", "pinching", "--t-size", "0"],
+        ["region", "cq-eg", "--channel", "pinching", "--t-size", "0"],
+    ], ids=["restarts-0", "grid-0", "dephasing-t-size-0", "cq-eg-t-size-0"])
+    def test_bad_sweep_settings(self, argv, capsys):
+        assert run(argv) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
 
     def test_budget_error(self, capsys):
@@ -53,10 +74,11 @@ class TestRegionCommand:
         assert len(side["points"]) == len(lines) - 1
         assert all("params" in p for p in side["points"])
 
-    def test_reruns_are_byte_identical(self, tmp_path):
+    @sweeps
+    def test_reruns_are_byte_identical(self, tmp_path, mode, channel, size, sidecar_mode):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(region_args(a)) == 0
-        assert run(region_args(b)) == 0
+        assert run(region_args(a, channel, mode, size)) == 0
+        assert run(region_args(b, channel, mode, size)) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.witness.json").read_bytes() == \
                (tmp_path / "b.csv.witness.json").read_bytes()
@@ -67,9 +89,11 @@ class TestRegionCommand:
         out = capsys.readouterr().out
         assert out.startswith("common_rate,personal_rate,witness_id\n")
 
-    def test_verify_round_trip(self, tmp_path, capsys):
+    @sweeps
+    def test_verify_round_trip(self, tmp_path, capsys, mode, channel, size, sidecar_mode):
         out = tmp_path / "front.csv"
-        assert run(region_args(out)) == 0
+        assert run(region_args(out, channel, mode, size)) == 0
+        assert json.loads((tmp_path / "front.csv.witness.json").read_text())["mode"] == sidecar_mode
         capsys.readouterr()
         assert run(["verify", "--witness", str(out) + ".witness.json"]) == 0
         text = capsys.readouterr().out
@@ -93,6 +117,21 @@ class TestRegionCommand:
         bad = tmp_path / "w.json"
         bad.write_text(json.dumps({"format": "something-else", "points": []}))
         assert run(["verify", "--witness", str(bad)]) == 2
+
+    def test_verify_rejects_non_integer_k(self, tmp_path, capsys):
+        bad = tmp_path / "w.json"
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": "two", "points": []}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
+
+    def test_verify_rejects_point_without_rates(self, tmp_path, capsys):
+        bad = tmp_path / "w.json"
+        point = {"witness_id": "pt-000", "params": {"p_t": [1.0], "p_x_given_t": [[0.5, 0.5]]}}
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
+                                   "channel": qb.serialize_channel(qb.make_noiseless_bit()),
+                                   "points": [point]}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
 
 
 class TestQuantitiesCommand:

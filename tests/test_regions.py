@@ -135,6 +135,10 @@ class TestCertification:
         assert isinstance(cert.method, str)
         assert cert.frontier is not None
         assert cert.frontier.metadata["mode"] == "cq-certified"
+        pt = cert.frontier.points[-1]
+        c, p = evaluate_witness("cq-certified", qb.make_pinching_cq(), pt.witness["params"])
+        assert abs(c - pt.witness["raw_common"]) < 1e-12
+        assert abs(p - pt.witness["raw_personal"]) < 1e-12
 
     def test_noncommuting_channel_not_certified(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
