@@ -637,6 +637,42 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
     return np.stack(ops)
 
 
+def _prep_fit(q: np.ndarray, c_stack: np.ndarray):
+    """(objective, gradient, decode) of the measure-prepare fit over preps tau_j = G_j G_j† / tr.
+
+    The objective is -sum_p |sum_j q_pj tau_j - c_p|^2 over the probes p, with
+    each complex G_j flattened as [real, imag] into one parameter row.
+    """
+    n_prep, dc = q.shape[1], c_stack.shape[1]
+
+    def factors(thetas: np.ndarray):
+        m = thetas.shape[0]
+        g = thetas.reshape(m, n_prep, 2, dc, dc)
+        gc = g[:, :, 0] + 1j * g[:, :, 1]
+        mats = np.einsum("mjab,mjcb->mjac", gc, gc.conj(), optimize=True)
+        tr = np.maximum(np.einsum("mjaa->mj", mats).real, 1e-30)
+        return gc, mats / tr[:, :, None, None], tr
+
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        taus = factors(thetas)[1]
+        preds = np.einsum("pj,mjcd->mpcd", q, taus, optimize=True)
+        diff = preds - c_stack[None]
+        return -np.einsum("mpcd,mpcd->m", diff, diff.conj(), optimize=True).real
+
+    def gradient(thetas: np.ndarray) -> np.ndarray:
+        # W_j = df/dtau_j, projected through the trace normalization, then 2 W_j G_j
+        gc, taus, tr = factors(thetas)
+        m = thetas.shape[0]
+        diff = (q @ taus.reshape(m, n_prep, dc * dc)).reshape(m, -1, dc, dc) - c_stack[None]
+        w = -2.0 * (q.T @ diff.reshape(m, -1, dc * dc)).reshape(m, n_prep, dc, dc)
+        shift = np.einsum("mjab,mjba->mj", w, taus).real
+        w = (w - shift[:, :, None, None] * np.eye(dc)) / tr[:, :, None, None]
+        grad = 2.0 * w @ gc
+        return np.stack([grad.real, grad.imag], axis=2).reshape(m, -1)
+
+    return objective, gradient, lambda thetas: factors(thetas)[1]
+
+
 def _common_eigenbasis(mats: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
     """Eigenbasis of a random Hermitian combination (generic, so it is common)."""
     weights = rng.standard_normal(len(mats))
@@ -656,7 +692,7 @@ def degradedness_residual(bc_or_pair, candidate_dim_env: int | None = None, cfg=
     QR retraction.  A residual at or below 1e-6 certifies degradedness;
     anything larger is inconclusive.
     """
-    from .optimize import OptimizerConfig, maximize_batch
+    from .optimize import OptimizerConfig, central_differences, maximize_batch
 
     if cfg is None:
         cfg = OptimizerConfig()
@@ -712,30 +748,17 @@ def degradedness_residual(bc_or_pair, candidate_dim_env: int | None = None, cfg=
                 best_stack, best_residual, best_method = stack, r, "measure-prepare (least squares)"
         if best_residual > CERTIFY_THRESHOLD:
             # constrained fallback: parameterize each prep as G G† / tr
-            n_prep = db
-            n_params = n_prep * 2 * dc * dc
-
-            def decode(thetas: np.ndarray) -> np.ndarray:
-                m = thetas.shape[0]
-                g = thetas.reshape(m, n_prep, 2, dc, dc)
-                gc = g[:, :, 0] + 1j * g[:, :, 1]
-                mats = np.einsum("mjab,mjcb->mjac", gc, gc.conj(), optimize=True)
-                tr = np.einsum("mjaa->mj", mats).real
-                return mats / np.maximum(tr, 1e-30)[:, :, None, None]
-
-            def objective(thetas: np.ndarray) -> np.ndarray:
-                taus = decode(thetas)
-                preds = np.einsum("pj,mjcd->mpcd", q, taus, optimize=True)
-                diff = preds - c_stack[None]
-                return -np.einsum("mpcd,mpcd->m", diff, diff.conj(), optimize=True).real
-
+            n_params = db * 2 * dc * dc
+            objective, gradient, decode = _prep_fit(q, c_stack)
             inits = rng.standard_normal((cfg.restarts, n_params))
-            thetas, vals, _ = maximize_batch(objective, inits, cfg)
-            top = decode(thetas[np.argmax(vals)][None])[0]
-            stack = _measure_prepare_stack(basis, top)
-            r = _residual_of_stack(stack, b_states, c_states)
-            if r < best_residual:
-                best_stack, best_residual, best_method = stack, r, "measure-prepare (optimized)"
+            thetas, _, _ = maximize_batch(objective, gradient, inits, cfg)
+            # the fit's optimum is flat in directions the residual still sees: keep the
+            # restart whose map has the smallest residual
+            for preps in decode(thetas):
+                stack = _measure_prepare_stack(basis, preps)
+                r = _residual_of_stack(stack, b_states, c_states)
+                if r < best_residual:
+                    best_stack, best_residual, best_method = stack, r, "measure-prepare (optimized)"
     else:
         fit = _choi_fit_stack(b_stack, c_stack)
         r = _residual_of_stack(fit, b_states, c_states)
@@ -767,7 +790,8 @@ def degradedness_residual(bc_or_pair, candidate_dim_env: int | None = None, cfg=
             pad[: fit.shape[0]] = fit
             flat = pad.reshape(n_env * dc, db)
             inits[0] = np.concatenate([flat.real.ravel(), flat.imag.ravel()])
-        thetas, vals, _ = maximize_batch(objective_general, inits, cfg)
+        thetas, vals, _ = maximize_batch(objective_general, central_differences(objective_general),
+                                         inits, cfg)
         stack = decode_general(thetas[np.argmax(vals)][None])[0]
         r = _residual_of_stack(stack, b_states, c_states)
         if r < best_residual:

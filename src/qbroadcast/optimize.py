@@ -1,9 +1,11 @@
-"""Derivative-free ascent engine shared by the region evaluators.
+"""Batched multi-restart gradient ascent shared by the region evaluators.
 
-Gradients are estimated by central differences and every candidate point in an
-iteration (all restarts' perturbations, then all line-search trials) is pushed
-through the objective as one batched call, so objectives can vectorize their
-linear algebra across candidates.
+Each iteration asks the caller's gradient function for the ascent direction of
+every active restart in one call, then pushes all restarts' line-search trials
+through the objective as a second batched call, so objectives can vectorize
+their linear algebra across candidates.  ``central_differences`` turns a value
+function into a gradient function for objectives without an analytic one, and
+serves tests as the reference gradient.
 """
 
 from __future__ import annotations
@@ -33,27 +35,44 @@ class OptimizerConfig:
     tol: float = 1e-9
     seed: int = 7
     r_grid: int = 33
-    fd_step: float = 1e-5
     penalty_scales: tuple = (1e2, 1e4, 1e6)
     matrix_budget: int = 4096
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "step_init", "step_grow", "step_shrink", "step_min", "tol", "fd_step", "r_grid"):
+        for name in ("restarts", "max_iters", "step_init", "step_grow", "step_shrink", "step_min", "tol", "r_grid"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"OptimizerConfig.{name} must be positive")
 
 
 _LADDER = 4  # trial step sizes evaluated per line search
+FD_STEP = 1e-5  # central-difference step
 
 
-def maximize_batch(batch_fn, inits: np.ndarray, cfg: OptimizerConfig):
+def central_differences(batch_fn):
+    """Gradient function estimating the gradient of ``batch_fn`` by central differences.
+
+    The 2n perturbations of every row go through ``batch_fn`` as one call.
+    """
+    def grad_fn(thetas: np.ndarray) -> np.ndarray:
+        m, n = thetas.shape
+        signed = np.zeros((2 * n, n))
+        signed[0::2] = np.eye(n) * FD_STEP
+        signed[1::2] = -np.eye(n) * FD_STEP
+        pert = (thetas[:, None, :] + signed[None, :, :]).reshape(m * 2 * n, n)
+        gvals = np.asarray(batch_fn(pert), dtype=float).reshape(m, 2 * n)
+        return (gvals[:, 0::2] - gvals[:, 1::2]) / (2.0 * FD_STEP)
+    return grad_fn
+
+
+def maximize_batch(batch_fn, grad_fn, inits: np.ndarray, cfg: OptimizerConfig):
     """Ascend every row of ``inits`` independently; returns (thetas, values, info).
 
-    ``batch_fn`` maps an (m, n) parameter block to m objective values.  Each
-    iteration evaluates 2n central-difference perturbations per active restart
-    in one call, then a geometric ladder of trial steps in a second call.
-    Restarts deactivate when their step collapses below ``cfg.step_min`` or the
-    gradient norm drops under ``cfg.tol``.
+    ``batch_fn`` maps an (m, n) parameter block to m objective values and
+    ``grad_fn`` maps it to the (m, n) gradients.  Each iteration takes the
+    gradient of the active restarts in one call, then evaluates a geometric
+    ladder of trial steps along it in a second call.  Restarts deactivate when
+    their step collapses below ``cfg.step_min`` or the gradient norm drops
+    under ``cfg.tol``.
     """
     thetas = np.array(inits, dtype=float)
     if thetas.ndim != 2:
@@ -62,10 +81,6 @@ def maximize_batch(batch_fn, inits: np.ndarray, cfg: OptimizerConfig):
     values = np.asarray(batch_fn(thetas), dtype=float)
     steps = np.full(m, cfg.step_init)
     active = np.ones(m, dtype=bool)
-    h = cfg.fd_step
-    signed = np.zeros((2 * n, n))
-    signed[0::2] = np.eye(n) * h
-    signed[1::2] = -np.eye(n) * h
     ladder = cfg.step_shrink ** np.arange(_LADDER)
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
@@ -73,9 +88,7 @@ def maximize_batch(batch_fn, inits: np.ndarray, cfg: OptimizerConfig):
         if idx.size == 0:
             break
         sub = thetas[idx]
-        pert = (sub[:, None, :] + signed[None, :, :]).reshape(idx.size * 2 * n, n)
-        gvals = np.asarray(batch_fn(pert), dtype=float).reshape(idx.size, 2 * n)
-        grad = (gvals[:, 0::2] - gvals[:, 1::2]) / (2.0 * h)
+        grad = np.asarray(grad_fn(sub), dtype=float)
         gnorm = np.linalg.norm(grad, axis=1)
         flat = gnorm < cfg.tol
         if flat.any():

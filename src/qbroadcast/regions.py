@@ -102,6 +102,20 @@ def batched_entropy(mats: np.ndarray) -> np.ndarray:
     return -(evals * logs).sum(axis=-1)
 
 
+def _entropy_slope(p: np.ndarray) -> np.ndarray:
+    """d(-p log2 p)/dp, zero at or below ENTROPY_CLAMP where the entropies drop the term."""
+    return np.where(p > ENTROPY_CLAMP, -(np.log2(np.maximum(p, ENTROPY_CLAMP)) + 1.0 / np.log(2.0)), 0.0)
+
+
+def _entropy_grad(mats: np.ndarray):
+    """``batched_entropy`` and its gradient dS/drho = -(log2 rho + I/ln 2) from one ``eigh``."""
+    evals, vecs = np.linalg.eigh(mats)
+    evals = np.clip(evals, 0.0, None)
+    logs = np.where(evals > ENTROPY_CLAMP, np.log2(np.maximum(evals, ENTROPY_CLAMP)), 0.0)
+    grad = (vecs * _entropy_slope(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return -(evals * logs).sum(axis=-1), grad
+
+
 def _prob_entropy(p: np.ndarray) -> np.ndarray:
     """Shannon entropy along the last axis."""
     safe = np.maximum(p, ENTROPY_CLAMP)
@@ -125,7 +139,9 @@ def _pareto_cleanup(rows) -> list:
     return list(reversed(kept))
 
 
-def _budget_check(dense_load: int, cfg: OptimizerConfig, what: str):
+def _budget_check(dense_load: int, n_params: int, cfg: OptimizerConfig, what: str):
+    if n_params > cfg.matrix_budget:
+        raise BudgetError(f"{what}: {n_params} optimizer parameters exceed matrix budget {cfg.matrix_budget}")
     if dense_load > 16 * cfg.matrix_budget:
         raise BudgetError(
             f"{what}: dense load {dense_load} exceeds 16x matrix budget {cfg.matrix_budget}"
@@ -146,8 +162,12 @@ class _Family(NamedTuple):
     requires: str  # ends the validation message for a channel it cannot evaluate
     setup: Callable  # (k-use channel, common) -> (fixed tensors, payload length, default t_size, d_B d_C)
     states: Callable  # (evaluator, payload) -> {receiver: (m, t, d, d) per-label states}
-    personal: Callable  # (evaluator, p_t, payload, {receiver: per-label entropies}) -> (m,)
+    adjoint: Callable  # (evaluator, payload, {receiver: D}) -> d/d payload of sum Re tr(D rho)
+    personal: Callable  # (evaluator, payload, {receiver: per-label entropies}) -> (m, t) per-label term
+    personal_grad: Callable  # (evaluator, payload, {receiver: dS/drho}) -> the per-label term's
+    #                          ({receiver: d/d rho}, direct d/d payload)
     decode: Callable  # raw (m, t, payload length) -> payload batch
+    decode_grad: Callable  # (raw, payload, d/d payload) -> d/d raw
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
     init_scale: float  # standard deviation of the seeded random init rows
     key: str  # witness key of the payload
@@ -161,7 +181,8 @@ class _LabelEnsembleEvaluator:
     The first ``t_size`` parameters are the logits of p(t), the rest one payload
     of the mode's kind per label.  The common rate is the smallest Holevo
     quantity chi = S(sum_t p_t rho_t) - sum_t p_t S(rho_t) over the mode's
-    binding receivers; the personal rate is the mode family's own term.
+    binding receivers; the personal rate is the p(t)-average of the mode
+    family's per-label term.
     """
 
     def __init__(self, mode: str, channel, k: int = 1, cfg: OptimizerConfig | None = None,
@@ -178,7 +199,7 @@ class _LabelEnsembleEvaluator:
         if self.t_size < 1:
             raise ValidationError("t_size must be at least 1")
         self.n_params = self.t_size + self.t_size * self.payload_len
-        _budget_check(dense * self.t_size, cfg or OptimizerConfig(), self.family.what)
+        _budget_check(dense * self.t_size, self.n_params, cfg or OptimizerConfig(), self.family.what)
 
     def decode(self, thetas: np.ndarray):
         t = self.t_size
@@ -191,11 +212,48 @@ class _LabelEnsembleEvaluator:
         chi = [batched_entropy(np.einsum("mt,mtij->mij", p_t, states[r], optimize=True))
                - (p_t * h[r]).sum(axis=1) for r in self.common]
         common = functools.reduce(np.minimum, chi)
-        personal = self.family.personal(self, p_t, payload, h)
+        personal = (p_t * self.family.personal(self, payload, h)).sum(axis=1)
         return common / self.k, personal / self.k
 
     def batch_rates(self, thetas: np.ndarray):
         return self.rates(*self.decode(thetas))
+
+    def rates_grad(self, thetas: np.ndarray):
+        """(common, personal, d common / d theta, d personal / d theta) for a batch.
+
+        Entropy gradients come through the Holevo term (the common rate follows
+        each row's binding receiver) or the personal term, then through the
+        family's states map and both decodes.
+        """
+        m, t = thetas.shape[0], self.t_size
+        raw = thetas[:, t:].reshape(m, t, self.payload_len)
+        p_t, payload = softmax(thetas[:, :t]), self.family.decode(raw)
+        states = self.family.states(self, payload)
+        h, g = {}, {}
+        for r, rho in states.items():
+            h[r], g[r] = _entropy_grad(rho)
+        w = p_t[:, :, None, None]
+        chi, d_p, d_rho = [], [], []
+        for r in self.common:
+            s_mix, g_mix = _entropy_grad(np.einsum("mt,mtij->mij", p_t, states[r]))
+            chi.append(s_mix - (p_t * h[r]).sum(axis=1))
+            d_p.append(np.einsum("mij,mtji->mt", g_mix, states[r]).real - h[r])
+            d_rho.append(w * (g_mix[:, None] - g[r]))
+        binding = np.argmin(chi, axis=0)
+        masks = [binding == i for i in range(len(chi))]
+        term = self.family.personal(self, payload, h)
+        term_rho, term_payload = self.family.personal_grad(self, payload, g)
+
+        def backward(seed_p, seed_rho, seed_payload):
+            d_payload = seed_payload + self.family.adjoint(self, payload, seed_rho)
+            d_logits = p_t * (seed_p - (p_t * seed_p).sum(axis=1, keepdims=True))
+            d_raw = self.family.decode_grad(raw, payload, d_payload).reshape(m, -1)
+            return np.concatenate([d_logits, d_raw], axis=1) / self.k
+
+        d_common = backward(sum(mk[:, None] * d for mk, d in zip(masks, d_p)),
+                            {r: mk[:, None, None, None] * d for r, mk, d in zip(self.common, masks, d_rho)}, 0.0)
+        d_personal = backward(term, {r: w * d for r, d in term_rho.items()}, p_t[:, :, None] * term_payload)
+        return np.min(chi, axis=0) / self.k, (p_t * term).sum(axis=1) / self.k, d_common, d_personal
 
     def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
         """Warm start, then the family's structured row, then seeded random rows."""
@@ -216,8 +274,19 @@ class _LabelEnsembleEvaluator:
         return {"p_t": p_t[0].tolist(), self.family.key: self.family.dump(payload[0])}
 
     def rates_from_witness(self, params: dict):
-        p_t = np.asarray(params["p_t"], dtype=float)[None]
-        c, p = self.rates(p_t, self.family.load(params[self.family.key]))
+        key = self.family.key
+        if key not in params:
+            raise ValidationError(f"{self.mode} witness params lack {key!r}")
+        want = self.family.decode(np.zeros((1, self.t_size, self.payload_len))).shape
+        try:
+            p_t = np.asarray(params["p_t"], dtype=float)[None]
+            payload = self.family.load(params[key])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{self.mode} witness params are not numeric arrays: {exc}")
+        if p_t.shape != (1, self.t_size) or payload.shape != want:
+            raise ValidationError(f"{self.mode} witness {key!r} has shape {payload.shape[1:]}, "
+                                  f"expected {want[1:]} for {self.t_size} labels")
+        c, p = self.rates(p_t, payload)
         return float(c[0]), float(p[0])
 
 
@@ -230,6 +299,7 @@ def _conditional_structured(ev, rng) -> np.ndarray:
 # payload p(x | t): a softmax over the input alphabet per label
 _CONDITIONAL = dict(
     decode=lambda raw: softmax(raw, axis=-1),
+    decode_grad=lambda raw, cond, g: cond * (g - (cond * g).sum(axis=-1, keepdims=True)),
     structured=_conditional_structured,
     init_scale=2.0,
     key="p_x_given_t",
@@ -245,6 +315,13 @@ def _pure_decode(raw: np.ndarray) -> np.ndarray:
     return phi / np.maximum(norms, 1e-15)
 
 
+def _pure_decode_grad(raw: np.ndarray, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pull a complex gradient g (df = Re sum conj(g) dphi) back through phi = z / |z|."""
+    norms = np.maximum(np.linalg.norm(raw, axis=-1, keepdims=True), 1e-15)
+    g_z = (g - (phi.conj() * g).real.sum(axis=-1, keepdims=True) * phi) / norms
+    return np.concatenate([g_z.real, g_z.imag], axis=-1)
+
+
 def _pure_structured(ev, rng) -> np.ndarray:
     """A slightly perturbed maximally entangled reference/input state per label."""
     ent = np.eye(ev.fixed["din"], dtype=complex).reshape(-1)
@@ -258,6 +335,8 @@ def _pure_structured(ev, rng) -> np.ndarray:
 
 def _pure_load(value) -> np.ndarray:
     pairs = np.asarray(value, dtype=float)
+    if pairs.shape[-1:] != (2,):
+        raise ValueError("amplitudes must be [real, imag] pairs")
     return (pairs[..., 0] + 1j * pairs[..., 1])[None]
 
 
@@ -265,6 +344,7 @@ def _pure_load(value) -> np.ndarray:
 # store each amplitude as a [real, imag] pair
 _PURE = dict(
     decode=_pure_decode,
+    decode_grad=_pure_decode_grad,
     structured=_pure_structured,
     init_scale=1.0,
     key="states",
@@ -278,6 +358,16 @@ def _mix_stacks(ev, cond: np.ndarray) -> dict:
     return {r: np.einsum("mtx,xij->mtij", cond, stack, optimize=True) for r, stack in ev.fixed["stacks"].items()}
 
 
+def _mix_adjoint(ev, cond: np.ndarray, d_states: dict) -> np.ndarray:
+    """d/d p(x|t) of sum_r Re tr(D_r rho_r) for the states of ``_mix_stacks``."""
+    m, t, n_x = cond.shape
+    out = np.zeros((m * t, n_x))
+    for r, d in d_states.items():
+        stack = ev.fixed["stacks"][r]
+        out += (d.reshape(m * t, -1) @ stack.swapaxes(1, 2).reshape(n_x, -1).T).real
+    return out.reshape(m, t, n_x)
+
+
 def _cq_setup(wk: CqBroadcastChannel, common: tuple):
     b_stack = np.stack(wk.marginal_conditionals(wk.b_label))
     c_stack = np.stack(wk.marginal_conditionals(wk.c_label))
@@ -286,10 +376,13 @@ def _cq_setup(wk: CqBroadcastChannel, common: tuple):
     return {"stacks": {"B": b_stack, "C": c_stack}, "h_b_x": batched_entropy(b_stack)}, n_x, bound, db * dc
 
 
-def _cq_personal(ev, p_t, cond, h) -> np.ndarray:
-    """Conditional Holevo quantity I(X; B | T)."""
-    p_x = np.einsum("mt,mtx->mx", p_t, cond, optimize=True)
-    return (p_t * h["B"]).sum(axis=1) - p_x @ ev.fixed["h_b_x"]
+def _cq_personal(ev, cond, h) -> np.ndarray:
+    """Per-label Holevo quantity I(X; B | T = t); averages to I(X; B | T)."""
+    return h["B"] - cond @ ev.fixed["h_b_x"]
+
+
+def _cq_personal_grad(ev, cond, g):
+    return {"B": g["B"]}, -ev.fixed["h_b_x"]
 
 
 def _dephasing_setup(uk: BroadcastChannel, common: tuple):
@@ -300,23 +393,34 @@ def _dephasing_setup(uk: BroadcastChannel, common: tuple):
     return fixed, spec.n_in, spec.n_in, db * dc
 
 
-def _dephasing_personal(ev, p_t, cond, h) -> np.ndarray:
+def _dephasing_personal(ev, cond, h) -> np.ndarray:
     """Input entropy given the label minus the leaked environment entropy."""
-    return (p_t * (_prob_entropy(cond) - h["CE"])).sum(axis=1)
+    return _prob_entropy(cond) - h["CE"]
+
+
+def _dephasing_personal_grad(ev, cond, g):
+    return {"CE": -g["CE"]}, _entropy_slope(cond)
 
 
 def _ensemble_setup(nk: BroadcastChannel, common: tuple):
     db, dc = nk.out_layout.dims
     din = nk.in_dim
-    fixed = {"kraus": np.stack(nk.ops), "din": din, "db": db, "dc": dc}  # kraus: (ne, dout, din)
+    kraus = np.stack(nk.ops)  # (ne, dout, din)
+    fixed = {"kraus": kraus.transpose(2, 1, 0).reshape(din, -1), "din": din, "db": db, "dc": dc}
     return fixed, 2 * din * din, min(din * din, db * db + dc * dc - 1), db * dc
 
 
-def _ensemble_states(ev, phi: np.ndarray) -> dict:
-    kraus, din, db, dc = (ev.fixed[key] for key in ("kraus", "din", "db", "dc"))
+def _ensemble_amp(ev, phi: np.ndarray) -> np.ndarray:
+    """Output amplitudes amp[m, t, r, b, c, e] = sum_i K_e[bc, i] phi[m, t, r, i]."""
+    din, db, dc = (ev.fixed[key] for key in ("din", "db", "dc"))
     m, t = phi.shape[0], phi.shape[1]
-    amp = np.einsum("eoi,mtri->mtroe", kraus, phi.reshape(m, t, din, din), optimize=True)
-    amp = amp.reshape(m, t, din, db, dc, kraus.shape[0])
+    return (phi.reshape(-1, din) @ ev.fixed["kraus"]).reshape(m, t, din, db, dc, -1)
+
+
+def _ensemble_states(ev, phi: np.ndarray) -> dict:
+    din, db = ev.fixed["din"], ev.fixed["db"]
+    m, t = phi.shape[0], phi.shape[1]
+    amp = _ensemble_amp(ev, phi)
     rho_rb = np.einsum("mtrbce,mtsdce->mtrbsd", amp, amp.conj(), optimize=True)
     return {
         "B": np.einsum("mtrbce,mtrdce->mtbd", amp, amp.conj(), optimize=True),
@@ -325,28 +429,50 @@ def _ensemble_states(ev, phi: np.ndarray) -> dict:
     }
 
 
-def _ensemble_personal(ev, p_t, phi, h) -> np.ndarray:
-    """Label-averaged coherent information I(R > B)."""
-    return (p_t * (h["B"] - h["RB"])).sum(axis=1)
+def _ensemble_adjoint(ev, phi: np.ndarray, d_states: dict) -> np.ndarray:
+    """Complex d/d phi of sum_r Re tr(D_r rho_r): 2 D amp on each kept factor, pulled back through K."""
+    din, db = ev.fixed["din"], ev.fixed["db"]
+    amp = _ensemble_amp(ev, phi)
+    m, t = phi.shape[0], phi.shape[1]
+    g = np.zeros_like(amp)
+    if "B" in d_states:
+        g += np.einsum("mtbd,mtrdce->mtrbce", d_states["B"], amp)
+    if "C" in d_states:
+        g += np.einsum("mtcd,mtrbde->mtrbce", d_states["C"], amp)
+    if "RB" in d_states:
+        g += (d_states["RB"] @ amp.reshape(m, t, din * db, -1)).reshape(amp.shape)
+    return 2.0 * (g.reshape(m * t * din, -1) @ ev.fixed["kraus"].conj().T).reshape(phi.shape)
+
+
+def _ensemble_personal(ev, phi, h) -> np.ndarray:
+    """Per-label coherent information I(R > B)."""
+    return h["B"] - h["RB"]
+
+
+def _ensemble_personal_grad(ev, phi, g):
+    return {"B": g["B"], "RB": -g["RB"]}, 0.0
 
 
 _CQ = _Family(
     what="cq frontier",
     accepts=lambda ch: isinstance(ch, CqBroadcastChannel),
     requires="expects a CqBroadcastChannel",
-    setup=_cq_setup, states=_mix_stacks, personal=_cq_personal, **_CONDITIONAL,
+    setup=_cq_setup, states=_mix_stacks, adjoint=_mix_adjoint,
+    personal=_cq_personal, personal_grad=_cq_personal_grad, **_CONDITIONAL,
 )
 _DEPHASING = _Family(
     what="dephasing frontier",
     accepts=lambda ch: isinstance(ch, BroadcastChannel) and ch.dephasing is not None,
     requires="requires a channel built from a DephasingSpec",
-    setup=_dephasing_setup, states=_mix_stacks, personal=_dephasing_personal, **_CONDITIONAL,
+    setup=_dephasing_setup, states=_mix_stacks, adjoint=_mix_adjoint,
+    personal=_dephasing_personal, personal_grad=_dephasing_personal_grad, **_CONDITIONAL,
 )
 _ENSEMBLE = _Family(
     what="ensemble frontier",
     accepts=lambda ch: isinstance(ch, BroadcastChannel),
     requires="expects a BroadcastChannel",
-    setup=_ensemble_setup, states=_ensemble_states, personal=_ensemble_personal, **_PURE,
+    setup=_ensemble_setup, states=_ensemble_states, adjoint=_ensemble_adjoint,
+    personal=_ensemble_personal, personal_grad=_ensemble_personal_grad, **_PURE,
 )
 
 # mode -> (family, receivers whose Holevo quantities bind the common rate (minimum
@@ -367,7 +493,8 @@ _MODES = {
 
 def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None) -> Frontier:
     inits = ev.inits(cfg.restarts, (cfg.seed, 0xC0FFEE), warm=None)
-    _, common_vals, _ = maximize_batch(lambda th: ev.batch_rates(th)[0], inits, cfg)
+    _, common_vals, _ = maximize_batch(lambda th: ev.batch_rates(th)[0], lambda th: ev.rates_grad(th)[2],
+                                       inits, cfg)
     r_max = max(float(common_vals.max()), 0.0)
     if r_values is None:
         r_values = np.linspace(0.0, r_max, cfg.r_grid)
@@ -383,7 +510,11 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
                 c, p = ev.batch_rates(th)
                 gap = np.maximum(0.0, r - c)
                 return p - mu * gap * gap
-            thetas, vals, info = maximize_batch(objective, thetas, cfg)
+
+            def gradient(th, mu=mu, r=r_target):
+                c, _, d_c, d_p = ev.rates_grad(th)
+                return d_p + (2.0 * mu * np.maximum(0.0, r - c))[:, None] * d_c
+            thetas, vals, info = maximize_batch(objective, gradient, thetas, cfg)
         best = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
         theta = thetas[best]
         c_arr, p_arr = ev.batch_rates(theta[None])
@@ -397,7 +528,10 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
             "converged": bool(info["converged"]),
         }
         rows.append((_clip_rate(min(r_target, raw_c)), _clip_rate(raw_p), witness))
-        warm = theta
+        # a converged point at zero common rate is stationary for the next target too:
+        # the personal rate is at a maximum and the common rate at its minimum, so the
+        # exact gradient vanishes there and that target starts fresh instead
+        warm = None if info["converged"] and raw_c <= ENTROPY_CLAMP else theta
     meta = {
         "mode": ev.mode,
         "rates": ev.rate_labels,
@@ -577,5 +711,9 @@ def evaluate_witness(mode: str, channel, params: dict, k: int = 1) -> tuple[floa
         cond[p_t == 0] = 1.0 / joint.shape[1]
         c, p = build_evaluator("cq", channel, t_size=joint.shape[0]).rates(p_t[None], cond[None])
         return float(c[0]), float(p[0])
-    ev = build_evaluator(mode, channel, k=k, t_size=len(params["p_t"]))
+    try:
+        t_size = len(params["p_t"])
+    except (KeyError, TypeError):
+        raise ValidationError("witness params need a p_t list")
+    ev = build_evaluator(mode, channel, k=k, t_size=t_size)
     return ev.rates_from_witness(params)

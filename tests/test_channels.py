@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.channels import _probe_densities
+from qbroadcast.channels import _prep_fit, _probe_densities
+from qbroadcast.optimize import central_differences, seeded_rng
 
 from conftest import spectrum_entropy
 
@@ -341,6 +342,15 @@ class TestDegradedness:
         rep = qb.degradedness_residual((ch_b, ch_c))
         assert rep.certified
         assert rep.residual <= 1e-6
+
+    def test_measure_prepare_gradient(self):
+        # a random fit: 6 probes, 3 preps on a qubit
+        rng = seeded_rng(11)
+        q = rng.random((6, 3))
+        c = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+        objective, gradient, _ = _prep_fit(q, c + c.conj().transpose(0, 2, 1))
+        thetas = rng.standard_normal((5, 3 * 2 * 2 * 2))
+        assert np.abs(gradient(thetas) - central_differences(objective)(thetas)).max() <= 1e-6
 
     def test_report_fields(self):
         rep = qb.degradedness_residual(qb.make_pinching())

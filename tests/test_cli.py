@@ -58,6 +58,11 @@ class TestExitCodes:
                     "--t-size", "6", "--mesh", "24"]) == 3
         assert "ERR_BUDGET" in capsys.readouterr().err
 
+    def test_parameter_budget_error(self, capsys):
+        # 10000 labels x (1 + 3 symbols) optimizer parameters
+        assert run(["region", "cq", "--channel", "pinching-cq", "--t-size", "10000"]) == 3
+        assert "ERR_BUDGET" in capsys.readouterr().err
+
 
 class TestRegionCommand:
     def test_csv_and_sidecar(self, tmp_path):
@@ -127,6 +132,20 @@ class TestRegionCommand:
     def test_verify_rejects_point_without_rates(self, tmp_path, capsys):
         bad = tmp_path / "w.json"
         point = {"witness_id": "pt-000", "params": {"p_t": [1.0], "p_x_given_t": [[0.5, 0.5]]}}
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
+                                   "channel": qb.serialize_channel(qb.make_noiseless_bit()),
+                                   "points": [point]}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("params", [
+        {"p_t": [1.0]},
+        {"p_t": [1.0], "p_x_given_t": [[0.5, 0.25, 0.25]]},
+    ], ids=["missing-payload", "wrong-row-length"])
+    def test_verify_rejects_malformed_params(self, tmp_path, capsys, params):
+        bad = tmp_path / "w.json"
+        point = {"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 0.0, "params": params}
         bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
                                    "channel": qb.serialize_channel(qb.make_noiseless_bit()),
                                    "points": [point]}))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbroadcast.optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax
+from qbroadcast.optimize import OptimizerConfig, central_differences, maximize_batch, seeded_rng, softmax
 
 
 class TestOptimizerConfig:
@@ -27,8 +27,11 @@ class TestMaximizeBatch:
             d = thetas - target[None, :]
             return -(d * d).sum(axis=1)
 
+        def grad(thetas):
+            return -2.0 * (thetas - target[None, :])
+
         inits = seeded_rng(0).standard_normal((6, 3))
-        thetas, vals, info = maximize_batch(f, inits, OptimizerConfig(restarts=6))
+        thetas, vals, info = maximize_batch(f, grad, inits, OptimizerConfig(restarts=6))
         best = thetas[np.argmax(vals)]
         assert np.abs(best - target).max() < 1e-4
         assert vals.max() > -1e-8
@@ -40,32 +43,57 @@ class TestMaximizeBatch:
             x = thetas[:, 0]
             return np.exp(-((x - 2.0) ** 2)) + 0.5 * np.exp(-((x + 2.0) ** 2))
 
+        def grad(thetas):
+            x = thetas[:, :1]
+            return -2.0 * (x - 2.0) * np.exp(-((x - 2.0) ** 2)) - (x + 2.0) * np.exp(-((x + 2.0) ** 2))
+
         inits = np.linspace(-3.0, 3.0, 7)[:, None]
-        _, vals, _ = maximize_batch(f, inits, OptimizerConfig(restarts=7))
+        _, vals, _ = maximize_batch(f, grad, inits, OptimizerConfig(restarts=7))
         assert vals.max() > 0.999
 
     def test_batched_calls_only(self):
-        shapes = []
+        value_rows, grad_blocks = [], []
 
         def f(thetas):
-            shapes.append(thetas.shape)
+            value_rows.append(thetas.shape[0])
             return -(thetas * thetas).sum(axis=1)
 
+        def grad(thetas):
+            grad_blocks.append(thetas.copy())
+            return -2.0 * thetas
+
         inits = np.ones((3, 2))
-        maximize_batch(f, inits, OptimizerConfig(restarts=3, max_iters=5))
-        assert all(len(s) == 2 for s in shapes)
-        assert any(s[0] > 3 for s in shapes)  # perturbation blocks are stacked
+        inits[0] = 0.0  # starts at the maximum: a flat gradient retires it at once
+        maximize_batch(f, grad, inits, OptimizerConfig(restarts=3, max_iters=5))
+        assert value_rows[0] == 3
+        assert grad_blocks[0].shape == (3, 2)
+        # later gradient calls see only the active rows
+        assert all(b.shape == (2, 2) and np.abs(b).min() > 0 for b in grad_blocks[1:])
+        # one ladder call per gradient call, four trials per active restart
+        assert value_rows[1:] == [4 * 2] * len(grad_blocks)
+
+    def test_central_differences(self):
+        calls = []
+
+        def f(thetas):
+            calls.append(thetas.shape)
+            return (np.sin(thetas) * np.arange(1, 4)).sum(axis=1)
+
+        thetas = seeded_rng(3).standard_normal((5, 3))
+        grad = central_differences(f)(thetas)
+        assert calls == [(5 * 2 * 3, 3)]  # every perturbation in one call
+        assert np.abs(grad - np.cos(thetas) * np.arange(1, 4)).max() < 1e-9
 
     def test_rejects_flat_inits(self):
         with pytest.raises(ValueError):
-            maximize_batch(lambda t: -(t * t).sum(axis=1), np.zeros(4), OptimizerConfig())
+            maximize_batch(lambda t: -(t * t).sum(axis=1), lambda t: -2.0 * t, np.zeros(4), OptimizerConfig())
 
     def test_deterministic_given_seeded_inits(self):
         def f(thetas):
             return -np.abs(thetas).sum(axis=1)
 
-        a = maximize_batch(f, seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
-        b = maximize_batch(f, seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
+        a = maximize_batch(f, lambda t: -np.sign(t), seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
+        b = maximize_batch(f, lambda t: -np.sign(t), seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.optimize import OptimizerConfig
-from qbroadcast.regions import Frontier, RatePoint, evaluate_witness
+from qbroadcast.optimize import OptimizerConfig, central_differences, seeded_rng
+from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness
 
 from conftest import h2, spectrum_entropy
 
@@ -122,6 +122,34 @@ class TestWitnessDualRoute:
             c, p = evaluate_witness("cq", w, params)
             assert abs(c - common_dual) < 1e-9
             assert abs(p - personal_dual) < 1e-9
+
+
+# (mode, channel builder, k, t_size): every mode of the table plus one two-use case
+GRADIENT_CASES = [
+    ("cq", qb.make_pinching_cq, 1, 3),
+    ("cq-certified", qb.make_pinching_cq, 1, 3),
+    ("dephasing", qb.make_pinching, 1, 3),
+    ("qq-dephasing", qb.make_pinching, 1, 3),
+    ("cq-eg", qb.make_pinching, 1, 2),
+    ("qq", qb.make_pinching, 1, 2),
+    ("cq", qb.make_pinching_cq, 2, 2),
+]
+
+
+class TestRateGradients:
+    @pytest.mark.parametrize("mode,make,k,t_size", GRADIENT_CASES,
+                             ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES])
+    def test_matches_central_differences(self, mode, make, k, t_size):
+        ev = build_evaluator(mode, make(), k=k, t_size=t_size)
+        thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
+        common, personal, d_common, d_personal = ev.rates_grad(thetas)
+        c_ref, p_ref = ev.batch_rates(thetas)
+        assert np.abs(common - c_ref).max() <= 1e-12
+        assert np.abs(personal - p_ref).max() <= 1e-12
+        for got, pick in ((d_common, 0), (d_personal, 1)):
+            ref = central_differences(lambda th: ev.batch_rates(th)[pick])(thetas)
+            assert np.abs(ref).max() > 1e-3  # the check is not vacuous
+            assert np.abs(got - ref).max() <= 1e-6
 
 
 class TestCertification:
