@@ -3,7 +3,9 @@
 Everything here recomputes entropies from scratch (spectra for the cq oracle,
 probability tables for the classical one) so the oracle path shares no entropy
 code with the main engine.  Joint distributions p(t, x) are enumerated as
-integer compositions of the mesh over t_size * |X| cells.
+integer compositions of the mesh over t_size * |X| cells: a numpy table built
+bottom-up, one leading column at a time, whose rows come out in lexicographic
+order.  The Pareto pass keeps only running-maximum records before its loop.
 """
 
 from __future__ import annotations
@@ -32,16 +34,29 @@ def composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def compositions(total: int, parts: int):
-    """Yield all nonnegative integer tuples of the given length summing to total."""
+def _composition_table(total: int, parts: int) -> np.ndarray:
+    """(count, parts) table of every composition of ``total``, rows in lexicographic order.
+
+    Built bottom-up one leading column at a time: the compositions of s into
+    w parts are, for each head h = 0..s in turn, h followed by the
+    compositions of s - h into w - 1 parts.  Entries use the smallest integer
+    type that holds ``total``.
+    """
     if parts < 1:
         raise ValidationError("compositions needs at least one part")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    dtype = np.min_scalar_type(total)
+    rows = {s: np.array([[s]], dtype=dtype) for s in range(total + 1)}
+    for width in range(2, parts + 1):
+        sums = range(total + 1) if width < parts else (total,)
+        rows = {s: np.concatenate([np.column_stack((np.full(len(rows[s - h]), h, dtype=dtype), rows[s - h]))
+                                   for h in range(s + 1)]) for s in sums}
+    return rows[total]
+
+
+def compositions(total: int, parts: int):
+    """Yield all nonnegative integer tuples of the given length summing to total."""
+    for row in _composition_table(total, parts).tolist():
+        yield tuple(row)
 
 
 def _enumerate_joints(mesh: int, t_size: int, n_x: int, max_candidates: int) -> np.ndarray:
@@ -52,10 +67,10 @@ def _enumerate_joints(mesh: int, t_size: int, n_x: int, max_candidates: int) -> 
             f"grid enumeration would need {count} candidates (limit {max_candidates}); "
             f"reduce mesh or t_size"
         )
-    arr = np.array(list(compositions(mesh, cells)), dtype=np.int64)
+    arr = _composition_table(mesh, cells)
     if arr.shape[0] != count:
         raise RuntimeError(f"enumeration produced {arr.shape[0]} joints, stars-and-bars says {count}")
-    return arr.reshape(count, t_size, n_x).astype(float) / float(mesh)
+    return arr.reshape(count, t_size, n_x) / float(mesh)
 
 
 def _spectra_entropy(mats: np.ndarray) -> np.ndarray:
@@ -75,9 +90,12 @@ def _table_entropy(table: np.ndarray) -> np.ndarray:
 def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarray,
                    meta: dict, r_grid: int | None) -> Frontier:
     order = np.lexsort((-personals, -commons))
+    # only a strict running-maximum record can pass the loop's test, so drop the rest first
+    vals = personals[order]
+    records = order[vals > np.maximum.accumulate(np.concatenate(([-np.inf], vals)))[:-1]]
     kept = []
     run = -np.inf
-    for i in order:
+    for i in records:
         if personals[i] > run + 1e-12:
             kept.append(i)
             run = personals[i]

@@ -11,6 +11,14 @@ common rate, and its rate labels.  A penalty sweep over a grid of common-rate
 targets traces the upper boundary and stores the achieving parameters as a
 re-evaluatable witness.  Closed-form and entropy-oracle evaluators for the
 small worked cases live at the bottom.
+
+The evaluator picks its entropy kernel once, at setup.  The cq and dephasing
+families mix fixed per-symbol stacks; when every stack is exactly diagonal
+(all builtin cq and dephasing channels, at any k) they keep real (x, d)
+diagonals, the label states stay diagonal, and entropies and their gradients
+are Shannon entropies and slopes of those diagonals.  Any other stack, and the
+ensemble family always, takes the dense kernel: ``eigvalsh`` for values and
+``eigh`` for dS/drho.  Every per-call contraction is a reshaped matmul.
 """
 
 from __future__ import annotations
@@ -123,6 +131,27 @@ def _prob_entropy(p: np.ndarray) -> np.ndarray:
     return -(p * logs).sum(axis=-1)
 
 
+def _prob_entropy_grad(p: np.ndarray):
+    """``_prob_entropy`` and its slope: the diagonal-state form of ``_entropy_grad``."""
+    return _prob_entropy(p), _entropy_slope(p)
+
+
+def _kernels(diagonal: bool):
+    """The (entropy, entropy gradient) pair for (..., d) diagonals or dense (..., d, d) states."""
+    return (_prob_entropy, _prob_entropy_grad) if diagonal else (batched_entropy, _entropy_grad)
+
+
+def _label_mix(p_t: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_t p_t rho_t for per-label states of shape (m, t, ...)."""
+    m, t = p_t.shape
+    return (p_t[:, None] @ states.reshape(m, t, -1)).reshape(m, *states.shape[2:])
+
+
+def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``v`` with trailing unit axes so it broadcasts over the state axes of ``like``."""
+    return v.reshape(v.shape + (1,) * (like.ndim - v.ndim))
+
+
 def _pareto_cleanup(rows) -> list:
     best = {}
     for c, p, w in rows:
@@ -161,7 +190,8 @@ class _Family(NamedTuple):
     accepts: Callable  # channel -> whether the family can evaluate it
     requires: str  # ends the validation message for a channel it cannot evaluate
     setup: Callable  # (k-use channel, common) -> (fixed tensors, payload length, default t_size, d_B d_C)
-    states: Callable  # (evaluator, payload) -> {receiver: (m, t, d, d) per-label states}
+    states: Callable  # (evaluator, payload) -> {receiver: (m, t, d, d) per-label states, or
+    #                   (m, t, d) diagonals when the fixed stacks are diagonal}
     adjoint: Callable  # (evaluator, payload, {receiver: D}) -> d/d payload of sum Re tr(D rho)
     personal: Callable  # (evaluator, payload, {receiver: per-label entropies}) -> (m, t) per-label term
     personal_grad: Callable  # (evaluator, payload, {receiver: dS/drho}) -> the per-label term's
@@ -195,6 +225,8 @@ class _LabelEnsembleEvaluator:
             raise ValidationError(f"{self.family.what} {self.family.requires}")
         self.k = k
         self.fixed, self.payload_len, bound, dense = self.family.setup(channel.tensor_power(k), self.common)
+        self.kernel = "diagonal" if self.fixed.get("diagonal") else "dense"
+        self.entropy, self.entropy_grad = _kernels(self.kernel == "diagonal")
         self.t_size = int(t_size) if t_size is not None else bound
         if self.t_size < 1:
             raise ValidationError("t_size must be at least 1")
@@ -208,9 +240,8 @@ class _LabelEnsembleEvaluator:
 
     def rates(self, p_t: np.ndarray, payload: np.ndarray):
         states = self.family.states(self, payload)
-        h = {r: batched_entropy(rho) for r, rho in states.items()}
-        chi = [batched_entropy(np.einsum("mt,mtij->mij", p_t, states[r], optimize=True))
-               - (p_t * h[r]).sum(axis=1) for r in self.common]
+        h = {r: self.entropy(rho) for r, rho in states.items()}
+        chi = [self.entropy(_label_mix(p_t, states[r])) - (p_t * h[r]).sum(axis=1) for r in self.common]
         common = functools.reduce(np.minimum, chi)
         personal = (p_t * self.family.personal(self, payload, h)).sum(axis=1)
         return common / self.k, personal / self.k
@@ -231,13 +262,15 @@ class _LabelEnsembleEvaluator:
         states = self.family.states(self, payload)
         h, g = {}, {}
         for r, rho in states.items():
-            h[r], g[r] = _entropy_grad(rho)
-        w = p_t[:, :, None, None]
+            h[r], g[r] = self.entropy_grad(rho)
+        w = _per_row(p_t, states[self.common[0]])
         chi, d_p, d_rho = [], [], []
         for r in self.common:
-            s_mix, g_mix = _entropy_grad(np.einsum("mt,mtij->mij", p_t, states[r]))
+            s_mix, g_mix = self.entropy_grad(_label_mix(p_t, states[r]))
             chi.append(s_mix - (p_t * h[r]).sum(axis=1))
-            d_p.append(np.einsum("mij,mtji->mt", g_mix, states[r]).real - h[r])
+            # tr(G rho_t) = sum_ij conj(G_ij) rho_t,ij for Hermitian G
+            trace = states[r].reshape(m, t, -1) @ g_mix.conj().reshape(m, -1, 1)
+            d_p.append(trace[..., 0].real - h[r])
             d_rho.append(w * (g_mix[:, None] - g[r]))
         binding = np.argmin(chi, axis=0)
         masks = [binding == i for i in range(len(chi))]
@@ -251,7 +284,7 @@ class _LabelEnsembleEvaluator:
             return np.concatenate([d_logits, d_raw], axis=1) / self.k
 
         d_common = backward(sum(mk[:, None] * d for mk, d in zip(masks, d_p)),
-                            {r: mk[:, None, None, None] * d for r, mk, d in zip(self.common, masks, d_rho)}, 0.0)
+                            {r: _per_row(mk, d) * d for r, mk, d in zip(self.common, masks, d_rho)}, 0.0)
         d_personal = backward(term, {r: w * d for r, d in term_rho.items()}, p_t[:, :, None] * term_payload)
         return np.min(chi, axis=0) / self.k, (p_t * term).sum(axis=1) / self.k, d_common, d_personal
 
@@ -353,9 +386,19 @@ _PURE = dict(
 )
 
 
+def _mix_fixed(stacks: dict) -> dict:
+    """A mix family's fixed tensors: real (x, d) diagonals when every stack is exactly diagonal."""
+    diagonal = all(np.array_equal(s, s * np.eye(s.shape[-1])) for s in stacks.values())
+    if diagonal:
+        stacks = {r: np.diagonal(s, axis1=1, axis2=2).real.copy() for r, s in stacks.items()}
+    return {"stacks": stacks, "diagonal": diagonal}
+
+
 def _mix_stacks(ev, cond: np.ndarray) -> dict:
     """Per-label receiver states sum_x p(x|t) rho_x for every fixed per-symbol stack."""
-    return {r: np.einsum("mtx,xij->mtij", cond, stack, optimize=True) for r, stack in ev.fixed["stacks"].items()}
+    m, t, n_x = cond.shape
+    flat = cond.reshape(m * t, n_x)
+    return {r: (flat @ s.reshape(n_x, -1)).reshape(m, t, *s.shape[1:]) for r, s in ev.fixed["stacks"].items()}
 
 
 def _mix_adjoint(ev, cond: np.ndarray, d_states: dict) -> np.ndarray:
@@ -363,17 +406,18 @@ def _mix_adjoint(ev, cond: np.ndarray, d_states: dict) -> np.ndarray:
     m, t, n_x = cond.shape
     out = np.zeros((m * t, n_x))
     for r, d in d_states.items():
-        stack = ev.fixed["stacks"][r]
-        out += (d.reshape(m * t, -1) @ stack.swapaxes(1, 2).reshape(n_x, -1).T).real
+        # tr(D rho_x) = sum_ij D_ij conj(rho_x,ij) for Hermitian rho_x
+        out += (d.reshape(m * t, -1) @ ev.fixed["stacks"][r].conj().reshape(n_x, -1).T).real
     return out.reshape(m, t, n_x)
 
 
 def _cq_setup(wk: CqBroadcastChannel, common: tuple):
-    b_stack = np.stack(wk.marginal_conditionals(wk.b_label))
-    c_stack = np.stack(wk.marginal_conditionals(wk.c_label))
-    n_x, db, dc = len(wk.symbols), b_stack.shape[1], c_stack.shape[1]
+    fixed = _mix_fixed({"B": np.stack(wk.marginal_conditionals(wk.b_label)),
+                        "C": np.stack(wk.marginal_conditionals(wk.c_label))})
+    fixed["h_b_x"] = _kernels(fixed["diagonal"])[0](fixed["stacks"]["B"])
+    n_x, (db, dc) = len(wk.symbols), wk.out_layout.dims
     bound = min(n_x, db * db if common == ("C",) else db * db + dc * dc - 1)
-    return {"stacks": {"B": b_stack, "C": c_stack}, "h_b_x": batched_entropy(b_stack)}, n_x, bound, db * dc
+    return fixed, n_x, bound, db * dc
 
 
 def _cq_personal(ev, cond, h) -> np.ndarray:
@@ -388,7 +432,7 @@ def _cq_personal_grad(ev, cond, g):
 def _dephasing_setup(uk: BroadcastChannel, common: tuple):
     spec = uk.dephasing
     vecs = spec.images
-    fixed = {"stacks": {"CE": np.einsum("xi,xj->xij", vecs, vecs.conj()), "C": spec.c_states()}}
+    fixed = _mix_fixed({"CE": np.einsum("xi,xj->xij", vecs, vecs.conj()), "C": spec.c_states()})
     db, dc = uk.out_layout.dims
     return fixed, spec.n_in, spec.n_in, db * dc
 
@@ -418,15 +462,16 @@ def _ensemble_amp(ev, phi: np.ndarray) -> np.ndarray:
 
 
 def _ensemble_states(ev, phi: np.ndarray) -> dict:
-    din, db = ev.fixed["din"], ev.fixed["db"]
+    """Reduced states on B, C and RB: Gram products of amp with the kept factors as rows."""
+    din, db, dc = (ev.fixed[key] for key in ("din", "db", "dc"))
     m, t = phi.shape[0], phi.shape[1]
     amp = _ensemble_amp(ev, phi)
-    rho_rb = np.einsum("mtrbce,mtsdce->mtrbsd", amp, amp.conj(), optimize=True)
-    return {
-        "B": np.einsum("mtrbce,mtrdce->mtbd", amp, amp.conj(), optimize=True),
-        "C": np.einsum("mtrbce,mtrbde->mtcd", amp, amp.conj(), optimize=True),
-        "RB": rho_rb.reshape(m, t, din * db, din * db),
-    }
+
+    def gram(axes, dim):
+        rows = amp.transpose(0, 1, *axes).reshape(m, t, dim, -1)
+        return rows @ rows.conj().swapaxes(-1, -2)
+
+    return {"B": gram((3, 2, 4, 5), db), "C": gram((4, 2, 3, 5), dc), "RB": gram((2, 3, 4, 5), din * db)}
 
 
 def _ensemble_adjoint(ev, phi: np.ndarray, d_states: dict) -> np.ndarray:
@@ -436,9 +481,9 @@ def _ensemble_adjoint(ev, phi: np.ndarray, d_states: dict) -> np.ndarray:
     m, t = phi.shape[0], phi.shape[1]
     g = np.zeros_like(amp)
     if "B" in d_states:
-        g += np.einsum("mtbd,mtrdce->mtrbce", d_states["B"], amp)
+        g += (d_states["B"][:, :, None] @ amp.reshape(m, t, din, db, -1)).reshape(amp.shape)
     if "C" in d_states:
-        g += np.einsum("mtcd,mtrbde->mtrbce", d_states["C"], amp)
+        g += d_states["C"][:, :, None, None] @ amp
     if "RB" in d_states:
         g += (d_states["RB"] @ amp.reshape(m, t, din * db, -1)).reshape(amp.shape)
     return 2.0 * (g.reshape(m * t * din, -1) @ ev.fixed["kraus"].conj().T).reshape(phi.shape)
@@ -704,12 +749,23 @@ def evaluate_witness(mode: str, channel, params: dict, k: int = 1) -> tuple[floa
     ``cq`` witness whatever ``mode`` says.
     """
     if "joint" in params:
-        joint = np.asarray(params["joint"], dtype=float)
+        try:
+            joint = np.asarray(params["joint"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"grid witness joint is not a numeric table: {exc}")
+        if joint.ndim != 2:
+            raise ValidationError(f"grid witness joint must be a p(t, x) table, got {joint.ndim} axes")
+        ev = build_evaluator("cq", channel, t_size=joint.shape[0])
+        if joint.shape[1] != ev.payload_len:
+            raise ValidationError(f"grid witness joint has {joint.shape[1]} columns, "
+                                  f"the channel has {ev.payload_len} symbols")
+        if not (joint >= 0).all():
+            raise ValidationError("grid witness joint has an entry that is not a nonnegative number")
         p_t = joint.sum(axis=1)
         safe = np.where(p_t > 0, p_t, 1.0)
         cond = joint / safe[:, None]
         cond[p_t == 0] = 1.0 / joint.shape[1]
-        c, p = build_evaluator("cq", channel, t_size=joint.shape[0]).rates(p_t[None], cond[None])
+        c, p = ev.rates(p_t[None], cond[None])
         return float(c[0]), float(p[0])
     try:
         t_size = len(params["p_t"])

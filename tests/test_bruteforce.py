@@ -5,6 +5,7 @@ import pytest
 
 import qbroadcast as qb
 from qbroadcast.bruteforce import (
+    _enumerate_joints,
     classical_degraded_region,
     cardinality_probe,
     composition_count,
@@ -26,6 +27,17 @@ class TestCompositions:
         assert all(sum(r) == 3 for r in rows)
         assert len(set(rows)) == len(rows)
         assert (0, 3) in set(rows) and (3, 0) in set(rows)
+
+    def test_table_order_matches_recursive_enumeration(self):
+        def recursive(total, parts):
+            if parts == 1:
+                return [(total,)]
+            return [(head,) + rest for head in range(total + 1) for rest in recursive(total - head, parts - 1)]
+
+        for total, parts in [(0, 1), (4, 1), (0, 3), (3, 2), (5, 4), (6, 6)]:
+            assert list(compositions(total, parts)) == recursive(total, parts)
+        joints = _enumerate_joints(4, 2, 3, max_candidates=10_000)
+        assert np.array_equal(joints.reshape(len(joints), -1) * 4.0, np.array(recursive(4, 6), dtype=float))
 
     def test_parts_validated(self):
         with pytest.raises(qb.ValidationError):

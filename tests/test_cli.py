@@ -215,6 +215,23 @@ class TestOracleCommands:
         assert run(["verify", "--witness", str(out) + ".witness.json"]) == 0
         assert "mismatch" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("joint", [
+        [[0.5, 0.25, 0.25]],
+        [[0.5, 0.5], [0.0]],
+        [["a", 0.5], [0.25, 0.25]],
+        [0.5, 0.5],
+        1.0,
+        [[1.5, -0.5]],
+    ], ids=["wrong-columns", "ragged", "non-numeric", "one-axis", "scalar", "negative"])
+    def test_verify_rejects_malformed_joint(self, tmp_path, capsys, joint):
+        bad = tmp_path / "w.json"
+        point = {"witness_id": "or-000", "common_rate": 0.0, "personal_rate": 0.0, "joint": joint}
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "oracle-grid", "k": 1,
+                                   "channel": qb.serialize_channel(qb.make_noiseless_bit()),
+                                   "points": [point]}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
+
     def test_grid_requires_cq(self, capsys):
         assert run(["oracle", "grid", "--channel", "pinching",
                     "--t-size", "2", "--mesh", "6"]) == 2

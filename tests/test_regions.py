@@ -124,6 +124,42 @@ class TestWitnessDualRoute:
             assert abs(p - personal_dual) < 1e-9
 
 
+def rotated_pinching_cq():
+    """pinching-cq with every conditional conjugated by a seeded random U_B (x) U_C:
+    the same entropies, but no receiver stack is diagonal any more."""
+    w = qb.make_pinching_cq()
+    rng = np.random.default_rng(2024)
+
+    def unitary(d):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    lay = w.conditionals[w.symbols[0]].layout
+    u = np.kron(unitary(lay.dims[0]), unitary(lay.dims[1]))
+    return qb.CqBroadcastChannel({x: qb.DensityMatrix(u @ rho.matrix @ u.conj().T, lay)
+                                  for x, rho in w.conditionals.items()})
+
+
+class TestEntropyKernels:
+    @pytest.mark.parametrize("mode,make,k,kernel", [
+        ("cq", qb.make_pinching_cq, 1, "diagonal"),
+        ("dephasing", qb.make_pinching, 2, "diagonal"),
+        ("cq", rotated_pinching_cq, 1, "dense"),
+        ("cq-eg", qb.make_pinching, 1, "dense"),
+    ], ids=["pinching-cq", "dephasing-pinching-k2", "rotated-pinching-cq", "ensemble"])
+    def test_kernel_picked_at_setup(self, mode, make, k, kernel):
+        assert build_evaluator(mode, make(), k=k).kernel == kernel
+
+    def test_dense_path_matches_diagonal_path(self):
+        diag = build_evaluator("cq", qb.make_pinching_cq(), t_size=3)
+        dense = build_evaluator("cq", rotated_pinching_cq(), t_size=3)
+        thetas = seeded_rng(11).standard_normal((6, diag.n_params))
+        for a, b in zip(diag.batch_rates(thetas), dense.batch_rates(thetas)):
+            assert np.abs(a - b).max() <= 1e-10
+        for a, b in zip(diag.rates_grad(thetas), dense.rates_grad(thetas)):
+            assert np.abs(a - b).max() <= 1e-10
+
+
 # (mode, channel builder, k, t_size): every mode of the table plus one two-use case
 GRADIENT_CASES = [
     ("cq", qb.make_pinching_cq, 1, 3),
@@ -137,8 +173,9 @@ GRADIENT_CASES = [
 
 
 class TestRateGradients:
-    @pytest.mark.parametrize("mode,make,k,t_size", GRADIENT_CASES,
-                             ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES])
+    # the rotated channel runs the cq mode on the dense kernel
+    @pytest.mark.parametrize("mode,make,k,t_size", GRADIENT_CASES + [("cq", rotated_pinching_cq, 1, 3)],
+                             ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES] + ["cq-rotated-k1"])
     def test_matches_central_differences(self, mode, make, k, t_size):
         ev = build_evaluator(mode, make(), k=k, t_size=t_size)
         thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
