@@ -113,7 +113,7 @@ def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarra
             if hit is None:
                 resampled.append(RatePoint(float(r), 0.0, {}))
             else:
-                resampled.append(RatePoint(float(r), hit.personal_rate, hit.witness))
+                resampled.append(RatePoint(float(r), hit.personal_rate, dict(hit.witness, r_target=float(r))))
         frontier = Frontier(resampled, dict(meta, resampled=True))
     return frontier
 

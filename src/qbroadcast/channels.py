@@ -4,12 +4,15 @@ A broadcast channel is a CPTP map from one input to a two-receiver output
 B (x) C; marginals, complementary channels, and generalized dephasing
 constructors are derived from the Kraus representation.  The degrading-map
 search at the bottom certifies (numerically) whether one receiver's marginal
-can be post-processed into the other's.
+can be post-processed into the other's.  It tries, in order: identity, the
+dephasing basis, then least squares and an optimized measure-prepare fit for
+commuting B probes, or a linear fit and a QR-retraction fit for non-commuting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -577,33 +580,31 @@ def _probe_pairs(bc) -> tuple[list[np.ndarray], list[np.ndarray], bool]:
     return b_states, c_states, _all_commute(b_states)
 
 
-def _apply_map_stack(kraus_stack: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Kraus stack (n_env, dc, db) applied to states (p, db, db) -> (p, dc, dc)."""
-    return np.einsum("ecb,pbd,efd->pcf", kraus_stack, states, kraus_stack.conj(), optimize=True)
 
 
-def _residual_of_stack(kraus_stack, b_states, c_states) -> float:
-    preds = _apply_map_stack(kraus_stack, np.stack(b_states))
-    worst = 0.0
-    for pred, target in zip(preds, c_states):
-        diff = _hermitize(pred - target)
-        worst = max(worst, float(np.linalg.svd(diff, compute_uv=False).sum()))
-    return worst
+def _transfer(stacks: np.ndarray) -> np.ndarray:
+    """Transfer matrices T (m, dc*dc, db*db) of Kraus stacks (m, n_env, dc, db): vec(Phi(rho)) = T vec(rho)."""
+    m, n_env, dc, db = stacks.shape
+    gram = stacks.conj().transpose(0, 2, 3, 1).reshape(m, dc * db, n_env) @ stacks.reshape(m, n_env, dc * db)
+    return gram.reshape(m, dc, db, dc, db).transpose(0, 3, 1, 4, 2).reshape(m, dc * dc, db * db)
+
+
+def _residual_of_stack(stack: np.ndarray, b_stack: np.ndarray, c_stack: np.ndarray) -> float:
+    """Worst trace norm |Phi(b_p) - c_p|_1 over the probes for one Kraus stack (n_env, dc, db)."""
+    p, dc, _ = c_stack.shape
+    diffs = (_transfer(stack[None])[0] @ b_stack.transpose(1, 2, 0).reshape(-1, p)).T.reshape(p, dc, dc) - c_stack
+    diffs = (diffs + diffs.conj().transpose(0, 2, 1)) / 2.0
+    return float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max())
 
 
 def _measure_prepare_stack(basis: np.ndarray, preps: np.ndarray) -> np.ndarray:
     """Kraus stack for measure-in-basis / prepare tau_j, eigendecomposing each prep."""
-    db = basis.shape[0]
-    dc = preps.shape[1]
-    ops = []
-    for j in range(db):
-        evals, vecs = np.linalg.eigh(_hermitize(preps[j]))
-        for r in range(dc):
-            lam = max(float(evals[r]), 0.0)
-            if lam <= 1e-15:
-                continue
-            ops.append(np.sqrt(lam) * np.outer(vecs[:, r], basis[:, j].conj()))
-    return np.stack(ops) if ops else np.zeros((1, dc, db), dtype=complex)
+    vals, vecs = np.linalg.eigh((preps + preps.conj().transpose(0, 2, 1)) / 2.0)
+    outers = vecs.transpose(0, 2, 1)[..., None] * basis.conj().T[:, None, None, :]  # [j, r] = |v_jr><e_j|
+    keep = vals > 1e-15
+    if not keep.any():
+        return np.zeros((1, preps.shape[1], len(basis)), dtype=complex)
+    return np.sqrt(vals[keep])[:, None, None] * outers[keep]
 
 
 def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
@@ -616,9 +617,7 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
     """
     p, db, _ = b_stack.shape
     dc = c_stack.shape[1]
-    bmat = b_stack.reshape(p, db * db)
-    cmat = c_stack.reshape(p, dc * dc)
-    t, *_ = np.linalg.lstsq(bmat, cmat, rcond=None)
+    t, *_ = np.linalg.lstsq(b_stack.reshape(p, db * db), c_stack.reshape(p, dc * dc), rcond=None)
     j = t.reshape(db, db, dc, dc).transpose(0, 2, 1, 3).reshape(db * dc, db * dc)
     vals, vecs = np.linalg.eigh(_hermitize(j))
     j = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
@@ -627,50 +626,76 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
     g = (rw * (1.0 / np.sqrt(np.maximum(rv, 1e-12)))) @ rw.conj().T
     gi = np.kron(g, np.eye(dc, dtype=complex))
     vals, vecs = np.linalg.eigh(_hermitize(gi @ j @ gi.conj().T))
-    ops = []
-    for k in range(len(vals) - 1, -1, -1):
-        if vals[k] <= 1e-12:
-            break
-        ops.append(np.sqrt(vals[k]) * vecs[:, k].reshape(db, dc).T)
-    if not ops:
-        ops.append(np.zeros((dc, db), dtype=complex))
-    return np.stack(ops)
+    keep = np.flatnonzero(vals > 1e-12)[::-1]  # eigenvalues ascend: largest first
+    ops = np.sqrt(vals[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, db, dc).transpose(0, 2, 1)
+    return ops if len(keep) else np.zeros((1, dc, db), dtype=complex)
 
 
-def _prep_fit(q: np.ndarray, c_stack: np.ndarray):
-    """(objective, gradient, decode) of the measure-prepare fit over preps tau_j = G_j G_j† / tr.
+def _kraus_fit(b_stack: np.ndarray, c_stack: np.ndarray, decode):
+    """(objective, gradient) of -sum_p |Phi_K(b_p) - c_p|_F^2 over the Kraus stacks K = decode(theta).
 
-    The objective is -sum_p |sum_j q_pj tau_j - c_p|^2 over the probes p, with
-    each complex G_j flattened as [real, imag] into one parameter row.
+    ``decode`` maps an (m, n) block to stacks (m, n_env, dc, db) and a pullback
+    from the complex gradient G in K (d objective = Re sum conj(G) dK) to d/dtheta.
     """
-    n_prep, dc = q.shape[1], c_stack.shape[1]
-
-    def factors(thetas: np.ndarray):
-        m = thetas.shape[0]
-        g = thetas.reshape(m, n_prep, 2, dc, dc)
-        gc = g[:, :, 0] + 1j * g[:, :, 1]
-        mats = np.einsum("mjab,mjcb->mjac", gc, gc.conj(), optimize=True)
-        tr = np.maximum(np.einsum("mjaa->mj", mats).real, 1e-30)
-        return gc, mats / tr[:, :, None, None], tr
+    b_vec, c_vec = (x.transpose(1, 2, 0).reshape(-1, len(b_stack)) for x in (b_stack, c_stack))  # (d*d, p)
 
     def objective(thetas: np.ndarray) -> np.ndarray:
-        taus = factors(thetas)[1]
-        preds = np.einsum("pj,mjcd->mpcd", q, taus, optimize=True)
-        diff = preds - c_stack[None]
-        return -np.einsum("mpcd,mpcd->m", diff, diff.conj(), optimize=True).real
+        d = _transfer(decode(thetas)[0]) @ b_vec - c_vec
+        return -(d.real ** 2 + d.imag ** 2).sum(axis=(1, 2))
 
     def gradient(thetas: np.ndarray) -> np.ndarray:
-        # W_j = df/dtau_j, projected through the trace normalization, then 2 W_j G_j
-        gc, taus, tr = factors(thetas)
-        m = thetas.shape[0]
-        diff = (q @ taus.reshape(m, n_prep, dc * dc)).reshape(m, -1, dc, dc) - c_stack[None]
-        w = -2.0 * (q.T @ diff.reshape(m, -1, dc * dc)).reshape(m, n_prep, dc, dc)
-        shift = np.einsum("mjab,mjba->mj", w, taus).real
-        w = (w - shift[:, :, None, None] * np.eye(dc)) / tr[:, :, None, None]
-        grad = 2.0 * w @ gc
-        return np.stack([grad.real, grad.imag], axis=2).reshape(m, -1)
+        # Hermitian D_p = Phi_K(b_p) - c_p and b_p give G_e = -4 sum_p D_p K_e b_p
+        stacks, pullback = decode(thetas)
+        m, n_env, dc, db = stacks.shape
+        v = ((_transfer(stacks) @ b_vec - c_vec) @ b_vec.T).reshape(m, dc, dc, db, db)  # [c, f, d, b]
+        g = v.transpose(0, 1, 4, 2, 3).reshape(m, dc * db, -1) @ stacks.transpose(0, 2, 3, 1).reshape(m, -1, n_env)
+        return pullback(-4.0 * g.reshape(m, dc, db, n_env).transpose(0, 3, 1, 2))
 
-    return objective, gradient, lambda thetas: factors(thetas)[1]
+    return objective, gradient
+
+
+def _prep_decode(basis: np.ndarray, dc: int):
+    """K_{j,a} = G_j[:, a] <e_j| / |G_j|_F: measure basis column e_j, prepare G_j G_j† / tr(G_j G_j†)."""
+    db = basis.shape[0]
+
+    def decode(thetas: np.ndarray):
+        m = thetas.shape[0]
+        g = thetas.reshape(m, db, 2, dc, dc)
+        g = g[:, :, 0] + 1j * g[:, :, 1]  # (m, j, c, a)
+        norm = np.maximum(np.linalg.norm(g, axis=(2, 3)), 1e-15)[..., None, None]
+        stacks = (g / norm).transpose(0, 1, 3, 2)[..., None] * basis.conj().T[:, None, None, :]
+
+        def pullback(grad: np.ndarray) -> np.ndarray:
+            h = (grad.reshape(m, db, dc * dc, db) @ basis.T[:, :, None]).reshape(m, db, dc, dc).transpose(0, 1, 3, 2)
+            d_g = h / norm - (h.conj() * g).real.sum(axis=(2, 3))[..., None, None] / norm ** 3 * g
+            return np.stack([d_g.real, d_g.imag], axis=2).reshape(m, -1)
+
+        return stacks.reshape(m, db * dc, dc, db), pullback
+
+    return decode
+
+
+def _retraction_decode(dc: int, db: int):
+    """The Kraus stack is the Q factor of a complex (db*dc*dc, db) matrix.
+
+    Its pullback is the thin-QR rule (Seeger et al., "Auto-differentiating
+    linear algebra", 2017) for LAPACK's real diagonal of R.
+    """
+    def decode(thetas: np.ndarray):
+        m = thetas.shape[0]
+        g = thetas.reshape(m, 2, -1, db)
+        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+
+        def pullback(grad: np.ndarray) -> np.ndarray:
+            gq = grad.reshape(q.shape)
+            b = q.conj().transpose(0, 2, 1) @ gq
+            z = gq + q @ (np.tril(b - b.conj().transpose(0, 2, 1), -1) + 1j * b.imag * np.eye(db) - b)
+            d_a = np.linalg.solve(r, z.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+            return np.stack([d_a.real, d_a.imag], axis=1).reshape(m, -1)
+
+        return q.reshape(m, db * dc, dc, db), pullback
+
+    return decode
 
 
 def _common_eigenbasis(mats: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
@@ -681,121 +706,91 @@ def _common_eigenbasis(mats: list[np.ndarray], rng: np.random.Generator) -> np.n
     return vecs
 
 
-def degradedness_residual(bc_or_pair, candidate_dim_env: int | None = None, cfg=None) -> DegradednessReport:
+def _dephasing_basis_maps(s) -> list:
+    """Measure the input basis and prepare |psi_x> on C: a dephasing channel with a trivial E."""
+    if s.spec is None or (s.spec.n_in, s.spec.c_dim, s.spec.e_dim) != (s.db, s.dc, 1):
+        return []
+    ops = np.zeros((s.db, s.dc, s.db), dtype=complex)
+    ops[np.arange(s.db), :, np.arange(s.db)] = s.spec.images
+    return [ops]
+
+
+def _least_squares_maps(s) -> list:
+    """Measure the common eigenbasis and prepare the least-squares preps, when they are states."""
+    q = np.diagonal(s.basis.conj().T @ s.b @ s.basis, axis1=1, axis2=2).real  # (p, j)
+    sol, *_ = np.linalg.lstsq(q.astype(complex), s.c.reshape(len(q), -1), rcond=None)
+    preps = sol.reshape(s.db, s.dc, s.dc)
+    herm = (preps + preps.conj().transpose(0, 2, 1)) / 2.0
+    if (np.abs(preps - herm).max() > 1e-8 or np.abs(np.trace(herm, axis1=1, axis2=2).real - 1.0).max() > 1e-8
+            or np.linalg.eigvalsh(herm).min() < -1e-9):
+        return []
+    return [_measure_prepare_stack(s.basis, preps)]
+
+
+def _prep_fit_maps(s) -> list:
+    """Every restart of the measure-prepare fit: its optimum is flat in directions the residual sees."""
+    decode = _prep_decode(s.basis, s.dc)
+    thetas, _ = s.fit(decode, s.rng.standard_normal((s.cfg.restarts, s.db * 2 * s.dc * s.dc)))
+    return list(decode(thetas)[0])
+
+
+def _retraction_maps(s) -> list:
+    """The best restart of the QR-retraction fit, with restart 0 at the linear fit."""
+    flat = np.zeros((s.db * s.dc * s.dc, s.db), dtype=complex)
+    fit = _choi_fit_stack(s.b, s.c).reshape(-1, s.db)
+    flat[: len(fit)] = fit
+    inits = s.rng.standard_normal((s.cfg.restarts, 2 * flat.size))
+    inits[0] = np.concatenate([flat.real.ravel(), flat.imag.ravel()])
+    decode = _retraction_decode(s.dc, s.db)
+    thetas, values = s.fit(decode, inits)
+    return [decode(thetas[np.argmax(values)][None])[0][0]]
+
+
+# Degrading-map strategies in search order: (method, B probes served -- None any,
+# True commuting, False non-commuting -- and candidate maps of the search state).
+_STRATEGIES = (
+    ("identity", None, lambda s: [np.eye(s.dc, dtype=complex)[None]] if s.db == s.dc else []),
+    ("measure-prepare (dephasing basis)", None, _dephasing_basis_maps),
+    ("measure-prepare (least squares)", True, _least_squares_maps),
+    ("measure-prepare (optimized)", True, _prep_fit_maps),
+    ("kraus (linear fit)", False, lambda s: [_choi_fit_stack(s.b, s.c)]),
+    ("kraus (QR retraction)", False, _retraction_maps),
+)
+
+
+def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     """Search for a degrading map turning the B marginal into the C marginal.
 
-    Minimizes the summed squared Frobenius deviation over a spanning probe set
-    (for cq channels, the conditional states themselves) and reports the worst
-    trace distance.  Commuting B-side probes restrict the search to
-    measure-and-prepare maps in the common eigenbasis, solved as least squares
-    with a projection fallback; the general case optimizes a Kraus stack under
-    QR retraction.  A residual at or below 1e-6 certifies degradedness;
-    anything larger is inconclusive.
+    The probes span the input (for cq channels they are the conditionals); a
+    map's residual is its worst trace-norm distance from the C targets.  The
+    strategies, in order and where each applies:
+
+    1. identity: B and C of the same dimension;
+    2. measure-prepare (dephasing basis): a dephasing channel with a trivial E;
+    3. measure-prepare (least squares): commuting B probes;
+    4. measure-prepare (optimized): commuting B probes, Kraus-stack fit;
+    5. kraus (linear fit): non-commuting B probes;
+    6. kraus (QR retraction): non-commuting B probes, Kraus-stack fit.
+
+    A map replaces the best only with a strictly smaller residual.  The first
+    two always run, the rest only while no map certifies (residual <= 1e-6).
     """
-    from .optimize import OptimizerConfig, central_differences, maximize_batch
+    from .optimize import OptimizerConfig, maximize_batch
 
-    if cfg is None:
-        cfg = OptimizerConfig()
+    cfg = cfg or OptimizerConfig()
     b_states, c_states, commute = _probe_pairs(bc_or_pair)
-    db = b_states[0].shape[0]
-    dc = c_states[0].shape[0]
-    b_stack = np.stack(b_states)
-    c_stack = np.stack(c_states)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5E9]))
-
-    candidates: list[tuple[np.ndarray, str]] = []
-    if db == dc:
-        candidates.append((np.eye(dc, dtype=complex)[None, :, :], "identity"))
-    if isinstance(bc_or_pair, BroadcastChannel) and bc_or_pair.dephasing is not None:
-        spec = bc_or_pair.dephasing
-        if spec.n_in == db and spec.c_dim == dc and spec.e_dim == 1:
-            ops = np.zeros((db, dc, db), dtype=complex)
-            for x in range(db):
-                ops[x, :, x] = spec.images[x]
-            candidates.append((ops, "measure-prepare (dephasing basis)"))
-
-    best_stack = None
-    best_residual = np.inf
-    best_method = "none"
-    for stack, name in candidates:
-        r = _residual_of_stack(stack, b_states, c_states)
-        if r < best_residual:
-            best_stack, best_residual, best_method = stack, r, name
-    if best_residual <= CERTIFY_THRESHOLD:
-        dmap = KrausChannel(list(best_stack), layout(("C", dc)), validate=False)
-        return DegradednessReport(best_residual, dmap, True, best_method)
-
-    if commute:
-        # measure in the common eigenbasis, prepare free states: least squares in the preps
-        basis = _common_eigenbasis(b_states, rng)
-        q = np.einsum("bj,pbd,dj->pj", basis.conj(), b_stack, basis, optimize=True).real  # (p, j)
-        rhs = c_stack.reshape(len(c_states), dc * dc)
-        sol, *_ = np.linalg.lstsq(q.astype(complex), rhs, rcond=None)
-        preps = sol.reshape(db, dc, dc)
-        ok = True
-        for j in range(db):
-            h = _hermitize(preps[j])
-            if np.abs(preps[j] - h).max() > 1e-8 or abs(h.trace().real - 1.0) > 1e-8:
-                ok = False
-                break
-            if np.linalg.eigvalsh(h).min() < -1e-9:
-                ok = False
-                break
-        if ok:
-            stack = _measure_prepare_stack(basis, preps)
-            r = _residual_of_stack(stack, b_states, c_states)
+    s = SimpleNamespace(b=np.stack(b_states), c=np.stack(c_states), db=len(b_states[0]), dc=len(c_states[0]),
+                        spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
+                        basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
+    s.fit = lambda decode, inits: maximize_batch(*_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
+    best, best_residual, best_method = None, np.inf, "none"
+    for method, commuting, maps in _STRATEGIES:
+        if commuting is not None and (commuting != commute or best_residual <= CERTIFY_THRESHOLD):
+            continue
+        for stack in maps(s):
+            r = _residual_of_stack(stack, s.b, s.c)
             if r < best_residual:
-                best_stack, best_residual, best_method = stack, r, "measure-prepare (least squares)"
-        if best_residual > CERTIFY_THRESHOLD:
-            # constrained fallback: parameterize each prep as G G† / tr
-            n_params = db * 2 * dc * dc
-            objective, gradient, decode = _prep_fit(q, c_stack)
-            inits = rng.standard_normal((cfg.restarts, n_params))
-            thetas, _, _ = maximize_batch(objective, gradient, inits, cfg)
-            # the fit's optimum is flat in directions the residual still sees: keep the
-            # restart whose map has the smallest residual
-            for preps in decode(thetas):
-                stack = _measure_prepare_stack(basis, preps)
-                r = _residual_of_stack(stack, b_states, c_states)
-                if r < best_residual:
-                    best_stack, best_residual, best_method = stack, r, "measure-prepare (optimized)"
-    else:
-        fit = _choi_fit_stack(b_stack, c_stack)
-        r = _residual_of_stack(fit, b_states, c_states)
-        if r < best_residual:
-            best_stack, best_residual, best_method = fit, r, "kraus (linear fit)"
-        if best_residual <= CERTIFY_THRESHOLD:
-            dmap = KrausChannel(list(best_stack), layout(("C", dc)), validate=False)
-            return DegradednessReport(float(best_residual), dmap, True, best_method)
-
-        n_env = candidate_dim_env if candidate_dim_env is not None else db * dc
-        n_params = 2 * n_env * dc * db
-
-        def decode_general(thetas: np.ndarray) -> np.ndarray:
-            m = thetas.shape[0]
-            g = thetas.reshape(m, 2, n_env * dc, db)
-            gc = g[:, 0] + 1j * g[:, 1]
-            qmat, _ = np.linalg.qr(gc)  # (m, n_env*dc, db), orthonormal columns
-            return qmat.reshape(m, n_env, dc, db)
-
-        def objective_general(thetas: np.ndarray) -> np.ndarray:
-            stacks = decode_general(thetas)
-            preds = np.einsum("mecb,pbd,mefd->mpcf", stacks, b_stack, stacks.conj(), optimize=True)
-            diff = preds - c_stack[None]
-            return -np.einsum("mpcf,mpcf->m", diff, diff.conj(), optimize=True).real
-
-        inits = rng.standard_normal((cfg.restarts, n_params))
-        if fit.shape[0] <= n_env:
-            pad = np.zeros((n_env, dc, db), dtype=complex)
-            pad[: fit.shape[0]] = fit
-            flat = pad.reshape(n_env * dc, db)
-            inits[0] = np.concatenate([flat.real.ravel(), flat.imag.ravel()])
-        thetas, vals, _ = maximize_batch(objective_general, central_differences(objective_general),
-                                         inits, cfg)
-        stack = decode_general(thetas[np.argmax(vals)][None])[0]
-        r = _residual_of_stack(stack, b_states, c_states)
-        if r < best_residual:
-            best_stack, best_residual, best_method = stack, r, "kraus (QR retraction)"
-
-    dmap = KrausChannel([k for k in best_stack], layout(("C", dc)), validate=False)
-    return DegradednessReport(float(best_residual), dmap, bool(best_residual <= CERTIFY_THRESHOLD), best_method)
+                best, best_residual, best_method = stack, r, method
+    dmap = KrausChannel(list(best), layout(("C", s.dc)), validate=False)
+    return DegradednessReport(best_residual, dmap, bool(best_residual <= CERTIFY_THRESHOLD), best_method)

@@ -241,18 +241,17 @@ def _cmd_pinching_boundary(args) -> int:
 
 def _recompute_entry(mode: str, channel, k: int, entry: dict) -> tuple[float, float]:
     if "params" in entry:
-        raw_c, raw_p = evaluate_witness(mode, channel, entry["params"], k=k)
-        r_target = float(entry.get("r_target", raw_c))
-        return max(0.0, min(r_target, raw_c)), max(0.0, raw_p)
-    if "joint" in entry:
+        params = entry["params"]
+    elif "joint" in entry:
         if channel is None:
             raise ValidationError(f"{entry.get('witness_id', '?')}: grid witness without a channel document")
-        c, p = evaluate_witness(mode, channel, {"joint": entry["joint"]})
-        return max(0.0, c), max(0.0, p)
-    if entry.get("kind") == "closed-form":
+        params = {"joint": entry["joint"]}
+    elif entry.get("kind") == "closed-form":
         pt = pinching_boundary(float(entry["p"]))
         return pt.common_rate, pt.personal_rate
-    raise ValidationError(f"{entry.get('witness_id', '?')}: no re-evaluatable parameters")
+    else:
+        raise ValidationError(f"{entry.get('witness_id', '?')}: no re-evaluatable parameters")
+    return evaluate_witness(mode, channel, params, k=k)
 
 
 def _cmd_verify(args) -> int:
@@ -272,9 +271,12 @@ def _cmd_verify(args) -> int:
         wid = entry.get("witness_id", "?")
         try:
             stored_c, stored_p = float(entry["common_rate"]), float(entry["personal_rate"])
+            r_target = float(entry.get("r_target", np.inf))
         except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"{wid}: stored common_rate and personal_rate must both be numbers")
-        common, personal = _recompute_entry(mode, channel, k, entry)
+            raise ValidationError(f"{wid}: stored common_rate, personal_rate and r_target must be numbers")
+        raw_c, raw_p = _recompute_entry(mode, channel, k, entry)
+        # a swept or resampled point stores its target common rate, which its witness may exceed
+        common, personal = max(0.0, min(r_target, raw_c)), max(0.0, raw_p)
         dc = abs(common - stored_c)
         dp = abs(personal - stored_p)
         if max(dc, dp) <= args.tol:

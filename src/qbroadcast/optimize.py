@@ -3,9 +3,9 @@
 Each iteration asks the caller's gradient function for the ascent direction of
 every active restart in one call, then pushes all restarts' line-search trials
 through the objective as a second batched call, so objectives can vectorize
-their linear algebra across candidates.  ``central_differences`` turns a value
-function into a gradient function for objectives without an analytic one, and
-serves tests as the reference gradient.
+their linear algebra across candidates.  Every caller passes an exact gradient;
+``central_differences`` turns a value function into a finite-difference
+gradient function and is used only by the tests, as the reference gradient.
 """
 
 from __future__ import annotations

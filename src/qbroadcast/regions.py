@@ -199,6 +199,7 @@ class _Family(NamedTuple):
     decode: Callable  # raw (m, t, payload length) -> payload batch
     decode_grad: Callable  # (raw, payload, d/d payload) -> d/d raw
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
+    structured_rows: int  # cold-start restarts that get a structured row (1 unless it depends on the rng)
     init_scale: float  # standard deviation of the seeded random init rows
     key: str  # witness key of the payload
     dump: Callable  # one label set's payload -> JSON value
@@ -289,14 +290,12 @@ class _LabelEnsembleEvaluator:
         return np.min(chi, axis=0) / self.k, (p_t * term).sum(axis=1) / self.k, d_common, d_personal
 
     def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
-        """Warm start, then the family's structured row, then seeded random rows."""
-        rows = []
-        for r in range(n_restarts):
-            if r == 0 and warm is not None:
-                rows.append(np.array(warm))
-                continue
+        """Warm start plus one structured row, or the family's ``structured_rows``, then seeded random rows."""
+        first_random = 2 if warm is not None else self.family.structured_rows
+        rows = [] if warm is None else [np.array(warm)]
+        for r in range(len(rows), n_restarts):
             rng = seeded_rng(*path, r)
-            if r == 1 or (r == 0 and warm is None):
+            if r < first_random:
                 rows.append(np.concatenate([np.zeros(self.t_size), self.family.structured(self, rng).reshape(-1)]))
             else:
                 rows.append(rng.standard_normal(self.n_params) * self.family.init_scale)
@@ -334,6 +333,7 @@ _CONDITIONAL = dict(
     decode=lambda raw: softmax(raw, axis=-1),
     decode_grad=lambda raw, cond, g: cond * (g - (cond * g).sum(axis=-1, keepdims=True)),
     structured=_conditional_structured,
+    structured_rows=1,
     init_scale=2.0,
     key="p_x_given_t",
     dump=lambda cond: cond.tolist(),
@@ -379,6 +379,7 @@ _PURE = dict(
     decode=_pure_decode,
     decode_grad=_pure_decode_grad,
     structured=_pure_structured,
+    structured_rows=2,  # each draws its own perturbation
     init_scale=1.0,
     key="states",
     dump=lambda phi: np.stack([phi.real, phi.imag], axis=-1).tolist(),

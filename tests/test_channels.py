@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.channels import _prep_fit, _probe_densities
+from qbroadcast.channels import _kraus_fit, _prep_decode, _probe_densities, _retraction_decode
 from qbroadcast.optimize import central_differences, seeded_rng
 
 from conftest import spectrum_entropy
@@ -343,14 +343,44 @@ class TestDegradedness:
         assert rep.certified
         assert rep.residual <= 1e-6
 
-    def test_measure_prepare_gradient(self):
-        # a random fit: 6 probes, 3 preps on a qubit
+    def test_qr_retraction_certifies(self):
+        # non-commuting pure B states and C = a fixed random channel of B: degraded,
+        # and only the QR-retraction fit finds the map
+        rng = np.random.default_rng(0)
+        post = random_channel(rng, 2, 2, 2)
+        conditionals = {}
+        for x in range(2):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            b = np.outer(v, v.conj()) / np.vdot(v, v).real
+            joint = np.kron(b, apply_kraus(post, b))
+            conditionals[x] = qb.DensityMatrix(joint, qb.layout(("B", 2), ("C", 2)), validate=False)
+        w = qb.CqBroadcastChannel(conditionals, validate=False)
+        assert not w.commuting_b()
+        rep = qb.degradedness_residual(w)
+        assert rep.method == "kraus (QR retraction)"
+        assert rep.certified
+
+    @pytest.mark.parametrize("fit", ["measure-prepare", "qr-retraction"])
+    def test_kraus_fit_gradient(self, fit):
+        # a random fit: 6 Hermitian probes on a qubit B, targets on a qutrit C
         rng = seeded_rng(11)
-        q = rng.random((6, 3))
-        c = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
-        objective, gradient, _ = _prep_fit(q, c + c.conj().transpose(0, 2, 1))
-        thetas = rng.standard_normal((5, 3 * 2 * 2 * 2))
-        assert np.abs(gradient(thetas) - central_differences(objective)(thetas)).max() <= 1e-6
+        db, dc = 2, 3
+
+        def hermitian(shape):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return a + a.conj().swapaxes(-1, -2)
+
+        b, c = hermitian((6, db, db)), hermitian((6, dc, dc))
+        if fit == "measure-prepare":
+            basis, _ = np.linalg.qr(rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db)))
+            decode, n_params = _prep_decode(basis, dc), db * 2 * dc * dc
+        else:
+            decode, n_params = _retraction_decode(dc, db), 2 * db * dc * dc * db
+        objective, gradient = _kraus_fit(b, c, decode)
+        thetas = rng.standard_normal((5, n_params))
+        grad = gradient(thetas)
+        assert np.abs(grad).max() > 1.0
+        assert np.abs(grad - central_differences(objective)(thetas)).max() <= 1e-6
 
     def test_report_fields(self):
         rep = qb.degradedness_residual(qb.make_pinching())

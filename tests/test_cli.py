@@ -138,6 +138,15 @@ class TestRegionCommand:
         assert run(["verify", "--witness", str(bad)]) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
 
+    def test_verify_rejects_non_numeric_target(self, tmp_path, capsys):
+        bad = tmp_path / "w.json"
+        point = {"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 1.0, "r_target": "half",
+                 "params": {"p_t": [1.0], "p_x_given_t": [[0.5, 0.5]]}}
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
+                                   "channel": qb.serialize_channel(qb.make_noiseless_bit()),
+                                   "points": [point]}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params", [
         {"p_t": [1.0]},
@@ -181,14 +190,29 @@ class TestQuantitiesCommand:
         assert abs(report["conditional_mutual_information"]["A;B|C"] - 1.0) < 1e-12
 
 
+# (channel, --reverse, certified line, method line) for every builtin in both directions
+DEGRADED_VERDICTS = [
+    ("pinching", False, "true", "measure-prepare (dephasing basis)"),
+    ("pinching", True, "false", "measure-prepare (optimized)"),
+    ("pinching-cq", False, "true", "measure-prepare (least squares)"),
+    ("pinching-cq", True, "false", "measure-prepare (least squares)"),
+    ("noiseless-bit", False, "true", "identity"),
+    ("noiseless-bit", True, "true", "identity"),
+    ("constant", False, "true", "identity"),
+    ("constant", True, "true", "identity"),
+    ("ghz-copy", False, "true", "identity"),
+    ("ghz-copy", True, "true", "identity"),
+]
+
+
 class TestCheckDegraded:
-    def test_forward(self, capsys):
-        assert run(["check", "degraded", "--channel", "pinching"]) == 0
-        out = capsys.readouterr().out
-        assert "certified: true" in out
-        assert "method: measure-prepare (dephasing basis)" in out
-        residual = float(out.split("residual: ")[1].splitlines()[0])
-        assert residual <= 1e-6
+    @pytest.mark.parametrize("channel,reverse,certified,method", DEGRADED_VERDICTS,
+                             ids=[f"{v[0]}-{'reverse' if v[1] else 'forward'}" for v in DEGRADED_VERDICTS])
+    def test_builtin_verdicts(self, capsys, channel, reverse, certified, method):
+        assert run(["check", "degraded", "--channel", channel] + (["--reverse"] if reverse else [])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("residual: ")
+        assert lines[1:] == [f"certified: {certified}", f"method: {method}"]
 
     def test_reverse(self, capsys):
         assert run(["check", "degraded", "--channel", "pinching", "--reverse"]) == 0
@@ -196,11 +220,6 @@ class TestCheckDegraded:
         assert "certified: false" in out
         residual = float(out.split("residual: ")[1].splitlines()[0])
         assert residual > 0.1
-
-    def test_cq_channel_reverse(self, capsys):
-        assert run(["check", "degraded", "--channel", "pinching-cq", "--reverse"]) == 0
-        out = capsys.readouterr().out
-        assert "residual:" in out
 
 
 class TestOracleCommands:
@@ -214,6 +233,18 @@ class TestOracleCommands:
         capsys.readouterr()
         assert run(["verify", "--witness", str(out) + ".witness.json"]) == 0
         assert "mismatch" not in capsys.readouterr().out
+
+    def test_resampled_grid_verifies(self, tmp_path, capsys):
+        # a resampled point keeps the witness of the first grid point at or past its
+        # target, so verify takes the stored target as a lower bound
+        out = tmp_path / "oracle.csv"
+        assert run(["oracle", "grid", "--channel", "noiseless-bit", "--t-size", "2",
+                    "--mesh", "10", "--r-grid", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--witness", str(out) + ".witness.json"]) == 0
+        out_lines = capsys.readouterr().out.splitlines()
+        assert out_lines[-1] == "verified 7 rows"
+        assert not any("mismatch" in line for line in out_lines)
 
     @pytest.mark.parametrize("joint", [
         [[0.5, 0.25, 0.25]],

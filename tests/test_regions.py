@@ -160,6 +160,21 @@ class TestEntropyKernels:
             assert np.abs(a - b).max() <= 1e-10
 
 
+class TestRestartInits:
+    @pytest.mark.parametrize("mode,make", [("cq", qb.make_pinching_cq), ("dephasing", qb.make_pinching),
+                                           ("cq-eg", qb.make_pinching)], ids=["cq", "dephasing", "ensemble"])
+    def test_rows_are_distinct(self, mode, make):
+        ev = build_evaluator(mode, make())
+        cold = ev.inits(4, (7, 0), None)
+        for i in range(4):
+            for j in range(i):
+                assert not np.array_equal(cold[i], cold[j])
+        # a warm start takes slot 0 and moves the structured row to slot 1
+        warm = ev.inits(4, (7, 0), cold[3])
+        assert np.array_equal(warm[0], cold[3])
+        assert not np.array_equal(warm[1], warm[2])
+
+
 # (mode, channel builder, k, t_size): every mode of the table plus one two-use case
 GRADIENT_CASES = [
     ("cq", qb.make_pinching_cq, 1, 3),
