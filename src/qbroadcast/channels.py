@@ -21,7 +21,6 @@ from .errors import ValidationError
 from .states import (
     CqState,
     DensityMatrix,
-    PureState,
     SystemLayout,
     TRACE_TOL,
     _hermitize,
@@ -97,22 +96,6 @@ class KrausChannel:
         full = out.reshape(dout * d_rest, dout * d_rest)
         return DensityMatrix(_hermitize(full), new_layout, validate=False)
 
-    def apply_to_pure_isometric(self, psi: PureState, label: str) -> PureState:
-        """Isometric channels only: push a pure state through V on one subsystem."""
-        if len(self.ops) != 1:
-            raise ValidationError("pure-state push-through requires a single-Kraus (isometric) channel")
-        v = self.ops[0]
-        rest = [name for name in psi.layout.labels if name != label]
-        collide = set(self.out_layout.labels) & set(rest)
-        if collide:
-            raise ValidationError(f"channel output labels collide with state labels: {sorted(collide)}")
-        perm = [psi.layout.index(label)] + [psi.layout.index(n) for n in rest]
-        dims = psi.layout.dims
-        vec = psi.amplitudes.reshape(dims).transpose(perm).reshape(self.in_dim, -1)
-        out = v @ vec
-        parts = tuple(self.out_layout.parts) + tuple(psi.layout.parts[p] for p in perm[1:])
-        return PureState(out.reshape(-1), SystemLayout(parts), validate=False)
-
     def tensor(self, other: "KrausChannel") -> "KrausChannel":
         overlap = set(self.out_layout.labels) & set(other.out_layout.labels)
         if overlap:
@@ -159,9 +142,6 @@ class IsometricExtension:
             raise ValidationError(f"input dimension {rho.dim} does not match isometry input {self.in_dim}")
         out = self.matrix @ rho.matrix @ self.matrix.conj().T
         return DensityMatrix(_hermitize(out), self.full_layout, validate=False)
-
-    def as_channel(self) -> KrausChannel:
-        return KrausChannel([self.matrix], self.full_layout, validate=False)
 
 
 def isometric_extension(ch: KrausChannel, env_label: str = "E") -> IsometricExtension:
@@ -318,12 +298,6 @@ class CqBroadcastChannel:
     def c_label(self) -> str:
         return self.out_layout.labels[1]
 
-    def b_dim(self) -> int:
-        return self.out_layout.dims[0]
-
-    def c_dim(self) -> int:
-        return self.out_layout.dims[1]
-
     def marginal_conditionals(self, label: str) -> list[np.ndarray]:
         """Per-symbol reduced states on one receiver, in symbol order."""
         from .states import partial_trace
@@ -365,7 +339,8 @@ class CqBroadcastChannel:
         return CqBroadcastChannel(base, validate=False)
 
     def __repr__(self):
-        return f"CqBroadcastChannel(|X|={self.n_symbols}, B={self.b_dim()}, C={self.c_dim()})"
+        b, c = self.out_layout.dims
+        return f"CqBroadcastChannel(|X|={self.n_symbols}, B={b}, C={c})"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ ERR_VALIDATE), 3 budget (stderr prefix ERR_BUDGET).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import pathlib
 import sys
@@ -120,7 +121,7 @@ def _cmd_quantities(args) -> int:
     labels = list(rho.layout.labels)
     subsets = []
     for size in range(1, len(labels) + 1):
-        subsets.extend(_ordered_subsets(labels, size))
+        subsets.extend(itertools.combinations(labels, size))
     out = {
         "layout": [[label, dim] for label, dim in rho.layout.parts],
         "entropy": {",".join(s): von_neumann_entropy(_reduce(rho, s)) for s in subsets},
@@ -145,16 +146,6 @@ def _cmd_quantities(args) -> int:
                 out["conditional_mutual_information"][key] = conditional_mutual_information(rho, a, b, c)
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def _ordered_subsets(labels, size):
-    if size == 0:
-        return [[]]
-    out = []
-    for i, label in enumerate(labels):
-        for rest in _ordered_subsets(labels[i + 1:], size - 1):
-            out.append([label] + rest)
-    return out
 
 
 def _reduce(rho, labels):

@@ -21,30 +21,27 @@ from .errors import ValidationError
 class OptimizerConfig:
     """Knobs for the restart/penalty sweep machinery.
 
-    ``penalty_scales`` is the increasing schedule used to enforce the common
-    rate constraint during frontier sweeps; ``matrix_budget`` bounds the dense
-    dimension product a region evaluator may allocate before warning/refusing.
+    ``restarts``, ``seed`` and ``r_grid`` (the common-rate targets a frontier
+    sweep visits) come from the CLI; ``max_iters`` caps every ascent.
     """
 
     restarts: int = 16
     max_iters: int = 300
-    step_init: float = 0.25
-    step_grow: float = 1.3
-    step_shrink: float = 0.5
-    step_min: float = 1e-7
-    tol: float = 1e-9
     seed: int = 7
     r_grid: int = 33
-    penalty_scales: tuple = (1e2, 1e4, 1e6)
-    matrix_budget: int = 4096
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "step_init", "step_grow", "step_shrink", "step_min", "tol", "r_grid"):
+        for name in ("restarts", "max_iters", "r_grid"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"OptimizerConfig.{name} must be positive")
 
 
 _LADDER = 4  # trial step sizes evaluated per line search
+STEP_INIT = 0.25  # first trial step of every restart
+STEP_GROW = 1.3  # step growth after an accepted trial
+STEP_SHRINK = 0.5  # ratio between consecutive ladder steps, and per rung after a failed ladder
+STEP_MIN = 1e-7  # a restart whose step falls below this stops
+GRAD_TOL = 1e-9  # a restart whose gradient norm falls below this stops
 FD_STEP = 1e-5  # central-difference step
 
 
@@ -71,17 +68,17 @@ def maximize_batch(batch_fn, grad_fn, inits: np.ndarray, cfg: OptimizerConfig):
     ``grad_fn`` maps it to the (m, n) gradients.  Each iteration takes the
     gradient of the active restarts in one call, then evaluates a geometric
     ladder of trial steps along it in a second call.  Restarts deactivate when
-    their step collapses below ``cfg.step_min`` or the gradient norm drops
-    under ``cfg.tol``.
+    their step collapses below ``STEP_MIN`` or the gradient norm drops under
+    ``GRAD_TOL``.
     """
     thetas = np.array(inits, dtype=float)
     if thetas.ndim != 2:
         raise ValueError(f"inits must be 2-d (restarts, params), got shape {thetas.shape}")
     m, n = thetas.shape
     values = np.asarray(batch_fn(thetas), dtype=float)
-    steps = np.full(m, cfg.step_init)
+    steps = np.full(m, STEP_INIT)
     active = np.ones(m, dtype=bool)
-    ladder = cfg.step_shrink ** np.arange(_LADDER)
+    ladder = STEP_SHRINK ** np.arange(_LADDER)
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         idx = np.flatnonzero(active)
@@ -90,7 +87,7 @@ def maximize_batch(batch_fn, grad_fn, inits: np.ndarray, cfg: OptimizerConfig):
         sub = thetas[idx]
         grad = np.asarray(grad_fn(sub), dtype=float)
         gnorm = np.linalg.norm(grad, axis=1)
-        flat = gnorm < cfg.tol
+        flat = gnorm < GRAD_TOL
         if flat.any():
             active[idx[flat]] = False
             keep = ~flat
@@ -110,11 +107,11 @@ def maximize_batch(batch_fn, grad_fn, inits: np.ndarray, cfg: OptimizerConfig):
             jj = best_j[improved]
             thetas[good] = trials[improved, jj]
             values[good] = best_v[improved]
-            steps[good] = trial_steps[improved, jj] * cfg.step_grow
+            steps[good] = trial_steps[improved, jj] * STEP_GROW
         bad = idx[~improved]
         if bad.size:
-            steps[bad] *= cfg.step_shrink ** _LADDER
-            dead = steps[bad] < cfg.step_min
+            steps[bad] *= STEP_SHRINK ** _LADDER
+            dead = steps[bad] < STEP_MIN
             active[bad[dead]] = False
     info = {"iterations": iters, "converged": bool(not active.any())}
     return thetas, values, info
@@ -124,6 +121,11 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     z = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pull a gradient ``g`` with respect to p = softmax(z) (last axis) back to z."""
+    return p * (g - (p * g).sum(axis=-1, keepdims=True))
 
 
 def seeded_rng(*path: int) -> np.random.Generator:

@@ -15,10 +15,12 @@ small worked cases live at the bottom.
 The evaluator picks its entropy kernel once, at setup.  The cq and dephasing
 families mix fixed per-symbol stacks; when every stack is exactly diagonal
 (all builtin cq and dephasing channels, at any k) they keep real (x, d)
-diagonals, the label states stay diagonal, and entropies and their gradients
-are Shannon entropies and slopes of those diagonals.  Any other stack, and the
-ensemble family always, takes the dense kernel: ``eigvalsh`` for values and
-``eigh`` for dS/drho.  Every per-call contraction is a reshaped matmul.
+diagonals, the label states stay diagonal, and the kernel is
+``states.entropy_of_spectrum`` and ``states.entropy_slope`` applied to those
+diagonals.  Any other stack, and the ensemble family always, takes the dense
+kernel: the same two functions applied to the spectrum from ``eigvalsh`` for
+values, or from ``eigh`` for dS/drho.  Every per-call contraction is a
+reshaped matmul.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 
 from .channels import BroadcastChannel, CqBroadcastChannel, degradedness_residual
 from .errors import BudgetError, ValidationError
-from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax
+from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax, softmax_grad
 from .quantities import coherent_information
-from .states import ENTROPY_CLAMP, PureState, binary_entropy
+from .states import ENTROPY_CLAMP, PureState, binary_entropy, entropy_of_spectrum, entropy_slope
 
 
 @dataclass
@@ -92,10 +94,6 @@ class IndependentRates:
     feasible_b: bool
     feasible_c: bool
 
-    def __iter__(self):
-        yield self.rate_b
-        yield self.rate_c
-
 
 def _clip_rate(x: float) -> float:
     return 0.0 if x < 0.0 else float(x)
@@ -103,42 +101,22 @@ def _clip_rate(x: float) -> float:
 
 def batched_entropy(mats: np.ndarray) -> np.ndarray:
     """Base-2 entropy over the last two axes of a stack of Hermitian matrices."""
-    evals = np.linalg.eigvalsh(mats)
-    evals = np.clip(evals, 0.0, None)
-    safe = np.maximum(evals, ENTROPY_CLAMP)
-    logs = np.where(evals > ENTROPY_CLAMP, np.log2(safe), 0.0)
-    return -(evals * logs).sum(axis=-1)
-
-
-def _entropy_slope(p: np.ndarray) -> np.ndarray:
-    """d(-p log2 p)/dp, zero at or below ENTROPY_CLAMP where the entropies drop the term."""
-    return np.where(p > ENTROPY_CLAMP, -(np.log2(np.maximum(p, ENTROPY_CLAMP)) + 1.0 / np.log(2.0)), 0.0)
+    return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
 
 
 def _entropy_grad(mats: np.ndarray):
     """``batched_entropy`` and its gradient dS/drho = -(log2 rho + I/ln 2) from one ``eigh``."""
     evals, vecs = np.linalg.eigh(mats)
     evals = np.clip(evals, 0.0, None)
-    logs = np.where(evals > ENTROPY_CLAMP, np.log2(np.maximum(evals, ENTROPY_CLAMP)), 0.0)
-    grad = (vecs * _entropy_slope(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return -(evals * logs).sum(axis=-1), grad
-
-
-def _prob_entropy(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy along the last axis."""
-    safe = np.maximum(p, ENTROPY_CLAMP)
-    logs = np.where(p > ENTROPY_CLAMP, np.log2(safe), 0.0)
-    return -(p * logs).sum(axis=-1)
-
-
-def _prob_entropy_grad(p: np.ndarray):
-    """``_prob_entropy`` and its slope: the diagonal-state form of ``_entropy_grad``."""
-    return _prob_entropy(p), _entropy_slope(p)
+    grad = (vecs * entropy_slope(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return entropy_of_spectrum(evals), grad
 
 
 def _kernels(diagonal: bool):
     """The (entropy, entropy gradient) pair for (..., d) diagonals or dense (..., d, d) states."""
-    return (_prob_entropy, _prob_entropy_grad) if diagonal else (batched_entropy, _entropy_grad)
+    if diagonal:
+        return entropy_of_spectrum, lambda p: (entropy_of_spectrum(p), entropy_slope(p))
+    return batched_entropy, _entropy_grad
 
 
 def _label_mix(p_t: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -168,15 +146,19 @@ def _pareto_cleanup(rows) -> list:
     return list(reversed(kept))
 
 
-def _budget_check(dense_load: int, n_params: int, cfg: OptimizerConfig, what: str):
-    if n_params > cfg.matrix_budget:
-        raise BudgetError(f"{what}: {n_params} optimizer parameters exceed matrix budget {cfg.matrix_budget}")
-    if dense_load > 16 * cfg.matrix_budget:
+PENALTY_SCALES = (1e2, 1e4, 1e6)  # increasing penalty schedule that enforces the common-rate target
+MATRIX_BUDGET = 4096  # dense dimension product an evaluator may allocate before warning/refusing
+
+
+def _budget_check(dense_load: int, n_params: int, what: str):
+    if n_params > MATRIX_BUDGET:
+        raise BudgetError(f"{what}: {n_params} optimizer parameters exceed matrix budget {MATRIX_BUDGET}")
+    if dense_load > 16 * MATRIX_BUDGET:
         raise BudgetError(
-            f"{what}: dense load {dense_load} exceeds 16x matrix budget {cfg.matrix_budget}"
+            f"{what}: dense load {dense_load} exceeds 16x matrix budget {MATRIX_BUDGET}"
         )
-    if dense_load > cfg.matrix_budget:
-        warnings.warn(f"{what}: dense load {dense_load} exceeds matrix budget {cfg.matrix_budget}")
+    if dense_load > MATRIX_BUDGET:
+        warnings.warn(f"{what}: dense load {dense_load} exceeds matrix budget {MATRIX_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +198,7 @@ class _LabelEnsembleEvaluator:
     family's per-label term.
     """
 
-    def __init__(self, mode: str, channel, k: int = 1, cfg: OptimizerConfig | None = None,
-                 t_size: int | None = None):
+    def __init__(self, mode: str, channel, k: int = 1, t_size: int | None = None):
         if mode not in _MODES:
             raise ValidationError(f"unknown frontier mode {mode!r}")
         self.mode = mode
@@ -232,7 +213,7 @@ class _LabelEnsembleEvaluator:
         if self.t_size < 1:
             raise ValidationError("t_size must be at least 1")
         self.n_params = self.t_size + self.t_size * self.payload_len
-        _budget_check(dense * self.t_size, self.n_params, cfg or OptimizerConfig(), self.family.what)
+        _budget_check(dense * self.t_size, self.n_params, self.family.what)
 
     def decode(self, thetas: np.ndarray):
         t = self.t_size
@@ -280,7 +261,7 @@ class _LabelEnsembleEvaluator:
 
         def backward(seed_p, seed_rho, seed_payload):
             d_payload = seed_payload + self.family.adjoint(self, payload, seed_rho)
-            d_logits = p_t * (seed_p - (p_t * seed_p).sum(axis=1, keepdims=True))
+            d_logits = softmax_grad(p_t, seed_p)
             d_raw = self.family.decode_grad(raw, payload, d_payload).reshape(m, -1)
             return np.concatenate([d_logits, d_raw], axis=1) / self.k
 
@@ -331,7 +312,7 @@ def _conditional_structured(ev, rng) -> np.ndarray:
 # payload p(x | t): a softmax over the input alphabet per label
 _CONDITIONAL = dict(
     decode=lambda raw: softmax(raw, axis=-1),
-    decode_grad=lambda raw, cond, g: cond * (g - (cond * g).sum(axis=-1, keepdims=True)),
+    decode_grad=lambda raw, cond, g: softmax_grad(cond, g),
     structured=_conditional_structured,
     structured_rows=1,
     init_scale=2.0,
@@ -440,11 +421,11 @@ def _dephasing_setup(uk: BroadcastChannel, common: tuple):
 
 def _dephasing_personal(ev, cond, h) -> np.ndarray:
     """Input entropy given the label minus the leaked environment entropy."""
-    return _prob_entropy(cond) - h["CE"]
+    return entropy_of_spectrum(cond) - h["CE"]
 
 
 def _dephasing_personal_grad(ev, cond, g):
-    return {"CE": -g["CE"]}, _entropy_slope(cond)
+    return {"CE": -g["CE"]}, entropy_slope(cond)
 
 
 def _ensemble_setup(nk: BroadcastChannel, common: tuple):
@@ -551,7 +532,7 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
     for pi, r_target in enumerate(r_values):
         thetas = ev.inits(cfg.restarts, (cfg.seed, pi), warm)
         vals, info = None, {"converged": False}
-        for mu in cfg.penalty_scales:
+        for mu in PENALTY_SCALES:
             def objective(th, mu=mu, r=r_target):
                 c, p = ev.batch_rates(th)
                 gap = np.maximum(0.0, r - c)
@@ -595,7 +576,7 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
 def _frontier(mode: str, channel, k: int, cfg: OptimizerConfig | None, r_values, t_size,
               **metadata) -> Frontier:
     cfg = cfg or OptimizerConfig()
-    ev = _LabelEnsembleEvaluator(mode, channel, k=k, cfg=cfg, t_size=t_size)
+    ev = _LabelEnsembleEvaluator(mode, channel, k=k, t_size=t_size)
     return _sweep(ev, cfg, r_values=r_values, metadata=metadata)
 
 
@@ -736,10 +717,9 @@ def independent_rates(n: BroadcastChannel, psi_in: PureState) -> IndependentRate
 # witness re-evaluation
 
 
-def build_evaluator(mode: str, channel, k: int = 1, t_size: int | None = None,
-                    cfg: OptimizerConfig | None = None):
+def build_evaluator(mode: str, channel, k: int = 1, t_size: int | None = None):
     """Reconstruct the evaluator a witness was produced by."""
-    return _LabelEnsembleEvaluator(mode, channel, k=k, cfg=cfg, t_size=t_size)
+    return _LabelEnsembleEvaluator(mode, channel, k=k, t_size=t_size)
 
 
 def evaluate_witness(mode: str, channel, params: dict, k: int = 1) -> tuple[float, float]:

@@ -314,50 +314,25 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def entropy_of_spectrum(evals: np.ndarray) -> float:
-    """Base-2 entropy of a spectrum; values at or below 1e-12 count as zero."""
-    evals = np.asarray(evals, dtype=float)
-    evals = evals[evals > ENTROPY_CLAMP]
-    if evals.size == 0:
-        return 0.0
-    return float(-(evals * np.log2(evals)).sum())
+def entropy_of_spectrum(p: np.ndarray) -> np.ndarray:
+    """Base-2 entropy along the last axis; values at or below 1e-12 count as zero.
 
-
-def von_neumann_entropy(rho: DensityMatrix, exploit_blocks: bool = True) -> float:
-    """Von Neumann entropy in bits.
-
-    With ``exploit_blocks`` (the default), subsystems whose computational basis
-    index induces an exact block-diagonal structure (classical flag registers
-    produced by cq embeddings) are peeled off recursively, so large embedded
-    states cost only small eigendecompositions.  Both paths agree to 1e-9.
+    With ``entropy_slope`` this is the engine's one entropy rule: every dense
+    and diagonal entropy in ``regions`` goes through it.
     """
-    if exploit_blocks:
-        return _entropy_blockwise(rho.matrix, list(rho.layout.dims))
-    return entropy_of_spectrum(np.linalg.eigvalsh(rho.matrix))
+    safe = np.maximum(p, ENTROPY_CLAMP)
+    logs = np.where(p > ENTROPY_CLAMP, np.log2(safe), 0.0)
+    return -(p * logs).sum(axis=-1)
 
 
-def _entropy_blockwise(matrix: np.ndarray, dims: list) -> float:
-    if len(dims) > 1:
-        n = len(dims)
-        tensor = matrix.reshape(dims + dims)
-        for axis, d in enumerate(dims):
-            if d == 1:
-                continue
-            moved = np.moveaxis(tensor, (axis, axis + n), (0, 1)).reshape(d, d, -1)
-            off = ~np.eye(d, dtype=bool)
-            if np.count_nonzero(moved[off]) == 0:
-                rest = dims[:axis] + dims[axis + 1:]
-                d_rest = matrix.shape[0] // d
-                weights = []
-                total = 0.0
-                for i in range(d):
-                    block = moved[i, i].reshape(d_rest, d_rest)
-                    w = block.trace().real
-                    weights.append(w)
-                    if w > ENTROPY_CLAMP:
-                        total += w * _entropy_blockwise(block / w, rest)
-                return total + entropy_of_spectrum(np.asarray(weights))
-    return entropy_of_spectrum(np.linalg.eigvalsh(matrix))
+def entropy_slope(p: np.ndarray) -> np.ndarray:
+    """d(-p log2 p)/dp, zero at or below ENTROPY_CLAMP where the entropy drops the term."""
+    return np.where(p > ENTROPY_CLAMP, -(np.log2(np.maximum(p, ENTROPY_CLAMP)) + 1.0 / np.log(2.0)), 0.0)
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Von Neumann entropy in bits: ``entropy_of_spectrum`` of the clipped eigenvalues."""
+    return float(entropy_of_spectrum(np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)))
 
 
 def binary_entropy(p: float) -> float:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -157,3 +158,12 @@ class TestCardinalityProbe:
         rep = cardinality_probe(qb.make_noiseless_bit(), 2, 2, 12)
         assert rep.improvement <= 1e-3 + mesh_tolerance(12)
         assert rep.reach_gain <= 1e-12
+
+
+class TestOracleIndependence:
+    def test_no_engine_entropy_code(self):
+        # the oracles check the engine, so they must compute entropies with their own code
+        source = inspect.getsource(qb.bruteforce)
+        for name in ("entropy_of_spectrum", "entropy_slope", "von_neumann_entropy", "batched_entropy",
+                     "ENTROPY_CLAMP"):
+            assert name not in source, name

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qbroadcast.optimize import OptimizerConfig, central_differences, maximize_batch, seeded_rng, softmax
+from qbroadcast.regions import PENALTY_SCALES
 
 
 class TestOptimizerConfig:
@@ -9,13 +10,13 @@ class TestOptimizerConfig:
         cfg = OptimizerConfig()
         assert cfg.restarts == 16
         assert cfg.r_grid == 33
-        assert cfg.penalty_scales == (1e2, 1e4, 1e6)
+        assert PENALTY_SCALES == (1e2, 1e4, 1e6)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
-            OptimizerConfig(step_init=-0.1)
+            OptimizerConfig(max_iters=0)
 
 
 class TestMaximizeBatch:

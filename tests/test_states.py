@@ -177,21 +177,20 @@ class TestEntropy:
 
     def test_entropy_of_spectrum_clamps(self):
         assert entropy_of_spectrum(np.array([1.0, 0.0, -1e-12])) < 1e-10
+        stack = np.array([[1.0, 0.0, -1e-12], [0.5, 0.25, 0.25], [0.5, 0.5, 1e-13]])
+        assert np.array_equal(entropy_of_spectrum(stack), [entropy_of_spectrum(row) for row in stack])
 
     def test_binary_entropy(self):
         assert abs(qb.binary_entropy(0.5) - 1.0) < 1e-15
         assert qb.binary_entropy(0.0) == 0.0
         assert qb.binary_entropy(1.0) == 0.0
 
-    def test_blockwise_matches_dense(self):
+    def test_embedded_cq_matches_spectrum(self):
         ch = qb.make_pinching_cq()
         st = ch.output_cq([0.5, 0.3, 0.2])
         emb = st.embed()
-        fast = qb.von_neumann_entropy(emb)
-        dense = qb.von_neumann_entropy(emb, exploit_blocks=False)
         reference = spectrum_entropy(emb.matrix)
-        assert abs(fast - dense) < 1e-9
-        assert abs(fast - reference) < 1e-9
+        assert abs(qb.von_neumann_entropy(emb) - reference) < 1e-9
 
     def test_blockwise_matches_dense_random(self):
         rng = np.random.default_rng(8)
