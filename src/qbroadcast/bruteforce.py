@@ -1,11 +1,12 @@
 """Exhaustive reference frontiers over discretized distribution grids.
 
-Everything here recomputes entropies from scratch (spectra for the cq oracle,
-probability tables for the classical one) so the oracle path shares no entropy
-code with the main engine.  Joint distributions p(t, x) are enumerated as
-integer compositions of the mesh over t_size * |X| cells: a numpy table built
-bottom-up, one leading column at a time, whose rows come out in lexicographic
-order.  The Pareto pass keeps only running-maximum records before its loop.
+Entropies are recomputed here from scratch, so the oracles share no entropy code
+with the engine: the cq oracle picks each receiver's kernel once (Shannon entropies
+of the diagonals of an exactly diagonal stack, else spectra), the classical one uses
+probability tables, and mixtures are 2-D matrix products, never ``einsum``.  Joints
+p(t, x) are the compositions of the mesh over t_size * |X| cells, a numpy table built
+bottom-up one leading column at a time, rows in lexicographic order.  The Pareto pass
+keeps only running-maximum records and merges commons that agree to 12 decimals.
 """
 
 from __future__ import annotations
@@ -87,16 +88,30 @@ def _table_entropy(table: np.ndarray) -> np.ndarray:
     return -(flat * logs).sum(axis=-1)
 
 
+def _receiver_kernel(stack: np.ndarray):
+    """(mixing matrix, entropy of mixed rows) for one receiver's (x, d, d) stack.  An exactly diagonal
+    stack mixes real diagonals and takes Shannon entropies of them sorted ascending, as ``eigvalsh``
+    returns them, so the sums run in the same order; others mix flattened matrices into spectra."""
+    n_x, d = stack.shape[0], stack.shape[-1]
+    if np.array_equal(stack, stack * np.eye(d)):
+        return (np.diagonal(stack, axis1=1, axis2=2).real.copy(), lambda rows: _table_entropy(
+            np.clip(np.sort(rows.reshape(-1, d), axis=-1), 0.0, None)).reshape(rows.shape[:-1]))
+    return stack.reshape(n_x, d * d), lambda rows: _spectra_entropy(rows.reshape(rows.shape[:-1] + (d, d)))
+
+
 def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarray,
                    meta: dict, r_grid: int | None) -> Frontier:
     order = np.lexsort((-personals, -commons))
     # only a strict running-maximum record can pass the loop's test, so drop the rest first
     vals = personals[order]
     records = order[vals > np.maximum.accumulate(np.concatenate(([-np.inf], vals)))[:-1]]
+    ties = np.round(commons, 12)  # commons within rounding are one point: the later, higher record wins
     kept = []
     run = -np.inf
     for i in records:
         if personals[i] > run + 1e-12:
+            if kept and ties[kept[-1]] == ties[i]:
+                kept.pop()
             kept.append(i)
             run = personals[i]
     kept.reverse()  # commons ascending
@@ -128,13 +143,12 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
     """
     if not isinstance(w, CqBroadcastChannel):
         raise ValidationError("grid oracle expects a cq broadcast channel")
-    if t_size < 1 or mesh < 1:
-        raise ValidationError("t_size and mesh must be positive")
+    if t_size < 1 or mesh < 1 or (r_grid is not None and r_grid < 1):
+        raise ValidationError("t_size, mesh and r_grid must be positive")
     n_x = w.n_symbols
     joints = _enumerate_joints(mesh, t_size, n_x, max_candidates)
-    b_stack = np.stack(w.marginal_conditionals(w.b_label))
-    c_stack = np.stack(w.marginal_conditionals(w.c_label))
-    h_b_x = _spectra_entropy(b_stack)
+    kernels = [_receiver_kernel(np.stack(w.marginal_conditionals(label))) for label in (w.b_label, w.c_label)]
+    h_b_x = kernels[0][1](kernels[0][0])  # H(B | X = x) for each symbol x
     n = joints.shape[0]
     commons = np.empty(n)
     personals = np.empty(n)
@@ -143,17 +157,14 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
         joint = joints[lo:hi]
         p_t = joint.sum(axis=2)
         p_x = joint.sum(axis=1)
-        scale = np.where(p_t > 0, p_t, 1.0)[:, :, None, None]
-        rho_bt = np.einsum("ntx,xij->ntij", joint, b_stack, optimize=True) / scale
-        rho_ct = np.einsum("ntx,xij->ntij", joint, c_stack, optimize=True) / scale
-        h_bt = np.where(p_t > 0, _spectra_entropy(rho_bt), 0.0)
-        h_ct = np.where(p_t > 0, _spectra_entropy(rho_ct), 0.0)
-        rho_b = np.einsum("nx,xij->nij", p_x, b_stack, optimize=True)
-        rho_c = np.einsum("nx,xij->nij", p_x, c_stack, optimize=True)
-        i_tb = _spectra_entropy(rho_b) - (p_t * h_bt).sum(axis=1)
-        i_tc = _spectra_entropy(rho_c) - (p_t * h_ct).sum(axis=1)
-        commons[lo:hi] = np.minimum(i_tb, i_tc)
-        personals[lo:hi] = (p_t * h_bt).sum(axis=1) - p_x @ h_b_x
+        inv_p_t = (1.0 / np.where(p_t > 0, p_t, 1.0))[:, :, None]
+        holevo = []
+        for mix, entropy in kernels:
+            h_t = np.where(p_t > 0, entropy((joint.reshape(-1, n_x) @ mix).reshape(hi - lo, t_size, -1) * inv_p_t), 0.0)
+            holevo.append(((p_t * h_t).sum(axis=1), entropy(p_x @ mix)))
+        (cond_b, h_b), (cond_c, h_c) = holevo
+        commons[lo:hi] = np.minimum(h_b - cond_b, h_c - cond_c)
+        personals[lo:hi] = cond_b - p_x @ h_b_x
     commons = np.maximum(commons, 0.0)
     personals = np.maximum(personals, 0.0)
     meta = {"mode": "oracle-grid", "t_size": t_size, "mesh": mesh, "candidates": int(n)}
@@ -182,6 +193,8 @@ def cardinality_probe(w: CqBroadcastChannel, bound: int, extra: int, mesh: int,
     common rates (the extended enumeration strictly contains the base one, so
     the gain is nonnegative); ``reach_gain`` is the gain in maximal common rate.
     """
+    if extra < 1:
+        raise ValidationError("extra must be at least 1: the extended alphabet has to contain the base one")
     base = grid_cq_frontier(w, bound, mesh, max_candidates=max_candidates)
     extended = grid_cq_frontier(w, bound + extra, mesh, max_candidates=max_candidates)
     improvement = 0.0
@@ -209,6 +222,8 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
     for name, mat in (("p_y_given_x", p1), ("p_z_given_y", p2)):
         if mat.ndim != 2:
             raise ValidationError(f"{name} must be a matrix")
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"{name} has non-finite entries")
         if mat.min() < 0:
             raise ValidationError(f"{name} has negative entries")
         if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-12:
@@ -230,9 +245,9 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
         hi = min(lo + _CHUNK, n)
         joint = joints[lo:hi]
         p_t = joint.sum(axis=2)
-        p_tz = np.einsum("ntx,zx->ntz", joint, pz_x, optimize=True)
-        p_ty = np.einsum("ntx,yx->nty", joint, p1, optimize=True)
-        p_txy = np.einsum("ntx,yx->ntxy", joint, p1, optimize=True)
+        p_tz = (joint.reshape(-1, n_x) @ pz_x.T).reshape(hi - lo, t_size, nz)
+        p_ty = (joint.reshape(-1, n_x) @ p1.T).reshape(hi - lo, t_size, ny)
+        p_txy = joint[..., None] * p1.T
         h_t = _table_entropy(p_t)
         h_z = _table_entropy(p_tz.sum(axis=1))
         h_tz = _table_entropy(p_tz)

@@ -2,12 +2,14 @@
 
 Everything here is computed from scratch (bisection on binary entropy, plain
 table entropies) so test expectations never route through the package's own
-entropy code.
+entropy code.  ``rotated_pinching_cq`` is the shared non-diagonal test channel.
 """
 
 import math
 
 import numpy as np
+
+import qbroadcast as qb
 
 
 def h2(p: float) -> float:
@@ -91,3 +93,19 @@ def staircase_distance(rows, point) -> float:
             d = max(max(lo - y, y - hi, 0.0), abs(x - at))
         best = min(best, d)
     return best
+
+
+def rotated_pinching_cq():
+    """pinching-cq with every conditional conjugated by a seeded random U_B (x) U_C:
+    the same entropies, but no receiver stack is diagonal any more."""
+    w = qb.make_pinching_cq()
+    rng = np.random.default_rng(2024)
+
+    def unitary(d):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    lay = w.conditionals[w.symbols[0]].layout
+    u = np.kron(unitary(lay.dims[0]), unitary(lay.dims[1]))
+    return qb.CqBroadcastChannel({x: qb.DensityMatrix(u @ rho.matrix @ u.conj().T, lay)
+                                  for x, rho in w.conditionals.items()})

@@ -15,6 +15,8 @@ from qbroadcast.bruteforce import (
     mesh_tolerance,
 )
 
+from conftest import rotated_pinching_cq
+
 
 class TestCompositions:
     def test_count_matches_stars_and_bars(self):
@@ -103,6 +105,18 @@ class TestGridOracle:
         assert a.shape == b.shape
         assert np.abs(a - b).max() < 1e-12
 
+    @pytest.mark.parametrize("t_size,mesh", [(4, 9), (3, 12)])
+    def test_no_near_duplicate_commons(self, t_size, mesh):
+        # commons that differ only by rounding are one point, not a dominated pair
+        rows = grid_cq_frontier(qb.make_pinching_cq(), t_size, mesh).as_array()
+        assert np.diff(rows[:, 0]).min() > 1e-12
+        assert np.diff(rows[:, 1]).max() < 0.0
+
+    @pytest.mark.parametrize("r_grid", [0, -3])
+    def test_r_grid_validated(self, r_grid):
+        with pytest.raises(qb.ValidationError):
+            grid_cq_frontier(qb.make_noiseless_bit(), 2, 4, r_grid=r_grid)
+
     def test_resampled_grid(self):
         fr = grid_cq_frontier(qb.make_noiseless_bit(), 2, 6, r_grid=9)
         assert len(fr) == 9
@@ -122,6 +136,13 @@ class TestClassicalOracle:
         assert "p_y_given_x" in str(exc.value)
         with pytest.raises(qb.ValidationError):
             classical_degraded_region(self.bsc(0.1), np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 1.0]]), 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tables_rejected(self, bad):
+        with pytest.raises(qb.ValidationError, match="non-finite"):
+            classical_degraded_region(self.bsc(bad), self.bsc(0.2), 4)
+        with pytest.raises(qb.ValidationError, match="non-finite"):
+            classical_degraded_region(self.bsc(0.1), self.bsc(bad), 4)
 
     def test_default_t_size(self):
         fr = classical_degraded_region(self.bsc(0.1), self.bsc(0.2), 4)
@@ -152,12 +173,34 @@ class TestCardinalityProbe:
         assert len(rep.base) > 0 and len(rep.extended) > 0
         assert rep.extended.metadata["t_size"] == 3
 
+    @pytest.mark.parametrize("extra", [0, -1])
+    def test_extra_validated(self, extra):
+        with pytest.raises(qb.ValidationError):
+            cardinality_probe(qb.make_pinching_cq(), 2, extra, 4)
+
     def test_no_gain_past_saturation(self):
         # extra labels refine time-sharing on a finite mesh but never beat the
         # bound by more than the discretization tolerance, and never reach further
         rep = cardinality_probe(qb.make_noiseless_bit(), 2, 2, 12)
         assert rep.improvement <= 1e-3 + mesh_tolerance(12)
         assert rep.reach_gain <= 1e-12
+
+
+class TestGridKernels:
+    @pytest.mark.parametrize("make", [qb.make_pinching_cq, qb.make_noiseless_bit])
+    def test_diagonal_stacks_skip_eigvalsh(self, make, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a diagonal stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert len(grid_cq_frontier(make(), 3, 6)) > 0
+
+    def test_dense_path_matches_diagonal_path(self):
+        diag = grid_cq_frontier(qb.make_pinching_cq(), 3, 8)
+        dense = grid_cq_frontier(rotated_pinching_cq(), 3, 8)
+        assert diag.metadata["candidates"] == dense.metadata["candidates"]
+        for r in np.linspace(0.0, diag.max_common(), 21):
+            assert abs(diag.value_at(r) - dense.value_at(r)) < 1e-9
 
 
 class TestOracleIndependence:

@@ -53,6 +53,17 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "grid", "--channel", "pinching-cq", "--t-size", "2", "--mesh", "4", "--r-grid", "-3"],
+        ["oracle", "grid", "--channel", "pinching-cq", "--t-size", "2", "--mesh", "4", "--r-grid", "0"],
+        ["oracle", "classical", "--cascade", "nan,0.2", "--mesh", "4"],
+        ["oracle", "classical", "--cascade", "0.1,inf", "--mesh", "4"],
+        ["oracle", "cardinality", "--channel", "pinching-cq", "--bound", "2", "--extra", "-1", "--mesh", "4"],
+    ], ids=["r-grid-negative", "r-grid-0", "cascade-nan", "cascade-inf", "extra-negative"])
+    def test_bad_oracle_settings(self, argv, capsys):
+        assert run(argv) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
+
     def test_budget_error(self, capsys):
         assert run(["oracle", "grid", "--channel", "pinching-cq",
                     "--t-size", "6", "--mesh", "24"]) == 3

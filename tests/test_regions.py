@@ -5,7 +5,7 @@ import qbroadcast as qb
 from qbroadcast.optimize import OptimizerConfig, central_differences, seeded_rng
 from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness
 
-from conftest import h2, spectrum_entropy
+from conftest import h2, rotated_pinching_cq, spectrum_entropy
 
 
 def small_cfg(**kw):
@@ -122,22 +122,6 @@ class TestWitnessDualRoute:
             c, p = evaluate_witness("cq", w, params)
             assert abs(c - common_dual) < 1e-9
             assert abs(p - personal_dual) < 1e-9
-
-
-def rotated_pinching_cq():
-    """pinching-cq with every conditional conjugated by a seeded random U_B (x) U_C:
-    the same entropies, but no receiver stack is diagonal any more."""
-    w = qb.make_pinching_cq()
-    rng = np.random.default_rng(2024)
-
-    def unitary(d):
-        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    lay = w.conditionals[w.symbols[0]].layout
-    u = np.kron(unitary(lay.dims[0]), unitary(lay.dims[1]))
-    return qb.CqBroadcastChannel({x: qb.DensityMatrix(u @ rho.matrix @ u.conj().T, lay)
-                                  for x, rho in w.conditionals.items()})
 
 
 class TestEntropyKernels:
