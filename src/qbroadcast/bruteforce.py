@@ -21,7 +21,7 @@ from .errors import BudgetError, ValidationError
 from .regions import Frontier, RatePoint
 
 MAX_CANDIDATES = 2_000_000
-_CHUNK = 65536
+_CHUNK = 8192  # candidates per evaluation block: larger blocks only raise peak memory
 _CLAMP = 1e-12
 
 

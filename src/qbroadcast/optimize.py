@@ -3,9 +3,11 @@
 Each iteration asks the caller's gradient function for the ascent direction of
 every active restart in one call, then pushes all restarts' line-search trials
 through the objective as a second batched call, so objectives can vectorize
-their linear algebra across candidates.  Every caller passes an exact gradient;
-``central_differences`` turns a value function into a finite-difference
-gradient function and is used only by the tests, as the reference gradient.
+their linear algebra across candidates.  Every caller passes an exact gradient,
+or an ascent direction built from one (the frontier sweep's mirror direction
+for distributions); ``central_differences`` turns a value function into a
+finite-difference gradient function and is used only by the tests, as the
+reference gradient.
 """
 
 from __future__ import annotations

@@ -9,8 +9,12 @@ mode names a channel family (receiver stacks, payload kind, the payload-to-
 receiver-states map and the personal-rate term), the receivers that bind the
 common rate, and its rate labels.  A penalty sweep over a grid of common-rate
 targets traces the upper boundary and stores the achieving parameters as a
-re-evaluatable witness.  Closed-form and entropy-oracle evaluators for the
-small worked cases live at the bottom.
+re-evaluatable witness.  Each optimizer stage follows the payload kind's
+``direction``: the conditional kind (cq and dephasing families) divides each
+softmax block of the exact gradient by its probabilities, the mirror direction
+s_i - <p, s> that still moves at the simplex boundary where their optima sit;
+the pure-state kind follows the exact gradient.  Closed-form and entropy-oracle
+evaluators for the small worked cases live at the bottom.
 
 The evaluator picks its entropy kernel once, at setup.  The cq and dephasing
 families mix fixed per-symbol stacks; when every stack is exactly diagonal
@@ -180,6 +184,7 @@ class _Family(NamedTuple):
     #                          ({receiver: d/d rho}, direct d/d payload)
     decode: Callable  # raw (m, t, payload length) -> payload batch
     decode_grad: Callable  # (raw, payload, d/d payload) -> d/d raw
+    direction: Callable  # (evaluator, thetas, exact gradient) -> the ascent direction ``_sweep`` follows
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
     structured_rows: int  # cold-start restarts that get a structured row (1 unless it depends on the rng)
     init_scale: float  # standard deviation of the seeded random init rows
@@ -303,6 +308,16 @@ class _LabelEnsembleEvaluator:
         return float(c[0]), float(p[0])
 
 
+def _mirror_direction(ev, thetas: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """s_i - <p, s> per softmax block: the logit gradient p_i (s_i - <p, s>) over p_i, 0 where p_i == 0.
+
+    This mirror (exponentiated-gradient) direction keeps moving at the simplex boundary, where the cq
+    and dephasing optima sit; its inner product with the logit gradient is Var_p(s) >= 0."""
+    p_t, cond = ev.decode(thetas)
+    p = np.concatenate([p_t, cond.reshape(len(thetas), -1)], axis=1)
+    return np.divide(grad, p, out=np.zeros_like(grad), where=p > 0)
+
+
 def _conditional_structured(ev, rng) -> np.ndarray:
     rows = np.zeros((ev.t_size, ev.payload_len))
     rows[np.arange(ev.t_size), np.arange(ev.t_size) % ev.payload_len] = 8.0
@@ -313,6 +328,7 @@ def _conditional_structured(ev, rng) -> np.ndarray:
 _CONDITIONAL = dict(
     decode=lambda raw: softmax(raw, axis=-1),
     decode_grad=lambda raw, cond, g: softmax_grad(cond, g),
+    direction=_mirror_direction,
     structured=_conditional_structured,
     structured_rows=1,
     init_scale=2.0,
@@ -359,6 +375,7 @@ def _pure_load(value) -> np.ndarray:
 _PURE = dict(
     decode=_pure_decode,
     decode_grad=_pure_decode_grad,
+    direction=lambda ev, thetas, grad: grad,  # rescaling p(t) here measured worse
     structured=_pure_structured,
     structured_rows=2,  # each draws its own perturbation
     init_scale=1.0,
@@ -519,16 +536,28 @@ _MODES = {
 
 
 def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None) -> Frontier:
+    work = {"iterations": 0, "stages": 0, "stages_converged": 0}
+
+    def ascend(value_fn, grad_fn, thetas):
+        """One ``maximize_batch`` stage along the family's direction, counted in ``work``."""
+        thetas, vals, info = maximize_batch(value_fn, lambda th: ev.family.direction(ev, th, grad_fn(th)),
+                                            thetas, cfg)
+        work["iterations"] += info["iterations"]
+        work["stages"] += 1
+        work["stages_converged"] += info["converged"]
+        return thetas, vals, info
+
     inits = ev.inits(cfg.restarts, (cfg.seed, 0xC0FFEE), warm=None)
-    _, common_vals, _ = maximize_batch(lambda th: ev.batch_rates(th)[0], lambda th: ev.rates_grad(th)[2],
-                                       inits, cfg)
+    r_max_thetas, common_vals, _ = ascend(lambda th: ev.batch_rates(th)[0], lambda th: ev.rates_grad(th)[2], inits)
     r_max = max(float(common_vals.max()), 0.0)
     if r_values is None:
         r_values = np.linspace(0.0, r_max, cfg.r_grid)
     else:
         r_values = np.asarray(r_values, dtype=float)
     rows = []
-    warm = None
+    # a first target above zero starts from the r_max optimum, which meets it when it is
+    # reachable at all; at zero the constraint is vacuous and the start is cold
+    warm = r_max_thetas[int(np.argmax(common_vals))] if len(r_values) and r_values[0] > 0 else None
     for pi, r_target in enumerate(r_values):
         thetas = ev.inits(cfg.restarts, (cfg.seed, pi), warm)
         vals, info = None, {"converged": False}
@@ -541,7 +570,7 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
             def gradient(th, mu=mu, r=r_target):
                 c, _, d_c, d_p = ev.rates_grad(th)
                 return d_p + (2.0 * mu * np.maximum(0.0, r - c))[:, None] * d_c
-            thetas, vals, info = maximize_batch(objective, gradient, thetas, cfg)
+            thetas, vals, info = ascend(objective, gradient, thetas)
         best = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
         theta = thetas[best]
         c_arr, p_arr = ev.batch_rates(theta[None])
@@ -569,6 +598,7 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
         "restarts": cfg.restarts,
         "grid": int(len(r_values)),
         "r_max": r_max,
+        **work,
     }
     return Frontier(_pareto_cleanup(rows), meta)
 

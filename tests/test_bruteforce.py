@@ -203,6 +203,33 @@ class TestGridKernels:
             assert abs(diag.value_at(r) - dense.value_at(r)) < 1e-9
 
 
+class TestChunking:
+    CASES = [
+        ("grid-diagonal", lambda: grid_cq_frontier(qb.make_pinching_cq(), 3, 8)),
+        ("grid-dense", lambda: grid_cq_frontier(rotated_pinching_cq(), 2, 6)),
+        ("classical", lambda: classical_degraded_region(np.array([[0.9, 0.1], [0.1, 0.9]]),
+                                                        np.array([[0.8, 0.2], [0.2, 0.8]]), 12, t_size=3)),
+    ]
+
+    @pytest.mark.parametrize("run", [run for _, run in CASES], ids=[name for name, _ in CASES])
+    def test_chunk_size_does_not_change_any_candidate(self, run, monkeypatch):
+        # every candidate's (common, personal) is bit-identical whether the rows go through in one chunk or many
+        seen = []
+        pareto = qb.bruteforce._pareto_points
+
+        def spy(commons, personals, *rest):
+            seen.append((commons.copy(), personals.copy()))
+            return pareto(commons, personals, *rest)
+
+        monkeypatch.setattr(qb.bruteforce, "_pareto_points", spy)
+        for chunk in (qb.bruteforce.MAX_CANDIDATES, 7):
+            monkeypatch.setattr(qb.bruteforce, "_CHUNK", chunk)
+            run()
+        (c_one, p_one), (c_many, p_many) = seen
+        assert c_one.size > 7
+        assert np.array_equal(c_one, c_many) and np.array_equal(p_one, p_many)
+
+
 class TestOracleIndependence:
     def test_no_engine_entropy_code(self):
         # the oracles check the engine, so they must compute entropies with their own code

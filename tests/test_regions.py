@@ -5,7 +5,7 @@ import qbroadcast as qb
 from qbroadcast.optimize import OptimizerConfig, central_differences, seeded_rng
 from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness
 
-from conftest import h2, rotated_pinching_cq, spectrum_entropy
+from conftest import h2, pinching_cq_truth, pinching_truth, rotated_pinching_cq, spectrum_entropy
 
 
 def small_cfg(**kw):
@@ -186,6 +186,55 @@ class TestRateGradients:
             ref = central_differences(lambda th: ev.batch_rates(th)[pick])(thetas)
             assert np.abs(ref).max() > 1e-3  # the check is not vacuous
             assert np.abs(got - ref).max() <= 1e-6
+
+
+class TestAscentDirection:
+    @pytest.mark.parametrize("mode,make", [("cq", qb.make_pinching_cq), ("cq-certified", qb.make_pinching_cq),
+                                           ("dephasing", qb.make_pinching), ("qq-dephasing", qb.make_pinching)])
+    def test_conditional_direction_is_centred_and_ascends(self, mode, make):
+        ev = build_evaluator(mode, make(), t_size=3)
+        thetas = 3.0 * seeded_rng(13).standard_normal((5, ev.n_params))
+        thetas[0, 0] = thetas[0, ev.t_size] = -800.0  # p(t=0) and p(x=0|t=0) underflow to exactly 0
+        p_t, cond = ev.decode(thetas)
+        probs = np.concatenate([p_t, cond.reshape(len(thetas), -1)], axis=1)
+        assert probs[0, 0] == 0.0 and probs[0, ev.t_size] == 0.0
+        _, _, d_common, d_personal = ev.rates_grad(thetas)
+        for grad in (d_common, d_personal):
+            with np.errstate(divide="raise", invalid="raise"):
+                direction = ev.family.direction(ev, thetas, grad)
+            assert direction[0, 0] == 0.0 and direction[0, ev.t_size] == 0.0
+            # s_i - <p, s> per softmax block: it times p is the logit gradient, its p-weighted mean is 0
+            assert np.abs(probs * direction - grad).max() <= 1e-12
+            blocks = [(p_t, direction[:, :ev.t_size])] + [
+                (cond[:, t], direction[:, ev.t_size:].reshape(cond.shape)[:, t]) for t in range(ev.t_size)]
+            for p, d in blocks:
+                assert np.abs((p * d).sum(axis=1)).max() <= 1e-12
+            # its inner product with the logit gradient is Var_p(s) >= 0
+            assert ((direction * grad).sum(axis=1) >= 0.0).all()
+            assert (direction * grad).sum() > 1e-3
+
+    @pytest.mark.parametrize("mode", ["cq-eg", "qq"])
+    def test_pure_direction_is_the_gradient(self, mode):
+        ev = build_evaluator(mode, qb.make_pinching(), t_size=2)
+        thetas = seeded_rng(13).standard_normal((3, ev.n_params))
+        grad = ev.rates_grad(thetas)[3]
+        assert np.array_equal(ev.family.direction(ev, thetas, grad), grad)
+
+
+class TestBoundaryOptima:
+    # the cq and dephasing optima are deterministic p(x|t); at the sweep-cq size the whole
+    # frontier reaches its closed form well inside the 7 x 300 iteration budget
+    @pytest.mark.parametrize("front,make,truth", [(qb.cq_broadcast_frontier, qb.make_pinching_cq, pinching_cq_truth),
+                                                   (qb.dephasing_cq_frontier, qb.make_pinching, pinching_truth)],
+                             ids=["cq", "dephasing"])
+    def test_frontier_reaches_closed_form(self, front, make, truth):
+        fr = front(make(), cfg=OptimizerConfig(restarts=4, r_grid=2, seed=1001))
+        assert abs(fr.metadata["r_max"] - 1.0) <= 1e-9
+        for pt in fr.points:
+            assert abs(pt.personal_rate - truth(pt.common_rate)) <= 1e-6
+        assert fr.metadata["stages"] == 7
+        assert fr.metadata["iterations"] < 7 * 300
+        assert 0 <= fr.metadata["stages_converged"] <= 7
 
 
 class TestCertification:
