@@ -5,8 +5,10 @@ with the engine: the cq oracle picks each receiver's kernel once (Shannon entrop
 of the diagonals of an exactly diagonal stack, else spectra), the classical one uses
 probability tables, and mixtures are 2-D matrix products, never ``einsum``.  Joints
 p(t, x) are the compositions of the mesh over t_size * |X| cells, a numpy table built
-bottom-up one leading column at a time, rows in lexicographic order.  The Pareto pass
-keeps only running-maximum records and merges commons that agree to 12 decimals.
+bottom-up one leading column at a time, rows in lexicographic order.  The Pareto pass is
+``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a
+sweep keep points by the same rule; it is the only thing taken from ``regions`` besides
+the ``Frontier`` and ``RatePoint`` containers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .channels import CqBroadcastChannel
 from .errors import BudgetError, ValidationError
-from .regions import Frontier, RatePoint
+from .regions import Frontier, RatePoint, pareto_staircase
 
 MAX_CANDIDATES = 2_000_000
 _CHUNK = 8192  # candidates per evaluation block: larger blocks only raise peak memory
@@ -101,36 +103,15 @@ def _receiver_kernel(stack: np.ndarray):
 
 def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarray,
                    meta: dict, r_grid: int | None) -> Frontier:
-    order = np.lexsort((-personals, -commons))
-    # only a strict running-maximum record can pass the loop's test, so drop the rest first
-    vals = personals[order]
-    records = order[vals > np.maximum.accumulate(np.concatenate(([-np.inf], vals)))[:-1]]
-    ties = np.round(commons, 12)  # commons within rounding are one point: the later, higher record wins
-    kept = []
-    run = -np.inf
-    for i in records:
-        if personals[i] > run + 1e-12:
-            if kept and ties[kept[-1]] == ties[i]:
-                kept.pop()
-            kept.append(i)
-            run = personals[i]
-    kept.reverse()  # commons ascending
-    points = [
-        RatePoint(float(commons[i]), float(personals[i]), {"joint": joints[i].tolist()})
-        for i in kept
-    ]
-    frontier = Frontier(points, meta)
-    if r_grid is not None:
-        rs = np.linspace(0.0, frontier.max_common(), int(r_grid))
-        resampled = []
-        for r in rs:
-            hit = next((pt for pt in points if pt.common_rate >= r - 1e-12), None)
-            if hit is None:
-                resampled.append(RatePoint(float(r), 0.0, {}))
-            else:
-                resampled.append(RatePoint(float(r), hit.personal_rate, dict(hit.witness, r_target=float(r))))
-        frontier = Frontier(resampled, dict(meta, resampled=True))
-    return frontier
+    """The shared Pareto staircase of the candidates, resampled at ``r_grid`` even commons when given."""
+    frontier = Frontier(pareto_staircase(commons, personals, lambda i: {"joint": joints[i].tolist()}), meta)
+    if r_grid is None:
+        return frontier
+    resampled = []
+    for r in np.linspace(0.0, frontier.max_common(), int(r_grid)):
+        hit = frontier.point_at(r, slack=1e-12)  # a staircase always holds a point at max_common()
+        resampled.append(RatePoint(float(r), hit.personal_rate, dict(hit.witness, r_target=float(r))))
+    return Frontier(resampled, dict(meta, resampled=True))
 
 
 def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int | None = None,

@@ -2,15 +2,18 @@
 
 A broadcast channel is a CPTP map from one input to a two-receiver output
 B (x) C; marginals, complementary channels, and generalized dephasing
-constructors are derived from the Kraus representation.  The degrading-map
-search at the bottom certifies (numerically) whether one receiver's marginal
-can be post-processed into the other's.  It tries, in order: identity, the
-dephasing basis, then least squares and an optimized measure-prepare fit for
-commuting B probes, or a linear fit and a QR-retraction fit for non-commuting.
+constructors are derived from the Kraus representation.  Every k-use channel
+(Kraus stacks, cq conditionals, dephasing images) comes from one grouped
+Kronecker power, ``_kron_power``.  The degrading-map search at the bottom
+certifies (numerically) whether one receiver's marginal can be post-processed
+into the other's.  It tries, in order: identity, the dephasing basis, then
+least squares and an optimized measure-prepare fit for commuting B probes, or a
+linear fit and a QR-retraction fit for non-commuting.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
@@ -31,6 +34,22 @@ from .states import (
 KRAUS_TOL = 1e-9
 COMMUTE_TOL = 1e-9
 CERTIFY_THRESHOLD = 1e-6
+
+
+def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:
+    """k-fold grouped Kronecker power of a stack (n, d_1, ..., d_r).
+
+    Row (i_1 ... i_k), i_1 most significant, is stack[i_1] (x) ... (x) stack[i_k]
+    with each axis d_j merged across the factors into d_j ** k.
+    """
+    if k < 1:
+        raise ValidationError(f"tensor power needs k >= 1, got {k}")
+    left, right = "abcdefgh"[:stack.ndim - 1], "ijklmnop"[:stack.ndim - 1]
+    spec = f"y{left},z{right}->yz" + "".join(a + b for a, b in zip(left, right))
+    out = stack
+    for _ in range(k - 1):
+        out = np.einsum(spec, out, stack, optimize=True).reshape(-1, *np.multiply(out.shape[1:], stack.shape[1:]))
+    return out
 
 
 class KrausChannel:
@@ -238,27 +257,14 @@ class BroadcastChannel(KrausChannel):
         return self.marginal(self.b_label), self.marginal(self.c_label)
 
     def tensor_power(self, k: int) -> "BroadcastChannel":
-        """k parallel uses, with the B factors and C factors each merged."""
-        if k < 1:
-            raise ValidationError(f"tensor power needs k >= 1, got {k}")
+        """k parallel uses: ``_kron_power`` of the (n, d_B, d_C, d_in) Kraus stack, B and C factors each merged."""
         if k == 1:
             return self
         db, dc = self.out_layout.dims
-        acc_ops = [op.reshape(db, dc, self.in_dim) for op in self.ops]
-        acc_b, acc_c, acc_in = db, dc, self.in_dim
-        for _ in range(k - 1):
-            nxt = []
-            for a in acc_ops:
-                for op in self.ops:
-                    b = op.reshape(db, dc, self.in_dim)
-                    # kron on each of the three indices, keeping (B..., C..., in) grouping
-                    prod = np.einsum("xyi,uvj->xuyvij", a, b, optimize=True)
-                    nxt.append(prod.reshape(acc_b * db, acc_c * dc, acc_in * self.in_dim))
-            acc_ops = nxt
-            acc_b, acc_c, acc_in = acc_b * db, acc_c * dc, acc_in * self.in_dim
-        out = SystemLayout(((self.b_label, acc_b), (self.c_label, acc_c)))
+        ops = _kron_power(np.stack(self.ops).reshape(-1, db, dc, self.in_dim), k)
+        out = SystemLayout(((self.b_label, db ** k), (self.c_label, dc ** k)))
         spec = self.dephasing.tensor_power(k) if self.dephasing is not None else None
-        return BroadcastChannel([op.reshape(acc_b * acc_c, acc_in) for op in acc_ops], out, dephasing=spec, validate=False)
+        return BroadcastChannel(list(ops.reshape(len(ops), -1, self.in_dim ** k)), out, dephasing=spec, validate=False)
 
 
 class CqBroadcastChannel:
@@ -318,25 +324,14 @@ class CqBroadcastChannel:
         return _all_commute(self.marginal_conditionals(self.b_label), tol)
 
     def tensor_power(self, k: int) -> "CqBroadcastChannel":
-        """k parallel uses: tuple symbols, B factors and C factors each merged."""
-        if k < 1:
-            raise ValidationError(f"tensor power needs k >= 1, got {k}")
+        """k parallel uses: tuple symbols and ``_kron_power`` of the (x, d_B, d_C, d_B, d_C) conditionals."""
         if k == 1:
             return self
-        from .states import tensor_product
-
-        base = {(x,): rho for x, rho in self.conditionals.items()}
-        bl, cl = self.b_label, self.c_label
-        for _ in range(k - 1):
-            nxt = {}
-            for xs, acc in base.items():
-                a = DensityMatrix(acc.matrix, SystemLayout((("b0", acc.layout.dims[0]), ("c0", acc.layout.dims[1]))), validate=False)
-                for x, rho in self.conditionals.items():
-                    b = DensityMatrix(rho.matrix, SystemLayout((("b1", rho.layout.dims[0]), ("c1", rho.layout.dims[1]))), validate=False)
-                    prod = tensor_product(a, b).merge_labels([(bl, ["b0", "b1"]), (cl, ["c0", "c1"])])
-                    nxt[xs + (x,)] = prod
-            base = nxt
-        return CqBroadcastChannel(base, validate=False)
+        db, dc = self.out_layout.dims
+        mats = _kron_power(np.stack([self.conditionals[x].matrix for x in self.symbols]).reshape(-1, db, dc, db, dc), k)
+        lay = SystemLayout(((self.b_label, db ** k), (self.c_label, dc ** k)))
+        return CqBroadcastChannel({xs: DensityMatrix(m.reshape(lay.dim, lay.dim), lay, validate=False)
+                                   for xs, m in zip(itertools.product(self.symbols, repeat=k), mats)}, validate=False)
 
     def __repr__(self):
         b, c = self.out_layout.dims
@@ -383,17 +378,9 @@ class DephasingSpec:
         return np.einsum("xce,xde->xcd", vecs, vecs.conj())
 
     def tensor_power(self, k: int) -> "DephasingSpec":
-        if k < 1:
-            raise ValidationError(f"tensor power needs k >= 1, got {k}")
-        out = self
-        for _ in range(k - 1):
-            n, c0, e0 = out.n_in, out.c_dim, out.e_dim
-            a = out.images.reshape(n, c0, e0)
-            b = self.images.reshape(self.n_in, self.c_dim, self.e_dim)
-            prod = np.einsum("xce,ydf->xycdef", a, b, optimize=True)
-            c1, e1 = c0 * self.c_dim, e0 * self.e_dim
-            out = DephasingSpec(c1, e1, prod.reshape(n * self.n_in, c1 * e1))
-        return out
+        """k parallel uses: ``_kron_power`` of the (n, c, e) images, C and E factors each merged."""
+        images = _kron_power(self.images.reshape(self.n_in, self.c_dim, self.e_dim), k)
+        return DephasingSpec(self.c_dim ** k, self.e_dim ** k, images.reshape(len(images), -1))
 
 
 def make_generalized_dephasing(spec: DephasingSpec, b_label: str = "B", c_label: str = "C") -> BroadcastChannel:

@@ -233,6 +233,8 @@ def _cmd_pinching_boundary(args) -> int:
 def _recompute_entry(mode: str, channel, k: int, entry: dict) -> tuple[float, float]:
     if "params" in entry:
         params = entry["params"]
+        if not isinstance(params, dict):
+            raise ValidationError(f"{entry.get('witness_id', '?')}: params must be an object")
     elif "joint" in entry:
         if channel is None:
             raise ValidationError(f"{entry.get('witness_id', '?')}: grid witness without a channel document")
@@ -257,8 +259,11 @@ def _cmd_verify(args) -> int:
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValidationError(f"witness: k must be an integer, got {k!r}")
     channel = parse_channel_spec(doc["channel"]) if doc.get("channel") else None
+    points = doc.get("points", [])
+    if not isinstance(points, list) or not all(isinstance(entry, dict) for entry in points):
+        raise ValidationError("witness: points must be a list of objects")
     failures = 0
-    for entry in doc.get("points", []):
+    for entry in points:
         wid = entry.get("witness_id", "?")
         try:
             stored_c, stored_p = float(entry["common_rate"]), float(entry["personal_rate"])
@@ -280,7 +285,7 @@ def _cmd_verify(args) -> int:
             )
     if failures:
         raise ValidationError(f"{failures} witness rows failed re-evaluation beyond {args.tol}")
-    sys.stdout.write(f"verified {len(doc.get('points', []))} rows\n")
+    sys.stdout.write(f"verified {len(points)} rows\n")
     return 0
 
 

@@ -9,12 +9,14 @@ mode names a channel family (receiver stacks, payload kind, the payload-to-
 receiver-states map and the personal-rate term), the receivers that bind the
 common rate, and its rate labels.  A penalty sweep over a grid of common-rate
 targets traces the upper boundary and stores the achieving parameters as a
-re-evaluatable witness.  Each optimizer stage follows the payload kind's
-``direction``: the conditional kind (cq and dephasing families) divides each
-softmax block of the exact gradient by its probabilities, the mirror direction
-s_i - <p, s> that still moves at the simplex boundary where their optima sit;
-the pure-state kind follows the exact gradient.  Closed-form and entropy-oracle
-evaluators for the small worked cases live at the bottom.
+re-evaluatable witness; its rows, like the exhaustive oracles' candidates, become
+a frontier through the one ``pareto_staircase``.  Each optimizer stage follows
+the payload kind's ``direction``: the conditional kind (cq and dephasing
+families) divides each softmax block of the exact gradient by its
+probabilities, the mirror direction s_i - <p, s> that still moves at the
+simplex boundary where their optima sit; the pure-state kind follows the exact
+gradient.  Closed-form and entropy-oracle evaluators for the small worked cases
+live at the bottom.
 
 The evaluator picks its entropy kernel once, at setup.  The cq and dephasing
 families mix fixed per-symbol stacks; when every stack is exactly diagonal
@@ -54,17 +56,19 @@ class RatePoint:
 
 @dataclass
 class Frontier:
-    """Pareto-ordered rate points: common strictly increasing, personal non-increasing."""
+    """Pareto-ordered rate points: common strictly increasing, personal strictly falling."""
 
     points: list
     metadata: dict = field(default_factory=dict)
 
+    def point_at(self, common: float, slack: float = 1e-9) -> RatePoint | None:
+        """First point at or beyond the given common rate, the best personal rate there."""
+        return next((pt for pt in self.points if pt.common_rate >= common - slack), None)
+
     def value_at(self, common: float, slack: float = 1e-9) -> float:
         """Largest personal rate the frontier certifies at the given common rate."""
-        for pt in self.points:
-            if pt.common_rate >= common - slack:
-                return pt.personal_rate
-        return 0.0
+        pt = self.point_at(common, slack)
+        return 0.0 if pt is None else pt.personal_rate
 
     def max_common(self) -> float:
         return max((pt.common_rate for pt in self.points), default=0.0)
@@ -134,20 +138,28 @@ def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (like.ndim - v.ndim))
 
 
-def _pareto_cleanup(rows) -> list:
-    best = {}
-    for c, p, w in rows:
-        key = round(c, 12)
-        if key not in best or p > best[key][1]:
-            best[key] = (c, p, w)
-    pts = sorted(best.values(), key=lambda t: t[0])
+def pareto_staircase(commons: np.ndarray, personals: np.ndarray, witness: Callable) -> list:
+    """The Pareto staircase of (common, personal) rows as ``RatePoint``s, commons ascending.
+
+    Rows are scanned from the highest common down, best personal first; a row is kept
+    only when its personal rate beats the last kept one by more than 1e-12, and it
+    replaces that one when their commons agree to 12 decimals.  ``witness(i)`` is the
+    witness of row ``i``.  Sweeps and the exhaustive oracles both end here.
+    """
+    order = np.lexsort((-personals, -commons))
+    # only a strict running-maximum record can pass the loop's test, so drop the rest first
+    vals = personals[order]
+    records = order[vals > np.maximum.accumulate(np.concatenate(([-np.inf], vals)))[:-1]]
+    ties = np.round(commons, 12)
     kept = []
     run = -np.inf
-    for c, p, w in reversed(pts):
-        if p > run + 1e-12:
-            kept.append(RatePoint(c, p, w))
-            run = p
-    return list(reversed(kept))
+    for i in records:
+        if personals[i] > run + 1e-12:
+            if kept and ties[kept[-1]] == ties[i]:
+                kept.pop()
+            kept.append(i)
+            run = personals[i]
+    return [RatePoint(float(commons[i]), float(personals[i]), witness(i)) for i in reversed(kept)]
 
 
 PENALTY_SCALES = (1e2, 1e4, 1e6)  # increasing penalty schedule that enforces the common-rate target
@@ -600,7 +612,8 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
         "r_max": r_max,
         **work,
     }
-    return Frontier(_pareto_cleanup(rows), meta)
+    return Frontier(pareto_staircase(np.array([row[0] for row in rows]), np.array([row[1] for row in rows]),
+                                     lambda i: rows[i][2]), meta)
 
 
 def _frontier(mode: str, channel, k: int, cfg: OptimizerConfig | None, r_values, t_size,

@@ -52,6 +52,8 @@ def complex_from_json(data, field: str) -> np.ndarray:
         raise ValidationError(f"{field}: not a numeric array ({exc})") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError(f"{field}: complex entries must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{field}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -107,6 +109,8 @@ def parse_channel_spec(source) -> CqBroadcastChannel | BroadcastChannel:
         for sym, data in zip(symbols, mats):
             key = sym if isinstance(sym, (int, str)) else str(sym)
             field = f"conditionals[{key}]"
+            if key in conditionals:
+                raise ValidationError(f"symbols: duplicate symbol {key!r}")
             mat = complex_from_json(data, field)
             if mat.shape != (b_dim * c_dim, b_dim * c_dim):
                 raise ValidationError(f"{field}: expected shape {(b_dim * c_dim,) * 2}, got {mat.shape}")

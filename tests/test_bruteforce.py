@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 
@@ -237,3 +238,15 @@ class TestOracleIndependence:
         for name in ("entropy_of_spectrum", "entropy_slope", "von_neumann_entropy", "batched_entropy",
                      "ENTROPY_CLAMP"):
             assert name not in source, name
+
+    def test_imports_only_the_shared_pareto_rule(self):
+        # sharing the staircase with the sweeps must not open a route for engine entropy code
+        imported = {}
+        for node in ast.walk(ast.parse(inspect.getsource(qb.bruteforce))):
+            if isinstance(node, ast.ImportFrom):
+                imported.setdefault((node.module or "").split(".")[-1], set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update({a.name.split(".")[-1]: {"*"} for a in node.names})
+        assert imported["regions"] == {"Frontier", "RatePoint", "pareto_staircase"}
+        assert "states" not in imported
+        assert not any(names & {"regions", "states"} for names in imported.values())

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,65 @@ class TestCqChannels:
         for x in range(2):
             assert np.abs(b_mats[x] - np.diag(p1[:, x])).max() < 1e-12
             assert np.abs(c_mats[x] - np.diag(pz_x[:, x])).max() < 1e-12
+
+
+def regroup(m, dims, k):
+    """Rows of ``m`` laid out factor by factor over ``dims``, reordered axis by axis across the factors."""
+    r = len(dims)
+    perm = [f * r + j for j in range(r) for f in range(k)] + [r * k]
+    return m.reshape(*(tuple(dims) * k), -1).transpose(perm).reshape(m.shape)
+
+
+def random_unit_rows(rng, n, d):
+    rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestTensorPower:
+    """Every kind's k-use channel against a plain np.kron loop over symbol tuples, with B and C regrouped here."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_kraus_matches_kron_loop(self, k):
+        rng = np.random.default_rng(40 + k)
+        db, dc, d_in = 2, 3, 2
+        ops = random_channel(rng, d_in, db * dc, 2)
+        sq = qb.BroadcastChannel(ops, qb.layout(("B", db), ("C", dc))).tensor_power(k)
+        assert sq.out_layout.parts == (("B", db ** k), ("C", dc ** k)) and sq.in_dim == d_in ** k
+        expect = [regroup(functools.reduce(np.kron, (ops[i] for i in idx)), (db, dc), k)
+                  for idx in itertools.product(range(len(ops)), repeat=k)]
+        assert len(sq.ops) == len(expect)
+        assert max(np.abs(a - b).max() for a, b in zip(sq.ops, expect)) <= 1e-15
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cq_matches_kron_loop(self, k):
+        rng = np.random.default_rng(50 + k)
+        db, dc = 2, 2
+        lay = qb.layout(("B", db), ("C", dc))
+        mats = {x: qb.random_density_matrix(lay, rng).matrix for x in ("a", "b", "c")}
+        sq = qb.CqBroadcastChannel({x: qb.DensityMatrix(m, lay) for x, m in mats.items()}).tensor_power(k)
+        assert sq.symbols == list(itertools.product("abc", repeat=k))
+        assert sq.out_layout.parts == (("B", db ** k), ("C", dc ** k))
+        for xs in sq.symbols:
+            kron = functools.reduce(np.kron, (mats[x] for x in xs))
+            expect = regroup(regroup(kron, (db, dc), k).T, (db, dc), k).T
+            assert np.abs(sq.conditionals[xs].matrix - expect).max() <= 1e-15
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dephasing_matches_kron_loop(self, k):
+        rng = np.random.default_rng(60 + k)
+        c, e = 2, 2
+        images = random_unit_rows(rng, 3, c * e)
+        sq = qb.DephasingSpec(c, e, images).tensor_power(k)
+        assert (sq.c_dim, sq.e_dim) == (c ** k, e ** k)
+        expect = np.stack([regroup(functools.reduce(np.kron, (images[i] for i in idx))[:, None], (c, e), k)[:, 0]
+                           for idx in itertools.product(range(3), repeat=k)])
+        assert np.abs(sq.images - expect).max() <= 1e-15
+
+    def test_zero_uses_rejected(self):
+        rng = np.random.default_rng(70)
+        for item in (qb.make_pinching(), qb.make_pinching_cq(), qb.DephasingSpec(2, 2, random_unit_rows(rng, 3, 4))):
+            with pytest.raises(qb.ValidationError):
+                item.tensor_power(0)
 
 
 class TestDegradedness:

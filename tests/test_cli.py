@@ -162,7 +162,8 @@ class TestRegionCommand:
     @pytest.mark.parametrize("params", [
         {"p_t": [1.0]},
         {"p_t": [1.0], "p_x_given_t": [[0.5, 0.25, 0.25]]},
-    ], ids=["missing-payload", "wrong-row-length"])
+        5,
+    ], ids=["missing-payload", "wrong-row-length", "not-an-object"])
     def test_verify_rejects_malformed_params(self, tmp_path, capsys, params):
         bad = tmp_path / "w.json"
         point = {"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 0.0, "params": params}
@@ -171,6 +172,61 @@ class TestRegionCommand:
                                    "points": [point]}))
         assert run(["verify", "--witness", str(bad)]) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [[1], {"a": 1}], ids=["point-not-object", "points-not-list"])
+    def test_verify_rejects_malformed_points(self, tmp_path, capsys, points):
+        bad = tmp_path / "w.json"
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
+                                   "channel": qb.serialize_channel(qb.make_noiseless_bit()), "points": points}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert "ERR_VALIDATE" in capsys.readouterr().err
+
+
+def _kraus_doc():
+    e = np.eye(4)
+    return qb.serialize_channel(qb.BroadcastChannel([np.outer(e[0], e[0, :2]), np.outer(e[3], e[1, :2])],
+                                                    qb.layout(("B", 2), ("C", 2))))
+
+
+def _isometry_doc():
+    v = np.zeros((4, 2))
+    v[0, 0] = v[3, 1] = 1.0
+    return qb.serialize_channel(qb.BroadcastChannel([v], qb.layout(("B", 2), ("C", 2))))
+
+
+def _poison(doc, field, value):
+    """The document with the real part of its first complex entry in ``field`` set to ``value``."""
+    entry = doc[field]
+    while isinstance(entry[0], list):
+        entry = entry[0]
+    entry[0] = value
+    return doc
+
+
+# (document kind, command taking the document, document factory, field holding complex entries)
+NON_FINITE = [
+    ("cq", "channel", lambda: qb.serialize_channel(qb.make_noiseless_bit()), "conditionals"),
+    ("kraus", "channel", _kraus_doc, "ops"),
+    ("isometry", "channel", _isometry_doc, "matrix"),
+    ("dephasing", "channel", lambda: qb.serialize_channel(qb.make_pinching()), "images"),
+    ("density", "state", lambda: qb.serialize_state(qb.DensityMatrix(np.eye(2) / 2, qb.layout(("A", 2)))), "matrix"),
+    ("pure", "state", lambda: {"kind": "pure", "layout": [["A", 2]], "vector": [[1.0, 0.0], [0.0, 0.0]]}, "vector"),
+]
+
+
+class TestDocumentValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("kind,takes,make,field", NON_FINITE, ids=[n[0] for n in NON_FINITE])
+    def test_non_finite_entries_rejected(self, tmp_path, capsys, kind, takes, make, field, value):
+        doc = make()
+        assert doc["kind"] == kind
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_poison(doc, field, value)))  # json writes NaN / Infinity literals
+        argv = (["check", "degraded", "--channel", str(path)] if takes == "channel"
+                else ["quantities", "--state", str(path)])
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "ERR_VALIDATE" in err and "finite" in err
 
 
 class TestQuantitiesCommand:

@@ -3,7 +3,7 @@ import pytest
 
 import qbroadcast as qb
 from qbroadcast.optimize import OptimizerConfig, central_differences, seeded_rng
-from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness
+from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness, pareto_staircase
 
 from conftest import h2, pinching_cq_truth, pinching_truth, rotated_pinching_cq, spectrum_entropy
 
@@ -56,6 +56,49 @@ class TestFrontierContainer:
         assert fr.max_common() == 1.0
         assert fr.as_array().shape == (3, 2)
         assert len(fr) == 3
+        assert fr.point_at(0.4) is fr.points[1]
+        assert fr.point_at(1.0 + 1e-10) is fr.points[2] and fr.point_at(1.2) is None
+
+
+def nondominated(commons, personals):
+    """Indices of rows no other row dominates: the O(n^2) reference for the staircase."""
+    return {i for i in range(len(commons))
+            if not any(commons[j] >= commons[i] and personals[j] >= personals[i]
+                       and (commons[j] > commons[i] or personals[j] > personals[i]) for j in range(len(commons)))}
+
+
+class TestParetoStaircase:
+    @staticmethod
+    def planted_rows(rng):
+        """Random rows on a coarse grid, plus exact duplicates, commons 1e-13 apart and equal personals."""
+        commons = rng.integers(0, 12, 60) / 8.0
+        personals = rng.integers(0, 40, 60) / 16.0
+        dup = rng.integers(0, 60, 10)
+        near = rng.integers(0, 60, 10)
+        same_p = rng.integers(0, 60, 10)
+        commons = np.concatenate([commons, commons[dup], commons[near] + 1e-13, rng.integers(0, 12, 10) / 8.0])
+        personals = np.concatenate([personals, personals[dup], personals[near] + rng.uniform(0, 1e-3, 10),
+                                    personals[same_p]])
+        order = rng.permutation(len(commons))
+        return commons[order], personals[order]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_against_dominance_reference(self, seed):
+        commons, personals = self.planted_rows(np.random.default_rng(seed))
+        points = pareto_staircase(commons, personals, lambda i: {"row": int(i)})
+        rows = [pt.witness["row"] for pt in points]
+        kept = np.array([[pt.common_rate, pt.personal_rate] for pt in points])
+        assert np.array_equal(kept, np.column_stack([commons[rows], personals[rows]]))
+        assert (np.diff(kept[:, 0]) > 0).all() and (np.diff(kept[:, 1]) < 0).all()
+        assert len(set(np.round(kept[:, 0], 12))) == len(kept)  # commons equal to 12 decimals are one point
+        assert set(rows) <= nondominated(commons, personals)
+        for c, p in zip(commons, personals):
+            assert ((kept[:, 0] >= c - 1e-12) & (kept[:, 1] >= p - 1e-12)).any(), (c, p)
+
+    def test_empty_and_single(self):
+        assert pareto_staircase(np.array([]), np.array([]), lambda i: {}) == []
+        (pt,) = pareto_staircase(np.array([0.5]), np.array([0.25]), lambda i: {"row": i})
+        assert (pt.common_rate, pt.personal_rate, pt.witness) == (0.5, 0.25, {"row": 0})
 
 
 class TestCqFrontierEngine:

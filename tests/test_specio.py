@@ -77,6 +77,14 @@ class TestChannelDocs:
         with pytest.raises(qb.ValidationError):
             parse_channel_spec(doc)
 
+    @pytest.mark.parametrize("symbols", [[0, 0], [[1], [1]], [1, True]], ids=["ints", "normalized", "bool-int"])
+    def test_cq_duplicate_symbols_rejected(self, symbols):
+        doc = serialize_channel(qb.make_noiseless_bit())
+        doc["symbols"] = symbols
+        with pytest.raises(qb.ValidationError) as exc:
+            parse_channel_spec(doc)
+        assert "duplicate symbol" in str(exc.value)
+
     def test_isometry_round_trip(self):
         v = np.zeros((8, 4), dtype=complex)
         for x1 in range(2):
