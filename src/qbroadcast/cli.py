@@ -27,6 +27,7 @@ from .channels import BroadcastChannel, CqBroadcastChannel, degradedness_residua
 from .errors import BudgetError, ValidationError
 from .optimize import OptimizerConfig
 from .quantities import (
+    _entropy_of,
     coherent_information,
     conditional_entropy,
     conditional_mutual_information,
@@ -41,7 +42,6 @@ from .regions import (
     qq_frontier,
 )
 from .specio import BUILTIN_CHANNELS, parse_channel_spec, parse_state_spec, serialize_channel
-from .states import von_neumann_entropy
 
 WITNESS_FORMAT = "qbroadcast-witness-v1"
 
@@ -124,7 +124,7 @@ def _cmd_quantities(args) -> int:
         subsets.extend(itertools.combinations(labels, size))
     out = {
         "layout": [[label, dim] for label, dim in rho.layout.parts],
-        "entropy": {",".join(s): von_neumann_entropy(_reduce(rho, s)) for s in subsets},
+        "entropy": {",".join(s): _entropy_of(rho, set(s)) for s in subsets},
         "conditional_entropy": {},
         "mutual_information": {},
         "coherent_information": {},
@@ -146,14 +146,6 @@ def _cmd_quantities(args) -> int:
                 out["conditional_mutual_information"][key] = conditional_mutual_information(rho, a, b, c)
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def _reduce(rho, labels):
-    if set(labels) == set(rho.layout.labels):
-        return rho
-    from .states import partial_trace
-
-    return partial_trace(rho, set(labels))
 
 
 def _cmd_check_degraded(args) -> int:

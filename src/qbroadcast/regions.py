@@ -5,8 +5,8 @@ one payload per label.  A single evaluator, ``_LabelEnsembleEvaluator``, owns
 that shape: the tensor power, the label count and matrix budget, the softmax
 decode of p(t), the restart inits, the Holevo term that binds the common rate
 and witness (de)serialization.  The mode table ``_MODES`` is plain data: each
-mode names a channel family (receiver stacks, payload kind, the payload-to-
-receiver-states map and the personal-rate term), the receivers that bind the
+mode names a channel family (receiver stacks and personal-rate term, payload
+kind and the payload-to-receiver-states map), the receivers that bind the
 common rate, and its rate labels.  A penalty sweep over a grid of common-rate
 targets traces the upper boundary and stores the achieving parameters as a
 re-evaluatable witness; its rows, like the exhaustive oracles' candidates, become
@@ -18,15 +18,21 @@ simplex boundary where their optima sit; the pure-state kind follows the exact
 gradient.  Closed-form and entropy-oracle evaluators for the small worked cases
 live at the bottom.
 
-The evaluator picks its entropy kernel once, at setup.  The cq and dephasing
-families mix fixed per-symbol stacks; when every stack is exactly diagonal
-(all builtin cq and dephasing channels, at any k) they keep real (x, d)
-diagonals, the label states stay diagonal, and the kernel is
-``states.entropy_of_spectrum`` and ``states.entropy_slope`` applied to those
-diagonals.  Any other stack, and the ensemble family always, takes the dense
-kernel: the same two functions applied to the spectrum from ``eigvalsh`` for
-values, or from ``eigh`` for dS/drho.  Every per-call contraction is a
-reshaped matmul.
+The personal rate is data: each family's setup declares signed receiver
+entropies plus an optional per-symbol offset linear in the payload, and the
+evaluator computes that term and its gradient once for every mode.  I(X; B | T)
+is {B: +1} less p(x|t) H(B | X = x); the dephasing quantum rate is {B: +1,
+CE: -1}, B the basis |x><x| the isometry writes; I(R > B) is {B: +1, RB: -1}.
+
+The evaluator picks each receiver's entropy kernel once, at setup.  The cq and
+dephasing families mix fixed per-symbol stacks; each stack that is exactly
+diagonal (every builtin cq and dephasing stack, at any k, and the dephasing B
+stack always) is kept as real (x, d) diagonals, its label states stay diagonal,
+and its kernel is ``states.entropy_of_spectrum`` and ``states.entropy_slope``
+applied to those diagonals.  Any other stack, and every ensemble receiver,
+takes the dense kernel: the same two functions applied to the spectrum from
+``eigvalsh`` for values, or from ``eigh`` for dS/drho.  Every per-call
+contraction is a reshaped matmul.
 """
 
 from __future__ import annotations
@@ -187,15 +193,15 @@ class _Family(NamedTuple):
     what: str  # names the frontier in validation and budget messages
     accepts: Callable  # channel -> whether the family can evaluate it
     requires: str  # ends the validation message for a channel it cannot evaluate
-    setup: Callable  # (k-use channel, common) -> (fixed tensors, payload length, default t_size, d_B d_C)
+    sizes: Callable  # (inputs, d_B, d_C of the k-use channel, common) -> (payload length, default t_size)
+    setup: Callable  # k-use channel -> fixed tensors: "personal" {receiver: sign}, optionally an
+    #                  "offset" (payload length,) and the set of "diagonal" receivers
     states: Callable  # (evaluator, payload) -> {receiver: (m, t, d, d) per-label states, or
-    #                   (m, t, d) diagonals when the fixed stacks are diagonal}
+    #                   (m, t, d) diagonals for a receiver on the diagonal kernel}
     adjoint: Callable  # (evaluator, payload, {receiver: D}) -> d/d payload of sum Re tr(D rho)
-    personal: Callable  # (evaluator, payload, {receiver: per-label entropies}) -> (m, t) per-label term
-    personal_grad: Callable  # (evaluator, payload, {receiver: dS/drho}) -> the per-label term's
-    #                          ({receiver: d/d rho}, direct d/d payload)
     decode: Callable  # raw (m, t, payload length) -> payload batch
     decode_grad: Callable  # (raw, payload, d/d payload) -> d/d raw
+    check: Callable  # (payload batch, what) -> raises ValidationError unless it is a decoded payload
     direction: Callable  # (evaluator, thetas, exact gradient) -> the ascent direction ``_sweep`` follows
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
     structured_rows: int  # cold-start restarts that get a structured row (1 unless it depends on the rng)
@@ -211,8 +217,8 @@ class _LabelEnsembleEvaluator:
     The first ``t_size`` parameters are the logits of p(t), the rest one payload
     of the mode's kind per label.  The common rate is the smallest Holevo
     quantity chi = S(sum_t p_t rho_t) - sum_t p_t S(rho_t) over the mode's
-    binding receivers; the personal rate is the p(t)-average of the mode
-    family's per-label term.
+    binding receivers; the personal rate is the p(t)-average of the family's
+    signed per-label receiver entropies less the payload's offset.
     """
 
     def __init__(self, mode: str, channel, k: int = 1, t_size: int | None = None):
@@ -222,27 +228,41 @@ class _LabelEnsembleEvaluator:
         self.family, self.common, self.rate_labels = _MODES[mode]
         if not self.family.accepts(channel):
             raise ValidationError(f"{self.family.what} {self.family.requires}")
+        if k < 1:
+            raise ValidationError(f"tensor power needs k >= 1, got {k}")
         self.k = k
-        self.fixed, self.payload_len, bound, dense = self.family.setup(channel.tensor_power(k), self.common)
-        self.kernel = "diagonal" if self.fixed.get("diagonal") else "dense"
-        self.entropy, self.entropy_grad = _kernels(self.kernel == "diagonal")
+        # the budget is checked on sizes read off the single-use channel, before the k-use one exists
+        inputs = channel.n_symbols if isinstance(channel, CqBroadcastChannel) else channel.in_dim
+        db, dc = (d ** k for d in channel.out_layout.dims)
+        self.payload_len, bound = self.family.sizes(inputs ** k, db, dc, self.common)
         self.t_size = int(t_size) if t_size is not None else bound
         if self.t_size < 1:
             raise ValidationError("t_size must be at least 1")
         self.n_params = self.t_size + self.t_size * self.payload_len
-        _budget_check(dense * self.t_size, self.n_params, self.family.what)
+        _budget_check(db * dc * self.t_size, self.n_params, self.family.what)
+        self.fixed = self.family.setup(channel.tensor_power(k))
+        self.personal, self.offset = self.fixed["personal"], self.fixed.get("offset")
+        self.diagonal = frozenset(self.fixed.get("diagonal", ()))
+        self.entropy, self.entropy_grad = {}, {}
+        for r in dict.fromkeys((*self.common, *self.personal)):
+            self.entropy[r], self.entropy_grad[r] = _kernels(r in self.diagonal)
 
     def decode(self, thetas: np.ndarray):
         t = self.t_size
         raw = thetas[:, t:].reshape(thetas.shape[0], t, self.payload_len)
         return softmax(thetas[:, :t]), self.family.decode(raw)
 
+    def _personal_term(self, payload: np.ndarray, h: dict) -> np.ndarray:
+        """The per-label personal term sum_r sign_r S(rho_r) - <payload, offset>."""
+        term = functools.reduce(np.add, (h[r] if sign > 0 else -h[r] for r, sign in self.personal.items()))
+        return term if self.offset is None else term - payload @ self.offset
+
     def rates(self, p_t: np.ndarray, payload: np.ndarray):
         states = self.family.states(self, payload)
-        h = {r: self.entropy(rho) for r, rho in states.items()}
-        chi = [self.entropy(_label_mix(p_t, states[r])) - (p_t * h[r]).sum(axis=1) for r in self.common]
+        h = {r: kernel(states[r]) for r, kernel in self.entropy.items()}
+        chi = [self.entropy[r](_label_mix(p_t, states[r])) - (p_t * h[r]).sum(axis=1) for r in self.common]
         common = functools.reduce(np.minimum, chi)
-        personal = (p_t * self.family.personal(self, payload, h)).sum(axis=1)
+        personal = (p_t * self._personal_term(payload, h)).sum(axis=1)
         return common / self.k, personal / self.k
 
     def batch_rates(self, thetas: np.ndarray):
@@ -259,22 +279,21 @@ class _LabelEnsembleEvaluator:
         raw = thetas[:, t:].reshape(m, t, self.payload_len)
         p_t, payload = softmax(thetas[:, :t]), self.family.decode(raw)
         states = self.family.states(self, payload)
-        h, g = {}, {}
-        for r, rho in states.items():
-            h[r], g[r] = self.entropy_grad(rho)
-        w = _per_row(p_t, states[self.common[0]])
+        h, g, w = {}, {}, {}
+        for r, kernel in self.entropy_grad.items():
+            h[r], g[r] = kernel(states[r])
+            w[r] = _per_row(p_t, states[r])
         chi, d_p, d_rho = [], [], []
         for r in self.common:
-            s_mix, g_mix = self.entropy_grad(_label_mix(p_t, states[r]))
+            s_mix, g_mix = self.entropy_grad[r](_label_mix(p_t, states[r]))
             chi.append(s_mix - (p_t * h[r]).sum(axis=1))
             # tr(G rho_t) = sum_ij conj(G_ij) rho_t,ij for Hermitian G
             trace = states[r].reshape(m, t, -1) @ g_mix.conj().reshape(m, -1, 1)
             d_p.append(trace[..., 0].real - h[r])
-            d_rho.append(w * (g_mix[:, None] - g[r]))
+            d_rho.append(w[r] * (g_mix[:, None] - g[r]))
         binding = np.argmin(chi, axis=0)
         masks = [binding == i for i in range(len(chi))]
-        term = self.family.personal(self, payload, h)
-        term_rho, term_payload = self.family.personal_grad(self, payload, g)
+        term = self._personal_term(payload, h)
 
         def backward(seed_p, seed_rho, seed_payload):
             d_payload = seed_payload + self.family.adjoint(self, payload, seed_rho)
@@ -284,7 +303,8 @@ class _LabelEnsembleEvaluator:
 
         d_common = backward(sum(mk[:, None] * d for mk, d in zip(masks, d_p)),
                             {r: _per_row(mk, d) * d for r, mk, d in zip(self.common, masks, d_rho)}, 0.0)
-        d_personal = backward(term, {r: w * d for r, d in term_rho.items()}, p_t[:, :, None] * term_payload)
+        d_personal = backward(term, {r: (w[r] if sign > 0 else -w[r]) * g[r] for r, sign in self.personal.items()},
+                              0.0 if self.offset is None else p_t[:, :, None] * -self.offset)
         return np.min(chi, axis=0) / self.k, (p_t * term).sum(axis=1) / self.k, d_common, d_personal
 
     def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
@@ -316,8 +336,21 @@ class _LabelEnsembleEvaluator:
         if p_t.shape != (1, self.t_size) or payload.shape != want:
             raise ValidationError(f"{self.mode} witness {key!r} has shape {payload.shape[1:]}, "
                                   f"expected {want[1:]} for {self.t_size} labels")
+        _check_distributions(p_t, f"{self.mode} witness 'p_t'")
+        self.family.check(payload, f"{self.mode} witness {key!r}")
         c, p = self.rates(p_t, payload)
         return float(c[0]), float(p[0])
+
+
+def _check_distributions(p: np.ndarray, what: str):
+    """Raise unless every row along the last axis is nonnegative and sums to 1 within 1e-9."""
+    if not ((p >= 0).all() and np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9):
+        raise ValidationError(f"{what} has a row that is not a probability distribution within 1e-9")
+
+
+def _check_unit_norm(phi: np.ndarray, what: str):
+    if not np.abs(np.linalg.norm(phi, axis=-1) - 1.0).max() <= 1e-9:
+        raise ValidationError(f"{what} has a state whose norm is not 1 within 1e-9")
 
 
 def _mirror_direction(ev, thetas: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -340,6 +373,7 @@ def _conditional_structured(ev, rng) -> np.ndarray:
 _CONDITIONAL = dict(
     decode=lambda raw: softmax(raw, axis=-1),
     decode_grad=lambda raw, cond, g: softmax_grad(cond, g),
+    check=_check_distributions,
     direction=_mirror_direction,
     structured=_conditional_structured,
     structured_rows=1,
@@ -387,6 +421,7 @@ def _pure_load(value) -> np.ndarray:
 _PURE = dict(
     decode=_pure_decode,
     decode_grad=_pure_decode_grad,
+    check=_check_unit_norm,
     direction=lambda ev, thetas, grad: grad,  # rescaling p(t) here measured worse
     structured=_pure_structured,
     structured_rows=2,  # each draws its own perturbation
@@ -397,12 +432,13 @@ _PURE = dict(
 )
 
 
-def _mix_fixed(stacks: dict) -> dict:
-    """A mix family's fixed tensors: real (x, d) diagonals when every stack is exactly diagonal."""
-    diagonal = all(np.array_equal(s, s * np.eye(s.shape[-1])) for s in stacks.values())
-    if diagonal:
-        stacks = {r: np.diagonal(s, axis1=1, axis2=2).real.copy() for r, s in stacks.items()}
-    return {"stacks": stacks, "diagonal": diagonal}
+def _mix_fixed(stacks: dict, personal: dict) -> dict:
+    """A mix family's fixed tensors, stack by stack: each exactly diagonal (x, d, d) stack becomes
+    real (x, d) diagonals, like a stack given as (x, d), and its receiver takes the diagonal kernel."""
+    for r, s in stacks.items():
+        if s.ndim == 3 and np.array_equal(s, s * np.eye(s.shape[-1])):
+            stacks[r] = np.diagonal(s, axis1=1, axis2=2).real.copy()
+    return {"stacks": stacks, "personal": personal, "diagonal": {r for r, s in stacks.items() if s.ndim == 2}}
 
 
 def _mix_stacks(ev, cond: np.ndarray) -> dict:
@@ -422,47 +458,27 @@ def _mix_adjoint(ev, cond: np.ndarray, d_states: dict) -> np.ndarray:
     return out.reshape(m, t, n_x)
 
 
-def _cq_setup(wk: CqBroadcastChannel, common: tuple):
+def _cq_setup(wk: CqBroadcastChannel) -> dict:
+    """I(X; B | T = t): H(B | T = t) less sum_x p(x|t) H(B | X = x)."""
     fixed = _mix_fixed({"B": np.stack(wk.marginal_conditionals(wk.b_label)),
-                        "C": np.stack(wk.marginal_conditionals(wk.c_label))})
-    fixed["h_b_x"] = _kernels(fixed["diagonal"])[0](fixed["stacks"]["B"])
-    n_x, (db, dc) = len(wk.symbols), wk.out_layout.dims
-    bound = min(n_x, db * db if common == ("C",) else db * db + dc * dc - 1)
-    return fixed, n_x, bound, db * dc
+                        "C": np.stack(wk.marginal_conditionals(wk.c_label))}, {"B": 1})
+    fixed["offset"] = _kernels("B" in fixed["diagonal"])[0](fixed["stacks"]["B"])
+    return fixed
 
 
-def _cq_personal(ev, cond, h) -> np.ndarray:
-    """Per-label Holevo quantity I(X; B | T = t); averages to I(X; B | T)."""
-    return h["B"] - cond @ ev.fixed["h_b_x"]
+def _dephasing_setup(uk: BroadcastChannel) -> dict:
+    """H(B | T = t) - H(CE | T = t), B being the basis |x><x| the isometry writes, given as diagonals."""
+    vecs = uk.dephasing.images
+    return _mix_fixed({"B": np.eye(len(vecs)), "CE": np.einsum("xi,xj->xij", vecs, vecs.conj()),
+                       "C": uk.dephasing.c_states()}, {"B": 1, "CE": -1})
 
 
-def _cq_personal_grad(ev, cond, g):
-    return {"B": g["B"]}, -ev.fixed["h_b_x"]
-
-
-def _dephasing_setup(uk: BroadcastChannel, common: tuple):
-    spec = uk.dephasing
-    vecs = spec.images
-    fixed = _mix_fixed({"CE": np.einsum("xi,xj->xij", vecs, vecs.conj()), "C": spec.c_states()})
-    db, dc = uk.out_layout.dims
-    return fixed, spec.n_in, spec.n_in, db * dc
-
-
-def _dephasing_personal(ev, cond, h) -> np.ndarray:
-    """Input entropy given the label minus the leaked environment entropy."""
-    return entropy_of_spectrum(cond) - h["CE"]
-
-
-def _dephasing_personal_grad(ev, cond, g):
-    return {"CE": -g["CE"]}, entropy_slope(cond)
-
-
-def _ensemble_setup(nk: BroadcastChannel, common: tuple):
+def _ensemble_setup(nk: BroadcastChannel) -> dict:
+    """I(R > B) = H(B | T = t) - H(RB | T = t) on dense states."""
     db, dc = nk.out_layout.dims
-    din = nk.in_dim
     kraus = np.stack(nk.ops)  # (ne, dout, din)
-    fixed = {"kraus": kraus.transpose(2, 1, 0).reshape(din, -1), "din": din, "db": db, "dc": dc}
-    return fixed, 2 * din * din, min(din * din, db * db + dc * dc - 1), db * dc
+    return {"kraus": kraus.transpose(2, 1, 0).reshape(nk.in_dim, -1), "din": nk.in_dim, "db": db, "dc": dc,
+            "personal": {"B": 1, "RB": -1}}
 
 
 def _ensemble_amp(ev, phi: np.ndarray) -> np.ndarray:
@@ -500,35 +516,26 @@ def _ensemble_adjoint(ev, phi: np.ndarray, d_states: dict) -> np.ndarray:
     return 2.0 * (g.reshape(m * t * din, -1) @ ev.fixed["kraus"].conj().T).reshape(phi.shape)
 
 
-def _ensemble_personal(ev, phi, h) -> np.ndarray:
-    """Per-label coherent information I(R > B)."""
-    return h["B"] - h["RB"]
-
-
-def _ensemble_personal_grad(ev, phi, g):
-    return {"B": g["B"], "RB": -g["RB"]}, 0.0
-
-
 _CQ = _Family(
     what="cq frontier",
     accepts=lambda ch: isinstance(ch, CqBroadcastChannel),
     requires="expects a CqBroadcastChannel",
-    setup=_cq_setup, states=_mix_stacks, adjoint=_mix_adjoint,
-    personal=_cq_personal, personal_grad=_cq_personal_grad, **_CONDITIONAL,
+    sizes=lambda n, db, dc, common: (n, min(n, db * db if common == ("C",) else db * db + dc * dc - 1)),
+    setup=_cq_setup, states=_mix_stacks, adjoint=_mix_adjoint, **_CONDITIONAL,
 )
 _DEPHASING = _Family(
     what="dephasing frontier",
     accepts=lambda ch: isinstance(ch, BroadcastChannel) and ch.dephasing is not None,
     requires="requires a channel built from a DephasingSpec",
-    setup=_dephasing_setup, states=_mix_stacks, adjoint=_mix_adjoint,
-    personal=_dephasing_personal, personal_grad=_dephasing_personal_grad, **_CONDITIONAL,
+    sizes=lambda n, db, dc, common: (n, n),
+    setup=_dephasing_setup, states=_mix_stacks, adjoint=_mix_adjoint, **_CONDITIONAL,
 )
 _ENSEMBLE = _Family(
     what="ensemble frontier",
     accepts=lambda ch: isinstance(ch, BroadcastChannel),
     requires="expects a BroadcastChannel",
-    setup=_ensemble_setup, states=_ensemble_states, adjoint=_ensemble_adjoint,
-    personal=_ensemble_personal, personal_grad=_ensemble_personal_grad, **_PURE,
+    sizes=lambda n, db, dc, common: (2 * n * n, min(n * n, db * db + dc * dc - 1)),
+    setup=_ensemble_setup, states=_ensemble_states, adjoint=_ensemble_adjoint, **_PURE,
 )
 
 # mode -> (family, receivers whose Holevo quantities bind the common rate (minimum
@@ -712,6 +719,18 @@ def pinching_boundary(p: float) -> RatePoint:
     return RatePoint(common, p, {"kind": "closed-form", "p": p})
 
 
+def _through_channel(n: BroadcastChannel, psi_in: PureState, parts: int, too_few: str):
+    """The output of ``n`` on the last layout label of ``psi_in``, which needs at least ``parts`` labels."""
+    lay = psi_in.layout
+    if len(lay.parts) < parts:
+        raise ValidationError(too_few)
+    if lay.dims[-1] != n.in_dim:
+        raise ValidationError(
+            f"input subsystem {lay.labels[-1]!r} has dimension {lay.dims[-1]}, channel expects {n.in_dim}"
+        )
+    return n.apply_to(psi_in.to_density(), lay.labels[-1])
+
+
 def merging_rates(n: BroadcastChannel, psi_in: PureState) -> MergingRates:
     """Entropic merging rates for a pure input pushed through a broadcast channel.
 
@@ -720,17 +739,8 @@ def merging_rates(n: BroadcastChannel, psi_in: PureState) -> MergingRates:
     receiver-pair distillation rate I(B > C), and feasibility (the latter
     positive).
     """
-    lay = psi_in.layout
-    if len(lay.parts) < 2:
-        raise ValidationError("merging input needs a reference label plus the channel input label")
-    in_label = lay.labels[-1]
-    if lay.dims[-1] != n.in_dim:
-        raise ValidationError(
-            f"input subsystem {in_label!r} has dimension {lay.dims[-1]}, channel expects {n.in_dim}"
-        )
-    refs = set(lay.labels[:-1])
-    sigma = n.apply_to(psi_in.to_density(), in_label)
-    q_c = coherent_information(sigma, refs, {n.b_label, n.c_label})
+    sigma = _through_channel(n, psi_in, 2, "merging input needs a reference label plus the channel input label")
+    q_c = coherent_information(sigma, set(psi_in.layout.labels[:-1]), {n.b_label, n.c_label})
     bc = coherent_information(sigma, {n.b_label}, {n.c_label})
     return MergingRates(float(q_c), float(bc), bool(bc > 1e-9))
 
@@ -741,16 +751,8 @@ def independent_rates(n: BroadcastChannel, psi_in: PureState) -> IndependentRate
     ``psi_in`` carries two reference labels then the channel input label, in
     that order.  Negative values are reported as-is and flagged infeasible.
     """
-    lay = psi_in.layout
-    if len(lay.parts) < 3:
-        raise ValidationError("independent-rate input needs two reference labels plus the channel input")
-    in_label = lay.labels[-1]
-    if lay.dims[-1] != n.in_dim:
-        raise ValidationError(
-            f"input subsystem {in_label!r} has dimension {lay.dims[-1]}, channel expects {n.in_dim}"
-        )
-    ref_b, ref_c = lay.labels[0], lay.labels[1]
-    sigma = n.apply_to(psi_in.to_density(), in_label)
+    sigma = _through_channel(n, psi_in, 3, "independent-rate input needs two reference labels plus the channel input")
+    ref_b, ref_c = psi_in.layout.labels[:2]
     rate_b = float(coherent_information(sigma, {ref_b}, {n.b_label}))
     rate_c = float(coherent_information(sigma, {ref_c}, {n.c_label}))
     return IndependentRates(rate_b, rate_c, rate_b > 1e-9, rate_c > 1e-9)
@@ -789,8 +791,7 @@ def evaluate_witness(mode: str, channel, params: dict, k: int = 1) -> tuple[floa
         safe = np.where(p_t > 0, p_t, 1.0)
         cond = joint / safe[:, None]
         cond[p_t == 0] = 1.0 / joint.shape[1]
-        c, p = ev.rates(p_t[None], cond[None])
-        return float(c[0]), float(p[0])
+        return ev.rates_from_witness({"p_t": p_t, "p_x_given_t": cond})
     try:
         t_size = len(params["p_t"])
     except (KeyError, TypeError):

@@ -2,7 +2,8 @@
 
 Everything here is computed from scratch (bisection on binary entropy, plain
 table entropies) so test expectations never route through the package's own
-entropy code.  ``rotated_pinching_cq`` is the shared non-diagonal test channel.
+entropy code.  ``rotated_pinching_cq`` is the shared non-diagonal test channel;
+``c_rotated_pinching_cq`` and ``generic_dephasing`` mix diagonal and dense receivers.
 """
 
 import math
@@ -95,9 +96,10 @@ def staircase_distance(rows, point) -> float:
     return best
 
 
-def rotated_pinching_cq():
+def rotated_pinching_cq(rotate_b: bool = True):
     """pinching-cq with every conditional conjugated by a seeded random U_B (x) U_C:
-    the same entropies, but no receiver stack is diagonal any more."""
+    the same entropies, but no receiver stack is diagonal any more.  With
+    ``rotate_b=False`` U_B is the identity and only the C stack leaves the diagonal."""
     w = qb.make_pinching_cq()
     rng = np.random.default_rng(2024)
 
@@ -106,6 +108,20 @@ def rotated_pinching_cq():
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
     lay = w.conditionals[w.symbols[0]].layout
-    u = np.kron(unitary(lay.dims[0]), unitary(lay.dims[1]))
+    u_b, u_c = unitary(lay.dims[0]), unitary(lay.dims[1])
+    u = np.kron(u_b if rotate_b else np.eye(lay.dims[0]), u_c)
     return qb.CqBroadcastChannel({x: qb.DensityMatrix(u @ rho.matrix @ u.conj().T, lay)
                                   for x, rho in w.conditionals.items()})
+
+
+def c_rotated_pinching_cq():
+    """pinching-cq with only the C conditionals rotated: B stays diagonal, C does not."""
+    return rotated_pinching_cq(rotate_b=False)
+
+
+def generic_dephasing():
+    """A seeded generalized-dephasing channel, 3 inputs, C dim 2, E dim 2: its C and CE
+    stacks are not diagonal, its basis B stack always is."""
+    rng = np.random.default_rng(31)
+    vecs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    return qb.make_generalized_dephasing(qb.DephasingSpec(2, 2, vecs / np.linalg.norm(vecs, axis=1, keepdims=True)))

@@ -173,6 +173,22 @@ class TestRegionCommand:
         assert run(["verify", "--witness", str(bad)]) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode,make,params", [
+        # stored common rate 2 on a 1-bit channel: the negative weight flips the clipped
+        # mixture entropy to 0 and adds 2 x H(rho), so the rates alone would agree
+        ("cq", qb.make_noiseless_bit, {"p_t": [-2.0], "p_x_given_t": [[0.5, 0.5]]}),
+        ("cq-eg", qb.make_pinching, {"p_t": [1.0], "states": [[[2 / 3 ** 0.5 * (r == i), 0.0]
+                                                                for r in range(3) for i in range(3)]]}),
+    ], ids=["negative-p_t", "doubled-amplitudes"])
+    def test_verify_rejects_witnesses_no_code_could_reach(self, tmp_path, capsys, mode, make, params):
+        bad = tmp_path / "w.json"
+        point = {"witness_id": "pt-000", "common_rate": 2.0, "personal_rate": 0.0, "params": params}
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": mode, "k": 1,
+                                   "channel": qb.serialize_channel(make()), "points": [point]}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "ERR_VALIDATE" in err and "within 1e-9" in err
+
     @pytest.mark.parametrize("points", [[1], {"a": 1}], ids=["point-not-object", "points-not-list"])
     def test_verify_rejects_malformed_points(self, tmp_path, capsys, points):
         bad = tmp_path / "w.json"
@@ -329,6 +345,20 @@ class TestOracleCommands:
                                    "points": [point]}))
         assert run(["verify", "--witness", str(bad)]) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
+
+    def test_verify_rejects_scaled_joint(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        assert run(["oracle", "grid", "--channel", "noiseless-bit",
+                    "--t-size", "2", "--mesh", "6", "--out", str(out)]) == 0
+        side = tmp_path / "oracle.csv.witness.json"
+        doc = json.loads(side.read_text())
+        for point in doc["points"]:
+            point["joint"] = (2.0 * np.asarray(point["joint"])).tolist()
+        side.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--witness", str(side)]) == 2
+        err = capsys.readouterr().err
+        assert "ERR_VALIDATE" in err and "within 1e-9" in err
 
     def test_grid_requires_cq(self, capsys):
         assert run(["oracle", "grid", "--channel", "pinching",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import qbroadcast as qb
 from qbroadcast.optimize import OptimizerConfig, central_differences, seeded_rng
 from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness, pareto_staircase
 
-from conftest import h2, pinching_cq_truth, pinching_truth, rotated_pinching_cq, spectrum_entropy
+from conftest import (c_rotated_pinching_cq, generic_dephasing, h2, pinching_cq_truth, pinching_truth,
+                      rotated_pinching_cq, spectrum_entropy)
 
 
 def small_cfg(**kw):
@@ -132,6 +135,15 @@ class TestCqFrontierEngine:
         assert two.value_at(0.2, slack=1e-6) >= one.value_at(0.2, slack=1e-6) - 1e-3
 
 
+def label_blocks(p_t, blocks):
+    """sum_t p_t |t><t| (x) blocks[t] as one block-diagonal matrix."""
+    d = blocks[0].shape[0]
+    full = np.zeros((len(blocks) * d,) * 2, dtype=complex)
+    for t, block in enumerate(blocks):
+        full[t * d:(t + 1) * d, t * d:(t + 1) * d] = p_t[t] * block
+    return full
+
+
 class TestWitnessDualRoute:
     def test_reevaluation_matches_stored_rates(self):
         w = qb.make_bsc_cascade()
@@ -166,25 +178,77 @@ class TestWitnessDualRoute:
             assert abs(c - common_dual) < 1e-9
             assert abs(p - personal_dual) < 1e-9
 
+        # dephasing: the isometry writes |x> to B and |psi_x> to CE; on the dephased input
+        # sum_x p(x|t) |x><x| the personal rate is H(B|T) - H(CE|T), the common rate I(T; C)
+        ch = generic_dephasing()
+        spec = ch.dephasing
+        n, ce = spec.n_in, spec.c_dim * spec.e_dim
+        iso = np.zeros((n * ce, n), dtype=complex)
+        for x in range(n):
+            iso[x * ce:(x + 1) * ce, x] = spec.images[x]
+        ev = build_evaluator("dephasing", ch, t_size=2)
+        for theta in seeded_rng(21).standard_normal((3, ev.n_params)):
+            params = ev.witness_params(theta)
+            p_t, cond = np.asarray(params["p_t"]), np.asarray(params["p_x_given_t"])
+            blocks = [iso @ np.diag(row) @ iso.conj().T for row in cond]
+            rho = qb.DensityMatrix(label_blocks(p_t, blocks),
+                                   qb.layout(("T", 2), ("B", n), ("C", spec.c_dim), ("E", spec.e_dim)))
+            c, p = evaluate_witness("dephasing", ch, params)
+            assert abs(c - qb.mutual_information(rho, "T", "C")) < 1e-9
+            h_b, h_ce = qb.conditional_entropy(rho, "B", "T"), qb.conditional_entropy(rho, {"C", "E"}, "T")
+            assert abs(p - (h_b - h_ce)) < 1e-9
+
+        # cq-eg: the personal rate is the label average of I(R > B) of each pure input pushed through
+        ch = qb.make_pinching()
+        ev = build_evaluator("cq-eg", ch, t_size=2)
+        for theta in seeded_rng(22).standard_normal((3, ev.n_params)):
+            params = ev.witness_params(theta)
+            p_t = np.asarray(params["p_t"])
+            amps = np.asarray(params["states"])
+            pure = [qb.PureState(a[:, 0] + 1j * a[:, 1], qb.layout(("R", 3), ("in", 3))) for a in amps]
+            outs = [ch.apply_to(psi.to_density(), "in") for psi in pure]
+            rho = qb.DensityMatrix(label_blocks(p_t, [sigma.matrix for sigma in outs]),
+                                   qb.layout(("T", 2), *outs[0].layout.parts))
+            c, p = evaluate_witness("cq-eg", ch, params)
+            assert abs(c - min(qb.mutual_information(rho, "T", "B"), qb.mutual_information(rho, "T", "C"))) < 1e-9
+            assert abs(p - sum(pt * qb.coherent_information(sigma, "R", "B") for pt, sigma in zip(p_t, outs))) < 1e-9
+
 
 class TestEntropyKernels:
-    @pytest.mark.parametrize("mode,make,k,kernel", [
-        ("cq", qb.make_pinching_cq, 1, "diagonal"),
-        ("dephasing", qb.make_pinching, 2, "diagonal"),
-        ("cq", rotated_pinching_cq, 1, "dense"),
-        ("cq-eg", qb.make_pinching, 1, "dense"),
-    ], ids=["pinching-cq", "dephasing-pinching-k2", "rotated-pinching-cq", "ensemble"])
-    def test_kernel_picked_at_setup(self, mode, make, k, kernel):
-        assert build_evaluator(mode, make(), k=k).kernel == kernel
+    # the receivers that take the diagonal kernel, decided stack by stack at setup
+    @pytest.mark.parametrize("mode,make,k,diagonal", [
+        ("cq", qb.make_pinching_cq, 1, {"B", "C"}),
+        ("dephasing", qb.make_pinching, 2, {"B", "C", "CE"}),
+        ("cq", rotated_pinching_cq, 1, set()),
+        ("cq-eg", qb.make_pinching, 1, set()),
+        ("dephasing", generic_dephasing, 1, {"B"}),
+        ("cq", c_rotated_pinching_cq, 1, {"B"}),
+    ], ids=["pinching-cq", "dephasing-pinching-k2", "rotated-pinching-cq", "ensemble", "generic-dephasing",
+            "c-rotated-pinching-cq"])
+    def test_kernel_picked_at_setup(self, mode, make, k, diagonal):
+        assert build_evaluator(mode, make(), k=k).diagonal == diagonal
 
     def test_dense_path_matches_diagonal_path(self):
+        # every receiver dense, then only C dense beside a diagonal B
         diag = build_evaluator("cq", qb.make_pinching_cq(), t_size=3)
-        dense = build_evaluator("cq", rotated_pinching_cq(), t_size=3)
         thetas = seeded_rng(11).standard_normal((6, diag.n_params))
-        for a, b in zip(diag.batch_rates(thetas), dense.batch_rates(thetas)):
-            assert np.abs(a - b).max() <= 1e-10
-        for a, b in zip(diag.rates_grad(thetas), dense.rates_grad(thetas)):
-            assert np.abs(a - b).max() <= 1e-10
+        for make in (rotated_pinching_cq, c_rotated_pinching_cq):
+            dense = build_evaluator("cq", make(), t_size=3)
+            for a, b in zip(diag.batch_rates(thetas), dense.batch_rates(thetas)):
+                assert np.abs(a - b).max() <= 1e-10
+            for a, b in zip(diag.rates_grad(thetas), dense.rates_grad(thetas)):
+                assert np.abs(a - b).max() <= 1e-10
+
+    def test_over_budget_k_refused_before_the_k_use_channel_exists(self):
+        # the five-use pinching channel alone takes tens of MB; the refusal needs only its sizes
+        tracemalloc.start()
+        try:
+            with pytest.raises(qb.BudgetError, match="dephasing frontier: 59292 optimizer parameters exceed"):
+                build_evaluator("dephasing", qb.make_pinching(), k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestRestartInits:
@@ -215,9 +279,12 @@ GRADIENT_CASES = [
 
 
 class TestRateGradients:
-    # the rotated channel runs the cq mode on the dense kernel
-    @pytest.mark.parametrize("mode,make,k,t_size", GRADIENT_CASES + [("cq", rotated_pinching_cq, 1, 3)],
-                             ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES] + ["cq-rotated-k1"])
+    # the rotated channel runs the cq mode on the dense kernel; the generic dephasing
+    # channel mixes its diagonal B receiver with dense C and CE receivers
+    @pytest.mark.parametrize(
+        "mode,make,k,t_size",
+        GRADIENT_CASES + [("cq", rotated_pinching_cq, 1, 3), ("dephasing", generic_dephasing, 1, 3)],
+        ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES] + ["cq-rotated-k1", "dephasing-generic-k1"])
     def test_matches_central_differences(self, mode, make, k, t_size):
         ev = build_evaluator(mode, make(), k=k, t_size=t_size)
         thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
