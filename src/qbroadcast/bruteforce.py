@@ -4,8 +4,8 @@ Entropies are recomputed here from scratch, so the oracles share no entropy code
 with the engine: the cq oracle picks each receiver's kernel once (Shannon entropies
 of the diagonals of an exactly diagonal stack, else spectra), the classical one uses
 probability tables, and mixtures are 2-D matrix products, never ``einsum``.  Joints
-p(t, x) are the compositions of the mesh over t_size * |X| cells, a numpy table built
-bottom-up one leading column at a time, rows in lexicographic order.  The Pareto pass is
+p(t, x) are compositions of the mesh over t_size * |X| cells, one per relabeling of the
+labels t, which no rate depends on: the rows whose label blocks ascend.  The Pareto pass is
 ``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a
 sweep keep points by the same rule; it is the only thing taken from ``regions`` besides
 the ``Frontier`` and ``RatePoint`` containers.
@@ -63,17 +63,34 @@ def compositions(total: int, parts: int):
 
 
 def _enumerate_joints(mesh: int, t_size: int, n_x: int, max_candidates: int) -> np.ndarray:
-    cells = t_size * n_x
-    count = composition_count(mesh, cells)
+    """One joint per relabeling of the labels: the composition-table rows whose label blocks (rows of
+    p(t, .)) ascend lexicographically, in table order.  Rows grow a block at a time, taking each block of
+    mass <= their rest (exactly the rest at the last label) at or after their last one, so the full table is
+    never built; its stars-and-bars count is the budget, and the orbit sizes t_size!/prod(multiplicity!) sum to it."""
+    count = composition_count(mesh, t_size * n_x)
     if count > max_candidates:
-        raise BudgetError(
-            f"grid enumeration would need {count} candidates (limit {max_candidates}); "
-            f"reduce mesh or t_size"
-        )
-    arr = _composition_table(mesh, cells)
-    if arr.shape[0] != count:
-        raise RuntimeError(f"enumeration produced {arr.shape[0]} joints, stars-and-bars says {count}")
-    return arr.reshape(count, t_size, n_x) / float(mesh)
+        raise BudgetError(f"grid enumeration would need {count} candidates (limit {max_candidates}); "
+                          f"reduce mesh or t_size")
+    blocks = _composition_table(mesh, n_x + (t_size > 1))[:, :n_x]  # every usable block, lexicographic order
+    mass = blocks.sum(axis=1, dtype=np.intp)
+    order = np.argsort(mass, kind="stable")  # blocks by mass, then by index
+    key = mass[order] * len(mass) + order
+    rows = np.zeros((1, 0), np.intp)
+    last, rest, run, orbit = np.zeros(1, np.intp), np.full(1, mesh), np.zeros(1, np.intp), np.ones(1, np.intp)
+    for depth in range(1, t_size + 1):
+        span = np.where(depth == t_size, 1, rest + 1)  # a row's next block has mass rest - span + 1 .. rest
+        pair = np.repeat(np.arange(len(rest)), span)
+        m = np.arange(pair.size) + np.repeat(rest + 1 - span.cumsum(), span)
+        start = np.searchsorted(key, m * len(mass) + last[pair])  # first block of mass m at or after the row's last
+        take = np.searchsorted(key, (m + 1) * len(mass)) - start
+        parent = np.repeat(pair, take)
+        child = order[np.arange(parent.size) + np.repeat(start + take - take.cumsum(), take)]
+        run = np.where(child == last[parent], run[parent] + 1, 1)
+        orbit = orbit[parent] * depth // run
+        rows, last, rest = np.column_stack((rows[parent], child)), child, rest[parent] - mass[child]
+    if orbit.sum() != count:
+        raise RuntimeError(f"{len(rows)} orbits hold {orbit.sum()} joints, stars-and-bars says {count}")
+    return blocks[rows[np.lexsort(rows.T[::-1])]].reshape(len(rows), t_size, n_x) / float(mesh)
 
 
 def _spectra_entropy(mats: np.ndarray) -> np.ndarray:
@@ -131,8 +148,7 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
     kernels = [_receiver_kernel(np.stack(w.marginal_conditionals(label))) for label in (w.b_label, w.c_label)]
     h_b_x = kernels[0][1](kernels[0][0])  # H(B | X = x) for each symbol x
     n = joints.shape[0]
-    commons = np.empty(n)
-    personals = np.empty(n)
+    commons, personals = np.empty(n), np.empty(n)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         joint = joints[lo:hi]
@@ -146,10 +162,9 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
         (cond_b, h_b), (cond_c, h_c) = holevo
         commons[lo:hi] = np.minimum(h_b - cond_b, h_c - cond_c)
         personals[lo:hi] = cond_b - p_x @ h_b_x
-    commons = np.maximum(commons, 0.0)
-    personals = np.maximum(personals, 0.0)
-    meta = {"mode": "oracle-grid", "t_size": t_size, "mesh": mesh, "candidates": int(n)}
-    return _pareto_points(commons, personals, joints, meta, r_grid)
+    meta = {"mode": "oracle-grid", "t_size": t_size, "mesh": mesh,
+            "candidates": composition_count(mesh, t_size * n_x)}
+    return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, r_grid)
 
 
 @dataclass
@@ -171,8 +186,9 @@ def cardinality_probe(w: CqBroadcastChannel, bound: int, extra: int, mesh: int,
     """Compare grid frontiers at t_size = bound and bound + extra.
 
     ``improvement`` is the largest personal-rate gain over the base frontier's
-    common rates (the extended enumeration strictly contains the base one, so
-    the gain is nonnegative); ``reach_gain`` is the gain in maximal common rate.
+    common rates (a base representative padded with leading zero blocks is an
+    extended representative with the same rates, so the gain is nonnegative);
+    ``reach_gain`` is the gain in maximal common rate.
     """
     if extra < 1:
         raise ValidationError("extra must be at least 1: the extended alphabet has to contain the base one")
@@ -220,8 +236,7 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
     pz_x = p2 @ p1
     joints = _enumerate_joints(mesh, t_size, n_x, max_candidates)
     n = joints.shape[0]
-    commons = np.empty(n)
-    personals = np.empty(n)
+    commons, personals = np.empty(n), np.empty(n)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         joint = joints[lo:hi]
@@ -237,7 +252,6 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
         h_txy = _table_entropy(p_txy)
         commons[lo:hi] = h_t + h_z - h_tz
         personals[lo:hi] = h_tx + h_ty - h_txy - h_t
-    commons = np.maximum(commons, 0.0)
-    personals = np.maximum(personals, 0.0)
-    meta = {"mode": "oracle-classical", "t_size": int(t_size), "mesh": mesh, "candidates": int(n)}
-    return _pareto_points(commons, personals, joints, meta, None)
+    meta = {"mode": "oracle-classical", "t_size": int(t_size), "mesh": mesh,
+            "candidates": composition_count(mesh, t_size * n_x)}
+    return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, None)

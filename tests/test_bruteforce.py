@@ -40,8 +40,13 @@ class TestCompositions:
 
         for total, parts in [(0, 1), (4, 1), (0, 3), (3, 2), (5, 4), (6, 6)]:
             assert list(compositions(total, parts)) == recursive(total, parts)
-        joints = _enumerate_joints(4, 2, 3, max_candidates=10_000)
-        assert np.array_equal(joints.reshape(len(joints), -1) * 4.0, np.array(recursive(4, 6), dtype=float))
+        # the oracles take one joint per relabeling: the table rows whose label blocks ascend, in table order
+        for mesh, t_size, n_x in [(9, 4, 3), (6, 3, 2), (5, 2, 3), (4, 3, 3), (7, 1, 2), (5, 1, 3)]:
+            ascending = [row for row in recursive(mesh, t_size * n_x) if all(
+                row[t * n_x:(t + 1) * n_x] <= row[(t + 1) * n_x:(t + 2) * n_x] for t in range(t_size - 1))]
+            joints = _enumerate_joints(mesh, t_size, n_x, max_candidates=composition_count(mesh, t_size * n_x))
+            assert joints.shape == (len(ascending), t_size, n_x)
+            assert np.array_equal(joints.reshape(len(joints), -1) * float(mesh), np.array(ascending, dtype=float))
 
     def test_parts_validated(self):
         with pytest.raises(qb.ValidationError):
@@ -179,6 +184,13 @@ class TestCardinalityProbe:
         with pytest.raises(qb.ValidationError):
             cardinality_probe(qb.make_pinching_cq(), 2, extra, 4)
 
+    @pytest.mark.parametrize("make", [qb.make_noiseless_bit, qb.make_pinching_cq])
+    def test_extended_frontier_covers_the_base_one(self, make):
+        # a base representative padded with leading zero blocks is an extended representative
+        rep = cardinality_probe(make(), 2, 1, 8)
+        for pt in rep.base.points:
+            assert rep.extended.value_at(pt.common_rate, slack=1e-12) >= pt.personal_rate - 1e-12
+
     def test_no_gain_past_saturation(self):
         # extra labels refine time-sharing on a finite mesh but never beat the
         # bound by more than the discretization tolerance, and never reach further
@@ -229,6 +241,64 @@ class TestChunking:
         (c_one, p_one), (c_many, p_many) = seen
         assert c_one.size > 7
         assert np.array_equal(c_one, c_many) and np.array_equal(p_one, p_many)
+
+
+class TestRelabeling:
+    CASES = [
+        ("grid-diagonal", lambda: grid_cq_frontier(qb.make_pinching_cq(), 3, 8)),
+        ("grid-dense", lambda: grid_cq_frontier(rotated_pinching_cq(), 3, 6)),
+        ("classical", lambda: classical_degraded_region(np.array([[0.9, 0.1], [0.1, 0.9]]),
+                                                        np.array([[0.8, 0.2], [0.2, 0.8]]), 12, t_size=3)),
+    ]
+
+    @pytest.mark.parametrize("run", [run for _, run in CASES], ids=[name for name, _ in CASES])
+    def test_permuting_labels_keeps_every_candidate(self, run, monkeypatch):
+        # the rates are functions of the label multiset, which is why one joint per orbit suffices
+        seen = []
+        pareto, enumerate_joints = qb.bruteforce._pareto_points, qb.bruteforce._enumerate_joints
+
+        def spy(commons, personals, *rest):
+            seen.append((commons.copy(), personals.copy()))
+            return pareto(commons, personals, *rest)
+
+        def permuted(*args):
+            joints = enumerate_joints(*args)
+            order = np.argsort(np.random.default_rng(5).random(joints.shape[:2]), axis=1)
+            assert (order != np.arange(joints.shape[1])).any()
+            return np.take_along_axis(joints, order[:, :, None], axis=1)
+
+        monkeypatch.setattr(qb.bruteforce, "_pareto_points", spy)
+        run()
+        monkeypatch.setattr(qb.bruteforce, "_enumerate_joints", permuted)
+        run()
+        (c_sorted, p_sorted), (c_perm, p_perm) = seen
+        assert c_sorted.size > 100
+        assert np.abs(c_sorted - c_perm).max() <= 1e-12 and np.abs(p_sorted - p_perm).max() <= 1e-12
+
+
+class TestBudget:
+    def test_refused_before_any_block_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block table built for an over-budget enumeration")
+
+        monkeypatch.setattr(qb.bruteforce, "_composition_table", refuse)
+        bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+        with pytest.raises(qb.BudgetError):
+            grid_cq_frontier(qb.make_pinching_cq(), 4, 30)
+        with pytest.raises(qb.BudgetError):
+            classical_degraded_region(bsc, bsc, 200, t_size=3)
+        with pytest.raises(qb.BudgetError):
+            cardinality_probe(qb.make_noiseless_bit(), 2, 1, 400)
+
+    def test_candidates_count_the_full_table(self):
+        bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+        grid = grid_cq_frontier(qb.make_pinching_cq(), 4, 9)
+        assert grid.metadata["candidates"] == composition_count(9, 12) == 167_960
+        classical = classical_degraded_region(bsc, bsc, 30, t_size=3)
+        assert classical.metadata["candidates"] == composition_count(30, 6) == 324_632
+        rep = cardinality_probe(qb.make_pinching_cq(), 2, 1, 6)
+        assert rep.base.metadata["candidates"] == composition_count(6, 6)
+        assert rep.extended.metadata["candidates"] == composition_count(6, 9)
 
 
 class TestOracleIndependence:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -359,6 +360,16 @@ class TestOracleCommands:
         assert run(["verify", "--witness", str(side)]) == 2
         err = capsys.readouterr().err
         assert "ERR_VALIDATE" in err and "within 1e-9" in err
+
+    def test_benchmark_grid_bytes(self, tmp_path):
+        # the benchmark's grid config, pinned so that its CSV and sidecar bytes cannot drift silently
+        out = tmp_path / "grid.csv"
+        assert run(["oracle", "grid", "--channel", "pinching-cq", "--t-size", "4", "--mesh", "9",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "ccd6b9af91f626773a63749d627f1bb4e297649852c7aa7bae5156e8a3a31b47"
+        assert hashlib.sha256((tmp_path / "grid.csv.witness.json").read_bytes()).hexdigest() == \
+            "ff50cb641f4a185ddbf80e2682d74e00ff5fe2df7785438a5ff69f8eb1f7376b"
 
     def test_grid_requires_cq(self, capsys):
         assert run(["oracle", "grid", "--channel", "pinching",
