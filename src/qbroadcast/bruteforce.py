@@ -42,18 +42,20 @@ def _composition_table(total: int, parts: int) -> np.ndarray:
 
     Built bottom-up one leading column at a time: the compositions of s into
     w parts are, for each head h = 0..s in turn, h followed by the
-    compositions of s - h into w - 1 parts.  Entries use the smallest integer
-    type that holds ``total``.
+    compositions of s - h into w - 1 parts.  Stacked by descending sum, those
+    tails are one slice, the last ``composition_count(s, w)`` rows of the stack.
+    Entries use the smallest integer type that holds ``total``.
     """
     if parts < 1:
         raise ValidationError("compositions needs at least one part")
     dtype = np.min_scalar_type(total)
-    rows = {s: np.array([[s]], dtype=dtype) for s in range(total + 1)}
+    stack = np.arange(total, -1, -1, dtype=dtype)[:, None]  # one part: sums total..0
     for width in range(2, parts + 1):
-        sums = range(total + 1) if width < parts else (total,)
-        rows = {s: np.concatenate([np.column_stack((np.full(len(rows[s - h]), h, dtype=dtype), rows[s - h]))
-                                   for h in range(s + 1)]) for s in sums}
-    return rows[total]
+        counts = np.array([composition_count(s, width - 1) for s in range(total + 1)])
+        sums = range(total, -1, -1) if width < parts else (total,)
+        stack = np.concatenate([np.column_stack((np.repeat(np.arange(s + 1, dtype=dtype), counts[s::-1]),
+                                                 stack[len(stack) - composition_count(s, width):])) for s in sums])
+    return stack[:composition_count(total, parts)]
 
 
 def compositions(total: int, parts: int):

@@ -22,7 +22,9 @@ The personal rate is data: each family's setup declares signed receiver
 entropies plus an optional per-symbol offset linear in the payload, and the
 evaluator computes that term and its gradient once for every mode.  I(X; B | T)
 is {B: +1} less p(x|t) H(B | X = x); the dephasing quantum rate is {B: +1,
-CE: -1}, B the basis |x><x| the isometry writes; I(R > B) is {B: +1, RB: -1}.
+CE: -1}, B the basis |x><x| the isometry writes.  I(R > B) of a pure input is
+{B: +1, RB: -1}; its output on R B C E is pure, so S(RB) = S(CE), and with one
+Kraus operator CE is the common rate's own C: the term is then {B: +1, C: -1}.
 
 The evaluator picks each receiver's entropy kernel once, at setup.  The cq and
 dephasing families mix fixed per-symbol stacks; each stack that is exactly
@@ -400,7 +402,7 @@ def _pure_decode_grad(raw: np.ndarray, phi: np.ndarray, g: np.ndarray) -> np.nda
 
 def _pure_structured(ev, rng) -> np.ndarray:
     """A slightly perturbed maximally entangled reference/input state per label."""
-    ent = np.eye(ev.fixed["din"], dtype=complex).reshape(-1)
+    ent = np.eye(ev.fixed["dims"][0], dtype=complex).reshape(-1)
     ent = ent / np.linalg.norm(ent)
     rows = []
     for _ in range(ev.t_size):
@@ -474,46 +476,47 @@ def _dephasing_setup(uk: BroadcastChannel) -> dict:
 
 
 def _ensemble_setup(nk: BroadcastChannel) -> dict:
-    """I(R > B) = H(B | T = t) - H(RB | T = t) on dense states."""
+    """I(R > B) = H(B | T = t) - H(RB | T = t) on dense states, H(RB) read as H(C) for one Kraus operator.
+
+    The Stinespring isometry carries each pure input on R (x) A to a pure state on R B C E, so
+    S(RB) = S(CE): with one Kraus operator that is the S(C) the common rate already takes, and the
+    term is {B: +1, C: -1}; else it is {B: +1, RB: -1}.  ``axes`` maps each receiver to the
+    amplitude axes it keeps (r, b, c, e are axes 2 to 5) and their dimension.
+    """
     db, dc = nk.out_layout.dims
     kraus = np.stack(nk.ops)  # (ne, dout, din)
-    return {"kraus": kraus.transpose(2, 1, 0).reshape(nk.in_dim, -1), "din": nk.in_dim, "db": db, "dc": dc,
-            "personal": {"B": 1, "RB": -1}}
+    din = nk.in_dim
+    joint = "C" if len(kraus) == 1 else "RB"
+    axes = {"B": ((3,), db), "C": ((4,), dc), "RB": ((2, 3), din * db)}
+    return {"kraus": kraus.transpose(2, 1, 0).reshape(din, -1), "dims": (din, db, dc),
+            "axes": {r: axes[r] for r in ("B", "C", joint)}, "personal": {"B": 1, joint: -1}}
 
 
 def _ensemble_amp(ev, phi: np.ndarray) -> np.ndarray:
     """Output amplitudes amp[m, t, r, b, c, e] = sum_i K_e[bc, i] phi[m, t, r, i]."""
-    din, db, dc = (ev.fixed[key] for key in ("din", "db", "dc"))
-    m, t = phi.shape[0], phi.shape[1]
-    return (phi.reshape(-1, din) @ ev.fixed["kraus"]).reshape(m, t, din, db, dc, -1)
+    return (phi.reshape(-1, ev.fixed["dims"][0]) @ ev.fixed["kraus"]).reshape(*phi.shape[:2], *ev.fixed["dims"], -1)
 
 
 def _ensemble_states(ev, phi: np.ndarray) -> dict:
-    """Reduced states on B, C and RB: Gram products of amp with the kept factors as rows."""
-    din, db, dc = (ev.fixed[key] for key in ("din", "db", "dc"))
-    m, t = phi.shape[0], phi.shape[1]
+    """The receiver states of ``_ensemble_setup``'s ``axes`` only, B, C and RB (no RB for one Kraus
+    operator): Gram products of amp with the kept axes as rows and the traced ones as columns."""
     amp = _ensemble_amp(ev, phi)
-
-    def gram(axes, dim):
-        rows = amp.transpose(0, 1, *axes).reshape(m, t, dim, -1)
-        return rows @ rows.conj().swapaxes(-1, -2)
-
-    return {"B": gram((3, 2, 4, 5), db), "C": gram((4, 2, 3, 5), dc), "RB": gram((2, 3, 4, 5), din * db)}
+    states = {}
+    for r, (kept, dim) in ev.fixed["axes"].items():
+        rows = amp.transpose(0, 1, *kept, *(a for a in range(2, 6) if a not in kept)).reshape(*amp.shape[:2], dim, -1)
+        states[r] = rows @ rows.conj().swapaxes(-1, -2)
+    return states
 
 
 def _ensemble_adjoint(ev, phi: np.ndarray, d_states: dict) -> np.ndarray:
-    """Complex d/d phi of sum_r Re tr(D_r rho_r): 2 D amp on each kept factor, pulled back through K."""
-    din, db = ev.fixed["din"], ev.fixed["db"]
+    """Complex d/d phi of sum_r Re tr(D_r rho_r): 2 D amp on each receiver's kept axes, pulled back through K."""
     amp = _ensemble_amp(ev, phi)
-    m, t = phi.shape[0], phi.shape[1]
     g = np.zeros_like(amp)
-    if "B" in d_states:
-        g += (d_states["B"][:, :, None] @ amp.reshape(m, t, din, db, -1)).reshape(amp.shape)
-    if "C" in d_states:
-        g += d_states["C"][:, :, None, None] @ amp
-    if "RB" in d_states:
-        g += (d_states["RB"] @ amp.reshape(m, t, din * db, -1)).reshape(amp.shape)
-    return 2.0 * (g.reshape(m * t * din, -1) @ ev.fixed["kraus"].conj().T).reshape(phi.shape)
+    for r, d in d_states.items():
+        (lead, *_), dim = ev.fixed["axes"][r]  # the kept axes are adjacent: D broadcasts over those before them
+        d = d.reshape(*d.shape[:2], *(1,) * (lead - 2), dim, dim)
+        g += (d @ amp.reshape(*amp.shape[:lead], dim, -1)).reshape(amp.shape)
+    return 2.0 * (g.reshape(phi.size // amp.shape[2], -1) @ ev.fixed["kraus"].conj().T).reshape(phi.shape)
 
 
 _CQ = _Family(

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import qbroadcast as qb
 from qbroadcast.bruteforce import (
+    _composition_table,
     _enumerate_joints,
     classical_degraded_region,
     cardinality_probe,
@@ -47,6 +49,17 @@ class TestCompositions:
             joints = _enumerate_joints(mesh, t_size, n_x, max_candidates=composition_count(mesh, t_size * n_x))
             assert joints.shape == (len(ascending), t_size, n_x)
             assert np.array_equal(joints.reshape(len(joints), -1) * float(mesh), np.array(ascending, dtype=float))
+
+    @pytest.mark.parametrize("total,parts", [(0, 1), (7, 1), (0, 4), (1, 5), (3, 2), (6, 4), (9, 4), (4, 7),
+                                             (300, 2), (255, 3)])
+    def test_table_matches_itertools_reference(self, total, parts):
+        # itertools.product runs in lexicographic order; the last part is what the others leave
+        ref = [(*head, total - sum(head)) for head in itertools.product(range(total + 1), repeat=parts - 1)
+               if sum(head) <= total]
+        table = _composition_table(total, parts)
+        assert table.dtype == np.min_scalar_type(total)
+        assert table.shape == (composition_count(total, parts), parts)
+        assert table.tolist() == [list(row) for row in ref]
 
     def test_parts_validated(self):
         with pytest.raises(qb.ValidationError):

@@ -26,6 +26,22 @@ def trace_keep(mat, dims, keep):
     return t.reshape(int(np.prod([dims[i] for i in keep])), -1)
 
 
+def random_isometry_channel(n_kraus, dc):
+    """A seeded random channel 2 -> B (2) x C (dc) with ``n_kraus`` Kraus operators cut from one isometry."""
+    rng = np.random.default_rng(41)
+    iso, _ = np.linalg.qr(rng.standard_normal((2 * dc * n_kraus, 2)) + 1j * rng.standard_normal((2 * dc * n_kraus, 2)))
+    return qb.BroadcastChannel(list(iso.reshape(n_kraus, 2 * dc, 2)), qb.layout(("B", 2), ("C", dc)))
+
+
+def three_kraus_channel():
+    return random_isometry_channel(3, 3)
+
+
+def one_kraus_wide_c_channel():
+    """One Kraus operator with d_C = 8 > d_in d_B = 4: S(RB) is still read as the common rate's S(C)."""
+    return random_isometry_channel(1, 8)
+
+
 def coherent_info_ref(mat, dims, a_axes, b_axes):
     """I(A>B) = H(B) - H(AB) computed with plain numpy on a raw matrix."""
     h_ab = spectrum_entropy(trace_keep(mat, dims, sorted(a_axes + b_axes)))
@@ -214,6 +230,26 @@ class TestWitnessDualRoute:
             assert abs(p - sum(pt * qb.coherent_information(sigma, "R", "B") for pt, sigma in zip(p_t, outs))) < 1e-9
 
 
+class TestPureStateRoute:
+    # the output of a pure input is pure on R B C E, so S(RB) = S(CE): with one Kraus operator the
+    # evaluator reads it as the common rate's S(C) whatever the dimensions, else it builds RB
+    @pytest.mark.parametrize("make,joint", [(qb.make_pinching, "C"), (qb.make_ghz_copy, "C"),
+                                            (one_kraus_wide_c_channel, "C"), (generic_dephasing, "RB"),
+                                            (three_kraus_channel, "RB")],
+                             ids=["pinching", "ghz-copy", "one-kraus-wide-c", "generic-dephasing", "three-kraus"])
+    def test_personal_rate_is_label_averaged_coherent_information(self, make, joint):
+        ch = make()
+        ev = build_evaluator("cq-eg", ch, t_size=2)
+        assert list(ev.personal) == ["B", joint]
+        thetas = seeded_rng(23).standard_normal((3, ev.n_params))
+        p_t, phi = ev.decode(thetas)
+        lay = qb.layout(("R", ch.in_dim), ("in", ch.in_dim))
+        ref = [sum(p * qb.coherent_information(ch.apply_to(qb.PureState(state, lay).to_density(), "in"), "R", "B")
+                   for p, state in zip(p_row, phi_row)) for p_row, phi_row in zip(p_t, phi)]
+        assert np.abs(ev.batch_rates(thetas)[1] - ref).max() <= 1e-12
+        assert np.abs(ev.rates_grad(thetas)[1] - ref).max() <= 1e-12
+
+
 class TestEntropyKernels:
     # the receivers that take the diagonal kernel, decided stack by stack at setup
     @pytest.mark.parametrize("mode,make,k,diagonal", [
@@ -280,11 +316,14 @@ GRADIENT_CASES = [
 
 class TestRateGradients:
     # the rotated channel runs the cq mode on the dense kernel; the generic dephasing
-    # channel mixes its diagonal B receiver with dense C and CE receivers
+    # channel mixes its diagonal B receiver with dense C and CE receivers.  The pinching
+    # cq-eg and qq cases take S(C) for S(RB); the three-Kraus cq-eg case builds RB
     @pytest.mark.parametrize(
         "mode,make,k,t_size",
-        GRADIENT_CASES + [("cq", rotated_pinching_cq, 1, 3), ("dephasing", generic_dephasing, 1, 3)],
-        ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES] + ["cq-rotated-k1", "dephasing-generic-k1"])
+        GRADIENT_CASES + [("cq", rotated_pinching_cq, 1, 3), ("dephasing", generic_dephasing, 1, 3),
+                          ("cq-eg", three_kraus_channel, 1, 2)],
+        ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES] + ["cq-rotated-k1", "dephasing-generic-k1",
+                                                           "cq-eg-three-kraus-k1"])
     def test_matches_central_differences(self, mode, make, k, t_size):
         ev = build_evaluator(mode, make(), k=k, t_size=t_size)
         thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
