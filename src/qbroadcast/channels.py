@@ -594,26 +594,30 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
 
 
 def _kraus_fit(b_stack: np.ndarray, c_stack: np.ndarray, decode):
-    """(objective, gradient) of -sum_p |Phi_K(b_p) - c_p|_F^2 over the Kraus stacks K = decode(theta).
+    """One pass ``fn(thetas) -> (values, directions_at)`` of -sum_p |Phi_K(b_p) - c_p|_F^2 over the Kraus
+    stacks K = decode(theta); ``directions_at(rows)`` is its gradient at those rows of the batch.
 
     ``decode`` maps an (m, n) block to stacks (m, n_env, dc, db) and a pullback
-    from the complex gradient G in K (d objective = Re sum conj(G) dK) to d/dtheta.
+    ``(G, rows)`` from the complex gradient G in K at those rows (d objective =
+    Re sum conj(G) dK) to d/dtheta.  Value and gradient share the residual.
     """
     b_vec, c_vec = (x.transpose(1, 2, 0).reshape(-1, len(b_stack)) for x in (b_stack, c_stack))  # (d*d, p)
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        d = _transfer(decode(thetas)[0]) @ b_vec - c_vec
-        return -(d.real ** 2 + d.imag ** 2).sum(axis=(1, 2))
-
-    def gradient(thetas: np.ndarray) -> np.ndarray:
-        # Hermitian D_p = Phi_K(b_p) - c_p and b_p give G_e = -4 sum_p D_p K_e b_p
+    def fn(thetas: np.ndarray):
         stacks, pullback = decode(thetas)
-        m, n_env, dc, db = stacks.shape
-        v = ((_transfer(stacks) @ b_vec - c_vec) @ b_vec.T).reshape(m, dc, dc, db, db)  # [c, f, d, b]
-        g = v.transpose(0, 1, 4, 2, 3).reshape(m, dc * db, -1) @ stacks.transpose(0, 2, 3, 1).reshape(m, -1, n_env)
-        return pullback(-4.0 * g.reshape(m, dc, db, n_env).transpose(0, 3, 1, 2))
+        resid = _transfer(stacks) @ b_vec - c_vec
 
-    return objective, gradient
+        def directions_at(rows):
+            # Hermitian D_p = Phi_K(b_p) - c_p and b_p give G_e = -4 sum_p D_p K_e b_p
+            k = stacks[rows]
+            m, n_env, dc, db = k.shape
+            v = (resid[rows] @ b_vec.T).reshape(m, dc, dc, db, db)  # [c, f, d, b]
+            g = v.transpose(0, 1, 4, 2, 3).reshape(m, dc * db, -1) @ k.transpose(0, 2, 3, 1).reshape(m, -1, n_env)
+            return pullback(-4.0 * g.reshape(m, dc, db, n_env).transpose(0, 3, 1, 2), rows)
+
+        return -(resid.real ** 2 + resid.imag ** 2).sum(axis=(1, 2)), directions_at
+
+    return fn
 
 
 def _prep_decode(basis: np.ndarray, dc: int):
@@ -627,10 +631,11 @@ def _prep_decode(basis: np.ndarray, dc: int):
         norm = np.maximum(np.linalg.norm(g, axis=(2, 3)), 1e-15)[..., None, None]
         stacks = (g / norm).transpose(0, 1, 3, 2)[..., None] * basis.conj().T[:, None, None, :]
 
-        def pullback(grad: np.ndarray) -> np.ndarray:
-            h = (grad.reshape(m, db, dc * dc, db) @ basis.T[:, :, None]).reshape(m, db, dc, dc).transpose(0, 1, 3, 2)
-            d_g = h / norm - (h.conj() * g).real.sum(axis=(2, 3))[..., None, None] / norm ** 3 * g
-            return np.stack([d_g.real, d_g.imag], axis=2).reshape(m, -1)
+        def pullback(grad: np.ndarray, rows) -> np.ndarray:
+            n, gr, nr = len(rows), g[rows], norm[rows]
+            h = (grad.reshape(n, db, dc * dc, db) @ basis.T[:, :, None]).reshape(n, db, dc, dc).transpose(0, 1, 3, 2)
+            d_g = h / nr - (h.conj() * gr).real.sum(axis=(2, 3))[..., None, None] / nr ** 3 * gr
+            return np.stack([d_g.real, d_g.imag], axis=2).reshape(n, -1)
 
         return stacks.reshape(m, db * dc, dc, db), pullback
 
@@ -648,12 +653,12 @@ def _retraction_decode(dc: int, db: int):
         g = thetas.reshape(m, 2, -1, db)
         q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
 
-        def pullback(grad: np.ndarray) -> np.ndarray:
-            gq = grad.reshape(q.shape)
-            b = q.conj().transpose(0, 2, 1) @ gq
-            z = gq + q @ (np.tril(b - b.conj().transpose(0, 2, 1), -1) + 1j * b.imag * np.eye(db) - b)
-            d_a = np.linalg.solve(r, z.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-            return np.stack([d_a.real, d_a.imag], axis=1).reshape(m, -1)
+        def pullback(grad: np.ndarray, rows) -> np.ndarray:
+            qr, gq = q[rows], grad.reshape(len(rows), *q.shape[1:])
+            b = qr.conj().transpose(0, 2, 1) @ gq
+            z = gq + qr @ (np.tril(b - b.conj().transpose(0, 2, 1), -1) + 1j * b.imag * np.eye(db) - b)
+            d_a = np.linalg.solve(r[rows], z.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+            return np.stack([d_a.real, d_a.imag], axis=1).reshape(len(rows), -1)
 
         return q.reshape(m, db * dc, dc, db), pullback
 
@@ -745,7 +750,7 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     s = SimpleNamespace(b=np.stack(b_states), c=np.stack(c_states), db=len(b_states[0]), dc=len(c_states[0]),
                         spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
                         basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
-    s.fit = lambda decode, inits: maximize_batch(*_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
+    s.fit = lambda decode, inits: maximize_batch(_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
     best, best_residual, best_method = None, np.inf, "none"
     for method, commuting, maps in _STRATEGIES:
         if commuting is not None and (commuting != commute or best_residual <= CERTIFY_THRESHOLD):

@@ -10,6 +10,7 @@ ERR_VALIDATE), 3 budget (stderr prefix ERR_BUDGET).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import pathlib
@@ -240,6 +241,8 @@ def _recompute_entry(mode: str, channel, k: int, entry: dict) -> tuple[float, fl
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < np.inf:
+        raise ValidationError(f"tol: must be a finite number >= 0, got {args.tol}")
     try:
         doc = json.loads(pathlib.Path(args.witness).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -286,6 +289,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # built once per process: argparse parsers can parse any number of argument lists
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qbroadcast", description="Capacity-region frontiers for broadcast channels")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -1,13 +1,13 @@
 """Batched multi-restart gradient ascent shared by the region evaluators.
 
-Each iteration asks the caller's gradient function for the ascent direction of
-every active restart in one call, then pushes all restarts' line-search trials
-through the objective as a second batched call, so objectives can vectorize
-their linear algebra across candidates.  Every caller passes an exact gradient,
-or an ascent direction built from one (the frontier sweep's mirror direction
-for distributions); ``central_differences`` turns a value function into a
-finite-difference gradient function and is used only by the tests, as the
-reference gradient.
+Each iteration makes one call to the caller's function: it scores every active
+restart's line-search ladder in one batch, so objectives can vectorize their
+linear algebra across candidates, and returns with the values a
+``directions_at(rows)`` that gives the ascent directions at chosen rows of that
+same batch.  The loop asks only for the rows whose trial it accepts; a restart
+whose ladder fails stays put and keeps its direction.  Every caller's direction
+is an exact gradient, or an ascent direction built from one (the frontier
+sweep's mirror direction for distributions).
 """
 
 from __future__ import annotations
@@ -43,41 +43,27 @@ STEP_INIT = 0.25  # first trial step of every restart
 STEP_GROW = 1.3  # step growth after an accepted trial
 STEP_SHRINK = 0.5  # ratio between consecutive ladder steps, and per rung after a failed ladder
 STEP_MIN = 1e-7  # a restart whose step falls below this stops
-GRAD_TOL = 1e-9  # a restart whose gradient norm falls below this stops
-FD_STEP = 1e-5  # central-difference step
+GRAD_TOL = 1e-9  # a restart whose direction norm falls below this stops
 
 
-def central_differences(batch_fn):
-    """Gradient function estimating the gradient of ``batch_fn`` by central differences.
-
-    The 2n perturbations of every row go through ``batch_fn`` as one call.
-    """
-    def grad_fn(thetas: np.ndarray) -> np.ndarray:
-        m, n = thetas.shape
-        signed = np.zeros((2 * n, n))
-        signed[0::2] = np.eye(n) * FD_STEP
-        signed[1::2] = -np.eye(n) * FD_STEP
-        pert = (thetas[:, None, :] + signed[None, :, :]).reshape(m * 2 * n, n)
-        gvals = np.asarray(batch_fn(pert), dtype=float).reshape(m, 2 * n)
-        return (gvals[:, 0::2] - gvals[:, 1::2]) / (2.0 * FD_STEP)
-    return grad_fn
-
-
-def maximize_batch(batch_fn, grad_fn, inits: np.ndarray, cfg: OptimizerConfig):
+def maximize_batch(fn, inits: np.ndarray, cfg: OptimizerConfig):
     """Ascend every row of ``inits`` independently; returns (thetas, values, info).
 
-    ``batch_fn`` maps an (m, n) parameter block to m objective values and
-    ``grad_fn`` maps it to the (m, n) gradients.  Each iteration takes the
-    gradient of the active restarts in one call, then evaluates a geometric
-    ladder of trial steps along it in a second call.  Restarts deactivate when
-    their step collapses below ``STEP_MIN`` or the gradient norm drops under
-    ``GRAD_TOL``.
+    ``fn`` maps an (m, n) parameter block to m objective values and a
+    ``directions_at(rows)`` giving the (len(rows), n) ascent directions at those
+    rows of the block.  The first call scores ``inits``; each iteration then
+    makes one call on a geometric ladder of trial steps along every active
+    restart's unit direction and takes the direction of each accepted trial
+    from that call.  Restarts deactivate when their step collapses below
+    ``STEP_MIN`` or the direction norm drops under ``GRAD_TOL``.
     """
     thetas = np.array(inits, dtype=float)
     if thetas.ndim != 2:
         raise ValueError(f"inits must be 2-d (restarts, params), got shape {thetas.shape}")
     m, n = thetas.shape
-    values = np.asarray(batch_fn(thetas), dtype=float)
+    values, directions_at = fn(thetas)
+    values = np.array(values, dtype=float)
+    dirs = np.asarray(directions_at(np.arange(m)), dtype=float)
     steps = np.full(m, STEP_INIT)
     active = np.ones(m, dtype=bool)
     ladder = STEP_SHRINK ** np.arange(_LADDER)
@@ -86,23 +72,20 @@ def maximize_batch(batch_fn, grad_fn, inits: np.ndarray, cfg: OptimizerConfig):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        sub = thetas[idx]
-        grad = np.asarray(grad_fn(sub), dtype=float)
-        gnorm = np.linalg.norm(grad, axis=1)
+        unit = dirs[idx]
+        gnorm = np.sqrt((unit * unit).sum(axis=1))
         flat = gnorm < GRAD_TOL
         if flat.any():
             active[idx[flat]] = False
-            keep = ~flat
-            idx, sub, grad, gnorm = idx[keep], sub[keep], grad[keep], gnorm[keep]
+            idx, unit, gnorm = idx[~flat], unit[~flat], gnorm[~flat]
             if idx.size == 0:
                 continue
-        dirs = grad / gnorm[:, None]
         trial_steps = steps[idx][:, None] * ladder[None, :]
-        trials = sub[:, None, :] + trial_steps[:, :, None] * dirs[:, None, :]
-        tvals = np.asarray(batch_fn(trials.reshape(idx.size * _LADDER, n)), dtype=float).reshape(idx.size, _LADDER)
+        trials = thetas[idx][:, None, :] + trial_steps[:, :, None] * (unit / gnorm[:, None])[:, None, :]
+        tvals, trial_directions = fn(trials.reshape(idx.size * _LADDER, n))
+        tvals = np.asarray(tvals, dtype=float).reshape(idx.size, _LADDER)
         best_j = np.argmax(tvals, axis=1)
-        rows = np.arange(idx.size)
-        best_v = tvals[rows, best_j]
+        best_v = tvals[np.arange(idx.size), best_j]
         improved = best_v > values[idx]
         good = idx[improved]
         if good.size:
@@ -110,11 +93,11 @@ def maximize_batch(batch_fn, grad_fn, inits: np.ndarray, cfg: OptimizerConfig):
             thetas[good] = trials[improved, jj]
             values[good] = best_v[improved]
             steps[good] = trial_steps[improved, jj] * STEP_GROW
-        bad = idx[~improved]
-        if bad.size:
+            dirs[good] = trial_directions(np.flatnonzero(improved) * _LADDER + jj)
+        if good.size < idx.size:
+            bad = idx[~improved]
             steps[bad] *= STEP_SHRINK ** _LADDER
-            dead = steps[bad] < STEP_MIN
-            active[bad[dead]] = False
+            active[bad[steps[bad] < STEP_MIN]] = False
     info = {"iterations": iters, "converged": bool(not active.any())}
     return thetas, values, info
 

@@ -10,8 +10,10 @@ kind and the payload-to-receiver-states map), the receivers that bind the
 common rate, and its rate labels.  A penalty sweep over a grid of common-rate
 targets traces the upper boundary and stores the achieving parameters as a
 re-evaluatable witness; its rows, like the exhaustive oracles' candidates, become
-a frontier through the one ``pareto_staircase``.  Each optimizer stage follows
-the payload kind's ``direction``: the conditional kind (cq and dephasing
+a frontier through the one ``pareto_staircase``.  Each optimizer stage is one
+function: a ``rates_grad`` pass scores a batch, and only the rows the optimizer
+accepts are pulled back to the payload kind's ``direction`` (the r_max stage
+skips the personal rate's pull-back).  The conditional kind (cq and dephasing
 families) divides each softmax block of the exact gradient by its
 probabilities, the mirror direction s_i - <p, s> that still moves at the
 simplex boundary where their optima sit; the pure-state kind follows the exact
@@ -30,10 +32,10 @@ The evaluator picks each receiver's entropy kernel once, at setup.  The cq and
 dephasing families mix fixed per-symbol stacks; each stack that is exactly
 diagonal (every builtin cq and dephasing stack, at any k, and the dephasing B
 stack always) is kept as real (x, d) diagonals, its label states stay diagonal,
-and its kernel is ``states.entropy_of_spectrum`` and ``states.entropy_slope``
-applied to those diagonals.  Any other stack, and every ensemble receiver,
-takes the dense kernel: the same two functions applied to the spectrum from
-``eigvalsh`` for values, or from ``eigh`` for dS/drho.  Every per-call
+and its kernel is ``states.entropy_and_slope`` applied to those diagonals.
+Any other stack, and every ensemble receiver, takes the dense kernel: the same
+function applied to the spectrum from ``eigh``, which also gives dS/drho (the
+value-only path of witness checks takes ``eigvalsh``).  Every per-call
 contraction is a reshaped matmul.
 """
 
@@ -50,7 +52,7 @@ from .channels import BroadcastChannel, CqBroadcastChannel, degradedness_residua
 from .errors import BudgetError, ValidationError
 from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax, softmax_grad
 from .quantities import coherent_information
-from .states import ENTROPY_CLAMP, PureState, binary_entropy, entropy_of_spectrum, entropy_slope
+from .states import ENTROPY_CLAMP, PureState, binary_entropy, entropy_and_slope, entropy_of_spectrum
 
 
 @dataclass
@@ -123,16 +125,13 @@ def batched_entropy(mats: np.ndarray) -> np.ndarray:
 def _entropy_grad(mats: np.ndarray):
     """``batched_entropy`` and its gradient dS/drho = -(log2 rho + I/ln 2) from one ``eigh``."""
     evals, vecs = np.linalg.eigh(mats)
-    evals = np.clip(evals, 0.0, None)
-    grad = (vecs * entropy_slope(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return entropy_of_spectrum(evals), grad
+    h, slope = entropy_and_slope(np.clip(evals, 0.0, None))
+    return h, (vecs * slope[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _kernels(diagonal: bool):
     """The (entropy, entropy gradient) pair for (..., d) diagonals or dense (..., d, d) states."""
-    if diagonal:
-        return entropy_of_spectrum, lambda p: (entropy_of_spectrum(p), entropy_slope(p))
-    return batched_entropy, _entropy_grad
+    return (entropy_of_spectrum, entropy_and_slope) if diagonal else (batched_entropy, _entropy_grad)
 
 
 def _label_mix(p_t: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -204,7 +203,7 @@ class _Family(NamedTuple):
     decode: Callable  # raw (m, t, payload length) -> payload batch
     decode_grad: Callable  # (raw, payload, d/d payload) -> d/d raw
     check: Callable  # (payload batch, what) -> raises ValidationError unless it is a decoded payload
-    direction: Callable  # (evaluator, thetas, exact gradient) -> the ascent direction ``_sweep`` follows
+    direction: Callable  # (p_t, payload, exact gradient) -> the ascent direction ``_sweep`` follows
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
     structured_rows: int  # cold-start restarts that get a structured row (1 unless it depends on the rng)
     init_scale: float  # standard deviation of the seeded random init rows
@@ -271,43 +270,52 @@ class _LabelEnsembleEvaluator:
         return self.rates(*self.decode(thetas))
 
     def rates_grad(self, thetas: np.ndarray):
-        """(common, personal, d common / d theta, d personal / d theta) for a batch.
+        """(common, personal, grads) for a batch from one forward pass.
 
-        Entropy gradients come through the Holevo term (the common rate follows
-        each row's binding receiver) or the personal term, then through the
-        family's states map and both decodes.
+        ``grads(rows, personal=True)`` is (d common / d theta, d personal / d theta,
+        ascent) at those rows of the batch, d personal None when not asked;
+        ``ascent`` maps a gradient there to the family's direction.  Entropy
+        gradients come through the Holevo term (the common rate follows each
+        row's binding receiver) or the personal term, then through the family's
+        states map and both decodes; only the asked rows are pulled back.
         """
-        m, t = thetas.shape[0], self.t_size
-        raw = thetas[:, t:].reshape(m, t, self.payload_len)
+        t = self.t_size
+        raw = thetas[:, t:].reshape(thetas.shape[0], t, self.payload_len)
         p_t, payload = softmax(thetas[:, :t]), self.family.decode(raw)
         states = self.family.states(self, payload)
-        h, g, w = {}, {}, {}
+        h, g, g_mix, chi = {}, {}, {}, []
         for r, kernel in self.entropy_grad.items():
             h[r], g[r] = kernel(states[r])
-            w[r] = _per_row(p_t, states[r])
-        chi, d_p, d_rho = [], [], []
         for r in self.common:
-            s_mix, g_mix = self.entropy_grad[r](_label_mix(p_t, states[r]))
+            s_mix, g_mix[r] = self.entropy_grad[r](_label_mix(p_t, states[r]))
             chi.append(s_mix - (p_t * h[r]).sum(axis=1))
-            # tr(G rho_t) = sum_ij conj(G_ij) rho_t,ij for Hermitian G
-            trace = states[r].reshape(m, t, -1) @ g_mix.conj().reshape(m, -1, 1)
-            d_p.append(trace[..., 0].real - h[r])
-            d_rho.append(w[r] * (g_mix[:, None] - g[r]))
         binding = np.argmin(chi, axis=0)
-        masks = [binding == i for i in range(len(chi))]
         term = self._personal_term(payload, h)
 
-        def backward(seed_p, seed_rho, seed_payload):
-            d_payload = seed_payload + self.family.adjoint(self, payload, seed_rho)
-            d_logits = softmax_grad(p_t, seed_p)
-            d_raw = self.family.decode_grad(raw, payload, d_payload).reshape(m, -1)
-            return np.concatenate([d_logits, d_raw], axis=1) / self.k
+        def grads(rows, personal: bool = True):
+            m, p, pay, bind = len(rows), p_t[rows], payload[rows], binding[rows]
+            rho = {r: states[r][rows] for r in self.entropy_grad}
+            w = {r: _per_row(p, rho[r]) for r in rho}
 
-        d_common = backward(sum(mk[:, None] * d for mk, d in zip(masks, d_p)),
-                            {r: _per_row(mk, d) * d for r, mk, d in zip(self.common, masks, d_rho)}, 0.0)
-        d_personal = backward(term, {r: (w[r] if sign > 0 else -w[r]) * g[r] for r, sign in self.personal.items()},
-                              0.0 if self.offset is None else p_t[:, :, None] * -self.offset)
-        return np.min(chi, axis=0) / self.k, (p_t * term).sum(axis=1) / self.k, d_common, d_personal
+            def backward(seed_p, seed_rho, seed_payload):
+                d_payload = seed_payload + self.family.adjoint(self, pay, seed_rho)
+                d_raw = self.family.decode_grad(raw[rows], pay, d_payload).reshape(m, -1)
+                return np.concatenate([softmax_grad(p, seed_p), d_raw], axis=1) / self.k
+
+            seed_p, seed_rho = 0, {}
+            for i, r in enumerate(self.common):
+                mask, gm = bind == i, g_mix[r][rows]
+                # tr(G rho_t) = sum_ij conj(G_ij) rho_t,ij for Hermitian G
+                trace = rho[r].reshape(m, t, -1) @ gm.conj().reshape(m, -1, 1)
+                seed_p = seed_p + mask[:, None] * (trace[..., 0].real - h[r][rows])
+                d_rho = w[r] * (gm[:, None] - g[r][rows])
+                seed_rho[r] = _per_row(mask, d_rho) * d_rho
+            d_personal = backward(
+                term[rows], {r: (w[r] if sign > 0 else -w[r]) * g[r][rows] for r, sign in self.personal.items()},
+                0.0 if self.offset is None else p[:, :, None] * -self.offset) if personal else None
+            return backward(seed_p, seed_rho, 0.0), d_personal, functools.partial(self.family.direction, p, pay)
+
+        return np.min(chi, axis=0) / self.k, (p_t * term).sum(axis=1) / self.k, grads
 
     def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
         """Warm start plus one structured row, or the family's ``structured_rows``, then seeded random rows."""
@@ -355,13 +363,12 @@ def _check_unit_norm(phi: np.ndarray, what: str):
         raise ValidationError(f"{what} has a state whose norm is not 1 within 1e-9")
 
 
-def _mirror_direction(ev, thetas: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _mirror_direction(p_t: np.ndarray, cond: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """s_i - <p, s> per softmax block: the logit gradient p_i (s_i - <p, s>) over p_i, 0 where p_i == 0.
 
     This mirror (exponentiated-gradient) direction keeps moving at the simplex boundary, where the cq
     and dephasing optima sit; its inner product with the logit gradient is Var_p(s) >= 0."""
-    p_t, cond = ev.decode(thetas)
-    p = np.concatenate([p_t, cond.reshape(len(thetas), -1)], axis=1)
+    p = np.concatenate([p_t, cond.reshape(len(p_t), -1)], axis=1)
     return np.divide(grad, p, out=np.zeros_like(grad), where=p > 0)
 
 
@@ -424,7 +431,7 @@ _PURE = dict(
     decode=_pure_decode,
     decode_grad=_pure_decode_grad,
     check=_check_unit_norm,
-    direction=lambda ev, thetas, grad: grad,  # rescaling p(t) here measured worse
+    direction=lambda p_t, phi, grad: grad,  # rescaling p(t) here measured worse
     structured=_pure_structured,
     structured_rows=2,  # each draws its own perturbation
     init_scale=1.0,
@@ -560,17 +567,26 @@ _MODES = {
 def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None) -> Frontier:
     work = {"iterations": 0, "stages": 0, "stages_converged": 0}
 
-    def ascend(value_fn, grad_fn, thetas):
-        """One ``maximize_batch`` stage along the family's direction, counted in ``work``."""
-        thetas, vals, info = maximize_batch(value_fn, lambda th: ev.family.direction(ev, th, grad_fn(th)),
-                                            thetas, cfg)
+    def ascend(thetas, mu=None, r=0.0):
+        """One ``maximize_batch`` stage, counted in ``work``: the common rate when ``mu`` is None, else
+        the personal rate less mu max(0, r - common)^2.  One ``rates_grad`` pass per call scores the
+        batch; the family's direction is taken at the rows the optimizer asks for."""
+        def stage(th):
+            c, p, grads = ev.rates_grad(th)
+            gap = np.maximum(0.0, r - c)
+
+            def directions_at(rows):
+                d_c, d_p, ascent = grads(rows, personal=mu is not None)
+                return ascent(d_c if mu is None else d_p + (2.0 * mu * gap[rows])[:, None] * d_c)
+            return (c if mu is None else p - mu * gap * gap), directions_at
+        thetas, vals, info = maximize_batch(stage, thetas, cfg)
         work["iterations"] += info["iterations"]
         work["stages"] += 1
         work["stages_converged"] += info["converged"]
         return thetas, vals, info
 
     inits = ev.inits(cfg.restarts, (cfg.seed, 0xC0FFEE), warm=None)
-    r_max_thetas, common_vals, _ = ascend(lambda th: ev.batch_rates(th)[0], lambda th: ev.rates_grad(th)[2], inits)
+    r_max_thetas, common_vals, _ = ascend(inits)
     r_max = max(float(common_vals.max()), 0.0)
     if r_values is None:
         r_values = np.linspace(0.0, r_max, cfg.r_grid)
@@ -582,17 +598,8 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
     warm = r_max_thetas[int(np.argmax(common_vals))] if len(r_values) and r_values[0] > 0 else None
     for pi, r_target in enumerate(r_values):
         thetas = ev.inits(cfg.restarts, (cfg.seed, pi), warm)
-        vals, info = None, {"converged": False}
         for mu in PENALTY_SCALES:
-            def objective(th, mu=mu, r=r_target):
-                c, p = ev.batch_rates(th)
-                gap = np.maximum(0.0, r - c)
-                return p - mu * gap * gap
-
-            def gradient(th, mu=mu, r=r_target):
-                c, _, d_c, d_p = ev.rates_grad(th)
-                return d_p + (2.0 * mu * np.maximum(0.0, r - c))[:, None] * d_c
-            thetas, vals, info = ascend(objective, gradient, thetas)
+            thetas, vals, info = ascend(thetas, mu, r_target)
         best = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
         theta = thetas[best]
         c_arr, p_arr = ev.batch_rates(theta[None])

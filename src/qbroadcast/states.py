@@ -314,20 +314,21 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def entropy_of_spectrum(p: np.ndarray) -> np.ndarray:
-    """Base-2 entropy along the last axis; values at or below 1e-12 count as zero.
+def entropy_and_slope(p: np.ndarray):
+    """Base-2 entropy along the last axis and the slope d(-p log2 p)/dp, from one masked log2.
 
-    With ``entropy_slope`` this is the engine's one entropy rule: every dense
-    and diagonal entropy in ``regions`` goes through it.
+    Values at or below 1e-12 count as zero and take slope zero.  This is the
+    engine's one entropy rule: every dense and diagonal entropy in ``regions``
+    goes through it.
     """
-    safe = np.maximum(p, ENTROPY_CLAMP)
-    logs = np.where(p > ENTROPY_CLAMP, np.log2(safe), 0.0)
-    return -(p * logs).sum(axis=-1)
+    live = p > ENTROPY_CLAMP
+    logs = np.where(live, np.log2(np.maximum(p, ENTROPY_CLAMP)), 0.0)
+    return -(p * logs).sum(axis=-1), np.where(live, -(logs + 1.0 / np.log(2.0)), 0.0)
 
 
-def entropy_slope(p: np.ndarray) -> np.ndarray:
-    """d(-p log2 p)/dp, zero at or below ENTROPY_CLAMP where the entropy drops the term."""
-    return np.where(p > ENTROPY_CLAMP, -(np.log2(np.maximum(p, ENTROPY_CLAMP)) + 1.0 / np.log(2.0)), 0.0)
+def entropy_of_spectrum(p: np.ndarray) -> np.ndarray:
+    """Base-2 entropy along the last axis: ``entropy_and_slope`` without its slope."""
+    return entropy_and_slope(p)[0]
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

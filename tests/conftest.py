@@ -2,7 +2,8 @@
 
 Everything here is computed from scratch (bisection on binary entropy, plain
 table entropies) so test expectations never route through the package's own
-entropy code.  ``rotated_pinching_cq`` is the shared non-diagonal test channel;
+entropy code.  ``central_differences`` is the reference gradient of every
+gradient test.  ``rotated_pinching_cq`` is the shared non-diagonal test channel;
 ``c_rotated_pinching_cq`` and ``generic_dephasing`` mix diagonal and dense receivers.
 """
 
@@ -11,6 +12,24 @@ import math
 import numpy as np
 
 import qbroadcast as qb
+
+FD_STEP = 1e-5  # central-difference step
+
+
+def central_differences(batch_fn):
+    """Gradient function estimating the gradient of ``batch_fn`` by central differences.
+
+    The 2n perturbations of every row go through ``batch_fn`` as one call.
+    """
+    def grad_fn(thetas: np.ndarray) -> np.ndarray:
+        m, n = thetas.shape
+        signed = np.zeros((2 * n, n))
+        signed[0::2] = np.eye(n) * FD_STEP
+        signed[1::2] = -np.eye(n) * FD_STEP
+        pert = (thetas[:, None, :] + signed[None, :, :]).reshape(m * 2 * n, n)
+        gvals = np.asarray(batch_fn(pert), dtype=float).reshape(m, 2 * n)
+        return (gvals[:, 0::2] - gvals[:, 1::2]) / (2.0 * FD_STEP)
+    return grad_fn
 
 
 def h2(p: float) -> float:

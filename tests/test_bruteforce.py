@@ -318,7 +318,7 @@ class TestOracleIndependence:
     def test_no_engine_entropy_code(self):
         # the oracles check the engine, so they must compute entropies with their own code
         source = inspect.getsource(qb.bruteforce)
-        for name in ("entropy_of_spectrum", "entropy_slope", "von_neumann_entropy", "batched_entropy",
+        for name in ("entropy_of_spectrum", "entropy_and_slope", "von_neumann_entropy", "batched_entropy",
                      "ENTROPY_CLAMP"):
             assert name not in source, name
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.cli import WITNESS_FORMAT, run
+from qbroadcast.cli import WITNESS_FORMAT, _build_parser, run
 from qbroadcast.specio import complex_to_json
 
 
@@ -129,6 +129,32 @@ class TestRegionCommand:
         captured = capsys.readouterr()
         assert "mismatch" in captured.out
         assert "ERR_VALIDATE" in captured.err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf"])
+    def test_verify_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        # an infinite tolerance would verify any witness, a NaN or negative one would fail every row
+        out = tmp_path / "boundary.csv"
+        assert run(["pinching-boundary", "--points", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--witness", str(out) + ".witness.json", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ERR_VALIDATE: tol: must be a finite number >= 0")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
+        (("cq", "--channel", "pinching-cq", "--grid", "2", "--restarts", "4", "--seed", "1001"),
+         "21419af376e4dcf5ce7233a82c4fe1caf19807c26e276305c501666f1df30a40",
+         "87d311803d6c549088862ddfc755b10b6aef3452551917c9b6ccd7f21549cec8"),
+        (("cq-eg", "--channel", "pinching", "--t-size", "2", "--grid", "2", "--restarts", "2", "--seed", "1001"),
+         "ef516928e6c0b7c1872a47c42ad6ada11c303d64e184ed2567cd272224519291",
+         "bc43406f89da483d8e42875814665b36218747af8bf8d70b57b4a91d3a725534"),
+    ], ids=["sweep-cq", "sweep-eg"])
+    def test_benchmark_sweep_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
+        # the benchmark's sweep configs, pinned so that their CSV and sidecar bytes cannot drift silently
+        out = tmp_path / "front.csv"
+        assert run(["region", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256((tmp_path / "front.csv.witness.json").read_bytes()).hexdigest() == sidecar_sha
 
     def test_verify_rejects_foreign_documents(self, tmp_path):
         bad = tmp_path / "w.json"
@@ -416,3 +442,22 @@ class TestPinchingBoundaryCommand:
     def test_needs_two_points(self, capsys):
         assert run(["pinching-boundary", "--points", "1"]) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
+
+
+class TestOneProcess:
+    def test_parser_built_once_serves_a_sequence(self, tmp_path, capsys):
+        # the benchmark drives run() many times in one process: the parser is built once, and a
+        # failed parse leaves it fit for the next command, with the same bytes and exit codes
+        assert _build_parser() is _build_parser()
+        out, side = tmp_path / "front.csv", tmp_path / "front.csv.witness.json"
+        assert run(region_args(out)) == 0
+        first = out.read_bytes(), side.read_bytes()
+        capsys.readouterr()
+        assert run(["verify", "--witness", str(side)]) == 0
+        assert capsys.readouterr().out.endswith(f"verified {len(first[0].splitlines()) - 1} rows\n")
+        assert run(["region", "cq", "--channel", "noiseless-bit", "--grid", "three"]) == 2
+        assert capsys.readouterr().err.startswith("ERR_VALIDATE: argument --grid: invalid int value")
+        assert run(["check", "degraded", "--channel", "pinching"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["certified: true", "method: measure-prepare (dephasing basis)"]
+        assert run(region_args(out)) == 0
+        assert (out.read_bytes(), side.read_bytes()) == first

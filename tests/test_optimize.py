@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from qbroadcast.optimize import OptimizerConfig, central_differences, maximize_batch, seeded_rng, softmax
+from qbroadcast.optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax
 from qbroadcast.regions import PENALTY_SCALES
+
+from conftest import central_differences
+
+
+def one_pass(f, grad):
+    """A ``maximize_batch`` function from a value function and a gradient function."""
+    return lambda thetas: (f(thetas), lambda rows: grad(thetas[rows]))
 
 
 class TestOptimizerConfig:
@@ -32,7 +39,7 @@ class TestMaximizeBatch:
             return -2.0 * (thetas - target[None, :])
 
         inits = seeded_rng(0).standard_normal((6, 3))
-        thetas, vals, info = maximize_batch(f, grad, inits, OptimizerConfig(restarts=6))
+        thetas, vals, info = maximize_batch(one_pass(f, grad), inits, OptimizerConfig(restarts=6))
         best = thetas[np.argmax(vals)]
         assert np.abs(best - target).max() < 1e-4
         assert vals.max() > -1e-8
@@ -49,29 +56,45 @@ class TestMaximizeBatch:
             return -2.0 * (x - 2.0) * np.exp(-((x - 2.0) ** 2)) - (x + 2.0) * np.exp(-((x + 2.0) ** 2))
 
         inits = np.linspace(-3.0, 3.0, 7)[:, None]
-        _, vals, _ = maximize_batch(f, grad, inits, OptimizerConfig(restarts=7))
+        _, vals, _ = maximize_batch(one_pass(f, grad), inits, OptimizerConfig(restarts=7))
         assert vals.max() > 0.999
 
     def test_batched_calls_only(self):
-        value_rows, grad_blocks = [], []
+        # one call per iteration; directions only at accepted trials, from the call that scored them
+        calls, asked = [], []
 
         def f(thetas):
-            value_rows.append(thetas.shape[0])
             return -(thetas * thetas).sum(axis=1)
 
-        def grad(thetas):
-            grad_blocks.append(thetas.copy())
-            return -2.0 * thetas
+        def fn(thetas):
+            calls.append(thetas.copy())
 
-        inits = np.ones((3, 2))
-        inits[0] = 0.0  # starts at the maximum: a flat gradient retires it at once
-        maximize_batch(f, grad, inits, OptimizerConfig(restarts=3, max_iters=5))
-        assert value_rows[0] == 3
-        assert grad_blocks[0].shape == (3, 2)
-        # later gradient calls see only the active rows
-        assert all(b.shape == (2, 2) and np.abs(b).min() > 0 for b in grad_blocks[1:])
-        # one ladder call per gradient call, four trials per active restart
-        assert value_rows[1:] == [4 * 2] * len(grad_blocks)
+            def directions_at(rows):
+                asked.append((len(calls) - 1, [int(r) for r in rows]))
+                return -2.0 * thetas[rows]
+            return f(thetas), directions_at
+
+        # restart 0 starts at the maximum, so its zero direction retires it at once; restart 2
+        # sits so close to it that every rung of its first ladder overshoots
+        inits = np.array([[0.0, 0.0], [1.0, 1.0], [1e-3, 0.0]])
+        _, _, info = maximize_batch(fn, inits, OptimizerConfig(restarts=3, max_iters=5))
+        assert len(calls) == 1 + info["iterations"] == 6
+        assert calls[0].shape == (3, 2) and asked[0] == (0, [0, 1, 2])
+        assert all(c.shape == (4 * 2, 2) for c in calls[1:])  # four ladder rows per active restart
+        # the first ladder accepts restart 1's best rung only; restart 2 keeps its point and its
+        # direction, and climbs along it from there with a sixteenth of the step
+        assert asked[1] == (1, [int(np.argmax(f(calls[1][:4])))])
+        steps = np.array([[1 / 64], [1 / 128], [1 / 256], [1 / 512]])
+        assert np.allclose(calls[2][4:], inits[2] - steps * [1.0, 0.0])
+        for c in range(1, len(calls)):
+            rows = dict(asked[1:]).get(c, [])
+            for block in range(2):
+                ladder = calls[c][4 * block: 4 * block + 4]
+                start = 2.0 * ladder[1] - ladder[0]  # rung j steps 0.5^j of the first rung
+                improved = f(ladder).max() > f(start[None])[0]
+                assert (4 * block + int(np.argmax(f(ladder))) in rows) == improved
+            assert len(rows) == len({r // 4 for r in rows})
+        assert len(asked) == len(set(c for c, _ in asked))  # at most one ask per call
 
     def test_central_differences(self):
         calls = []
@@ -87,14 +110,16 @@ class TestMaximizeBatch:
 
     def test_rejects_flat_inits(self):
         with pytest.raises(ValueError):
-            maximize_batch(lambda t: -(t * t).sum(axis=1), lambda t: -2.0 * t, np.zeros(4), OptimizerConfig())
+            maximize_batch(one_pass(lambda t: -(t * t).sum(axis=1), lambda t: -2.0 * t), np.zeros(4),
+                           OptimizerConfig())
 
     def test_deterministic_given_seeded_inits(self):
         def f(thetas):
             return -np.abs(thetas).sum(axis=1)
 
-        a = maximize_batch(f, lambda t: -np.sign(t), seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
-        b = maximize_batch(f, lambda t: -np.sign(t), seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
+        fn = one_pass(f, lambda t: -np.sign(t))
+        a = maximize_batch(fn, seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
+        b = maximize_batch(fn, seeded_rng(1, 2).standard_normal((4, 3)), OptimizerConfig())
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.optimize import OptimizerConfig, central_differences, seeded_rng
+from qbroadcast.optimize import OptimizerConfig, seeded_rng
 from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness, pareto_staircase
 
-from conftest import (c_rotated_pinching_cq, generic_dephasing, h2, pinching_cq_truth, pinching_truth,
-                      rotated_pinching_cq, spectrum_entropy)
+from conftest import (c_rotated_pinching_cq, central_differences, generic_dephasing, h2, pinching_cq_truth,
+                      pinching_truth, rotated_pinching_cq, spectrum_entropy)
 
 
 def small_cfg(**kw):
@@ -272,8 +272,9 @@ class TestEntropyKernels:
             dense = build_evaluator("cq", make(), t_size=3)
             for a, b in zip(diag.batch_rates(thetas), dense.batch_rates(thetas)):
                 assert np.abs(a - b).max() <= 1e-10
-            for a, b in zip(diag.rates_grad(thetas), dense.rates_grad(thetas)):
-                assert np.abs(a - b).max() <= 1e-10
+            (*a, grads_a), (*b, grads_b) = diag.rates_grad(thetas), dense.rates_grad(thetas)
+            for x, y in zip(a + list(grads_a(np.arange(6))[:2]), b + list(grads_b(np.arange(6))[:2])):
+                assert np.abs(x - y).max() <= 1e-10
 
     def test_over_budget_k_refused_before_the_k_use_channel_exists(self):
         # the five-use pinching channel alone takes tens of MB; the refusal needs only its sizes
@@ -327,7 +328,8 @@ class TestRateGradients:
     def test_matches_central_differences(self, mode, make, k, t_size):
         ev = build_evaluator(mode, make(), k=k, t_size=t_size)
         thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
-        common, personal, d_common, d_personal = ev.rates_grad(thetas)
+        common, personal, grads = ev.rates_grad(thetas)
+        d_common, d_personal, _ = grads(np.arange(4))
         c_ref, p_ref = ev.batch_rates(thetas)
         assert np.abs(common - c_ref).max() <= 1e-12
         assert np.abs(personal - p_ref).max() <= 1e-12
@@ -335,6 +337,10 @@ class TestRateGradients:
             ref = central_differences(lambda th: ev.batch_rates(th)[pick])(thetas)
             assert np.abs(ref).max() > 1e-3  # the check is not vacuous
             assert np.abs(got - ref).max() <= 1e-6
+        # rows pulled back alone match their rows of the whole batch, with or without the personal rate
+        assert np.array_equal(grads([2, 0], personal=False)[0], d_common[[2, 0]])
+        assert grads([2, 0], personal=False)[1] is None
+        assert np.array_equal(grads([3])[1], d_personal[[3]])
 
 
 class TestAscentDirection:
@@ -347,10 +353,10 @@ class TestAscentDirection:
         p_t, cond = ev.decode(thetas)
         probs = np.concatenate([p_t, cond.reshape(len(thetas), -1)], axis=1)
         assert probs[0, 0] == 0.0 and probs[0, ev.t_size] == 0.0
-        _, _, d_common, d_personal = ev.rates_grad(thetas)
+        d_common, d_personal, ascent = ev.rates_grad(thetas)[2](np.arange(5))
         for grad in (d_common, d_personal):
             with np.errstate(divide="raise", invalid="raise"):
-                direction = ev.family.direction(ev, thetas, grad)
+                direction = ascent(grad)
             assert direction[0, 0] == 0.0 and direction[0, ev.t_size] == 0.0
             # s_i - <p, s> per softmax block: it times p is the logit gradient, its p-weighted mean is 0
             assert np.abs(probs * direction - grad).max() <= 1e-12
@@ -366,8 +372,8 @@ class TestAscentDirection:
     def test_pure_direction_is_the_gradient(self, mode):
         ev = build_evaluator(mode, qb.make_pinching(), t_size=2)
         thetas = seeded_rng(13).standard_normal((3, ev.n_params))
-        grad = ev.rates_grad(thetas)[3]
-        assert np.array_equal(ev.family.direction(ev, thetas, grad), grad)
+        _, grad, ascent = ev.rates_grad(thetas)[2](np.arange(3))
+        assert np.array_equal(ascent(grad), grad)
 
 
 class TestBoundaryOptima:
