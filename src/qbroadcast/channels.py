@@ -28,7 +28,6 @@ from .states import (
     TRACE_TOL,
     _hermitize,
     layout,
-    trace_distance,
 )
 
 KRAUS_TOL = 1e-9
@@ -542,8 +541,6 @@ def _probe_pairs(bc) -> tuple[list[np.ndarray], list[np.ndarray], bool]:
     return b_states, c_states, _all_commute(b_states)
 
 
-
-
 def _transfer(stacks: np.ndarray) -> np.ndarray:
     """Transfer matrices T (m, dc*dc, db*db) of Kraus stacks (m, n_env, dc, db): vec(Phi(rho)) = T vec(rho)."""
     m, n_env, dc, db = stacks.shape
@@ -555,13 +552,12 @@ def _residual_of_stack(stack: np.ndarray, b_stack: np.ndarray, c_stack: np.ndarr
     """Worst trace norm |Phi(b_p) - c_p|_1 over the probes for one Kraus stack (n_env, dc, db)."""
     p, dc, _ = c_stack.shape
     diffs = (_transfer(stack[None])[0] @ b_stack.transpose(1, 2, 0).reshape(-1, p)).T.reshape(p, dc, dc) - c_stack
-    diffs = (diffs + diffs.conj().transpose(0, 2, 1)) / 2.0
-    return float(np.linalg.svd(diffs, compute_uv=False).sum(axis=1).max())
+    return float(np.linalg.svd(_hermitize(diffs), compute_uv=False).sum(axis=1).max())
 
 
 def _measure_prepare_stack(basis: np.ndarray, preps: np.ndarray) -> np.ndarray:
     """Kraus stack for measure-in-basis / prepare tau_j, eigendecomposing each prep."""
-    vals, vecs = np.linalg.eigh((preps + preps.conj().transpose(0, 2, 1)) / 2.0)
+    vals, vecs = np.linalg.eigh(_hermitize(preps))
     outers = vecs.transpose(0, 2, 1)[..., None] * basis.conj().T[:, None, None, :]  # [j, r] = |v_jr><e_j|
     keep = vals > 1e-15
     if not keep.any():
@@ -687,7 +683,7 @@ def _least_squares_maps(s) -> list:
     q = np.diagonal(s.basis.conj().T @ s.b @ s.basis, axis1=1, axis2=2).real  # (p, j)
     sol, *_ = np.linalg.lstsq(q.astype(complex), s.c.reshape(len(q), -1), rcond=None)
     preps = sol.reshape(s.db, s.dc, s.dc)
-    herm = (preps + preps.conj().transpose(0, 2, 1)) / 2.0
+    herm = _hermitize(preps)
     if (np.abs(preps - herm).max() > 1e-8 or np.abs(np.trace(herm, axis1=1, axis2=2).real - 1.0).max() > 1e-8
             or np.linalg.eigvalsh(herm).min() < -1e-9):
         return []

@@ -51,12 +51,28 @@ def _fmt(x: float) -> str:
     return "%.12g" % (float(x) + 0.0)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file named on the command line; an unreadable one is a validation error."""
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{what}: cannot read {path!r} ({exc.strerror or exc})")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what}: {path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
+def _write_text(path: str, text: str):
+    try:
+        pathlib.Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"out: cannot write {path!r} ({exc.strerror or exc})")
+
+
 def _load_channel(arg: str):
     if arg in BUILTIN_CHANNELS:
         return BUILTIN_CHANNELS[arg]()
-    path = pathlib.Path(arg)
-    if path.is_file():
-        return parse_channel_spec(path.read_text(encoding="utf-8"))
+    if pathlib.Path(arg).is_file():
+        return parse_channel_spec(_read_text(arg, "channel"))
     known = ", ".join(sorted(BUILTIN_CHANNELS))
     raise ValidationError(f"channel: {arg!r} is neither a builtin ({known}) nor an existing file")
 
@@ -65,8 +81,7 @@ def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(out, text)
 
 
 def _frontier_csv(points, prefix: str) -> tuple[str, list]:
@@ -93,9 +108,15 @@ def _write_sidecar(out: str | None, mode: str, k: int, channel_doc, metadata: di
         "metadata": metadata,
         "points": entries,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(out + ".witness.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_text(out + ".witness.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, channel_doc, metadata: dict) -> int:
+    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar."""
+    csv, entries = _frontier_csv(points, prefix)
+    _emit(csv, out)
+    _write_sidecar(out, mode, k, channel_doc, metadata, entries)
+    return 0
 
 
 def _cmd_region(args) -> int:
@@ -110,15 +131,12 @@ def _cmd_region(args) -> int:
         frontier = dephasing_cq_frontier(ch, **kwargs)
     else:
         frontier = qq_frontier(ch, **kwargs)
-    csv, entries = _frontier_csv(frontier.points, "pt")
-    _emit(csv, args.out)
-    _write_sidecar(args.out, frontier.metadata["mode"], args.k, serialize_channel(ch),
-                   frontier.metadata, entries)
-    return 0
+    return _write_frontier(args.out, frontier.points, "pt", frontier.metadata["mode"], args.k,
+                           serialize_channel(ch), frontier.metadata)
 
 
 def _cmd_quantities(args) -> int:
-    rho = parse_state_spec(pathlib.Path(args.state).read_text(encoding="utf-8"))
+    rho = parse_state_spec(_read_text(args.state, "state"))
     labels = list(rho.layout.labels)
     subsets = []
     for size in range(1, len(labels) + 1):
@@ -176,10 +194,8 @@ def _require_cq(ch, what: str) -> CqBroadcastChannel:
 def _cmd_oracle_grid(args) -> int:
     ch = _require_cq(_load_channel(args.channel), "oracle grid")
     frontier = grid_cq_frontier(ch, args.t_size, args.mesh, r_grid=args.r_grid)
-    csv, entries = _frontier_csv(frontier.points, "or")
-    _emit(csv, args.out)
-    _write_sidecar(args.out, "oracle-grid", 1, serialize_channel(ch), frontier.metadata, entries)
-    return 0
+    return _write_frontier(args.out, frontier.points, "or", "oracle-grid", 1, serialize_channel(ch),
+                           frontier.metadata)
 
 
 def _cmd_oracle_cardinality(args) -> int:
@@ -206,21 +222,15 @@ def _cmd_oracle_classical(args) -> int:
         args.mesh,
         t_size=args.t_size,
     )
-    csv, entries = _frontier_csv(frontier.points, "cl")
-    _emit(csv, args.out)
-    _write_sidecar(args.out, "oracle-classical", 1, serialize_channel(make_bsc_cascade(f1, f2)),
-                   frontier.metadata, entries)
-    return 0
+    return _write_frontier(args.out, frontier.points, "cl", "oracle-classical", 1,
+                           serialize_channel(make_bsc_cascade(f1, f2)), frontier.metadata)
 
 
 def _cmd_pinching_boundary(args) -> int:
     if args.points < 2:
         raise ValidationError("points: need at least 2 boundary samples")
     pts = [pinching_boundary(p) for p in np.linspace(0.0, 1.0, args.points)]
-    csv, entries = _frontier_csv(pts, "cf")
-    _emit(csv, args.out)
-    _write_sidecar(args.out, "pinching-boundary", 1, None, {"points": args.points}, entries)
-    return 0
+    return _write_frontier(args.out, pts, "cf", "pinching-boundary", 1, None, {"points": args.points})
 
 
 def _recompute_entry(mode: str, channel, k: int, entry: dict) -> tuple[float, float]:
@@ -244,7 +254,7 @@ def _cmd_verify(args) -> int:
     if not 0.0 <= args.tol < np.inf:
         raise ValidationError(f"tol: must be a finite number >= 0, got {args.tol}")
     try:
-        doc = json.loads(pathlib.Path(args.witness).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(args.witness, "witness"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"witness: invalid JSON ({exc.msg} at line {exc.lineno})")
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from .errors import ValidationError
 from .states import CqState, DensityMatrix, partial_trace, purify, von_neumann_entropy
 

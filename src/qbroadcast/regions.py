@@ -33,10 +33,10 @@ dephasing families mix fixed per-symbol stacks; each stack that is exactly
 diagonal (every builtin cq and dephasing stack, at any k, and the dephasing B
 stack always) is kept as real (x, d) diagonals, its label states stay diagonal,
 and its kernel is ``states.entropy_and_slope`` applied to those diagonals.
-Any other stack, and every ensemble receiver, takes the dense kernel: the same
-function applied to the spectrum from ``eigh``, which also gives dS/drho (the
-value-only path of witness checks takes ``eigvalsh``).  Every per-call
-contraction is a reshaped matmul.
+Any other stack, and every ensemble receiver, takes the dense kernel
+``batched_entropy``: the same function applied to the spectrum from ``eigh``,
+which also gives dS/drho.  One forward pass serves optimizer ladders, witness
+rows and witness checks alike.  Every per-call contraction is a reshaped matmul.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .channels import BroadcastChannel, CqBroadcastChannel, degradedness_residua
 from .errors import BudgetError, ValidationError
 from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax, softmax_grad
 from .quantities import coherent_information
-from .states import ENTROPY_CLAMP, PureState, binary_entropy, entropy_and_slope, entropy_of_spectrum
+from .states import ENTROPY_CLAMP, PureState, binary_entropy, entropy_and_slope, entropy_of_spectrum, matrix_entropy
 
 
 @dataclass
@@ -117,21 +117,12 @@ def _clip_rate(x: float) -> float:
     return 0.0 if x < 0.0 else float(x)
 
 
-def batched_entropy(mats: np.ndarray) -> np.ndarray:
-    """Base-2 entropy over the last two axes of a stack of Hermitian matrices."""
-    return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
-
-
-def _entropy_grad(mats: np.ndarray):
-    """``batched_entropy`` and its gradient dS/drho = -(log2 rho + I/ln 2) from one ``eigh``."""
+def batched_entropy(mats: np.ndarray):
+    """Base-2 entropy over the last two axes of a stack of Hermitian matrices and its gradient
+    dS/drho = -(log2 rho + I/ln 2), from one ``eigh``: the dense receivers' kernel."""
     evals, vecs = np.linalg.eigh(mats)
     h, slope = entropy_and_slope(np.clip(evals, 0.0, None))
     return h, (vecs * slope[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def _kernels(diagonal: bool):
-    """The (entropy, entropy gradient) pair for (..., d) diagonals or dense (..., d, d) states."""
-    return (entropy_of_spectrum, entropy_and_slope) if diagonal else (batched_entropy, _entropy_grad)
 
 
 def _label_mix(p_t: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -244,57 +235,46 @@ class _LabelEnsembleEvaluator:
         self.fixed = self.family.setup(channel.tensor_power(k))
         self.personal, self.offset = self.fixed["personal"], self.fixed.get("offset")
         self.diagonal = frozenset(self.fixed.get("diagonal", ()))
-        self.entropy, self.entropy_grad = {}, {}
-        for r in dict.fromkeys((*self.common, *self.personal)):
-            self.entropy[r], self.entropy_grad[r] = _kernels(r in self.diagonal)
+        # (entropy, slope) per receiver: diagonals (..., d) or dense states (..., d, d)
+        self.kernels = {r: entropy_and_slope if r in self.diagonal else batched_entropy
+                        for r in dict.fromkeys((*self.common, *self.personal))}
 
     def decode(self, thetas: np.ndarray):
+        """(p_t, payload, raw payload parameters) of a batch of parameter rows."""
         t = self.t_size
         raw = thetas[:, t:].reshape(thetas.shape[0], t, self.payload_len)
-        return softmax(thetas[:, :t]), self.family.decode(raw)
-
-    def _personal_term(self, payload: np.ndarray, h: dict) -> np.ndarray:
-        """The per-label personal term sum_r sign_r S(rho_r) - <payload, offset>."""
-        term = functools.reduce(np.add, (h[r] if sign > 0 else -h[r] for r, sign in self.personal.items()))
-        return term if self.offset is None else term - payload @ self.offset
-
-    def rates(self, p_t: np.ndarray, payload: np.ndarray):
-        states = self.family.states(self, payload)
-        h = {r: kernel(states[r]) for r, kernel in self.entropy.items()}
-        chi = [self.entropy[r](_label_mix(p_t, states[r])) - (p_t * h[r]).sum(axis=1) for r in self.common]
-        common = functools.reduce(np.minimum, chi)
-        personal = (p_t * self._personal_term(payload, h)).sum(axis=1)
-        return common / self.k, personal / self.k
-
-    def batch_rates(self, thetas: np.ndarray):
-        return self.rates(*self.decode(thetas))
+        return softmax(thetas[:, :t]), self.family.decode(raw), raw
 
     def rates_grad(self, thetas: np.ndarray):
-        """(common, personal, grads) for a batch from one forward pass.
+        """``forward`` on a batch of parameter rows, decoded once."""
+        return self.forward(*self.decode(thetas))
+
+    def forward(self, p_t: np.ndarray, payload: np.ndarray, raw: np.ndarray | None = None):
+        """(common, personal, grads) for a decoded batch from one forward pass.
 
         ``grads(rows, personal=True)`` is (d common / d theta, d personal / d theta,
         ascent) at those rows of the batch, d personal None when not asked;
         ``ascent`` maps a gradient there to the family's direction.  Entropy
         gradients come through the Holevo term (the common rate follows each
         row's binding receiver) or the personal term, then through the family's
-        states map and both decodes; only the asked rows are pulled back.
+        states map and both decodes (from ``raw``); only the asked rows are pulled back.
         """
         t = self.t_size
-        raw = thetas[:, t:].reshape(thetas.shape[0], t, self.payload_len)
-        p_t, payload = softmax(thetas[:, :t]), self.family.decode(raw)
         states = self.family.states(self, payload)
         h, g, g_mix, chi = {}, {}, {}, []
-        for r, kernel in self.entropy_grad.items():
+        for r, kernel in self.kernels.items():
             h[r], g[r] = kernel(states[r])
         for r in self.common:
-            s_mix, g_mix[r] = self.entropy_grad[r](_label_mix(p_t, states[r]))
+            s_mix, g_mix[r] = self.kernels[r](_label_mix(p_t, states[r]))
             chi.append(s_mix - (p_t * h[r]).sum(axis=1))
         binding = np.argmin(chi, axis=0)
-        term = self._personal_term(payload, h)
+        term = functools.reduce(np.add, (h[r] if sign > 0 else -h[r] for r, sign in self.personal.items()))
+        if self.offset is not None:
+            term = term - payload @ self.offset
 
         def grads(rows, personal: bool = True):
             m, p, pay, bind = len(rows), p_t[rows], payload[rows], binding[rows]
-            rho = {r: states[r][rows] for r in self.entropy_grad}
+            rho = {r: states[r][rows] for r in self.kernels}
             w = {r: _per_row(p, rho[r]) for r in rho}
 
             def backward(seed_p, seed_rho, seed_payload):
@@ -330,7 +310,7 @@ class _LabelEnsembleEvaluator:
         return np.stack(rows)
 
     def witness_params(self, theta: np.ndarray) -> dict:
-        p_t, payload = self.decode(theta[None])
+        p_t, payload, _ = self.decode(theta[None])
         return {"p_t": p_t[0].tolist(), self.family.key: self.family.dump(payload[0])}
 
     def rates_from_witness(self, params: dict):
@@ -348,7 +328,7 @@ class _LabelEnsembleEvaluator:
                                   f"expected {want[1:]} for {self.t_size} labels")
         _check_distributions(p_t, f"{self.mode} witness 'p_t'")
         self.family.check(payload, f"{self.mode} witness {key!r}")
-        c, p = self.rates(p_t, payload)
+        c, p, _ = self.forward(p_t, payload)
         return float(c[0]), float(p[0])
 
 
@@ -471,7 +451,7 @@ def _cq_setup(wk: CqBroadcastChannel) -> dict:
     """I(X; B | T = t): H(B | T = t) less sum_x p(x|t) H(B | X = x)."""
     fixed = _mix_fixed({"B": np.stack(wk.marginal_conditionals(wk.b_label)),
                         "C": np.stack(wk.marginal_conditionals(wk.c_label))}, {"B": 1})
-    fixed["offset"] = _kernels("B" in fixed["diagonal"])[0](fixed["stacks"]["B"])
+    fixed["offset"] = (entropy_of_spectrum if "B" in fixed["diagonal"] else matrix_entropy)(fixed["stacks"]["B"])
     return fixed
 
 
@@ -602,7 +582,7 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
             thetas, vals, info = ascend(thetas, mu, r_target)
         best = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
         theta = thetas[best]
-        c_arr, p_arr = ev.batch_rates(theta[None])
+        c_arr, p_arr, _ = ev.rates_grad(theta[None])
         raw_c, raw_p = float(c_arr[0]), float(p_arr[0])
         witness = {
             "params": ev.witness_params(theta),

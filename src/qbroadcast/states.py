@@ -23,7 +23,8 @@ NORM_TOL = 1e-10
 
 
 def _hermitize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.conj().T) / 2.0
+    """The Hermitian part over the last two axes, so stacks work too."""
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -331,9 +332,14 @@ def entropy_of_spectrum(p: np.ndarray) -> np.ndarray:
     return entropy_and_slope(p)[0]
 
 
+def matrix_entropy(mats: np.ndarray) -> np.ndarray:
+    """Base-2 entropy over the last two axes of a stack of Hermitian matrices, from ``eigvalsh``."""
+    return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits: ``entropy_of_spectrum`` of the clipped eigenvalues."""
-    return float(entropy_of_spectrum(np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)))
+    """Von Neumann entropy in bits."""
+    return float(matrix_entropy(rho.matrix))
 
 
 def binary_entropy(p: float) -> float:

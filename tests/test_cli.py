@@ -76,6 +76,39 @@ class TestExitCodes:
         assert "ERR_BUDGET" in capsys.readouterr().err
 
 
+def _epr_doc():
+    vec = np.zeros(4)
+    vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
+    return {"kind": "pure", "layout": [["A", 2], ["B", 2]], "vector": complex_to_json(vec)}
+
+
+class TestFileErrors:
+    # a file the CLI cannot read or write is a validation error, not a traceback
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--witness", "{missing}"],
+        ["quantities", "--state", "{missing}"],
+        ["region", "cq", "--channel", "{latin1}", "--grid", "2", "--restarts", "2"],
+        ["verify", "--witness", "{latin1}"],
+        ["quantities", "--state", "{latin1}"],
+        ["region", "cq", "--channel", "noiseless-bit", "--grid", "2", "--restarts", "2", "--out", "{nodir}"],
+        ["oracle", "grid", "--channel", "pinching-cq", "--t-size", "2", "--mesh", "3", "--out", "{nodir}"],
+        ["oracle", "classical", "--cascade", "0.1,0.2", "--mesh", "3", "--out", "{nodir}"],
+        ["pinching-boundary", "--points", "3", "--out", "{nodir}"],
+        ["quantities", "--state", "{epr}", "--out", "{nodir}"],
+    ], ids=["verify-missing", "quantities-missing", "channel-not-utf8", "witness-not-utf8", "state-not-utf8",
+            "region-out", "grid-out", "classical-out", "boundary-out", "quantities-out"])
+    def test_exits_with_validation_error(self, tmp_path, capsys, argv):
+        latin1, epr = tmp_path / "latin1.json", tmp_path / "epr.json"
+        latin1.write_bytes('{"kind": "builtin", "name": "caf\xe9"}'.encode("latin-1"))
+        epr.write_text(json.dumps(_epr_doc()))
+        paths = {"missing": tmp_path / "missing.json", "latin1": latin1, "epr": epr,
+                 "nodir": tmp_path / "no-such-dir" / "out.csv"}
+        assert run([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR_VALIDATE: ") and err.count("\n") == 1
+        assert not (tmp_path / "no-such-dir").exists()
+
+
 class TestRegionCommand:
     def test_csv_and_sidecar(self, tmp_path):
         out = tmp_path / "front.csv"

@@ -5,7 +5,9 @@ import pytest
 
 import qbroadcast as qb
 from qbroadcast.optimize import OptimizerConfig, seeded_rng
-from qbroadcast.regions import Frontier, RatePoint, build_evaluator, evaluate_witness, pareto_staircase
+from qbroadcast.regions import (_MODES as MODES, Frontier, RatePoint, build_evaluator, evaluate_witness,
+                                pareto_staircase)
+from qbroadcast.specio import BUILTIN_CHANNELS
 
 from conftest import (c_rotated_pinching_cq, central_differences, generic_dephasing, h2, pinching_cq_truth,
                       pinching_truth, rotated_pinching_cq, spectrum_entropy)
@@ -230,6 +232,24 @@ class TestWitnessDualRoute:
             assert abs(p - sum(pt * qb.coherent_information(sigma, "R", "B") for pt, sigma in zip(p_t, outs))) < 1e-9
 
 
+# (mode, channel name, builder): every mode on every builtin it accepts, plus the dense cq
+# kernel on rotated pinching-cq and the mixed kernels and RB route of generic_dephasing
+WITNESS_CASES = [(mode, name, make) for mode, (family, *_) in MODES.items()
+                 for name, make in BUILTIN_CHANNELS.items() if family.accepts(make())] + [
+    (mode, name, make) for mode in MODES for name, make in (("rotated-pinching-cq", rotated_pinching_cq),
+                                                            ("generic-dephasing", generic_dephasing))
+    if MODES[mode][0].accepts(make())]
+
+
+class TestStoredWitnessArithmetic:
+    @pytest.mark.parametrize("mode,name,make", WITNESS_CASES, ids=[f"{c[0]}-{c[1]}" for c in WITNESS_CASES])
+    def test_witness_is_scored_by_the_optimizer_pass(self, mode, name, make):
+        ev = build_evaluator(mode, make(), t_size=2)
+        for theta in seeded_rng(17).standard_normal((3, ev.n_params)):
+            common, personal, _ = ev.rates_grad(theta[None])
+            assert ev.rates_from_witness(ev.witness_params(theta)) == (common[0], personal[0])
+
+
 class TestPureStateRoute:
     # the output of a pure input is pure on R B C E, so S(RB) = S(CE): with one Kraus operator the
     # evaluator reads it as the common rate's S(C) whatever the dimensions, else it builds RB
@@ -242,11 +262,10 @@ class TestPureStateRoute:
         ev = build_evaluator("cq-eg", ch, t_size=2)
         assert list(ev.personal) == ["B", joint]
         thetas = seeded_rng(23).standard_normal((3, ev.n_params))
-        p_t, phi = ev.decode(thetas)
+        p_t, phi, _ = ev.decode(thetas)
         lay = qb.layout(("R", ch.in_dim), ("in", ch.in_dim))
         ref = [sum(p * qb.coherent_information(ch.apply_to(qb.PureState(state, lay).to_density(), "in"), "R", "B")
                    for p, state in zip(p_row, phi_row)) for p_row, phi_row in zip(p_t, phi)]
-        assert np.abs(ev.batch_rates(thetas)[1] - ref).max() <= 1e-12
         assert np.abs(ev.rates_grad(thetas)[1] - ref).max() <= 1e-12
 
 
@@ -270,8 +289,6 @@ class TestEntropyKernels:
         thetas = seeded_rng(11).standard_normal((6, diag.n_params))
         for make in (rotated_pinching_cq, c_rotated_pinching_cq):
             dense = build_evaluator("cq", make(), t_size=3)
-            for a, b in zip(diag.batch_rates(thetas), dense.batch_rates(thetas)):
-                assert np.abs(a - b).max() <= 1e-10
             (*a, grads_a), (*b, grads_b) = diag.rates_grad(thetas), dense.rates_grad(thetas)
             for x, y in zip(a + list(grads_a(np.arange(6))[:2]), b + list(grads_b(np.arange(6))[:2])):
                 assert np.abs(x - y).max() <= 1e-10
@@ -328,13 +345,10 @@ class TestRateGradients:
     def test_matches_central_differences(self, mode, make, k, t_size):
         ev = build_evaluator(mode, make(), k=k, t_size=t_size)
         thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
-        common, personal, grads = ev.rates_grad(thetas)
+        grads = ev.rates_grad(thetas)[2]
         d_common, d_personal, _ = grads(np.arange(4))
-        c_ref, p_ref = ev.batch_rates(thetas)
-        assert np.abs(common - c_ref).max() <= 1e-12
-        assert np.abs(personal - p_ref).max() <= 1e-12
         for got, pick in ((d_common, 0), (d_personal, 1)):
-            ref = central_differences(lambda th: ev.batch_rates(th)[pick])(thetas)
+            ref = central_differences(lambda th: ev.rates_grad(th)[pick])(thetas)
             assert np.abs(ref).max() > 1e-3  # the check is not vacuous
             assert np.abs(got - ref).max() <= 1e-6
         # rows pulled back alone match their rows of the whole batch, with or without the personal rate
@@ -350,7 +364,7 @@ class TestAscentDirection:
         ev = build_evaluator(mode, make(), t_size=3)
         thetas = 3.0 * seeded_rng(13).standard_normal((5, ev.n_params))
         thetas[0, 0] = thetas[0, ev.t_size] = -800.0  # p(t=0) and p(x=0|t=0) underflow to exactly 0
-        p_t, cond = ev.decode(thetas)
+        p_t, cond, _ = ev.decode(thetas)
         probs = np.concatenate([p_t, cond.reshape(len(thetas), -1)], axis=1)
         assert probs[0, 0] == 0.0 and probs[0, ev.t_size] == 0.0
         d_common, d_personal, ascent = ev.rates_grad(thetas)[2](np.arange(5))
