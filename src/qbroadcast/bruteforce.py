@@ -147,7 +147,7 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
         raise ValidationError("t_size, mesh and r_grid must be positive")
     n_x = w.n_symbols
     joints = _enumerate_joints(mesh, t_size, n_x, max_candidates)
-    kernels = [_receiver_kernel(np.stack(w.marginal_conditionals(label))) for label in (w.b_label, w.c_label)]
+    kernels = [_receiver_kernel(w.marginal_conditionals(label)) for label in (w.b_label, w.c_label)]
     h_b_x = kernels[0][1](kernels[0][0])  # H(B | X = x) for each symbol x
     n = joints.shape[0]
     commons, personals = np.empty(n), np.empty(n)

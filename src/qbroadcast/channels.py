@@ -1,8 +1,9 @@
 """Channels in Kraus form, Stinespring extensions, and broadcast-channel models.
 
 A broadcast channel is a CPTP map from one input to a two-receiver output
-B (x) C; marginals, complementary channels, and generalized dephasing
-constructors are derived from the Kraus representation.  Every k-use channel
+B (x) C.  A channel holds one read-only (n, out, in) Kraus stack: its action is
+``_images``, and its isometric extension, complementary channel and marginals
+are reshapes or transposes of that stack.  Every k-use channel
 (Kraus stacks, cq conditionals, dephasing images) comes from one grouped
 Kronecker power, ``_kron_power``.  The degrading-map search at the bottom
 certifies (numerically) whether one receiver's marginal can be post-processed
@@ -28,6 +29,7 @@ from .states import (
     TRACE_TOL,
     _hermitize,
     layout,
+    partial_trace,
 )
 
 KRAUS_TOL = 1e-9
@@ -51,29 +53,42 @@ def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _images(ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_i K_i rho K_i†, Hermitized, for one matrix rho or a stack of them.
+
+    The terms accumulate in the stored operator order, which fixes the bits.
+    """
+    out = np.zeros(mats.shape[:-2] + (ops.shape[1],) * 2, dtype=complex)
+    for k in ops:
+        out += k @ mats @ k.conj().T
+    return _hermitize(out)
+
+
 class KrausChannel:
-    """CPTP map given by Kraus operators; sum K†K = I within 1e-9."""
+    """CPTP map given by one read-only (n, out, in) Kraus stack; sum K†K = I within 1e-9."""
 
     __slots__ = ("ops", "in_dim", "out_layout")
 
     def __init__(self, ops: Sequence[np.ndarray], out_layout: SystemLayout, validate: bool = True):
-        ops = [np.asarray(k, dtype=complex) for k in ops]
-        if not ops:
+        if not len(ops):
             raise ValidationError("a channel needs at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape
-        for k in ops:
-            if k.shape != (out_dim, in_dim):
-                raise ValidationError(f"inconsistent Kraus shapes: {k.shape} vs {(out_dim, in_dim)}")
+        shape = np.shape(ops[0])
+        bad = next((np.shape(k) for k in ops if np.shape(k) != shape), None)
+        if bad is not None:
+            raise ValidationError(f"inconsistent Kraus shapes: {bad} vs {shape}")
+        ops = np.array(ops, dtype=complex, order="C")
+        _, out_dim, in_dim = ops.shape
         if out_layout.dim != out_dim:
             raise ValidationError(
                 f"output layout dimension {out_layout.dim} does not match Kraus rows {out_dim}"
             )
         if validate:
-            gram = sum(k.conj().T @ k for k in ops)
-            dev = np.abs(gram - np.eye(in_dim)).max()
+            v = ops.reshape(-1, in_dim)  # sum K†K is V†V for the operators stacked row-wise
+            dev = np.abs(v.conj().T @ v - np.eye(in_dim)).max()
             if dev > KRAUS_TOL:
                 raise ValidationError(f"Kraus set is not trace preserving: |sum K†K - I| = {dev:.3e}")
-        self.ops = [np.ascontiguousarray(k) for k in ops]
+        ops.flags.writeable = False
+        self.ops = ops
         self.in_dim = in_dim
         self.out_layout = out_layout
 
@@ -85,10 +100,7 @@ class KrausChannel:
         """Channel action sum_i K_i rho K_i†, Hermitized."""
         if rho.dim != self.in_dim:
             raise ValidationError(f"input dimension {rho.dim} does not match channel input {self.in_dim}")
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.ops:
-            out += k @ rho.matrix @ k.conj().T
-        return DensityMatrix(_hermitize(out), self.out_layout, validate=False)
+        return DensityMatrix(_images(self.ops, rho.matrix), self.out_layout, validate=False)
 
     def apply_to(self, rho: DensityMatrix, label: str) -> DensityMatrix:
         """Apply the channel to one subsystem, leaving the others untouched.
@@ -122,65 +134,24 @@ class KrausChannel:
         return KrausChannel(ops, self.out_layout.concat(other.out_layout), validate=False)
 
     def is_isometric(self, tol: float = KRAUS_TOL) -> bool:
-        if len(self.ops) != 1:
-            return False
         v = self.ops[0]
-        return bool(np.abs(v.conj().T @ v - np.eye(self.in_dim)).max() <= tol)
+        return len(self.ops) == 1 and bool(np.abs(v.conj().T @ v - np.eye(self.in_dim)).max() <= tol)
 
     def __repr__(self):
         return f"KrausChannel(in={self.in_dim}, out={self.out_layout.labels}, n_kraus={len(self.ops)})"
 
 
-class IsometricExtension:
-    """Stinespring isometry V: input -> output (x) environment."""
-
-    __slots__ = ("matrix", "in_dim", "out_layout", "env_layout")
-
-    def __init__(self, matrix: np.ndarray, out_layout: SystemLayout, env_layout: SystemLayout, validate: bool = True):
-        matrix = np.asarray(matrix, dtype=complex)
-        in_dim = matrix.shape[1]
-        if matrix.shape[0] != out_layout.dim * env_layout.dim:
-            raise ValidationError("isometry rows must equal output dim times environment dim")
-        if validate:
-            dev = np.abs(matrix.conj().T @ matrix - np.eye(in_dim)).max()
-            if dev > KRAUS_TOL:
-                raise ValidationError(f"V†V deviates from identity by {dev:.3e}")
-        self.matrix = matrix
-        self.in_dim = in_dim
-        self.out_layout = out_layout
-        self.env_layout = env_layout
-
-    @property
-    def full_layout(self) -> SystemLayout:
-        return self.out_layout.concat(self.env_layout)
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """V rho V† on output (x) environment."""
-        if rho.dim != self.in_dim:
-            raise ValidationError(f"input dimension {rho.dim} does not match isometry input {self.in_dim}")
-        out = self.matrix @ rho.matrix @ self.matrix.conj().T
-        return DensityMatrix(_hermitize(out), self.full_layout, validate=False)
-
-
-def isometric_extension(ch: KrausChannel, env_label: str = "E") -> IsometricExtension:
-    """Canonical extension V = sum_i K_i (x) |i>^E in the given Kraus order."""
-    while env_label in ch.out_layout.labels:
-        env_label = "_" + env_label
-    n_env = len(ch.ops)
-    v = np.zeros((ch.out_dim * n_env, ch.in_dim), dtype=complex)
-    for e, k in enumerate(ch.ops):
-        v[e::n_env, :] = k  # row index o*n_env + e
-    return IsometricExtension(v, ch.out_layout, layout((env_label, n_env)), validate=False)
+def isometric_extension(ch: KrausChannel, env_label: str = "E") -> KrausChannel:
+    """Canonical extension V = sum_i K_i (x) |i>^E in the given Kraus order: one operator on output (x) E."""
+    env = layout((ch.out_layout.fresh_label(env_label), len(ch.ops)))
+    v = ch.ops.transpose(1, 0, 2).reshape(1, -1, ch.in_dim)  # row index o * n_env + e
+    return KrausChannel(v, ch.out_layout.concat(env), validate=False)
 
 
 def complementary(ch: KrausChannel, env_label: str = "E") -> KrausChannel:
-    """Channel to the environment of the canonical isometric extension."""
-    while env_label in ch.out_layout.labels:
-        env_label = "_" + env_label
-    n_env = len(ch.ops)
-    stack = np.stack(ch.ops)  # (env, out, in)
-    ops = [stack[:, o, :] for o in range(ch.out_dim)]  # L_o[e, i] = K_e[o, i]
-    return KrausChannel(ops, layout((env_label, n_env)), validate=False)
+    """Channel to the environment of the canonical isometric extension: L_o[e, i] = K_e[o, i]."""
+    env = layout((ch.out_layout.fresh_label(env_label), len(ch.ops)))
+    return KrausChannel(ch.ops.transpose(1, 0, 2), env, validate=False)
 
 
 def completely_dephase(rho: DensityMatrix, basis_label: str) -> DensityMatrix:
@@ -198,11 +169,8 @@ def completely_dephase(rho: DensityMatrix, basis_label: str) -> DensityMatrix:
 
 def make_completely_dephasing(dim: int, out_label: str = "B") -> KrausChannel:
     """The qubit/qudit map that keeps only computational-basis diagonal entries."""
-    ops = []
-    for x in range(dim):
-        k = np.zeros((dim, dim), dtype=complex)
-        k[x, x] = 1.0
-        ops.append(k)
+    ops = np.zeros((dim, dim, dim), dtype=complex)
+    ops[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
     return KrausChannel(ops, layout((out_label, dim)), validate=False)
 
 
@@ -237,19 +205,13 @@ class BroadcastChannel(KrausChannel):
         return self.out_layout.labels[1]
 
     def marginal(self, label: str) -> KrausChannel:
-        """Marginal channel to one receiver, by slicing Kraus operators."""
+        """Marginal channel to one receiver: Kraus index outer, the traced receiver's index inner."""
         idx = self.out_layout.index(label)
-        db, dc = self.out_layout.dims
-        kept_dim = (db, dc)[idx]
-        ops = []
-        for k in self.ops:
-            block = k.reshape(db, dc, self.in_dim)
-            if idx == 0:
-                ops.extend(block[:, c, :] for c in range(dc))
-            else:
-                ops.extend(block[b, :, :] for b in range(db))
+        blocks = self.ops.reshape(len(self.ops), *self.out_layout.dims, self.in_dim)
+        if idx == 0:
+            blocks = blocks.transpose(0, 2, 1, 3)
         part = self.out_layout.parts[idx]
-        return KrausChannel(ops, SystemLayout((part,)), validate=False)
+        return KrausChannel(blocks.reshape(-1, part[1], self.in_dim), SystemLayout((part,)), validate=False)
 
     def marginals(self) -> tuple[KrausChannel, KrausChannel]:
         """(channel to B, channel to C)."""
@@ -260,10 +222,10 @@ class BroadcastChannel(KrausChannel):
         if k == 1:
             return self
         db, dc = self.out_layout.dims
-        ops = _kron_power(np.stack(self.ops).reshape(-1, db, dc, self.in_dim), k)
+        ops = _kron_power(self.ops.reshape(-1, db, dc, self.in_dim), k)
         out = SystemLayout(((self.b_label, db ** k), (self.c_label, dc ** k)))
         spec = self.dephasing.tensor_power(k) if self.dephasing is not None else None
-        return BroadcastChannel(list(ops.reshape(len(ops), -1, self.in_dim ** k)), out, dephasing=spec, validate=False)
+        return BroadcastChannel(ops.reshape(len(ops), -1, self.in_dim ** k), out, dephasing=spec, validate=False)
 
 
 class CqBroadcastChannel:
@@ -303,11 +265,9 @@ class CqBroadcastChannel:
     def c_label(self) -> str:
         return self.out_layout.labels[1]
 
-    def marginal_conditionals(self, label: str) -> list[np.ndarray]:
-        """Per-symbol reduced states on one receiver, in symbol order."""
-        from .states import partial_trace
-
-        return [partial_trace(self.conditionals[x], {label}).matrix for x in self.symbols]
+    def marginal_conditionals(self, label: str) -> np.ndarray:
+        """Per-symbol reduced states on one receiver, an (x, d, d) stack in symbol order."""
+        return np.stack([partial_trace(self.conditionals[x], {label}).matrix for x in self.symbols])
 
     def output_cq(self, weights) -> CqState:
         """Ensemble {p(x), rho_x^{BC}} for a distribution over the input alphabet."""
@@ -389,15 +349,10 @@ def make_generalized_dephasing(spec: DephasingSpec, b_label: str = "B", c_label:
     operators are indexed by the E basis.
     """
     n, dc, de = spec.n_in, spec.c_dim, spec.e_dim
-    vecs = spec.images.reshape(n, dc, de)
-    ops = []
-    for e in range(de):
-        k = np.zeros((n * dc, n), dtype=complex)
-        for x in range(n):
-            k[x * dc:(x + 1) * dc, x] = vecs[x, :, e]
-        ops.append(k)
+    ops = np.zeros((de, n, dc, n), dtype=complex)
+    ops[:, np.arange(n), :, np.arange(n)] = spec.images.reshape(n, dc, de).transpose(0, 2, 1)  # K_e[(x, c), x]
     out = SystemLayout(((b_label, n), (c_label, dc)))
-    return BroadcastChannel(ops, out, dephasing=spec, validate=False)
+    return BroadcastChannel(ops.reshape(de, n * dc, n), out, dephasing=spec, validate=False)
 
 
 def make_pinching() -> BroadcastChannel:
@@ -501,8 +456,8 @@ class DegradednessReport:
         yield self.degrading_map
 
 
-def _probe_densities(dim: int) -> list[np.ndarray]:
-    """Basis matrix units symmetrized into a spanning set of density matrices."""
+def _probe_densities(dim: int) -> np.ndarray:
+    """Basis matrix units symmetrized into a spanning (p, d, d) stack of density matrices."""
     probes = []
     eye = np.eye(dim, dtype=complex)
     for i in range(dim):
@@ -513,16 +468,16 @@ def _probe_densities(dim: int) -> list[np.ndarray]:
             plusi = (eye[i] + 1j * eye[j]) / np.sqrt(2)
             probes.append(np.outer(plus, plus.conj()))
             probes.append(np.outer(plusi, plusi.conj()))
-    return probes
+    return np.stack(probes)
 
 
-def _all_commute(mats: list[np.ndarray], tol: float = COMMUTE_TOL) -> bool:
+def _all_commute(mats: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
     """Whether every pair of the matrices commutes within ``tol`` (max-entry norm)."""
     return not any(np.abs(a @ b - b @ a).max() > tol for i, a in enumerate(mats) for b in mats[i + 1:])
 
 
-def _probe_pairs(bc) -> tuple[list[np.ndarray], list[np.ndarray], bool]:
-    """(B-side states, C-side states, all_b_commute) for the degrading search."""
+def _probe_pairs(bc) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(B-side state stack, C-side state stack, all_b_commute) for the degrading search."""
     if isinstance(bc, CqBroadcastChannel):
         b_states = bc.marginal_conditionals(bc.b_label)
         c_states = bc.marginal_conditionals(bc.c_label)
@@ -535,9 +490,7 @@ def _probe_pairs(bc) -> tuple[list[np.ndarray], list[np.ndarray], bool]:
     if ch_b.in_dim != ch_c.in_dim:
         raise ValidationError("marginal pair must share the input dimension")
     probes = _probe_densities(ch_b.in_dim)
-    lay_in = layout(("in", ch_b.in_dim))
-    b_states = [ch_b.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
-    c_states = [ch_c.apply(DensityMatrix(p, lay_in, validate=False)).matrix for p in probes]
+    b_states, c_states = _images(ch_b.ops, probes), _images(ch_c.ops, probes)
     return b_states, c_states, _all_commute(b_states)
 
 
@@ -661,7 +614,7 @@ def _retraction_decode(dc: int, db: int):
     return decode
 
 
-def _common_eigenbasis(mats: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+def _common_eigenbasis(mats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Eigenbasis of a random Hermitian combination (generic, so it is common)."""
     weights = rng.standard_normal(len(mats))
     acc = sum(w * m for w, m in zip(weights, mats))
@@ -743,7 +696,7 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     cfg = cfg or OptimizerConfig()
     b_states, c_states, commute = _probe_pairs(bc_or_pair)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5E9]))
-    s = SimpleNamespace(b=np.stack(b_states), c=np.stack(c_states), db=len(b_states[0]), dc=len(c_states[0]),
+    s = SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1],
                         spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
                         basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
     s.fit = lambda decode, inits: maximize_batch(_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
@@ -755,5 +708,5 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
             r = _residual_of_stack(stack, s.b, s.c)
             if r < best_residual:
                 best, best_residual, best_method = stack, r, method
-    dmap = KrausChannel(list(best), layout(("C", s.dc)), validate=False)
+    dmap = KrausChannel(best, layout(("C", s.dc)), validate=False)
     return DegradednessReport(best_residual, dmap, bool(best_residual <= CERTIFY_THRESHOLD), best_method)

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .bruteforce import (
+    MAX_CANDIDATES,
     cardinality_probe,
     classical_degraded_region,
     grid_cq_frontier,
@@ -229,6 +230,8 @@ def _cmd_oracle_classical(args) -> int:
 def _cmd_pinching_boundary(args) -> int:
     if args.points < 2:
         raise ValidationError("points: need at least 2 boundary samples")
+    if args.points > MAX_CANDIDATES:
+        raise BudgetError(f"points: {args.points} boundary samples exceed the limit {MAX_CANDIDATES}")
     pts = [pinching_boundary(p) for p in np.linspace(0.0, 1.0, args.points)]
     return _write_frontier(args.out, pts, "cf", "pinching-boundary", 1, None, {"points": args.points})
 

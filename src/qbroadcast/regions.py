@@ -449,8 +449,8 @@ def _mix_adjoint(ev, cond: np.ndarray, d_states: dict) -> np.ndarray:
 
 def _cq_setup(wk: CqBroadcastChannel) -> dict:
     """I(X; B | T = t): H(B | T = t) less sum_x p(x|t) H(B | X = x)."""
-    fixed = _mix_fixed({"B": np.stack(wk.marginal_conditionals(wk.b_label)),
-                        "C": np.stack(wk.marginal_conditionals(wk.c_label))}, {"B": 1})
+    fixed = _mix_fixed({"B": wk.marginal_conditionals(wk.b_label), "C": wk.marginal_conditionals(wk.c_label)},
+                       {"B": 1})
     fixed["offset"] = (entropy_of_spectrum if "B" in fixed["diagonal"] else matrix_entropy)(fixed["stacks"]["B"])
     return fixed
 
@@ -471,11 +471,10 @@ def _ensemble_setup(nk: BroadcastChannel) -> dict:
     amplitude axes it keeps (r, b, c, e are axes 2 to 5) and their dimension.
     """
     db, dc = nk.out_layout.dims
-    kraus = np.stack(nk.ops)  # (ne, dout, din)
     din = nk.in_dim
-    joint = "C" if len(kraus) == 1 else "RB"
+    joint = "C" if len(nk.ops) == 1 else "RB"
     axes = {"B": ((3,), db), "C": ((4,), dc), "RB": ((2, 3), din * db)}
-    return {"kraus": kraus.transpose(2, 1, 0).reshape(din, -1), "dims": (din, db, dc),
+    return {"kraus": nk.ops.transpose(2, 1, 0).reshape(din, -1), "dims": (din, db, dc),
             "axes": {r: axes[r] for r in ("B", "C", joint)}, "personal": {"B": 1, joint: -1}}
 
 

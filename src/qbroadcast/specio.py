@@ -1,4 +1,4 @@
-"""JSON documents for channels, states, and witness files.
+"""JSON documents for channels and states (the CLI writes and reads witness sidecars).
 
 Complex entries are stored as two-element [re, im] arrays.  Channel kinds:
 
@@ -182,7 +182,7 @@ def serialize_channel(ch) -> dict:
             return {"kind": "isometry", "b_dim": dims[0], "c_dim": dims[1],
                     "matrix": complex_to_json(ch.ops[0])}
         return {"kind": "kraus", "b_dim": dims[0], "c_dim": dims[1],
-                "ops": [complex_to_json(op) for op in ch.ops]}
+                "ops": complex_to_json(ch.ops)}
     raise ValidationError(f"channel: cannot serialize {type(ch).__name__}")
 
 

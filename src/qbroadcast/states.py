@@ -78,6 +78,12 @@ class SystemLayout:
     def concat(self, other: "SystemLayout") -> "SystemLayout":
         return SystemLayout(self.parts + other.parts)
 
+    def fresh_label(self, label: str) -> str:
+        """``label``, prefixed with underscores until no factor here carries it."""
+        while label in self.labels:
+            label = "_" + label
+        return label
+
 
 def layout(*parts: tuple[str, int]) -> SystemLayout:
     """Convenience constructor: layout(("A", 2), ("B", 3))."""
@@ -277,8 +283,7 @@ def purify(rho: DensityMatrix, ref_label: str = "ref") -> PureState:
     The reference dimension equals the full input dimension (rank padded), so
     tracing the reference out always recovers ``rho`` exactly.
     """
-    while ref_label in rho.layout.labels:
-        ref_label = "_" + ref_label
+    ref_label = rho.layout.fresh_label(ref_label)
     evals, vecs = np.linalg.eigh(rho.matrix)
     evals = np.clip(evals, 0.0, None)
     d = rho.dim

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.channels import _kraus_fit, _prep_decode, _probe_densities, _retraction_decode
+from qbroadcast.channels import _images, _kraus_fit, _prep_decode, _probe_densities, _retraction_decode
 from qbroadcast.optimize import seeded_rng
 
-from conftest import central_differences, spectrum_entropy
+from conftest import central_differences, generic_dephasing, spectrum_entropy
 
 
 def random_channel(rng, d_in, d_out, n_env):
@@ -66,7 +66,7 @@ class TestIsometricExtension:
         ops = random_channel(rng, 3, 2, 3)
         ch = qb.KrausChannel(ops, qb.layout(("B", 2)))
         ext = qb.isometric_extension(ch)
-        v = ext.matrix
+        v = ext.ops[0]
         assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
 
     def test_env_interleaving(self):
@@ -75,7 +75,7 @@ class TestIsometricExtension:
         ch = qb.KrausChannel(ops, qb.layout(("B", 2)))
         ext = qb.isometric_extension(ch)
         for e, k in enumerate(ops):
-            assert np.abs(ext.matrix[e::3, :] - k).max() < 1e-14
+            assert np.abs(ext.ops[0][e::3, :] - k).max() < 1e-14
 
     def test_tracing_out_env_recovers_channel(self):
         rng = np.random.default_rng(4)
@@ -105,6 +105,68 @@ class TestIsometricExtension:
         rho = qb.random_density_matrix(qb.layout(("in", 3)), rng)
         env = qb.partial_trace(ext.apply(rho), {"E"})
         assert np.abs(env.matrix - comp.apply(rho).matrix).max() < 1e-12
+
+
+def three_kraus_broadcast():
+    """A seeded channel 3 -> B (x) C = 2 x 3 with 3 Kraus operators."""
+    return qb.BroadcastChannel(random_channel(np.random.default_rng(80), 3, 6, 3), qb.layout(("B", 2), ("C", 3)))
+
+
+def sliced_marginal(ch, label):
+    """A marginal's operators by explicit slicing: Kraus index outer, the traced receiver's index inner."""
+    db, dc = ch.out_layout.dims
+    ops = []
+    for k in ch.ops:
+        block = k.reshape(db, dc, ch.in_dim)
+        ops.extend(block[:, c, :] for c in range(dc)) if label == "B" else ops.extend(block[b] for b in range(db))
+    return np.stack(ops)
+
+
+class TestKrausStack:
+    """One read-only (n, out, in) stack per channel; derived channels reshape it."""
+
+    @pytest.mark.parametrize("make", [three_kraus_broadcast, generic_dephasing], ids=["kraus-3", "generic-dephasing"])
+    def test_marginals_match_explicit_slicing(self, make):
+        ch = make()
+        for label in ("B", "C"):
+            assert np.array_equal(ch.marginal(label).ops, sliced_marginal(ch, label))
+
+    @pytest.mark.parametrize("make", [three_kraus_broadcast, generic_dephasing, qb.make_pinching],
+                             ids=["kraus-3", "generic-dephasing", "pinching"])
+    def test_images_match_per_probe_apply(self, make):
+        ch = make()
+        probes = _probe_densities(ch.in_dim)
+        lay = qb.layout(("in", ch.in_dim))
+        for marginal in ch.marginals():
+            each = [marginal.apply(qb.DensityMatrix(p, lay, validate=False)).matrix for p in probes]
+            assert np.array_equal(_images(marginal.ops, probes), np.stack(each))
+
+    def test_isometric_extension_is_one_operator_channel(self):
+        ch = three_kraus_broadcast()
+        ext = qb.isometric_extension(ch)
+        assert type(ext) is qb.KrausChannel and ext.ops.shape == (1, 18, 3)
+        assert ext.is_isometric()
+        assert ext.out_layout.parts == (("B", 2), ("C", 3), ("E", 3))
+        on_e = qb.KrausChannel(random_channel(np.random.default_rng(81), 2, 2, 2), qb.layout(("E", 2)))
+        assert qb.isometric_extension(on_e).out_layout.labels == ("E", "_E")
+
+    def test_dephasing_stack_matches_explicit_loop(self):
+        ch = generic_dephasing()
+        vecs = ch.dephasing.images.reshape(3, 2, 2)
+        for e in range(2):
+            k = np.zeros((6, 3), dtype=complex)
+            for x in range(3):
+                k[2 * x:2 * x + 2, x] = vecs[x, :, e]
+            assert np.array_equal(ch.ops[e], k)
+
+    def test_ops_are_one_read_only_copy(self):
+        ops = random_channel(np.random.default_rng(82), 2, 3, 2)
+        ch = qb.KrausChannel(ops, qb.layout(("B", 3)))
+        assert isinstance(ch.ops, np.ndarray) and ch.ops.shape == (2, 3, 2)
+        with pytest.raises(ValueError):
+            ch.ops[0, 0, 0] = 1.0
+        ops[0][0, 0] = 5.0
+        assert ch.ops[0, 0, 0] != 5.0
 
 
 class TestCompletelyDephasing:

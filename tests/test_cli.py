@@ -75,6 +75,12 @@ class TestExitCodes:
         assert run(["region", "cq", "--channel", "pinching-cq", "--t-size", "10000"]) == 3
         assert "ERR_BUDGET" in capsys.readouterr().err
 
+    def test_boundary_point_budget(self, capsys):
+        # refused before any of the 1e11 samples is allocated
+        assert run(["pinching-boundary", "--points", "100000000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERR_BUDGET: ") and err.count("\n") == 1
+
 
 def _epr_doc():
     vec = np.zeros(4)
@@ -334,27 +340,47 @@ class TestQuantitiesCommand:
 
 
 # (channel, --reverse, certified line, method line) for every builtin in both directions
+# (channel, reverse, residual line, certified, method); None pins no residual digits
+# (the forward document residual is rounding noise), only that it is at most 1e-12
 DEGRADED_VERDICTS = [
-    ("pinching", False, "true", "measure-prepare (dephasing basis)"),
-    ("pinching", True, "false", "measure-prepare (optimized)"),
-    ("pinching-cq", False, "true", "measure-prepare (least squares)"),
-    ("pinching-cq", True, "false", "measure-prepare (least squares)"),
-    ("noiseless-bit", False, "true", "identity"),
-    ("noiseless-bit", True, "true", "identity"),
-    ("constant", False, "true", "identity"),
-    ("constant", True, "true", "identity"),
-    ("ghz-copy", False, "true", "identity"),
-    ("ghz-copy", True, "true", "identity"),
+    ("pinching", False, "0", "true", "measure-prepare (dephasing basis)"),
+    ("pinching", True, "1.0492529912", "false", "measure-prepare (optimized)"),
+    ("pinching-cq", False, "0", "true", "measure-prepare (least squares)"),
+    ("pinching-cq", True, "1", "false", "measure-prepare (least squares)"),
+    ("noiseless-bit", False, "0", "true", "identity"),
+    ("noiseless-bit", True, "0", "true", "identity"),
+    ("constant", False, "0", "true", "identity"),
+    ("constant", True, "0", "true", "identity"),
+    ("ghz-copy", False, "0", "true", "identity"),
+    ("ghz-copy", True, "0", "true", "identity"),
+    ("dephasing-doc", False, None, "true", "measure-prepare (dephasing basis)"),
+    ("dephasing-doc", True, "0.890609954859", "false", "kraus (linear fit)"),
 ]
 
 
+def _seeded_dephasing_doc(seed=1001):
+    """Generalized dephasing, 3 inputs, C dim 2: unit C vectors drawn around base seed 12345 with noise 0.05."""
+    base = np.random.default_rng(12345)
+    vecs = base.standard_normal((3, 2)) + 1j * base.standard_normal((3, 2))
+    rng = np.random.default_rng(seed)
+    vecs = vecs + 0.05 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return {"kind": "dephasing", "c_dim": 2, "e_dim": 1, "images": np.stack([vecs.real, vecs.imag], axis=-1).tolist()}
+
+
 class TestCheckDegraded:
-    @pytest.mark.parametrize("channel,reverse,certified,method", DEGRADED_VERDICTS,
+    @pytest.mark.parametrize("channel,reverse,residual,certified,method", DEGRADED_VERDICTS,
                              ids=[f"{v[0]}-{'reverse' if v[1] else 'forward'}" for v in DEGRADED_VERDICTS])
-    def test_builtin_verdicts(self, capsys, channel, reverse, certified, method):
-        assert run(["check", "degraded", "--channel", channel] + (["--reverse"] if reverse else [])) == 0
+    def test_builtin_verdicts(self, tmp_path, capsys, channel, reverse, residual, certified, method):
+        if channel == "dephasing-doc":
+            channel = tmp_path / "dephasing.json"
+            channel.write_text(json.dumps(_seeded_dephasing_doc()))
+        assert run(["check", "degraded", "--channel", str(channel)] + (["--reverse"] if reverse else [])) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("residual: ")
+        if residual is None:
+            assert float(lines[0].removeprefix("residual: ")) <= 1e-12
+        else:
+            assert lines[0] == f"residual: {residual}"
         assert lines[1:] == [f"certified: {certified}", f"method: {method}"]
 
     def test_reverse(self, capsys):
