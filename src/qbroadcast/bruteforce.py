@@ -1,9 +1,9 @@
 """Exhaustive reference frontiers over discretized distribution grids.
 
 Entropies are recomputed here from scratch, so the oracles share no entropy code
-with the engine: the cq oracle picks each receiver's kernel once (Shannon entropies
-of the diagonals of an exactly diagonal stack, else spectra), the classical one uses
-probability tables, and mixtures are 2-D matrix products, never ``einsum``.  Joints
+with the engine: every entropy is ``_table_entropy`` of probability tables.  The cq
+oracle picks where each receiver's spectra come from once (the diagonals of an exactly
+diagonal stack, else ``eigvalsh``), and mixtures are 2-D matrix products.  Joints
 p(t, x) are compositions of the mesh over t_size * |X| cells, one per relabeling of the
 labels t, which no rate depends on: the rows whose label blocks ascend.  The Pareto pass is
 ``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a
@@ -95,13 +95,6 @@ def _enumerate_joints(mesh: int, t_size: int, n_x: int, max_candidates: int) -> 
     return blocks[rows[np.lexsort(rows.T[::-1])]].reshape(len(rows), t_size, n_x) / float(mesh)
 
 
-def _spectra_entropy(mats: np.ndarray) -> np.ndarray:
-    evals = np.linalg.eigvalsh(mats)
-    evals = np.clip(evals, 0.0, None)
-    logs = np.where(evals > _CLAMP, np.log2(np.maximum(evals, _CLAMP)), 0.0)
-    return -(evals * logs).sum(axis=-1)
-
-
 def _table_entropy(table: np.ndarray) -> np.ndarray:
     """Shannon entropy of probability tables flattened over all but the first axis."""
     flat = table.reshape(table.shape[0], -1)
@@ -111,13 +104,14 @@ def _table_entropy(table: np.ndarray) -> np.ndarray:
 
 def _receiver_kernel(stack: np.ndarray):
     """(mixing matrix, entropy of mixed rows) for one receiver's (x, d, d) stack.  An exactly diagonal
-    stack mixes real diagonals and takes Shannon entropies of them sorted ascending, as ``eigvalsh``
-    returns them, so the sums run in the same order; others mix flattened matrices into spectra."""
+    stack mixes real diagonals whose spectra are those diagonals sorted ascending, as ``eigvalsh`` returns
+    them, so the sums run in the same order; others mix flattened matrices and take ``eigvalsh``."""
     n_x, d = stack.shape[0], stack.shape[-1]
     if np.array_equal(stack, stack * np.eye(d)):
-        return (np.diagonal(stack, axis1=1, axis2=2).real.copy(), lambda rows: _table_entropy(
-            np.clip(np.sort(rows.reshape(-1, d), axis=-1), 0.0, None)).reshape(rows.shape[:-1]))
-    return stack.reshape(n_x, d * d), lambda rows: _spectra_entropy(rows.reshape(rows.shape[:-1] + (d, d)))
+        mix, spectra = np.diagonal(stack, axis1=1, axis2=2).real.copy(), lambda rows: np.sort(rows, axis=-1)
+    else:
+        mix, spectra = stack.reshape(n_x, d * d), lambda rows: np.linalg.eigvalsh(rows.reshape(-1, d, d))
+    return mix, lambda rows: _table_entropy(np.clip(spectra(rows).reshape(-1, d), 0.0, None)).reshape(rows.shape[:-1])
 
 
 def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarray,

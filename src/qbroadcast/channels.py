@@ -117,14 +117,10 @@ class KrausChannel:
         if din != self.in_dim:
             raise ValidationError(f"subsystem {label!r} has dimension {din}, channel expects {self.in_dim}")
         d_rest = r.layout.dim // din
-        block = r.matrix.reshape(din, d_rest, din, d_rest)
-        dout = self.out_dim
-        out = np.zeros((dout, d_rest, dout, d_rest), dtype=complex)
-        for k in self.ops:
-            out += np.einsum("oi,irjs,pj->orps", k, block, k.conj(), optimize=True)
+        ops = (self.ops[:, :, None, :, None] * np.eye(d_rest)[:, None, :]).reshape(
+            len(self.ops), self.out_dim * d_rest, din * d_rest)  # K_i (x) I on the untouched factors
         new_layout = SystemLayout(self.out_layout.parts + tuple(r.layout.parts[1:]))
-        full = out.reshape(dout * d_rest, dout * d_rest)
-        return DensityMatrix(_hermitize(full), new_layout, validate=False)
+        return DensityMatrix(_images(ops, r.matrix), new_layout, validate=False)
 
     def tensor(self, other: "KrausChannel") -> "KrausChannel":
         overlap = set(self.out_layout.labels) & set(other.out_layout.labels)
@@ -133,9 +129,9 @@ class KrausChannel:
         ops = [np.kron(a, b) for a in self.ops for b in other.ops]
         return KrausChannel(ops, self.out_layout.concat(other.out_layout), validate=False)
 
-    def is_isometric(self, tol: float = KRAUS_TOL) -> bool:
+    def is_isometric(self) -> bool:
         v = self.ops[0]
-        return len(self.ops) == 1 and bool(np.abs(v.conj().T @ v - np.eye(self.in_dim)).max() <= tol)
+        return len(self.ops) == 1 and bool(np.abs(v.conj().T @ v - np.eye(self.in_dim)).max() <= KRAUS_TOL)
 
     def __repr__(self):
         return f"KrausChannel(in={self.in_dim}, out={self.out_layout.labels}, n_kraus={len(self.ops)})"
@@ -278,9 +274,9 @@ class CqBroadcastChannel:
             weights = {x: float(w) for x, w in zip(self.symbols, arr)}
         return CqState(weights, {x: self.conditionals[x] for x in self.symbols})
 
-    def commuting_b(self, tol: float = COMMUTE_TOL) -> bool:
+    def commuting_b(self) -> bool:
         """Whether all B-marginal conditionals pairwise commute."""
-        return _all_commute(self.marginal_conditionals(self.b_label), tol)
+        return _all_commute(self.marginal_conditionals(self.b_label))
 
     def tensor_power(self, k: int) -> "CqBroadcastChannel":
         """k parallel uses: tuple symbols and ``_kron_power`` of the (x, d_B, d_C, d_B, d_C) conditionals."""
@@ -471,9 +467,9 @@ def _probe_densities(dim: int) -> np.ndarray:
     return np.stack(probes)
 
 
-def _all_commute(mats: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
-    """Whether every pair of the matrices commutes within ``tol`` (max-entry norm)."""
-    return not any(np.abs(a @ b - b @ a).max() > tol for i, a in enumerate(mats) for b in mats[i + 1:])
+def _all_commute(mats: np.ndarray) -> bool:
+    """Whether every pair of the matrices commutes within ``COMMUTE_TOL`` (max-entry norm)."""
+    return not any(np.abs(a @ b - b @ a).max() > COMMUTE_TOL for i, a in enumerate(mats) for b in mats[i + 1:])
 
 
 def _probe_pairs(bc) -> tuple[np.ndarray, np.ndarray, bool]:

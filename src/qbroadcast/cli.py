@@ -85,53 +85,30 @@ def _emit(text: str, out: str | None):
         _write_text(out, text)
 
 
-def _frontier_csv(points, prefix: str) -> tuple[str, list]:
-    lines = ["common_rate,personal_rate,witness_id"]
-    entries = []
+def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, channel_doc, metadata: dict) -> int:
+    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar."""
+    lines, entries = ["common_rate,personal_rate,witness_id"], []
     for i, pt in enumerate(points):
         wid = f"{prefix}-{i:03d}"
         lines.append(f"{_fmt(pt.common_rate)},{_fmt(pt.personal_rate)},{wid}")
-        entry = {"witness_id": wid, "common_rate": float(pt.common_rate),
-                 "personal_rate": float(pt.personal_rate)}
-        entry.update(pt.witness)
-        entries.append(entry)
-    return "\n".join(lines) + "\n", entries
-
-
-def _write_sidecar(out: str | None, mode: str, k: int, channel_doc, metadata: dict, entries: list):
-    if out is None:
-        return
-    doc = {
-        "format": WITNESS_FORMAT,
-        "mode": mode,
-        "k": int(k),
-        "channel": channel_doc,
-        "metadata": metadata,
-        "points": entries,
-    }
-    _write_text(out + ".witness.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, channel_doc, metadata: dict) -> int:
-    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar."""
-    csv, entries = _frontier_csv(points, prefix)
-    _emit(csv, out)
-    _write_sidecar(out, mode, k, channel_doc, metadata, entries)
+        entries.append({"witness_id": wid, "common_rate": float(pt.common_rate),
+                        "personal_rate": float(pt.personal_rate), **pt.witness})
+    _emit("\n".join(lines) + "\n", out)
+    if out is not None:
+        doc = {"format": WITNESS_FORMAT, "mode": mode, "k": int(k), "channel": channel_doc,
+               "metadata": metadata, "points": entries}
+        _write_text(out + ".witness.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
+
+
+_REGIONS = {"cq": cq_broadcast_frontier, "cq-eg": cq_entanglement_frontier,
+            "dephasing": dephasing_cq_frontier, "qq": qq_frontier}
 
 
 def _cmd_region(args) -> int:
     ch = _load_channel(args.channel)
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed, r_grid=args.grid)
-    kwargs = {"k": args.k, "cfg": cfg, "t_size": args.t_size}
-    if args.mode == "cq":
-        frontier = cq_broadcast_frontier(ch, **kwargs)
-    elif args.mode == "cq-eg":
-        frontier = cq_entanglement_frontier(ch, **kwargs)
-    elif args.mode == "dephasing":
-        frontier = dephasing_cq_frontier(ch, **kwargs)
-    else:
-        frontier = qq_frontier(ch, **kwargs)
+    frontier = _REGIONS[args.mode](ch, k=args.k, cfg=cfg, t_size=args.t_size)
     return _write_frontier(args.out, frontier.points, "pt", frontier.metadata["mode"], args.k,
                            serialize_channel(ch), frontier.metadata)
 
@@ -246,7 +223,11 @@ def _recompute_entry(mode: str, channel, k: int, entry: dict) -> tuple[float, fl
             raise ValidationError(f"{entry.get('witness_id', '?')}: grid witness without a channel document")
         params = {"joint": entry["joint"]}
     elif entry.get("kind") == "closed-form":
-        pt = pinching_boundary(float(entry["p"]))
+        try:
+            p = float(entry["p"])
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError(f"{entry.get('witness_id', '?')}: a closed-form witness needs a numeric p")
+        pt = pinching_boundary(p)
         return pt.common_rate, pt.personal_rate
     else:
         raise ValidationError(f"{entry.get('witness_id', '?')}: no re-evaluatable parameters")
@@ -263,6 +244,8 @@ def _cmd_verify(args) -> int:
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise ValidationError(f"witness: expected a {WITNESS_FORMAT} document")
     mode = doc.get("mode", "")
+    if not isinstance(mode, str):
+        raise ValidationError(f"witness: mode must be a string, got {mode!r}")
     k = doc.get("k", 1)
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValidationError(f"witness: k must be an integer, got {k!r}")
@@ -308,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     region = sub.add_parser("region", help="optimize a rate-region frontier")
-    region.add_argument("mode", choices=["cq", "cq-eg", "dephasing", "qq"])
+    region.add_argument("mode", choices=list(_REGIONS))
     region.add_argument("--channel", required=True, help="builtin name or spec file")
     region.add_argument("--k", type=int, default=1, help="parallel channel uses")
     region.add_argument("--grid", type=int, default=33, help="common-rate grid points")

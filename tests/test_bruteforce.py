@@ -10,6 +10,7 @@ import qbroadcast as qb
 from qbroadcast.bruteforce import (
     _composition_table,
     _enumerate_joints,
+    _receiver_kernel,
     classical_degraded_region,
     cardinality_probe,
     composition_count,
@@ -227,6 +228,26 @@ class TestGridKernels:
         assert diag.metadata["candidates"] == dense.metadata["candidates"]
         for r in np.linspace(0.0, diag.max_common(), 21):
             assert abs(diag.value_at(r) - dense.value_at(r)) < 1e-9
+
+    def test_dense_kernel_matches_eigvalsh_formula(self):
+        # the per-matrix eigvalsh entropy the dense kernel used before it went through _table_entropy
+        def reference(mats):
+            evals = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+            logs = np.where(evals > qb.bruteforce._CLAMP, np.log2(np.maximum(evals, qb.bruteforce._CLAMP)), 0.0)
+            return -(evals * logs).sum(axis=-1)
+
+        w = rotated_pinching_cq()
+        joints = _enumerate_joints(6, 3, w.n_symbols, qb.bruteforce.MAX_CANDIDATES)
+        p_t = joints.sum(axis=2, keepdims=True)
+        inv_p_t = 1.0 / np.where(p_t > 0, p_t, 1.0)  # as the oracle scales its label states
+        for label in (w.b_label, w.c_label):
+            stack = w.marginal_conditionals(label)
+            mix, entropy = _receiver_kernel(stack)
+            assert mix.shape == (w.n_symbols, stack.shape[-1] ** 2)  # the dense branch
+            label_states = (joints.reshape(-1, w.n_symbols) @ mix).reshape(len(joints), 3, -1) * inv_p_t
+            for rows in (label_states, joints.sum(axis=1) @ mix, mix):
+                mats = rows.reshape(rows.shape[:-1] + stack.shape[1:])
+                assert np.array_equal(entropy(rows), reference(mats))
 
 
 class TestChunking:

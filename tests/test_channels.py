@@ -7,6 +7,7 @@ import pytest
 import qbroadcast as qb
 from qbroadcast.channels import _images, _kraus_fit, _prep_decode, _probe_densities, _retraction_decode
 from qbroadcast.optimize import seeded_rng
+from qbroadcast.states import _hermitize
 
 from conftest import central_differences, generic_dephasing, spectrum_entropy
 
@@ -140,6 +141,30 @@ class TestKrausStack:
         for marginal in ch.marginals():
             each = [marginal.apply(qb.DensityMatrix(p, lay, validate=False)).matrix for p in probes]
             assert np.array_equal(_images(marginal.ops, probes), np.stack(each))
+
+    @pytest.mark.parametrize("make,tol", [(qb.make_pinching, 0.0), (generic_dephasing, 1e-15)],
+                             ids=["pinching", "generic-dephasing"])
+    @pytest.mark.parametrize("refs", [[("R", 2)], [("R", 2), ("S", 3)]], ids=["one-ref", "two-refs"])
+    def test_apply_to_matches_per_operator_einsum(self, make, tol, refs):
+        # the formula apply_to used before it went through _images, kept as the reference:
+        # BLAS sums the K (x) I products in another order, so dense channels move at rounding level
+        def reference(ch, rho, label):
+            rest = [name for name in rho.layout.labels if name != label]
+            r = rho.reorder([label] + rest)
+            d_rest = r.layout.dim // ch.in_dim
+            block = r.matrix.reshape(ch.in_dim, d_rest, ch.in_dim, d_rest)
+            out = np.zeros((ch.out_dim, d_rest, ch.out_dim, d_rest), dtype=complex)
+            for k in ch.ops:
+                out += np.einsum("oi,irjs,pj->orps", k, block, k.conj(), optimize=True)
+            return _hermitize(out.reshape(ch.out_dim * d_rest, ch.out_dim * d_rest))
+
+        ch = make()
+        lay = qb.layout(refs[0], ("in", ch.in_dim), *refs[1:])  # the acted factor sits between the others
+        rho = qb.random_density_matrix(lay, np.random.default_rng(83))
+        out = ch.apply_to(rho, "in")
+        assert out.layout.labels == ("B", "C", *(label for label, _ in refs))
+        diff = np.abs(out.matrix - reference(ch, rho, "in")).max()
+        assert diff <= tol if tol else diff == 0.0
 
     def test_isometric_extension_is_one_operator_channel(self):
         ch = three_kraus_broadcast()

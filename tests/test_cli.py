@@ -32,7 +32,8 @@ class TestExitCodes:
 
     def test_unknown_mode(self, capsys):
         assert run(["region", "psychic", "--channel", "noiseless-bit"]) == 2
-        assert "ERR_VALIDATE" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("ERR_VALIDATE: argument mode: invalid choice: 'psychic' "
+                                           "(choose from 'cq', 'cq-eg', 'dephasing', 'qq')\n")
 
     def test_unknown_channel(self, capsys):
         assert run(["region", "cq", "--channel", "no-such-thing"]) == 2
@@ -206,6 +207,15 @@ class TestRegionCommand:
         assert run(["verify", "--witness", str(bad)]) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
 
+    def test_verify_rejects_non_string_mode(self, tmp_path, capsys):
+        bad = tmp_path / "w.json"
+        point = {"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 1.0,
+                 "params": {"p_t": [1.0], "p_x_given_t": [[0.5, 0.5]]}}
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": ["cq"], "k": 1,
+                                   "channel": qb.serialize_channel(qb.make_noiseless_bit()), "points": [point]}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert capsys.readouterr().err == "ERR_VALIDATE: witness: mode must be a string, got ['cq']\n"
+
     def test_verify_rejects_point_without_rates(self, tmp_path, capsys):
         bad = tmp_path / "w.json"
         point = {"witness_id": "pt-000", "params": {"p_t": [1.0], "p_x_given_t": [[0.5, 0.5]]}}
@@ -255,13 +265,21 @@ class TestRegionCommand:
         err = capsys.readouterr().err
         assert "ERR_VALIDATE" in err and "within 1e-9" in err
 
-    @pytest.mark.parametrize("points", [[1], {"a": 1}], ids=["point-not-object", "points-not-list"])
+    @pytest.mark.parametrize("points", [
+        [1],
+        {"a": 1},
+        [{"witness_id": "cf-000", "common_rate": 1.0, "personal_rate": 0.0, "kind": "closed-form"}],
+        [{"witness_id": "cf-000", "common_rate": 1.0, "personal_rate": 0.0, "kind": "closed-form", "p": "half"}],
+        [{"witness_id": "cf-000", "common_rate": 1.0, "personal_rate": 0.0, "kind": "closed-form", "p": [0.5]}],
+    ], ids=["point-not-object", "points-not-list", "closed-form-without-p", "closed-form-p-not-a-number",
+            "closed-form-p-a-list"])
     def test_verify_rejects_malformed_points(self, tmp_path, capsys, points):
         bad = tmp_path / "w.json"
         bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
                                    "channel": qb.serialize_channel(qb.make_noiseless_bit()), "points": points}))
         assert run(["verify", "--witness", str(bad)]) == 2
-        assert "ERR_VALIDATE" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("ERR_VALIDATE: ") and err.count("\n") == 1
 
 
 def _kraus_doc():

@@ -21,6 +21,27 @@ def unused_imports(source: str) -> set:
     return imported - read
 
 
+def unread_private_names(sources: list) -> set:
+    """Module-level ``_names`` the modules define but none of them reads, by name, import or attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {name for name in defined if name.startswith("_") and not name.endswith("__")} - read
+
+
 class TestImports:
     # __init__.py only re-exports, so it is left out
     @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -29,3 +50,14 @@ class TestImports:
 
     def test_detects_an_unused_name(self):
         assert unused_imports("import numpy as np\nfrom os import path, sep\nprint(sep)\n") == {"np", "path"}
+
+
+class TestPrivateNames:
+    def test_every_private_name_is_read(self):
+        sources = [p.read_text(encoding="utf-8") for p in pathlib.Path(qbroadcast.__file__).parent.glob("*.py")]
+        assert unread_private_names(sources) == set()
+
+    def test_detects_an_unread_name(self):
+        a = "_LIMIT = 3\n_TABLE: dict = {}\ndef _used():\n    pass\ndef _dead():\n    pass\nclass _Gone:\n    pass\n"
+        b = "from a import _used\nimport a\nprint(a._TABLE, __name__)\n"
+        assert unread_private_names([a, b]) == {"_LIMIT", "_dead", "_Gone"}
