@@ -5,7 +5,8 @@ with the engine: every entropy is ``_table_entropy`` of probability tables.  The
 oracle picks where each receiver's spectra come from once (the diagonals of an exactly
 diagonal stack, else ``eigvalsh``), and mixtures are 2-D matrix products.  Joints
 p(t, x) are compositions of the mesh over t_size * |X| cells, one per relabeling of the
-labels t, which no rate depends on: the rows whose label blocks ascend.  The Pareto pass is
+labels t, which no rate depends on: the rows whose label blocks ascend.  Both oracles are one
+``_scan`` of those joints; each supplies only its rates on a chunk of them.  The Pareto pass is
 ``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a
 sweep keep points by the same rule; it is the only thing taken from ``regions`` besides
 the ``Frontier`` and ``RatePoint`` containers.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CqBroadcastChannel
+from .channels import CqBroadcastChannel, _cascade_tables
 from .errors import BudgetError, ValidationError
 from .regions import Frontier, RatePoint, pareto_staircase
 
@@ -127,6 +128,17 @@ def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarra
     return Frontier(resampled, dict(meta, resampled=True))
 
 
+def _scan(mode: str, rates, mesh: int, t_size: int, n_x: int, max_candidates: int, r_grid: int | None) -> Frontier:
+    """An oracle's frontier: ``rates(joints) -> (commons, personals)`` on every joint of
+    ``_enumerate_joints``, ``_CHUNK`` rows at a time, clipped at 0 and passed to ``_pareto_points``."""
+    joints = _enumerate_joints(mesh, t_size, n_x, max_candidates)
+    commons, personals = np.empty(len(joints)), np.empty(len(joints))
+    for lo in range(0, len(joints), _CHUNK):
+        commons[lo:lo + _CHUNK], personals[lo:lo + _CHUNK] = rates(joints[lo:lo + _CHUNK])
+    meta = {"mode": mode, "t_size": int(t_size), "mesh": mesh, "candidates": composition_count(mesh, t_size * n_x)}
+    return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, r_grid)
+
+
 def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int | None = None,
                      max_candidates: int = MAX_CANDIDATES) -> Frontier:
     """Exact Pareto frontier of (min label-Holevo, conditional label-Holevo to B)
@@ -140,27 +152,21 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
     if t_size < 1 or mesh < 1 or (r_grid is not None and r_grid < 1):
         raise ValidationError("t_size, mesh and r_grid must be positive")
     n_x = w.n_symbols
-    joints = _enumerate_joints(mesh, t_size, n_x, max_candidates)
     kernels = [_receiver_kernel(w.marginal_conditionals(label)) for label in (w.b_label, w.c_label)]
     h_b_x = kernels[0][1](kernels[0][0])  # H(B | X = x) for each symbol x
-    n = joints.shape[0]
-    commons, personals = np.empty(n), np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        joint = joints[lo:hi]
-        p_t = joint.sum(axis=2)
-        p_x = joint.sum(axis=1)
+
+    def rates(joint):
+        p_t, p_x = joint.sum(axis=2), joint.sum(axis=1)
         inv_p_t = (1.0 / np.where(p_t > 0, p_t, 1.0))[:, :, None]
         holevo = []
         for mix, entropy in kernels:
-            h_t = np.where(p_t > 0, entropy((joint.reshape(-1, n_x) @ mix).reshape(hi - lo, t_size, -1) * inv_p_t), 0.0)
+            states = (joint.reshape(-1, n_x) @ mix).reshape(*joint.shape[:2], -1) * inv_p_t  # each label's state
+            h_t = np.where(p_t > 0, entropy(states), 0.0)
             holevo.append(((p_t * h_t).sum(axis=1), entropy(p_x @ mix)))
         (cond_b, h_b), (cond_c, h_c) = holevo
-        commons[lo:hi] = np.minimum(h_b - cond_b, h_c - cond_c)
-        personals[lo:hi] = cond_b - p_x @ h_b_x
-    meta = {"mode": "oracle-grid", "t_size": t_size, "mesh": mesh,
-            "candidates": composition_count(mesh, t_size * n_x)}
-    return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, r_grid)
+        return np.minimum(h_b - cond_b, h_c - cond_c), cond_b - p_x @ h_b_x
+
+    return _scan("oracle-grid", rates, mesh, t_size, n_x, max_candidates, r_grid)
 
 
 @dataclass
@@ -210,44 +216,19 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
     Pure probability-table computation, independent of the matrix machinery.
     ``t_size`` defaults to one more than the smallest alphabet involved.
     """
-    p1 = np.asarray(p_y_given_x, dtype=float)
-    p2 = np.asarray(p_z_given_y, dtype=float)
-    for name, mat in (("p_y_given_x", p1), ("p_z_given_y", p2)):
-        if mat.ndim != 2:
-            raise ValidationError(f"{name} must be a matrix")
-        if not np.isfinite(mat).all():
-            raise ValidationError(f"{name} has non-finite entries")
-        if mat.min() < 0:
-            raise ValidationError(f"{name} has negative entries")
-        if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-12:
-            raise ValidationError(f"{name} columns must sum to 1 within 1e-12")
-    ny, n_x = p1.shape
-    nz = p2.shape[0]
-    if p2.shape[1] != ny:
-        raise ValidationError(f"cascade mismatch: p_z_given_y expects {p2.shape[1]} inputs, Y has {ny}")
+    p1, p2 = _cascade_tables(p_y_given_x, p_z_given_y)
+    (ny, n_x), nz = p1.shape, p2.shape[0]
     if t_size is None:
         t_size = min(n_x, ny, nz) + 1
     if t_size < 1 or mesh < 1:
         raise ValidationError("t_size and mesh must be positive")
     pz_x = p2 @ p1
-    joints = _enumerate_joints(mesh, t_size, n_x, max_candidates)
-    n = joints.shape[0]
-    commons, personals = np.empty(n), np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        joint = joints[lo:hi]
-        p_t = joint.sum(axis=2)
-        p_tz = (joint.reshape(-1, n_x) @ pz_x.T).reshape(hi - lo, t_size, nz)
-        p_ty = (joint.reshape(-1, n_x) @ p1.T).reshape(hi - lo, t_size, ny)
-        p_txy = joint[..., None] * p1.T
-        h_t = _table_entropy(p_t)
-        h_z = _table_entropy(p_tz.sum(axis=1))
-        h_tz = _table_entropy(p_tz)
-        h_ty = _table_entropy(p_ty)
-        h_tx = _table_entropy(joint)
-        h_txy = _table_entropy(p_txy)
-        commons[lo:hi] = h_t + h_z - h_tz
-        personals[lo:hi] = h_tx + h_ty - h_txy - h_t
-    meta = {"mode": "oracle-classical", "t_size": int(t_size), "mesh": mesh,
-            "candidates": composition_count(mesh, t_size * n_x)}
-    return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, None)
+
+    def rates(joint):
+        p_tz = (joint.reshape(-1, n_x) @ pz_x.T).reshape(*joint.shape[:2], nz)
+        p_ty = (joint.reshape(-1, n_x) @ p1.T).reshape(*joint.shape[:2], ny)
+        h_t = _table_entropy(joint.sum(axis=2))
+        return (h_t + _table_entropy(p_tz.sum(axis=1)) - _table_entropy(p_tz),
+                _table_entropy(joint) + _table_entropy(p_ty) - _table_entropy(joint[..., None] * p1.T) - h_t)
+
+    return _scan("oracle-classical", rates, mesh, t_size, n_x, max_candidates, None)

@@ -3,9 +3,11 @@
 A broadcast channel is a CPTP map from one input to a two-receiver output
 B (x) C.  A channel holds one read-only (n, out, in) Kraus stack: its action is
 ``_images``, and its isometric extension, complementary channel and marginals
-are reshapes or transposes of that stack.  Every k-use channel
-(Kraus stacks, cq conditionals, dephasing images) comes from one grouped
-Kronecker power, ``_kron_power``.  The degrading-map search at the bottom
+are reshapes or transposes of that stack.  A classical-input (cq) channel holds
+its symbols and one read-only (x, d_B*d_C, d_B*d_C) stack of conditional states:
+its receiver marginals are one batched trace.  Every k-use channel (Kraus
+stacks, cq states, dephasing images) comes from one grouped Kronecker power,
+``_kron_power``.  The degrading-map search at the bottom
 certifies (numerically) whether one receiver's marginal can be post-processed
 into the other's.  It tries, in order: identity, the dephasing basis, then
 least squares and an optimized measure-prepare fit for commuting B probes, or a
@@ -26,10 +28,8 @@ from .states import (
     CqState,
     DensityMatrix,
     SystemLayout,
-    TRACE_TOL,
     _hermitize,
     layout,
-    partial_trace,
 )
 
 KRAUS_TOL = 1e-9
@@ -137,16 +137,16 @@ class KrausChannel:
         return f"KrausChannel(in={self.in_dim}, out={self.out_layout.labels}, n_kraus={len(self.ops)})"
 
 
-def isometric_extension(ch: KrausChannel, env_label: str = "E") -> KrausChannel:
+def isometric_extension(ch: KrausChannel) -> KrausChannel:
     """Canonical extension V = sum_i K_i (x) |i>^E in the given Kraus order: one operator on output (x) E."""
-    env = layout((ch.out_layout.fresh_label(env_label), len(ch.ops)))
+    env = layout((ch.out_layout.fresh_label("E"), len(ch.ops)))
     v = ch.ops.transpose(1, 0, 2).reshape(1, -1, ch.in_dim)  # row index o * n_env + e
     return KrausChannel(v, ch.out_layout.concat(env), validate=False)
 
 
-def complementary(ch: KrausChannel, env_label: str = "E") -> KrausChannel:
-    """Channel to the environment of the canonical isometric extension: L_o[e, i] = K_e[o, i]."""
-    env = layout((ch.out_layout.fresh_label(env_label), len(ch.ops)))
+def complementary(ch: KrausChannel) -> KrausChannel:
+    """Channel to the environment E of the canonical isometric extension: L_o[e, i] = K_e[o, i]."""
+    env = layout((ch.out_layout.fresh_label("E"), len(ch.ops)))
     return KrausChannel(ch.ops.transpose(1, 0, 2), env, validate=False)
 
 
@@ -163,15 +163,15 @@ def completely_dephase(rho: DensityMatrix, basis_label: str) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(rho.dim, rho.dim), rho.layout, validate=False)
 
 
-def make_completely_dephasing(dim: int, out_label: str = "B") -> KrausChannel:
-    """The qubit/qudit map that keeps only computational-basis diagonal entries."""
+def make_completely_dephasing(dim: int) -> KrausChannel:
+    """The qubit/qudit map to B that keeps only computational-basis diagonal entries."""
     ops = np.zeros((dim, dim, dim), dtype=complex)
     ops[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
-    return KrausChannel(ops, layout((out_label, dim)), validate=False)
+    return KrausChannel(ops, layout(("B", dim)), validate=False)
 
 
-def make_identity_channel(dim: int, out_label: str = "B") -> KrausChannel:
-    return KrausChannel([np.eye(dim, dtype=complex)], layout((out_label, dim)), validate=False)
+def make_identity_channel(dim: int) -> KrausChannel:
+    return KrausChannel([np.eye(dim, dtype=complex)], layout(("B", dim)), validate=False)
 
 
 class BroadcastChannel(KrausChannel):
@@ -225,29 +225,35 @@ class BroadcastChannel(KrausChannel):
 
 
 class CqBroadcastChannel:
-    """Classical-input broadcast channel: each symbol prepares a state on B (x) C."""
+    """Classical-input broadcast channel: symbol ``symbols[i]`` prepares ``states[i]`` on B (x) C.
 
-    __slots__ = ("symbols", "conditionals", "out_layout")
+    ``states`` is one read-only complex (x, d_B*d_C, d_B*d_C) stack.  With ``validate`` every row must
+    pass ``DensityMatrix``'s checks, and the stack is stored Hermitized, as ``DensityMatrix`` stores one.
+    """
 
-    def __init__(self, conditionals: dict, validate: bool = True):
-        if not conditionals:
+    __slots__ = ("symbols", "states", "out_layout")
+
+    def __init__(self, symbols: Sequence, states: np.ndarray, out_layout: SystemLayout, validate: bool = True):
+        symbols = list(symbols)
+        if not symbols:
             raise ValidationError("cq broadcast channel needs at least one input symbol")
-        symbols = list(conditionals)
-        ref = conditionals[symbols[0]].layout
-        if len(ref.parts) != 2:
-            raise ValidationError(
-                f"cq broadcast conditionals must live on exactly two receiver labels, got {ref.labels}"
-            )
-        for x, rho in conditionals.items():
-            if rho.layout != ref:
-                raise ValidationError(f"conditional for symbol {x!r} is on a different layout")
-            if validate:
-                tr = rho.matrix.trace().real
-                if abs(tr - 1.0) > TRACE_TOL:
-                    raise ValidationError(f"conditional for symbol {x!r} has trace {tr}, not 1 within 1e-9")
-        self.symbols = symbols
-        self.conditionals = dict(conditionals)
-        self.out_layout = ref
+        if len(out_layout.parts) != 2:
+            raise ValidationError(f"cq conditionals must live on two receiver labels, got {out_layout.labels}")
+        if len(set(symbols)) != len(symbols):
+            raise ValidationError(f"cq broadcast symbols repeat: {symbols}")
+        states = np.array(states, dtype=complex, order="C")
+        want = (len(symbols), out_layout.dim, out_layout.dim)
+        if states.shape != want:
+            raise ValidationError(f"cq conditional stack has shape {states.shape}, expected {want}")
+        if validate:
+            for x, rho in zip(symbols, states):
+                try:
+                    DensityMatrix(rho, out_layout)
+                except ValidationError as exc:
+                    raise ValidationError(f"conditional for symbol {x!r}: {exc}") from None
+            states = _hermitize(states)
+        states.flags.writeable = False
+        self.symbols, self.states, self.out_layout = symbols, states, out_layout
 
     @property
     def n_symbols(self) -> int:
@@ -263,7 +269,9 @@ class CqBroadcastChannel:
 
     def marginal_conditionals(self, label: str) -> np.ndarray:
         """Per-symbol reduced states on one receiver, an (x, d, d) stack in symbol order."""
-        return np.stack([partial_trace(self.conditionals[x], {label}).matrix for x in self.symbols])
+        drop = 1 - self.out_layout.index(label)  # the other receiver's axis in each (d_B, d_C) half
+        view = self.states.reshape(-1, *self.out_layout.dims, *self.out_layout.dims)
+        return _hermitize(np.trace(view, axis1=1 + drop, axis2=3 + drop))
 
     def output_cq(self, weights) -> CqState:
         """Ensemble {p(x), rho_x^{BC}} for a distribution over the input alphabet."""
@@ -272,21 +280,21 @@ class CqBroadcastChannel:
             if arr.shape[0] != self.n_symbols:
                 raise ValidationError(f"weight vector length {arr.shape[0]} != alphabet size {self.n_symbols}")
             weights = {x: float(w) for x, w in zip(self.symbols, arr)}
-        return CqState(weights, {x: self.conditionals[x] for x in self.symbols})
+        return CqState(weights, {x: DensityMatrix(rho, self.out_layout, validate=False)
+                                 for x, rho in zip(self.symbols, self.states)})
 
     def commuting_b(self) -> bool:
         """Whether all B-marginal conditionals pairwise commute."""
         return _all_commute(self.marginal_conditionals(self.b_label))
 
     def tensor_power(self, k: int) -> "CqBroadcastChannel":
-        """k parallel uses: tuple symbols and ``_kron_power`` of the (x, d_B, d_C, d_B, d_C) conditionals."""
+        """k parallel uses: tuple symbols and ``_kron_power`` of the (x, d_B, d_C, d_B, d_C) states."""
         if k == 1:
             return self
         db, dc = self.out_layout.dims
-        mats = _kron_power(np.stack([self.conditionals[x].matrix for x in self.symbols]).reshape(-1, db, dc, db, dc), k)
         lay = SystemLayout(((self.b_label, db ** k), (self.c_label, dc ** k)))
-        return CqBroadcastChannel({xs: DensityMatrix(m.reshape(lay.dim, lay.dim), lay, validate=False)
-                                   for xs, m in zip(itertools.product(self.symbols, repeat=k), mats)}, validate=False)
+        states = _kron_power(self.states.reshape(-1, db, dc, db, dc), k).reshape(-1, lay.dim, lay.dim)
+        return CqBroadcastChannel(itertools.product(self.symbols, repeat=k), states, lay, validate=False)
 
     def __repr__(self):
         b, c = self.out_layout.dims
@@ -338,7 +346,7 @@ class DephasingSpec:
         return DephasingSpec(self.c_dim ** k, self.e_dim ** k, images.reshape(len(images), -1))
 
 
-def make_generalized_dephasing(spec: DephasingSpec, b_label: str = "B", c_label: str = "C") -> BroadcastChannel:
+def make_generalized_dephasing(spec: DephasingSpec) -> BroadcastChannel:
     """Broadcast channel of an isometry writing |x> to B and |psi_x> to C (x) E.
 
     The E part (when nontrivial) is the unobserved environment, so the Kraus
@@ -347,7 +355,7 @@ def make_generalized_dephasing(spec: DephasingSpec, b_label: str = "B", c_label:
     n, dc, de = spec.n_in, spec.c_dim, spec.e_dim
     ops = np.zeros((de, n, dc, n), dtype=complex)
     ops[:, np.arange(n), :, np.arange(n)] = spec.images.reshape(n, dc, de).transpose(0, 2, 1)  # K_e[(x, c), x]
-    out = SystemLayout(((b_label, n), (c_label, dc)))
+    out = SystemLayout((("B", n), ("C", dc)))
     return BroadcastChannel(ops.reshape(de, n * dc, n), out, dephasing=spec, validate=False)
 
 
@@ -366,38 +374,51 @@ def make_ghz_copy(dim: int = 2) -> BroadcastChannel:
     return make_generalized_dephasing(DephasingSpec(dim, 1, np.eye(dim, dtype=complex)))
 
 
-def _cq_from_pairs(pairs) -> CqBroadcastChannel:
-    out = {}
-    for x, (b_vec, c_vec) in pairs.items():
-        b = np.outer(b_vec, np.conj(b_vec))
-        c = np.outer(c_vec, np.conj(c_vec))
-        lay = layout(("B", b.shape[0]), ("C", c.shape[0]))
-        out[x] = DensityMatrix(np.kron(b, c), lay, validate=False)
-    return CqBroadcastChannel(out, validate=False)
+def _cq_from_pairs(symbols: list, b_vecs: np.ndarray, c_vecs: np.ndarray) -> CqBroadcastChannel:
+    """x -> |b_x><b_x|^B (x) |c_x><c_x|^C for the rows b_vecs[i], c_vecs[i] of symbol i."""
+    (n, db), dc = b_vecs.shape, c_vecs.shape[1]
+    b, c = (v[:, :, None] * v.conj()[:, None, :] for v in (b_vecs, c_vecs))
+    states = (b[:, :, None, :, None] * c[:, None, :, None, :]).reshape(n, db * dc, db * dc)
+    return CqBroadcastChannel(symbols, states, layout(("B", db), ("C", dc)), validate=False)
 
 
 def make_pinching_cq() -> CqBroadcastChannel:
     """Classical-input version of the pinching channel: x -> |x><x|^B (x) psi_x^C."""
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    basis3 = np.eye(3, dtype=complex)
-    return _cq_from_pairs({
-        1: (basis3[0], e0),
-        2: (basis3[1], e0),
-        3: (basis3[2], e1),
-    })
+    e = np.eye(2, dtype=complex)
+    return _cq_from_pairs([1, 2, 3], np.eye(3, dtype=complex), e[[0, 0, 1]])
 
 
 def make_noiseless_bit() -> CqBroadcastChannel:
     """One classical bit delivered intact to both receivers."""
     e = np.eye(2, dtype=complex)
-    return _cq_from_pairs({0: (e[0], e[0]), 1: (e[1], e[1])})
+    return _cq_from_pairs([0, 1], e, e)
 
 
 def make_constant_cq() -> CqBroadcastChannel:
     """Two input symbols mapped to one fixed output state: zero-capacity reference."""
     e = np.eye(2, dtype=complex)
-    return _cq_from_pairs({0: (e[0], e[0]), 1: (e[0], e[0])})
+    return _cq_from_pairs([0, 1], e[[0, 0]], e[[0, 0]])
+
+
+def _cascade_tables(p_y_given_x, p_z_given_y) -> tuple[np.ndarray, np.ndarray]:
+    """The two tables of a classical cascade X -> Y -> Z as float arrays, each checked to be a
+    nonempty finite nonnegative matrix whose columns sum to 1 within 1e-12, and chained on Y."""
+    tables = []
+    for name, mat in (("p_y_given_x", p_y_given_x), ("p_z_given_y", p_z_given_y)):
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2 or not mat.size:
+            raise ValidationError(f"{name} must be a matrix")
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"{name} has non-finite entries")
+        if mat.min() < 0:
+            raise ValidationError(f"{name} has negative entries")
+        if np.abs(mat.sum(axis=0) - 1.0).max() > 1e-12:
+            raise ValidationError(f"{name} columns must sum to 1 within 1e-12")
+        tables.append(mat)
+    p1, p2 = tables
+    if p2.shape[1] != p1.shape[0]:
+        raise ValidationError(f"cascade mismatch: p_z_given_y expects {p2.shape[1]} inputs, Y has {p1.shape[0]}")
+    return p1, p2
 
 
 def make_classical_cascade(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray) -> CqBroadcastChannel:
@@ -406,25 +427,11 @@ def make_classical_cascade(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray) -> 
     B holds Y and C holds the cascaded Z; the joint conditional keeps the
     classical correlation p(y, z | x) = p(y|x) p(z|y).
     """
-    p1 = np.asarray(p_y_given_x, dtype=float)
-    p2 = np.asarray(p_z_given_y, dtype=float)
-    if np.abs(p1.sum(axis=0) - 1.0).max() > 1e-12 or np.abs(p2.sum(axis=0) - 1.0).max() > 1e-12:
-        raise ValidationError("stochastic matrix columns must sum to 1 within 1e-12")
-    if p1.min() < 0 or p2.min() < 0:
-        raise ValidationError("stochastic matrices must be nonnegative")
-    ny, nx = p1.shape
-    nz = p2.shape[0]
-    if p2.shape[1] != ny:
-        raise ValidationError(f"cascade shape mismatch: p_z_given_y has {p2.shape[1]} columns, expected {ny}")
-    lay = layout(("B", ny), ("C", nz))
-    out = {}
-    for x in range(nx):
-        joint = np.zeros((ny * nz, ny * nz), dtype=complex)
-        for y in range(ny):
-            for z in range(nz):
-                joint[y * nz + z, y * nz + z] = p1[y, x] * p2[z, y]
-        out[x] = DensityMatrix(joint, lay, validate=False)
-    return CqBroadcastChannel(out, validate=False)
+    p1, p2 = _cascade_tables(p_y_given_x, p_z_given_y)
+    (ny, nx), nz = p1.shape, p2.shape[0]
+    states = np.zeros((nx, ny * nz, ny * nz), dtype=complex)
+    states[:, np.arange(ny * nz), np.arange(ny * nz)] = (p1.T[:, :, None] * p2.T).reshape(nx, -1)  # p(y|x) p(z|y)
+    return CqBroadcastChannel(range(nx), states, layout(("B", ny), ("C", nz)), validate=False)
 
 
 def make_bsc_cascade(flip1: float = 0.1, flip2: float = 0.2) -> CqBroadcastChannel:

@@ -44,6 +44,7 @@ from .regions import (
     qq_frontier,
 )
 from .specio import BUILTIN_CHANNELS, parse_channel_spec, parse_state_spec, serialize_channel
+from .states import SystemLayout
 
 WITNESS_FORMAT = "qbroadcast-witness-v1"
 
@@ -151,9 +152,11 @@ def _cmd_check_degraded(args) -> int:
         if isinstance(ch, BroadcastChannel):
             m_b, m_c = ch.marginals()
             report = degradedness_residual((m_c, m_b))
-        else:
-            swapped = {x: rho.reorder((ch.c_label, ch.b_label)) for x, rho in ch.conditionals.items()}
-            report = degradedness_residual(CqBroadcastChannel(swapped, validate=False))
+        else:  # one transpose swaps every conditional's B and C factors
+            db, dc = ch.out_layout.dims
+            states = ch.states.reshape(-1, db, dc, db, dc).transpose(0, 2, 1, 4, 3).reshape(ch.states.shape)
+            swapped = CqBroadcastChannel(ch.symbols, states, SystemLayout(ch.out_layout.parts[::-1]), validate=False)
+            report = degradedness_residual(swapped)
     else:
         report = degradedness_residual(ch)
     sys.stdout.write(f"residual: {_fmt(report.residual)}\n")
@@ -164,8 +167,8 @@ def _cmd_check_degraded(args) -> int:
 
 def _require_cq(ch, what: str) -> CqBroadcastChannel:
     if not isinstance(ch, CqBroadcastChannel):
-        raise ValidationError(f"{what} expects a cq channel (builtin pinching-cq, noiseless-bit, "
-                              f"constant, or a kind=cq document)")
+        cq = [name for name, make in BUILTIN_CHANNELS.items() if isinstance(make(), CqBroadcastChannel)]
+        raise ValidationError(f"{what} expects a cq channel (builtin {', '.join(cq)}, or a kind=cq document)")
     return ch
 
 

@@ -102,10 +102,10 @@ def maximize_batch(fn, inits: np.ndarray, cfg: OptimizerConfig):
     return thetas, values, info
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:

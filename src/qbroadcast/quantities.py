@@ -65,7 +65,7 @@ def channel_coherent_information(rho_in: DensityMatrix, ch) -> float:
     Purifies the input against a reference, pushes the original half through
     the channel, and evaluates I(reference > output).
     """
-    psi = purify(rho_in, ref_label="ref")
+    psi = purify(rho_in)
     ref = psi.layout.labels[0]
     original = list(psi.layout.labels[1:])
     joint = psi.to_density()

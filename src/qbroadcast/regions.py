@@ -360,7 +360,7 @@ def _conditional_structured(ev, rng) -> np.ndarray:
 
 # payload p(x | t): a softmax over the input alphabet per label
 _CONDITIONAL = dict(
-    decode=lambda raw: softmax(raw, axis=-1),
+    decode=softmax,
     decode_grad=lambda raw, cond, g: softmax_grad(cond, g),
     check=_check_distributions,
     direction=_mirror_direction,

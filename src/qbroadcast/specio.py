@@ -105,20 +105,21 @@ def parse_channel_spec(source) -> CqBroadcastChannel | BroadcastChannel:
         if len(symbols) != len(mats):
             raise ValidationError("conditionals: length must match symbols")
         system = layout(("B", b_dim), ("C", c_dim))
-        conditionals = {}
-        for sym, data in zip(symbols, mats):
+        keys, states = [], np.empty((len(mats), system.dim, system.dim), dtype=complex)
+        for i, (sym, data) in enumerate(zip(symbols, mats)):
             key = sym if isinstance(sym, (int, str)) else str(sym)
             field = f"conditionals[{key}]"
-            if key in conditionals:
+            if key in keys:
                 raise ValidationError(f"symbols: duplicate symbol {key!r}")
             mat = complex_from_json(data, field)
             if mat.shape != (b_dim * c_dim, b_dim * c_dim):
                 raise ValidationError(f"{field}: expected shape {(b_dim * c_dim,) * 2}, got {mat.shape}")
             try:
-                conditionals[key] = DensityMatrix(mat, system)
+                states[i] = DensityMatrix(mat, system).matrix
             except ValidationError as exc:
                 raise ValidationError(f"{field}: {exc}") from None
-        return CqBroadcastChannel(conditionals)
+            keys.append(key)
+        return CqBroadcastChannel(keys, states, system, validate=False)
     if kind == "kraus":
         b_dim = _positive_int(doc, "b_dim")
         c_dim = _positive_int(doc, "c_dim")
@@ -159,14 +160,13 @@ def parse_channel_spec(source) -> CqBroadcastChannel | BroadcastChannel:
 def serialize_channel(ch) -> dict:
     """Inverse of parse_channel_spec up to channel action."""
     if isinstance(ch, CqBroadcastChannel):
-        first = next(iter(ch.conditionals.values()))
-        dims = first.layout.dims
+        dims = ch.out_layout.dims
         return {
             "kind": "cq",
             "b_dim": dims[0],
             "c_dim": dims[1],
             "symbols": list(ch.symbols),
-            "conditionals": [complex_to_json(ch.conditionals[x].matrix) for x in ch.symbols],
+            "conditionals": complex_to_json(ch.states),
         }
     if isinstance(ch, BroadcastChannel):
         dims = ch.out_layout.dims

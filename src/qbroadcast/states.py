@@ -277,13 +277,13 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(out, new_layout, validate=False)
 
 
-def purify(rho: DensityMatrix, ref_label: str = "ref") -> PureState:
-    """A purification of ``rho`` on layout (reference, original).
+def purify(rho: DensityMatrix) -> PureState:
+    """A purification of ``rho`` on layout (reference, original); the reference is ``fresh_label("ref")``.
 
     The reference dimension equals the full input dimension (rank padded), so
     tracing the reference out always recovers ``rho`` exactly.
     """
-    ref_label = rho.layout.fresh_label(ref_label)
+    ref_label = rho.layout.fresh_label("ref")
     evals, vecs = np.linalg.eigh(rho.matrix)
     evals = np.clip(evals, 0.0, None)
     d = rho.dim
@@ -363,10 +363,10 @@ def basis_state(system: SystemLayout, index: int) -> PureState:
     return PureState(amps, system, validate=False)
 
 
-def maximally_entangled(dim: int, label_a: str = "A", label_b: str = "B") -> PureState:
-    """(1/sqrt(d)) sum_i |i>|i> on labels (label_a, label_b)."""
+def maximally_entangled(dim: int) -> PureState:
+    """(1/sqrt(d)) sum_i |i>|i> on labels ("A", "B")."""
     amps = np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
-    return PureState(amps, layout((label_a, dim), (label_b, dim)), validate=False)
+    return PureState(amps, layout(("A", dim), ("B", dim)), validate=False)
 
 
 def random_pure_state(system: SystemLayout, rng: np.random.Generator) -> PureState:

@@ -126,11 +126,10 @@ def rotated_pinching_cq(rotate_b: bool = True):
         q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    lay = w.conditionals[w.symbols[0]].layout
+    lay = w.out_layout
     u_b, u_c = unitary(lay.dims[0]), unitary(lay.dims[1])
     u = np.kron(u_b if rotate_b else np.eye(lay.dims[0]), u_c)
-    return qb.CqBroadcastChannel({x: qb.DensityMatrix(u @ rho.matrix @ u.conj().T, lay)
-                                  for x, rho in w.conditionals.items()})
+    return qb.CqBroadcastChannel(w.symbols, u @ w.states @ u.conj().T, lay)
 
 
 def c_rotated_pinching_cq():

@@ -119,7 +119,7 @@ class TestGridOracle:
 
     def test_symbol_relabeling_invariance(self):
         w = qb.make_bsc_cascade()
-        flipped = qb.CqBroadcastChannel({s: w.conditionals[s] for s in reversed(w.symbols)})
+        flipped = qb.CqBroadcastChannel(w.symbols[::-1], w.states[::-1], w.out_layout)
         a = grid_cq_frontier(w, 2, 6).as_array()
         b = grid_cq_frontier(flipped, 2, 6).as_array()
         assert a.shape == b.shape

@@ -339,10 +339,9 @@ class TestGeneralizedDephasing:
 class TestCqChannels:
     def test_conditional_trace_validated(self):
         lay = qb.layout(("B", 2), ("C", 2))
-        bad = qb.DensityMatrix(np.eye(4, dtype=complex) / 4, lay, validate=False)
-        scaled = qb.DensityMatrix(bad.matrix * 0.9, lay, validate=False)
-        with pytest.raises(qb.ValidationError):
-            qb.CqBroadcastChannel({0: scaled})
+        scaled = np.eye(4, dtype=complex)[None] / 4 * 0.9
+        with pytest.raises(qb.ValidationError, match="symbol 0: density matrix trace"):
+            qb.CqBroadcastChannel([0], scaled, lay)
 
     def test_pinching_cq_structure(self):
         ch = qb.make_pinching_cq()
@@ -360,10 +359,7 @@ class TestCqChannels:
         assert qb.make_bsc_cascade().commuting_b()
         plus = np.full((2, 2), 0.5, dtype=complex)
         lay = qb.layout(("B", 2), ("C", 1))
-        w = qb.CqBroadcastChannel({
-            0: qb.DensityMatrix(np.kron(np.diag([1.0, 0.0]).astype(complex), np.eye(1)), lay),
-            1: qb.DensityMatrix(np.kron(plus, np.eye(1)), lay),
-        })
+        w = qb.CqBroadcastChannel([0, 1], [np.diag([1.0, 0.0]), plus], lay)
         assert not w.commuting_b()
 
     def test_tensor_power_symbols(self):
@@ -389,6 +385,70 @@ class TestCqChannels:
         for x in range(2):
             assert np.abs(b_mats[x] - np.diag(p1[:, x])).max() < 1e-12
             assert np.abs(c_mats[x] - np.diag(pz_x[:, x])).max() < 1e-12
+
+    @pytest.mark.parametrize("make", [
+        qb.make_classical_cascade,
+        lambda p1, p2: qb.classical_degraded_region(p1, p2, 4),
+    ], ids=["make_classical_cascade", "classical_degraded_region"])
+    @pytest.mark.parametrize("p1,p2,match", [
+        (np.array([[0.9, np.nan], [0.1, 0.9]]), np.eye(2), "p_y_given_x has non-finite entries"),
+        (np.eye(2), np.array([0.5, 0.5]), "p_z_given_y must be a matrix"),
+    ], ids=["nan-entry", "one-axis"])
+    def test_cascade_tables_checked_once_for_both_entry_points(self, make, p1, p2, match):
+        with pytest.raises(qb.ValidationError, match=match):
+            make(p1, p2)
+
+
+def random_cq(seed, n=3, db=2, dc=2):
+    """n random mixed conditionals on B (x) C."""
+    rng = np.random.default_rng(seed)
+    lay = qb.layout(("B", db), ("C", dc))
+    return qb.CqBroadcastChannel(range(n), [qb.random_density_matrix(lay, rng).matrix for _ in range(n)], lay)
+
+
+CQ_CHANNELS = {
+    "pinching-cq": qb.make_pinching_cq,
+    "noiseless-bit": qb.make_noiseless_bit,
+    "constant": qb.make_constant_cq,
+    "bsc-cascade": qb.make_bsc_cascade,
+    "random-2x2": lambda: random_cq(70),
+    "random-3x2": lambda: random_cq(71, n=2, db=3),
+}
+
+
+class TestCqStack:
+    """The one-stack rules against per-symbol references kept here."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(CQ_CHANNELS))
+    def test_marginals_match_per_symbol_partial_trace(self, name, k):
+        w = CQ_CHANNELS[name]().tensor_power(k)
+        for label in (w.b_label, w.c_label):
+            per_symbol = [qb.partial_trace(qb.DensityMatrix(rho, w.out_layout, validate=False), {label}).matrix
+                          for rho in w.states]
+            assert np.array_equal(w.marginal_conditionals(label), np.stack(per_symbol))
+
+    def test_validated_stack_is_hermitized_and_read_only(self):
+        lay = qb.layout(("B", 2), ("C", 2))
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = 1e-11j  # Hermitian within 1e-10, but not exactly
+        w = qb.CqBroadcastChannel(["a"], [rho], lay)
+        assert np.array_equal(w.states[0], qb.DensityMatrix(rho, lay).matrix)
+        assert not np.array_equal(w.states[0], rho)
+        assert not w.states.flags.writeable
+
+    @pytest.mark.parametrize("symbols,states,parts,match", [
+        ([], np.zeros((0, 4, 4)), (("B", 2), ("C", 2)), "at least one input symbol"),
+        ([0, 1], np.eye(4)[None] / 4, (("B", 2), ("C", 2)), r"shape \(1, 4, 4\), expected \(2, 4, 4\)"),
+        ([0, 0], [np.eye(4) / 4] * 2, (("B", 2), ("C", 2)), "symbols repeat"),
+        ([0], np.eye(2)[None] / 2, (("B", 2),), "two receiver labels"),
+        (["a", "b"], [np.eye(4) / 4, np.diag([1.0, 1.0, -0.5, -0.5])], (("B", 2), ("C", 2)),
+         "symbol 'b': density matrix has eigenvalue"),
+        (["a"], [np.eye(4) / 4 + np.diag([1e-3] * 3, 1)], (("B", 2), ("C", 2)), "symbol 'a': .* not Hermitian"),
+    ], ids=["empty", "wrong-shape", "repeated-symbol", "one-receiver", "negative", "not-hermitian"])
+    def test_constructor_rejections(self, symbols, states, parts, match):
+        with pytest.raises(qb.ValidationError, match=match):
+            qb.CqBroadcastChannel(symbols, states, qb.SystemLayout(parts))
 
 
 def regroup(m, dims, k):
@@ -424,13 +484,13 @@ class TestTensorPower:
         db, dc = 2, 2
         lay = qb.layout(("B", db), ("C", dc))
         mats = {x: qb.random_density_matrix(lay, rng).matrix for x in ("a", "b", "c")}
-        sq = qb.CqBroadcastChannel({x: qb.DensityMatrix(m, lay) for x, m in mats.items()}).tensor_power(k)
+        sq = qb.CqBroadcastChannel(list(mats), list(mats.values()), lay).tensor_power(k)
         assert sq.symbols == list(itertools.product("abc", repeat=k))
         assert sq.out_layout.parts == (("B", db ** k), ("C", dc ** k))
-        for xs in sq.symbols:
+        for xs, state in zip(sq.symbols, sq.states):
             kron = functools.reduce(np.kron, (mats[x] for x in xs))
             expect = regroup(regroup(kron, (db, dc), k).T, (db, dc), k).T
-            assert np.abs(sq.conditionals[xs].matrix - expect).max() <= 1e-15
+            assert np.abs(state - expect).max() <= 1e-15
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_dephasing_matches_kron_loop(self, k):
@@ -497,13 +557,12 @@ class TestDegradedness:
         # and only the QR-retraction fit finds the map
         rng = np.random.default_rng(0)
         post = random_channel(rng, 2, 2, 2)
-        conditionals = {}
+        states = []
         for x in range(2):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b = np.outer(v, v.conj()) / np.vdot(v, v).real
-            joint = np.kron(b, apply_kraus(post, b))
-            conditionals[x] = qb.DensityMatrix(joint, qb.layout(("B", 2), ("C", 2)), validate=False)
-        w = qb.CqBroadcastChannel(conditionals, validate=False)
+            states.append(np.kron(b, apply_kraus(post, b)))
+        w = qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 2), ("C", 2)), validate=False)
         assert not w.commuting_b()
         rep = qb.degradedness_residual(w)
         assert rep.method == "kraus (QR retraction)"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
+from qbroadcast import cli
 from qbroadcast.cli import WITNESS_FORMAT, _build_parser, run
 from qbroadcast.specio import complex_to_json
 
@@ -75,6 +76,15 @@ class TestExitCodes:
         # 10000 labels x (1 + 3 symbols) optimizer parameters
         assert run(["region", "cq", "--channel", "pinching-cq", "--t-size", "10000"]) == 3
         assert "ERR_BUDGET" in capsys.readouterr().err
+
+    def test_ensemble_parameter_budget_on_a_document(self, tmp_path, capsys):
+        # 70 labels x (1 + 128 real parts of a pure state on reference (x) input) on an 8x8 isometry
+        doc = tmp_path / "iso.json"
+        identity = qb.BroadcastChannel([np.eye(8)], qb.layout(("B", 2), ("C", 4)))
+        doc.write_text(json.dumps(qb.serialize_channel(identity)))
+        assert run(["region", "cq-eg", "--channel", str(doc), "--t-size", "70"]) == 3
+        assert capsys.readouterr().err == ("ERR_BUDGET: ensemble frontier: 9030 optimizer parameters "
+                                           "exceed matrix budget 4096\n")
 
     def test_boundary_point_budget(self, capsys):
         # refused before any of the 1e11 samples is allocated
@@ -239,7 +249,9 @@ class TestRegionCommand:
         {"p_t": [1.0]},
         {"p_t": [1.0], "p_x_given_t": [[0.5, 0.25, 0.25]]},
         5,
-    ], ids=["missing-payload", "wrong-row-length", "not-an-object"])
+        {"p_x_given_t": [[0.5, 0.5]]},
+        {"p_t": ["one"], "p_x_given_t": [[0.5, 0.5]]},
+    ], ids=["missing-payload", "wrong-row-length", "not-an-object", "missing-p_t", "p_t-not-numeric"])
     def test_verify_rejects_malformed_params(self, tmp_path, capsys, params):
         bad = tmp_path / "w.json"
         point = {"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 0.0, "params": params}
@@ -247,7 +259,8 @@ class TestRegionCommand:
                                    "channel": qb.serialize_channel(qb.make_noiseless_bit()),
                                    "points": [point]}))
         assert run(["verify", "--witness", str(bad)]) == 2
-        assert "ERR_VALIDATE" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("ERR_VALIDATE: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("mode,make,params", [
         # stored common rate 2 on a 1-bit channel: the negative weight flips the clipped
@@ -271,12 +284,35 @@ class TestRegionCommand:
         [{"witness_id": "cf-000", "common_rate": 1.0, "personal_rate": 0.0, "kind": "closed-form"}],
         [{"witness_id": "cf-000", "common_rate": 1.0, "personal_rate": 0.0, "kind": "closed-form", "p": "half"}],
         [{"witness_id": "cf-000", "common_rate": 1.0, "personal_rate": 0.0, "kind": "closed-form", "p": [0.5]}],
+        [{"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 0.0}],
     ], ids=["point-not-object", "points-not-list", "closed-form-without-p", "closed-form-p-not-a-number",
-            "closed-form-p-a-list"])
+            "closed-form-p-a-list", "no-parameters"])
     def test_verify_rejects_malformed_points(self, tmp_path, capsys, points):
         bad = tmp_path / "w.json"
         bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
                                    "channel": qb.serialize_channel(qb.make_noiseless_bit()), "points": points}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR_VALIDATE: ") and err.count("\n") == 1
+
+    def test_verify_rejects_invalid_json(self, tmp_path, capsys):
+        bad = tmp_path / "w.json"
+        bad.write_text('{"format": ')
+        assert run(["verify", "--witness", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR_VALIDATE: witness: invalid JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode,make,entry", [
+        ("oracle-grid", None, {"joint": [[0.5, 0.5]]}),
+        ("cq-eg", qb.make_pinching, {"params": {"p_t": [1.0], "states": [[1.0, 0.0, 0.0]]}}),
+    ], ids=["grid-without-channel", "states-not-pairs"])
+    def test_verify_rejects_unevaluable_entries(self, tmp_path, capsys, mode, make, entry):
+        bad = tmp_path / "w.json"
+        doc = {"format": WITNESS_FORMAT, "mode": mode, "k": 1,
+               "points": [{"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 0.0, **entry}]}
+        if make is not None:
+            doc["channel"] = qb.serialize_channel(make())
+        bad.write_text(json.dumps(doc))
         assert run(["verify", "--witness", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ERR_VALIDATE: ") and err.count("\n") == 1
@@ -313,8 +349,40 @@ NON_FINITE = [
     ("pure", "state", lambda: {"kind": "pure", "layout": [["A", 2]], "vector": [[1.0, 0.0], [0.0, 0.0]]}, "vector"),
 ]
 
+# (command taking the document, document, start of the error after the prefix)
+MALFORMED = [
+    ("channel", {"kind": "kraus", "b_dim": 2, "c_dim": 2, "ops": [complex_to_json(np.eye(3, 2))]},
+     "ops[0]: expected 4 rows"),
+    ("channel", {"kind": "kraus", "b_dim": 2, "c_dim": 2, "ops": []}, "ops: must not be empty"),
+    ("channel", {"kind": "isometry", "b_dim": 2, "c_dim": 2, "matrix": complex_to_json(np.eye(3, 2))},
+     "matrix: expected 4 rows"),
+    ("channel", {"kind": "isometry", "b_dim": 2, "c_dim": 2, "matrix": complex_to_json(np.eye(4, 2) / 2)},
+     "matrix: Kraus set is not trace preserving"),
+    ("channel", {"kind": "dephasing", "c_dim": 2, "e_dim": 1, "images": complex_to_json(np.eye(3))},
+     "images: expected rows of length 2"),
+    ("channel", {"kind": "dephasing", "c_dim": 2, "e_dim": 1, "images": complex_to_json(2 * np.eye(2))},
+     "images: dephasing environment vector norm deviates from 1"),
+    ("channel", {"kind": "cq", "b_dim": 2, "c_dim": 2, "symbols": [0],
+                 "conditionals": [complex_to_json(np.eye(3) / 3)]},
+     "conditionals[0]: expected shape (4, 4)"),
+    ("state", {"kind": "pure", "layout": [["A", 2]], "vector": complex_to_json(np.ones(3) / 3 ** 0.5)},
+     "vector: expected length 2"),
+]
+
 
 class TestDocumentValidation:
+    @pytest.mark.parametrize("takes,doc,message", MALFORMED,
+                             ids=["ops-rows", "ops-empty", "matrix-rows", "isometry-not-tp", "images-length",
+                                  "images-not-unit", "cq-conditional-shape", "pure-vector-length"])
+    def test_malformed_documents_rejected(self, tmp_path, capsys, takes, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = (["check", "degraded", "--channel", str(path)] if takes == "channel"
+                else ["quantities", "--state", str(path)])
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERR_VALIDATE: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize("kind,takes,make,field", NON_FINITE, ids=[n[0] for n in NON_FINITE])
     def test_non_finite_entries_rejected(self, tmp_path, capsys, kind, takes, make, field, value):
@@ -400,6 +468,29 @@ class TestCheckDegraded:
         else:
             assert lines[0] == f"residual: {residual}"
         assert lines[1:] == [f"certified: {certified}", f"method: {method}"]
+
+    @pytest.mark.parametrize("channel", ["pinching-cq", "noiseless-bit", "constant", "bsc", "random-2x3"])
+    def test_cq_reverse_swaps_every_conditional(self, tmp_path, monkeypatch, channel):
+        # the stack transpose the command applies, against per-symbol reorder
+        if channel == "bsc":
+            channel = tmp_path / "bsc.json"
+            channel.write_text(json.dumps(qb.serialize_channel(qb.make_bsc_cascade())))
+        elif channel == "random-2x3":
+            rng, lay = np.random.default_rng(5), qb.layout(("B", 2), ("C", 3))
+            mats = [complex_to_json(qb.random_density_matrix(lay, rng).matrix) for _ in range(2)]
+            channel = tmp_path / "random.json"
+            channel.write_text(json.dumps({"kind": "cq", "b_dim": 2, "c_dim": 3, "symbols": ["u", "v"],
+                                           "conditionals": mats}))
+        seen, real = [], cli.degradedness_residual
+        monkeypatch.setattr(cli, "degradedness_residual", lambda ch: seen.append(ch) or real(ch))
+        assert run(["check", "degraded", "--channel", str(channel), "--reverse"]) == 0
+        w = cli._load_channel(str(channel))
+        (swapped,) = seen
+        assert swapped.symbols == w.symbols
+        assert swapped.out_layout.parts == w.out_layout.parts[::-1]
+        per_symbol = [qb.DensityMatrix(rho, w.out_layout, validate=False).reorder(("C", "B")).matrix
+                      for rho in w.states]
+        assert np.array_equal(swapped.states, np.stack(per_symbol))
 
     def test_reverse(self, capsys):
         assert run(["check", "degraded", "--channel", "pinching", "--reverse"]) == 0

@@ -181,7 +181,7 @@ class TestWitnessDualRoute:
             p_t = np.asarray(params["p_t"])
             cond = np.asarray(params["p_x_given_t"])
             nt, nx = cond.shape
-            mats = [w.conditionals[s].matrix for s in w.symbols]
+            mats = w.states
             dim_bc = mats[0].shape[0]
             full = np.zeros((nt * nx * dim_bc,) * 2, dtype=complex)
             for t in range(nt):
@@ -292,6 +292,11 @@ class TestEntropyKernels:
             (*a, grads_a), (*b, grads_b) = diag.rates_grad(thetas), dense.rates_grad(thetas)
             for x, y in zip(a + list(grads_a(np.arange(6))[:2]), b + list(grads_b(np.arange(6))[:2])):
                 assert np.abs(x - y).max() <= 1e-10
+
+    def test_dense_load_over_budget_warns(self):
+        # three uses of pinching-cq: 27 labels of 27 x 8 states, a dense load of 5832
+        with pytest.warns(UserWarning, match="cq frontier: dense load 5832 exceeds matrix budget 4096"):
+            build_evaluator("cq", qb.make_pinching_cq(), k=3)
 
     def test_over_budget_k_refused_before_the_k_use_channel_exists(self):
         # the five-use pinching channel alone takes tens of MB; the refusal needs only its sizes
@@ -424,11 +429,7 @@ class TestCertification:
 
     def test_noncommuting_channel_not_certified(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
-        lay = qb.layout(("B", 2), ("C", 1))
-        w = qb.CqBroadcastChannel({
-            0: qb.DensityMatrix(np.kron(np.diag([1.0, 0.0]).astype(complex), np.eye(1)), lay),
-            1: qb.DensityMatrix(np.kron(plus, np.eye(1)), lay),
-        })
+        w = qb.CqBroadcastChannel([0, 1], [np.diag([1.0, 0.0]), plus], qb.layout(("B", 2), ("C", 1)))
         cert = qb.certify_single_letter_cq(w, cfg=small_cfg(restarts=4), r_values=[0.1])
         assert not cert.commuting
         assert not cert.certified

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -61,3 +63,15 @@ class TestPrivateNames:
         a = "_LIMIT = 3\n_TABLE: dict = {}\ndef _used():\n    pass\ndef _dead():\n    pass\nclass _Gone:\n    pass\n"
         b = "from a import _used\nimport a\nprint(a._TABLE, __name__)\n"
         assert unread_private_names([a, b]) == {"_LIMIT", "_dead", "_Gone"}
+
+
+class TestPerfbenchSpans:
+    def test_every_entry_point_exists(self):
+        # a span around a name the package no longer has reads 0 without failing the benchmark
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        missing = {(module, attr) for _, targets in spans.ENTRY_POINTS for module, attr in targets
+                   if not hasattr(importlib.import_module(f"qbroadcast.{module}"), attr)}
+        assert missing <= {("bruteforce", "_spectra_entropy"), ("cli", "_write_sidecar")}

@@ -57,8 +57,7 @@ class TestChannelDocs:
         back = parse_channel_spec(json.loads(json.dumps(doc)))
         assert isinstance(back, qb.CqBroadcastChannel)
         assert back.symbols == w.symbols
-        for s in w.symbols:
-            assert np.abs(back.conditionals[s].matrix - w.conditionals[s].matrix).max() < 1e-15
+        assert np.abs(back.states - w.states).max() < 1e-15
 
     def test_cq_bad_conditional_named(self):
         w = qb.make_noiseless_bit()
