@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, prefixed
 from .states import (
     CqState,
     DensityMatrix,
@@ -85,7 +85,7 @@ class KrausChannel:
         if validate:
             v = ops.reshape(-1, in_dim)  # sum K†K is V†V for the operators stacked row-wise
             dev = np.abs(v.conj().T @ v - np.eye(in_dim)).max()
-            if dev > KRAUS_TOL:
+            if not dev <= KRAUS_TOL:
                 raise ValidationError(f"Kraus set is not trace preserving: |sum K†K - I| = {dev:.3e}")
         ops.flags.writeable = False
         self.ops = ops
@@ -247,10 +247,7 @@ class CqBroadcastChannel:
             raise ValidationError(f"cq conditional stack has shape {states.shape}, expected {want}")
         if validate:
             for x, rho in zip(symbols, states):
-                try:
-                    DensityMatrix(rho, out_layout)
-                except ValidationError as exc:
-                    raise ValidationError(f"conditional for symbol {x!r}: {exc}") from None
+                prefixed(f"conditional for symbol {x!r}", DensityMatrix, rho, out_layout)
             states = _hermitize(states)
         states.flags.writeable = False
         self.symbols, self.states, self.out_layout = symbols, states, out_layout
@@ -321,7 +318,7 @@ class DephasingSpec:
             )
         norms = np.linalg.norm(images, axis=1)
         bad = np.abs(norms - 1.0).max()
-        if bad > 1e-10:
+        if not bad <= 1e-10:
             raise ValidationError(f"dephasing environment vector norm deviates from 1 by {bad:.3e}")
         images = np.array(images)
         images.flags.writeable = False

@@ -358,7 +358,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return globals()[args.func.__name__](args)  # looked up per run, so a replaced _cmd_* is the one called
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValidationError as exc:

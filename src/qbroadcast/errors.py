@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that names the input field an error came from."""
 
 
 class ValidationError(ValueError):
@@ -7,3 +7,11 @@ class ValidationError(ValueError):
 
 class BudgetError(RuntimeError):
     """A requested computation exceeds the configured combinatorial or matrix budget."""
+
+
+def prefixed(field: str, make, *args):
+    """``make(*args)``, with ``field: `` put in front of any ``ValidationError`` it raises."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from None

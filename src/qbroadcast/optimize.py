@@ -34,7 +34,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "r_grid"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValidationError(f"OptimizerConfig.{name} must be positive")
 
 

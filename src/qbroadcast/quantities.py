@@ -78,13 +78,13 @@ def channel_coherent_information(rho_in: DensityMatrix, ch) -> float:
     return coherent_information(out, {ref}, set(ch.out_layout.labels))
 
 
-def holevo_information(cq: CqState, x_label: str = "X", q_labels: Iterable[str] | None = None) -> float:
+def holevo_information(cq: CqState, q_labels: Iterable[str] | None = None) -> float:
     """Mutual information between the classical label and the quantum part.
 
     Equals H(average state) - sum_x p(x) H(rho_x); evaluated through the
     block-diagonal embedding so the same entropy engine serves both variables.
     """
-    embedded = cq.embed(x_label)
+    embedded = cq.embed()
     if q_labels is None:
         q_labels = cq.quantum_layout.labels
-    return mutual_information(embedded, {x_label}, _label_set(q_labels))
+    return mutual_information(embedded, {embedded.layout.labels[0]}, _label_set(q_labels))

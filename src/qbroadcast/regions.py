@@ -713,10 +713,6 @@ def _through_channel(n: BroadcastChannel, psi_in: PureState, parts: int, too_few
     lay = psi_in.layout
     if len(lay.parts) < parts:
         raise ValidationError(too_few)
-    if lay.dims[-1] != n.in_dim:
-        raise ValidationError(
-            f"input subsystem {lay.labels[-1]!r} has dimension {lay.dims[-1]}, channel expects {n.in_dim}"
-        )
     return n.apply_to(psi_in.to_density(), lay.labels[-1])
 
 

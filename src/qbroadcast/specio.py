@@ -7,6 +7,9 @@ Complex entries are stored as two-element [re, im] arrays.  Channel kinds:
 - ``{"kind": "kraus", "b_dim": .., "c_dim": .., "ops": [..]}``
 - ``{"kind": "isometry", "b_dim": .., "c_dim": .., "matrix": ..}``
 - ``{"kind": "dephasing", "c_dim": .., "e_dim": .., "images": [..]}``
+
+Each field is read once.  Shapes are checked here; the library constructors
+check everything else, and ``errors.prefixed`` names the field in their errors.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .channels import (
     make_pinching,
     make_pinching_cq,
 )
-from .errors import ValidationError
+from .errors import ValidationError, prefixed
 from .states import DensityMatrix, PureState, SystemLayout, layout
 
 BUILTIN_CHANNELS = {
@@ -97,14 +100,23 @@ def parse_channel_spec(source) -> CqBroadcastChannel | BroadcastChannel:
             known = ", ".join(sorted(BUILTIN_CHANNELS))
             raise ValidationError(f"name: unknown builtin {name!r} (known: {known})")
         return BUILTIN_CHANNELS[name]()
-    if kind == "cq":
-        b_dim = _positive_int(doc, "b_dim")
+    if kind == "dephasing":
         c_dim = _positive_int(doc, "c_dim")
+        e_dim = _positive_int(doc, "e_dim")
+        images = complex_from_json(_require(doc, "images", list), "images")
+        if images.ndim != 2 or images.shape[1] != c_dim * e_dim:
+            raise ValidationError(f"images: expected rows of length {c_dim * e_dim}, got shape {images.shape}")
+        return make_generalized_dephasing(prefixed("images", DephasingSpec, c_dim, e_dim, images))
+    if kind not in ("cq", "kraus", "isometry"):
+        raise ValidationError(f"kind: unknown channel kind {kind!r}")
+    b_dim = _positive_int(doc, "b_dim")
+    c_dim = _positive_int(doc, "c_dim")
+    system = layout(("B", b_dim), ("C", c_dim))
+    if kind == "cq":
         symbols = _require(doc, "symbols", list)
         mats = _require(doc, "conditionals", list)
         if len(symbols) != len(mats):
             raise ValidationError("conditionals: length must match symbols")
-        system = layout(("B", b_dim), ("C", c_dim))
         keys, states = [], np.empty((len(mats), system.dim, system.dim), dtype=complex)
         for i, (sym, data) in enumerate(zip(symbols, mats)):
             key = sym if isinstance(sym, (int, str)) else str(sym)
@@ -112,49 +124,24 @@ def parse_channel_spec(source) -> CqBroadcastChannel | BroadcastChannel:
             if key in keys:
                 raise ValidationError(f"symbols: duplicate symbol {key!r}")
             mat = complex_from_json(data, field)
-            if mat.shape != (b_dim * c_dim, b_dim * c_dim):
-                raise ValidationError(f"{field}: expected shape {(b_dim * c_dim,) * 2}, got {mat.shape}")
-            try:
-                states[i] = DensityMatrix(mat, system).matrix
-            except ValidationError as exc:
-                raise ValidationError(f"{field}: {exc}") from None
+            if mat.shape != (system.dim, system.dim):
+                raise ValidationError(f"{field}: expected shape {(system.dim,) * 2}, got {mat.shape}")
+            states[i] = prefixed(field, DensityMatrix, mat, system).matrix
             keys.append(key)
         return CqBroadcastChannel(keys, states, system, validate=False)
     if kind == "kraus":
-        b_dim = _positive_int(doc, "b_dim")
-        c_dim = _positive_int(doc, "c_dim")
         ops_data = _require(doc, "ops", list)
         if not ops_data:
             raise ValidationError("ops: must not be empty")
         ops = [complex_from_json(op, f"ops[{i}]") for i, op in enumerate(ops_data)]
         for i, op in enumerate(ops):
-            if op.ndim != 2 or op.shape[0] != b_dim * c_dim:
-                raise ValidationError(f"ops[{i}]: expected {b_dim * c_dim} rows, got shape {op.shape}")
-        try:
-            return BroadcastChannel(ops, layout(("B", b_dim), ("C", c_dim)))
-        except ValidationError as exc:
-            raise ValidationError(f"ops: {exc}") from None
-    if kind == "isometry":
-        b_dim = _positive_int(doc, "b_dim")
-        c_dim = _positive_int(doc, "c_dim")
-        mat = complex_from_json(_require(doc, "matrix"), "matrix")
-        if mat.ndim != 2 or mat.shape[0] != b_dim * c_dim:
-            raise ValidationError(f"matrix: expected {b_dim * c_dim} rows, got shape {mat.shape}")
-        try:
-            return BroadcastChannel([mat], layout(("B", b_dim), ("C", c_dim)))
-        except ValidationError as exc:
-            raise ValidationError(f"matrix: {exc}") from None
-    if kind == "dephasing":
-        c_dim = _positive_int(doc, "c_dim")
-        e_dim = _positive_int(doc, "e_dim")
-        images = complex_from_json(_require(doc, "images", list), "images")
-        if images.ndim != 2 or images.shape[1] != c_dim * e_dim:
-            raise ValidationError(f"images: expected rows of length {c_dim * e_dim}, got shape {images.shape}")
-        try:
-            return make_generalized_dephasing(DephasingSpec(c_dim, e_dim, images))
-        except ValidationError as exc:
-            raise ValidationError(f"images: {exc}") from None
-    raise ValidationError(f"kind: unknown channel kind {kind!r}")
+            if op.ndim != 2 or op.shape[0] != system.dim:
+                raise ValidationError(f"ops[{i}]: expected {system.dim} rows, got shape {op.shape}")
+        return prefixed("ops", BroadcastChannel, ops, system)
+    mat = complex_from_json(_require(doc, "matrix"), "matrix")
+    if mat.ndim != 2 or mat.shape[0] != system.dim:
+        raise ValidationError(f"matrix: expected {system.dim} rows, got shape {mat.shape}")
+    return prefixed("matrix", BroadcastChannel, [mat], system)
 
 
 def serialize_channel(ch) -> dict:
@@ -213,18 +200,12 @@ def parse_state_spec(source) -> DensityMatrix:
         mat = complex_from_json(_require(doc, "matrix"), "matrix")
         if mat.shape != (system.dim, system.dim):
             raise ValidationError(f"matrix: expected shape {(system.dim, system.dim)}, got {mat.shape}")
-        try:
-            return DensityMatrix(mat, system)
-        except ValidationError as exc:
-            raise ValidationError(f"matrix: {exc}") from None
+        return prefixed("matrix", DensityMatrix, mat, system)
     if kind == "pure":
         vec = complex_from_json(_require(doc, "vector"), "vector")
         if vec.shape != (system.dim,):
             raise ValidationError(f"vector: expected length {system.dim}, got shape {vec.shape}")
-        try:
-            return PureState(vec, system).to_density()
-        except ValidationError as exc:
-            raise ValidationError(f"vector: {exc}") from None
+        return prefixed("vector", PureState, vec, system).to_density()
     raise ValidationError(f"kind: unknown state kind {kind!r}")
 
 

@@ -109,14 +109,14 @@ class DensityMatrix:
                 f"matrix dimension {matrix.shape[0]} does not match layout dimension {layout.dim}"
             )
         if validate:
-            if np.abs(matrix - matrix.conj().T).max() > HERMITIAN_TOL:
+            if not np.abs(matrix - matrix.conj().T).max() <= HERMITIAN_TOL:
                 raise ValidationError("density matrix is not Hermitian within 1e-10")
             matrix = _hermitize(matrix)
             evals = np.linalg.eigvalsh(matrix)
-            if evals.min() < EIGENVALUE_FLOOR:
+            if not evals.min() >= EIGENVALUE_FLOOR:
                 raise ValidationError(f"density matrix has eigenvalue {evals.min():.3e} below -1e-9")
             trace = matrix.trace().real
-            if abs(trace - 1.0) > TRACE_TOL:
+            if not abs(trace - 1.0) <= TRACE_TOL:
                 raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-9")
         matrix = np.array(matrix, dtype=complex)
         matrix.flags.writeable = False
@@ -174,7 +174,7 @@ class PureState:
             raise ValidationError(
                 f"amplitude dimension {amplitudes.shape[0]} does not match layout dimension {layout.dim}"
             )
-        if validate and abs(np.linalg.norm(amplitudes) - 1.0) > NORM_TOL:
+        if validate and not abs(np.linalg.norm(amplitudes) - 1.0) <= NORM_TOL:
             raise ValidationError("state vector is not normalized within 1e-10")
         amplitudes = np.array(amplitudes, dtype=complex)
         amplitudes.flags.writeable = False
@@ -215,13 +215,13 @@ class CqState:
         if set(self.conditionals) != set(symbols):
             raise ValidationError("weights and conditionals must share the same symbols")
         total = sum(self.weights.values())
-        if abs(total - 1.0) > TRACE_TOL:
+        if not abs(total - 1.0) <= TRACE_TOL:
             raise ValidationError(f"cq weights sum to {total}, not 1 within 1e-9")
         ref = next(iter(self.conditionals.values())).layout
         for sym, rho in self.conditionals.items():
             if rho.layout != ref:
                 raise ValidationError(f"conditional for {sym!r} is on a different layout")
-            if self.weights[sym] < -1e-12:
+            if not self.weights[sym] >= -1e-12:
                 raise ValidationError(f"negative weight for symbol {sym!r}")
 
     @property
@@ -236,17 +236,15 @@ class CqState:
         acc = sum(self.weights[s] * self.conditionals[s].matrix for s in self.symbols)
         return DensityMatrix(_hermitize(acc), self.quantum_layout, validate=False)
 
-    def embed(self, x_label: str = "X") -> DensityMatrix:
-        """Block-diagonal embedding sum_x p(x) |x><x| (x) rho_x."""
+    def embed(self) -> DensityMatrix:
+        """Block-diagonal embedding sum_x p(x) |x><x| (x) rho_x; the flag is ``quantum_layout.fresh_label("X")``."""
         syms = self.symbols
-        if x_label in self.quantum_layout.labels:
-            raise ValidationError(f"flag label {x_label!r} collides with the quantum layout")
         n = len(syms)
         dq = self.quantum_layout.dim
         out = np.zeros((n * dq, n * dq), dtype=complex)
         for i, s in enumerate(syms):
             out[i * dq:(i + 1) * dq, i * dq:(i + 1) * dq] = self.weights[s] * self.conditionals[s].matrix
-        new_layout = SystemLayout(((x_label, n),) + self.quantum_layout.parts)
+        new_layout = SystemLayout(((self.quantum_layout.fresh_label("X"), n),) + self.quantum_layout.parts)
         return DensityMatrix(out, new_layout, validate=False)
 
 
@@ -349,7 +347,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def binary_entropy(p: float) -> float:
     """H2(p) in bits."""
-    if p < -1e-12 or p > 1 + 1e-12:
+    if not -1e-12 <= p <= 1 + 1e-12:
         raise ValidationError(f"binary_entropy argument {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     if p <= ENTROPY_CLAMP or p >= 1.0 - ENTROPY_CLAMP:

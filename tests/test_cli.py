@@ -629,3 +629,14 @@ class TestOneProcess:
         assert capsys.readouterr().out.splitlines()[1:] == ["certified: true", "method: measure-prepare (dephasing basis)"]
         assert run(region_args(out)) == 0
         assert (out.read_bytes(), side.read_bytes()) == first
+
+    def test_command_is_looked_up_when_it_runs(self, tmp_path, capsys, monkeypatch):
+        # the cached parser binds each _cmd_* once; a later replacement must still be the one called
+        _build_parser()
+        out = tmp_path / "boundary.csv"
+        assert run(["pinching-boundary", "--points", "3", "--out", str(out)]) == 0
+        real, calls = cli._cmd_verify, []
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args: calls.append(args.witness) or real(args))
+        assert run(["verify", "--witness", str(out) + ".witness.json"]) == 0
+        assert calls == [str(out) + ".witness.json"]
+        assert capsys.readouterr().out.endswith("verified 3 rows\n")

@@ -183,3 +183,15 @@ class TestHolevoInformation:
         restricted = qb.holevo_information(cq, q_labels={"B"})
         reduced = qb.CqState(w, {i: qb.partial_trace(conds[i], {"B"}) for i in range(3)})
         assert abs(restricted - qb.holevo_information(reduced)) < 1e-10
+
+    def test_receiver_named_x(self):
+        # the flag register takes a fresh label, so a receiver may itself be called X
+        rng = np.random.default_rng(9)
+        lay = qb.layout(("X", 2), ("B", 2))
+        w = rng.dirichlet(np.ones(3))
+        conds = {i: qb.random_density_matrix(lay, rng) for i in range(3)}
+        cq = qb.CqState({i: float(w[i]) for i in range(3)}, conds)
+        assert cq.embed().layout.labels == ("_X", "X", "B")
+        avg = sum(w[i] * conds[i].matrix for i in range(3))
+        direct = spectrum_entropy(avg) - sum(w[i] * spectrum_entropy(conds[i].matrix) for i in range(3))
+        assert abs(qb.holevo_information(cq) - direct) < 1e-9

@@ -541,6 +541,18 @@ class TestMergingRates:
             qb.merging_rates(ch, qb.PureState(vec4, qb.layout(("R", 2), ("in", 4))))
 
 
+class TestWrongInputDimension:
+    @pytest.mark.parametrize("rates,refs", [(qb.merging_rates, 1), (qb.independent_rates, 2)],
+                             ids=["merging", "independent"])
+    def test_rejected_by_the_channel(self, rates, refs):
+        # a 4-dim input on the 2-dim GHZ copy: the channel's own apply_to refuses it
+        lay = qb.layout(*[(f"R{i}", 2) for i in range(refs)], ("in", 4))
+        vec = np.zeros(lay.dim, dtype=complex)
+        vec[0] = 1.0
+        with pytest.raises(qb.ValidationError, match="subsystem 'in' has dimension 4, channel expects 2"):
+            rates(qb.make_ghz_copy(), qb.PureState(vec, lay))
+
+
 class TestIndependentRates:
     @staticmethod
     def double_epr():

@@ -75,3 +75,18 @@ class TestPerfbenchSpans:
         missing = {(module, attr) for _, targets in spans.ENTRY_POINTS for module, attr in targets
                    if not hasattr(importlib.import_module(f"qbroadcast.{module}"), attr)}
         assert missing <= {("bruteforce", "_spectra_entropy"), ("cli", "_write_sidecar")}
+
+
+class TestValidationBoundary:
+    def test_one_field_prefix_rule(self):
+        # a ValidationError is caught only to put a field name in front (errors.prefixed) or to print it (cli.run)
+        catchers = set()
+        for path in MODULES:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(fn):
+                        if (isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
+                                and node.type.id == "ValidationError"):
+                            catchers.add(f"{path.stem}.{fn.name}")
+        assert catchers == {"errors.prefixed", "cli.run"}

@@ -223,6 +223,38 @@ class TestCqState:
         assert abs(avg.matrix.trace().real - 1.0) < 1e-12
 
 
+def _density(bad):
+    return np.diag([bad, 0.5, 0.25, 0.25]).astype(complex)
+
+
+_BC = qb.layout(("B", 2), ("C", 2))
+# (name, builder of the input from one bad entry, whether the input is complex)
+NON_FINITE_INPUTS = [
+    ("DensityMatrix", lambda bad: qb.DensityMatrix(_density(bad), _BC), True),
+    ("PureState", lambda bad: qb.PureState(np.array([bad, 1.0], dtype=complex), qb.layout(("A", 2))), True),
+    ("KrausChannel", lambda bad: qb.KrausChannel([np.diag([bad, 1.0]).astype(complex)], qb.layout(("A", 2))), True),
+    ("BroadcastChannel", lambda bad: qb.BroadcastChannel([np.diag([bad, 1.0, 1.0, 1.0]).astype(complex)], _BC), True),
+    ("DephasingSpec", lambda bad: qb.DephasingSpec(2, 1, np.array([[bad, 0.0], [1.0, 0.0]], dtype=complex)), True),
+    ("CqBroadcastChannel", lambda bad: qb.CqBroadcastChannel([0, 1], [_density(bad), _density(0.0)], _BC,
+                                                             validate=True), True),
+    ("output_cq", lambda bad: qb.make_noiseless_bit().output_cq([bad, 0.5]), False),
+    ("CqState", lambda bad: qb.CqState({0: bad, 1: 0.5}, {x: diag_state([0.5, 0.5], ("A", 2)) for x in (0, 1)}),
+     False),
+    ("binary_entropy", lambda bad: qb.binary_entropy(bad), False),
+    ("OptimizerConfig", lambda bad: qb.OptimizerConfig(restarts=bad), False),
+]
+
+
+class TestNonFiniteInput:
+    # every tolerance test is written so that NaN fails it: `not dev <= tol`, never `dev > tol`
+    @pytest.mark.parametrize("build,bad", [pytest.param(build, bad, id=f"{name}-{bad}")
+                                           for name, build, is_complex in NON_FINITE_INPUTS
+                                           for bad in ((np.nan, np.inf) if is_complex else (np.nan,))])
+    def test_rejected(self, build, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(qb.ValidationError):
+            build(bad)
+
+
 class TestRandomStates:
     def test_density_properties(self):
         rng = np.random.default_rng(9)
