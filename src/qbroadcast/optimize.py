@@ -12,6 +12,7 @@ sweep's mirror direction for distributions).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,10 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters", "r_grid"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"OptimizerConfig.{name} must be an integer, got {value!r}")
+            if not value > 0:
                 raise ValidationError(f"OptimizerConfig.{name} must be positive")
 
 

@@ -12,10 +12,12 @@ targets traces the upper boundary and stores the achieving parameters as a
 re-evaluatable witness; its rows, like the exhaustive oracles' candidates, become
 a frontier through the one ``pareto_staircase``.  Each optimizer stage is one
 function: a ``rates_grad`` pass scores a batch, and only the rows the optimizer
-accepts are pulled back to the payload kind's ``direction`` (the r_max stage
-skips the personal rate's pull-back).  The conditional kind (cq and dephasing
-families) divides each softmax block of the exact gradient by its
-probabilities, the mirror direction s_i - <p, s> that still moves at the
+accepts are pulled back to the payload kind's ``direction``, skipping every
+pull-back whose coefficient is exactly 0: the personal rate's in the r_max stage,
+the common rate's in a penalty stage where no asked row falls short of the
+target, and a binding receiver's that no asked row binds.  The conditional kind
+(cq and dephasing families) divides each softmax block of the exact gradient by
+its probabilities, the mirror direction s_i - <p, s> that still moves at the
 simplex boundary where their optima sit; the pure-state kind follows the exact
 gradient.  Closed-form and entropy-oracle evaluators for the small worked cases
 live at the bottom.
@@ -28,20 +30,21 @@ CE: -1}, B the basis |x><x| the isometry writes.  I(R > B) of a pure input is
 {B: +1, RB: -1}; its output on R B C E is pure, so S(RB) = S(CE), and with one
 Kraus operator CE is the common rate's own C: the term is then {B: +1, C: -1}.
 
-The evaluator picks each receiver's entropy kernel once, at setup.  The cq and
-dephasing families mix fixed per-symbol stacks; each stack that is exactly
-diagonal (every builtin cq and dephasing stack, at any k, and the dephasing B
-stack always) is kept as real (x, d) diagonals, its label states stay diagonal,
-and its kernel is ``states.entropy_and_slope`` applied to those diagonals.
-Any other stack, and every ensemble receiver, takes the dense kernel
-``batched_entropy``: the same function applied to the spectrum from ``eigh``,
-which also gives dS/drho.  One forward pass serves optimizer ladders, witness
-rows and witness checks alike.  Every per-call contraction is a reshaped matmul.
+The cq and dephasing families mix fixed per-symbol stacks; each stack that is
+exactly diagonal (every builtin cq and dephasing stack, at any k, and the
+dephasing B stack always) is kept as real (x, d) diagonals, and its label states
+stay diagonal.  A forward pass builds every per-label state and binding label
+mixture first and takes all the diagonal ones through one ``states.entropy_and_slope``
+call.  Any other stack, and every ensemble receiver, takes the dense kernel
+``batched_entropy``: the same rule applied to the spectrum from ``eigh``, which
+also gives dS/drho.  One forward pass serves optimizer ladders, witness rows and
+witness checks alike.  Every per-call contraction is a reshaped matmul.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -121,7 +124,7 @@ def batched_entropy(mats: np.ndarray):
     """Base-2 entropy over the last two axes of a stack of Hermitian matrices and its gradient
     dS/drho = -(log2 rho + I/ln 2), from one ``eigh``: the dense receivers' kernel."""
     evals, vecs = np.linalg.eigh(mats)
-    h, slope = entropy_and_slope(np.clip(evals, 0.0, None))
+    (h, slope), = entropy_and_slope(np.clip(evals, 0.0, None))
     return h, (vecs * slope[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -168,9 +171,7 @@ def _budget_check(dense_load: int, n_params: int, what: str):
     if n_params > MATRIX_BUDGET:
         raise BudgetError(f"{what}: {n_params} optimizer parameters exceed matrix budget {MATRIX_BUDGET}")
     if dense_load > 16 * MATRIX_BUDGET:
-        raise BudgetError(
-            f"{what}: dense load {dense_load} exceeds 16x matrix budget {MATRIX_BUDGET}"
-        )
+        raise BudgetError(f"{what}: dense load {dense_load} exceeds 16x matrix budget {MATRIX_BUDGET}")
     if dense_load > MATRIX_BUDGET:
         warnings.warn(f"{what}: dense load {dense_load} exceeds matrix budget {MATRIX_BUDGET}")
 
@@ -235,9 +236,12 @@ class _LabelEnsembleEvaluator:
         self.fixed = self.family.setup(channel.tensor_power(k))
         self.personal, self.offset = self.fixed["personal"], self.fixed.get("offset")
         self.diagonal = frozenset(self.fixed.get("diagonal", ()))
-        # (entropy, slope) per receiver: diagonals (..., d) or dense states (..., d, d)
-        self.kernels = {r: entropy_and_slope if r in self.diagonal else batched_entropy
-                        for r in dict.fromkeys((*self.common, *self.personal))}
+        self.receivers = tuple(dict.fromkeys((*self.common, *self.personal)))
+        # which of ``forward``'s entropy arrays (each receiver's states, then each binding mixture) are diagonals
+        self.on_diagonal = [r in self.diagonal for r in (*self.receivers, *self.common)]
+
+    def _per_use(self, x: np.ndarray) -> np.ndarray:
+        return x if self.k == 1 else x / self.k
 
     def decode(self, thetas: np.ndarray):
         """(p_t, payload, raw payload parameters) of a batch of parameter rows."""
@@ -252,50 +256,57 @@ class _LabelEnsembleEvaluator:
     def forward(self, p_t: np.ndarray, payload: np.ndarray, raw: np.ndarray | None = None):
         """(common, personal, grads) for a decoded batch from one forward pass.
 
-        ``grads(rows, personal=True)`` is (d common / d theta, d personal / d theta,
-        ascent) at those rows of the batch, d personal None when not asked;
-        ``ascent`` maps a gradient there to the family's direction.  Entropy
-        gradients come through the Holevo term (the common rate follows each
-        row's binding receiver) or the personal term, then through the family's
-        states map and both decodes (from ``raw``); only the asked rows are pulled back.
+        Every per-label state and binding label mixture is built first, then all the
+        diagonal ones go through one ``entropy_and_slope`` call (dense ones through
+        ``batched_entropy``).  ``grads(rows, personal=True, common=True)`` is
+        (d common / d theta, d personal / d theta, ascent) at those rows of the batch,
+        a gradient None when not asked; ``ascent`` maps a gradient there to the
+        family's direction.  Entropy gradients come through the Holevo term (the
+        common rate follows each row's binding receiver) or the personal term, then
+        through the family's states map and both decodes (from ``raw``).  Only the
+        asked rows are pulled back, and only through the receivers they bind.
         """
         t = self.t_size
         states = self.family.states(self, payload)
-        h, g, g_mix, chi = {}, {}, {}, []
-        for r, kernel in self.kernels.items():
-            h[r], g[r] = kernel(states[r])
-        for r in self.common:
-            s_mix, g_mix[r] = self.kernels[r](_label_mix(p_t, states[r]))
-            chi.append(s_mix - (p_t * h[r]).sum(axis=1))
-        binding = np.argmin(chi, axis=0)
+        arrays = [*(states[r] for r in self.receivers), *(_label_mix(p_t, states[r]) for r in self.common)]
+        on = self.on_diagonal
+        diagonal = iter(entropy_and_slope(*itertools.compress(arrays, on)) if any(on) else ())
+        hs, gs = zip(*(next(diagonal) if diag else batched_entropy(a) for a, diag in zip(arrays, on)))
+        n = len(self.receivers)
+        h, g, g_mix = dict(zip(self.receivers, hs)), dict(zip(self.receivers, gs)), gs[n:]
+        chi = np.array([s_mix - (p_t * h[r]).sum(axis=1) for s_mix, r in zip(hs[n:], self.common)])
+        binding = chi.argmin(axis=0)
         term = functools.reduce(np.add, (h[r] if sign > 0 else -h[r] for r, sign in self.personal.items()))
         if self.offset is not None:
             term = term - payload @ self.offset
 
-        def grads(rows, personal: bool = True):
+        def grads(rows, personal: bool = True, common: bool = True):
             m, p, pay, bind = len(rows), p_t[rows], payload[rows], binding[rows]
-            rho = {r: states[r][rows] for r in self.kernels}
-            w = {r: _per_row(p, rho[r]) for r in rho}
 
             def backward(seed_p, seed_rho, seed_payload):
                 d_payload = seed_payload + self.family.adjoint(self, pay, seed_rho)
                 d_raw = self.family.decode_grad(raw[rows], pay, d_payload).reshape(m, -1)
-                return np.concatenate([softmax_grad(p, seed_p), d_raw], axis=1) / self.k
+                return self._per_use(np.concatenate([softmax_grad(p, seed_p), d_raw], axis=1))
 
             seed_p, seed_rho = 0, {}
-            for i, r in enumerate(self.common):
-                mask, gm = bind == i, g_mix[r][rows]
+            for i, r in enumerate(self.common if common else ()):
+                mask = bind == i
+                if not mask.any():
+                    continue  # its seeds would be exact zeros
+                rho, gm = states[r][rows], g_mix[i][rows]
                 # tr(G rho_t) = sum_ij conj(G_ij) rho_t,ij for Hermitian G
-                trace = rho[r].reshape(m, t, -1) @ gm.conj().reshape(m, -1, 1)
+                trace = rho.reshape(m, t, -1) @ gm.conj().reshape(m, -1, 1)
                 seed_p = seed_p + mask[:, None] * (trace[..., 0].real - h[r][rows])
-                d_rho = w[r] * (gm[:, None] - g[r][rows])
+                d_rho = _per_row(p, rho) * (gm[:, None] - g[r][rows])
                 seed_rho[r] = _per_row(mask, d_rho) * d_rho
             d_personal = backward(
-                term[rows], {r: (w[r] if sign > 0 else -w[r]) * g[r][rows] for r, sign in self.personal.items()},
+                term[rows], {r: _per_row(p, states[r]) * (g[r][rows] if sign > 0 else -g[r][rows])
+                             for r, sign in self.personal.items()},
                 0.0 if self.offset is None else p[:, :, None] * -self.offset) if personal else None
-            return backward(seed_p, seed_rho, 0.0), d_personal, functools.partial(self.family.direction, p, pay)
+            d_common = backward(seed_p, seed_rho, 0.0) if common else None
+            return d_common, d_personal, functools.partial(self.family.direction, p, pay)
 
-        return np.min(chi, axis=0) / self.k, (p_t * term).sum(axis=1) / self.k, grads
+        return self._per_use(chi.min(axis=0)), self._per_use((p_t * term).sum(axis=1)), grads
 
     def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
         """Warm start plus one structured row, or the family's ``structured_rows``, then seeded random rows."""
@@ -423,11 +434,13 @@ _PURE = dict(
 
 def _mix_fixed(stacks: dict, personal: dict) -> dict:
     """A mix family's fixed tensors, stack by stack: each exactly diagonal (x, d, d) stack becomes
-    real (x, d) diagonals, like a stack given as (x, d), and its receiver takes the diagonal kernel."""
+    real (x, d) diagonals, like a stack given as (x, d), and its receiver takes the diagonal kernel.
+    ``adjoints`` holds each stack's conjugate as an (entries, x) matrix for ``_mix_adjoint``."""
     for r, s in stacks.items():
         if s.ndim == 3 and np.array_equal(s, s * np.eye(s.shape[-1])):
             stacks[r] = np.diagonal(s, axis1=1, axis2=2).real.copy()
-    return {"stacks": stacks, "personal": personal, "diagonal": {r for r, s in stacks.items() if s.ndim == 2}}
+    return {"stacks": stacks, "personal": personal, "diagonal": {r for r, s in stacks.items() if s.ndim == 2},
+            "adjoints": {r: s.conj().reshape(len(s), -1).T for r, s in stacks.items()}}
 
 
 def _mix_stacks(ev, cond: np.ndarray) -> dict:
@@ -443,7 +456,7 @@ def _mix_adjoint(ev, cond: np.ndarray, d_states: dict) -> np.ndarray:
     out = np.zeros((m * t, n_x))
     for r, d in d_states.items():
         # tr(D rho_x) = sum_ij D_ij conj(rho_x,ij) for Hermitian rho_x
-        out += (d.reshape(m * t, -1) @ ev.fixed["stacks"][r].conj().reshape(n_x, -1).T).real
+        out += (d.reshape(m * t, -1) @ ev.fixed["adjoints"][r]).real
     return out.reshape(m, t, n_x)
 
 
@@ -549,14 +562,19 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
     def ascend(thetas, mu=None, r=0.0):
         """One ``maximize_batch`` stage, counted in ``work``: the common rate when ``mu`` is None, else
         the personal rate less mu max(0, r - common)^2.  One ``rates_grad`` pass per call scores the
-        batch; the family's direction is taken at the rows the optimizer asks for."""
+        batch; the family's direction is taken at the rows the optimizer asks for, and the common
+        rate is pulled back there only when its penalty coefficient is nonzero at one of them."""
         def stage(th):
             c, p, grads = ev.rates_grad(th)
             gap = np.maximum(0.0, r - c)
 
             def directions_at(rows):
-                d_c, d_p, ascent = grads(rows, personal=mu is not None)
-                return ascent(d_c if mu is None else d_p + (2.0 * mu * gap[rows])[:, None] * d_c)
+                if mu is None:
+                    d_c, _, ascent = grads(rows, personal=False)
+                    return ascent(d_c)
+                coef = 2.0 * mu * gap[rows]
+                d_c, d_p, ascent = grads(rows, common=bool(coef.any()))
+                return ascent(d_p if d_c is None else d_p + coef[:, None] * d_c)
             return (c if mu is None else p - mu * gap * gap), directions_at
         thetas, vals, info = maximize_batch(stage, thetas, cfg)
         work["iterations"] += info["iterations"]

@@ -8,6 +8,7 @@ arrays; dimensions are expected to stay in the dozens.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -318,21 +319,26 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def entropy_and_slope(p: np.ndarray):
-    """Base-2 entropy along the last axis and the slope d(-p log2 p)/dp, from one masked log2.
+def entropy_and_slope(*ps: np.ndarray) -> list:
+    """[(entropy, slope)] per array: base-2 entropy along the last axis and the slope
+    d(-p log2 p)/dp, from one masked log2 over all the arrays at once.
 
-    Values at or below 1e-12 count as zero and take slope zero.  This is the
-    engine's one entropy rule: every dense and diagonal entropy in ``regions``
-    goes through it.
+    Values at or below 1e-12 count as zero and take slope zero.  Each entropy is
+    summed over its own array's last axis, so it is bit for bit the one that array
+    gets alone.  This is the engine's one entropy rule: every dense and diagonal
+    entropy in ``regions`` goes through it.
     """
-    live = p > ENTROPY_CLAMP
-    logs = np.where(live, np.log2(np.maximum(p, ENTROPY_CLAMP)), 0.0)
-    return -(p * logs).sum(axis=-1), np.where(live, -(logs + 1.0 / np.log(2.0)), 0.0)
+    flat = np.concatenate([p.ravel() for p in ps]) if len(ps) > 1 else ps[0].ravel()
+    live = flat > ENTROPY_CLAMP
+    logs = np.where(live, np.log2(np.maximum(flat, ENTROPY_CLAMP)), 0.0)
+    terms, slopes = flat * logs, np.where(live, -(logs + 1.0 / np.log(2.0)), 0.0)
+    return [(-terms[end - p.size:end].reshape(p.shape).sum(axis=-1), slopes[end - p.size:end].reshape(p.shape))
+            for p, end in zip(ps, itertools.accumulate(p.size for p in ps))]
 
 
 def entropy_of_spectrum(p: np.ndarray) -> np.ndarray:
     """Base-2 entropy along the last axis: ``entropy_and_slope`` without its slope."""
-    return entropy_and_slope(p)[0]
+    return entropy_and_slope(p)[0][0]
 
 
 def matrix_entropy(mats: np.ndarray) -> np.ndarray:

@@ -26,6 +26,14 @@ sweeps = pytest.mark.parametrize("mode,channel,size,sidecar_mode", WITNESS_SWEEP
                                  ids=[w[0] for w in WITNESS_SWEEPS])
 
 
+def _two_kraus_dephasing_doc():
+    """Generalized dephasing, 2 inputs, C dim 2, E dim 2 (two Kraus operators): seeded unit vectors."""
+    rng = np.random.default_rng(2024)
+    vecs = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return {"kind": "dephasing", "c_dim": 2, "e_dim": 2, "images": np.stack([vecs.real, vecs.imag], axis=-1).tolist()}
+
+
 class TestExitCodes:
     def test_no_command_is_validation_error(self, capsys):
         assert run([]) == 2
@@ -203,6 +211,30 @@ class TestRegionCommand:
         # the benchmark's sweep configs, pinned so that their CSV and sidecar bytes cannot drift silently
         out = tmp_path / "front.csv"
         assert run(["region", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256((tmp_path / "front.csv.witness.json").read_bytes()).hexdigest() == sidecar_sha
+
+    @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
+        (("dephasing", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
+         "2e485e68d93a291cc407dbc76eaacba36785d3edc595887fe79cba160b05b77e",
+         "209396fc0b3d3c9402baf2f1e7d5e41d67664fbcc6c65f42452a31ef5bee25de"),
+        (("qq", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
+         "2e485e68d93a291cc407dbc76eaacba36785d3edc595887fe79cba160b05b77e",
+         "9bd1bdec9aed5fa3c8659d680a4eecc0d25a2cb863d99843a121db6d4bcefa3c"),
+        (("cq", "--channel", "pinching-cq", "--k", "2", "--grid", "2", "--restarts", "4", "--seed", "1001"),
+         "1e07fec38bd47f38e8f9a207b3ca2350258db771e93ef7ab1498b9f882d462f1",
+         "0aa661f5f81f6d7795cf89079362df3073a4b961be35b74ed615fb142960c58a"),
+        (("cq-eg", "--channel", "{two_kraus}", "--t-size", "2", "--grid", "2", "--restarts", "2"),
+         "4acee6cc870e913903b21ae5a308693d040725b1cd07ce33df9b3288df82b7fe",
+         "2fb63c6ad173de4814b7384aaf85dfa3a14f0bdc225d3389801507a2e7ab56ba"),
+    ], ids=["dephasing", "qq-dephasing", "cq-k2", "cq-eg-two-kraus"])
+    def test_mode_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
+        # the paths the benchmark does not run, pinned like its sweeps: the dephasing and qq-dephasing
+        # families, a two-use cq channel, and cq-eg through two Kraus operators (the dense RB entropy)
+        doc = tmp_path / "two-kraus.json"
+        doc.write_text(json.dumps(_two_kraus_dephasing_doc()))
+        out = tmp_path / "front.csv"
+        assert run(["region", *(a.format(two_kraus=doc) for a in argv), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256((tmp_path / "front.csv.witness.json").read_bytes()).hexdigest() == sidecar_sha
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qbroadcast.errors import ValidationError
 from qbroadcast.optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax
 from qbroadcast.regions import PENALTY_SCALES
 
@@ -24,6 +25,17 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 2.5}, {"max_iters": float("inf")}, {"r_grid": 2.5},
+                                        {"restarts": True}], ids=["restarts-2.5", "max-iters-inf", "r-grid-2.5",
+                                                                  "restarts-True"])
+    def test_integers_enforced(self, kwargs):
+        # a float or bool count would only fail deep in the sweep, as a TypeError or a one-restart run
+        with pytest.raises(ValidationError, match="must be an integer"):
+            OptimizerConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        assert OptimizerConfig(restarts=np.int64(3)).restarts == 3
 
 
 class TestMaximizeBatch:

@@ -35,6 +35,13 @@ def random_isometry_channel(n_kraus, dc):
     return qb.BroadcastChannel(list(iso.reshape(n_kraus, 2 * dc, 2)), qb.layout(("B", 2), ("C", dc)))
 
 
+def crossed_cq():
+    """A classical cq channel on which only B tells x = 1 from x = 0 and only C tells x = 2 from x = 0,
+    so either receiver can bind the common rate."""
+    states = [np.diag(np.kron(np.eye(2)[b], np.eye(2)[c])).astype(complex) for b, c in ((0, 0), (1, 0), (0, 1))]
+    return qb.CqBroadcastChannel([0, 1, 2], np.array(states), qb.layout(("B", 2), ("C", 2)))
+
+
 def three_kraus_channel():
     return random_isometry_channel(3, 3)
 
@@ -360,6 +367,29 @@ class TestRateGradients:
         assert np.array_equal(grads([2, 0], personal=False)[0], d_common[[2, 0]])
         assert grads([2, 0], personal=False)[1] is None
         assert np.array_equal(grads([3])[1], d_personal[[3]])
+
+    def test_personal_pull_back_without_the_common_one(self):
+        # a penalty stage whose coefficient is 0 at every asked row skips the common pull-back
+        ev = build_evaluator("cq", qb.make_pinching_cq())
+        grads = ev.rates_grad(seeded_rng(19).standard_normal((6, ev.n_params)))[2]
+        skipped, d_personal, _ = grads([4, 1, 2], common=False)
+        assert skipped is None and np.array_equal(d_personal, grads([4, 1, 2])[1])
+
+    def test_unbound_receiver_skipped(self):
+        # a row pulled back alone skips the receiver it does not bind; its gradients are still the ones
+        # it gets beside a row that binds the other receiver
+        ev = build_evaluator("cq", crossed_cq())
+        only_c = build_evaluator("cq-certified", crossed_cq(), t_size=ev.t_size)
+        thetas = seeded_rng(19).standard_normal((8, ev.n_params))
+        common, _, grads = ev.rates_grad(thetas)
+        binds_c = common == only_c.rates_grad(thetas)[0]
+        assert binds_c.any() and not binds_c.all()
+        rows = [int(np.flatnonzero(~binds_c)[0]), int(np.flatnonzero(binds_c)[0])]  # one binds B, one C
+        d_common, d_personal, _ = grads(rows)
+        for at, row in enumerate(rows):
+            alone_common, alone_personal, _ = grads([row])
+            assert np.array_equal(alone_common[0], d_common[at])
+            assert np.array_equal(alone_personal[0], d_personal[at])
 
 
 class TestAscentDirection:

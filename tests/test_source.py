@@ -90,3 +90,32 @@ class TestValidationBoundary:
                                 and node.type.id == "ValidationError"):
                             catchers.add(f"{path.stem}.{fn.name}")
         assert catchers == {"errors.prefixed", "cli.run"}
+
+
+def log2_sites(source: str, module: str) -> set:
+    """Where a module reads a ``.log2`` attribute: ``module.function`` of the innermost enclosing def,
+    else ``module``."""
+    sites = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "log2":
+                sites.add(owner)
+            visit(child, owner)
+    visit(ast.parse(source), module)
+    return sites
+
+
+class TestOneEntropyRule:
+    def test_log2_only_in_the_entropy_rules(self):
+        # the engine's one -p log2 p rule, the scalar binary entropy, and the oracles' own independent rule
+        sites = set().union(*(log2_sites(p.read_text(encoding="utf-8"), p.stem) for p in MODULES))
+        assert sites == {"states.entropy_and_slope", "states.binary_entropy", "bruteforce._table_entropy"}
+
+    def test_detects_a_second_copy(self):
+        source = ("import numpy as np\nclass K:\n    def h(self, p):\n        return np.log2(p)\n"
+                  "ONE = np.log2(2.0)\ndef outer():\n    return lambda p: np.log2(p)\n")
+        assert log2_sites(source, "mod") == {"mod.h", "mod", "mod.outer"}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.states import entropy_of_spectrum
+from qbroadcast.states import ENTROPY_CLAMP, entropy_and_slope, entropy_of_spectrum
 
 from conftest import spectrum_entropy
 
@@ -179,6 +179,34 @@ class TestEntropy:
         assert entropy_of_spectrum(np.array([1.0, 0.0, -1e-12])) < 1e-10
         stack = np.array([[1.0, 0.0, -1e-12], [0.5, 0.25, 0.25], [0.5, 0.5, 1e-13]])
         assert np.array_equal(entropy_of_spectrum(stack), [entropy_of_spectrum(row) for row in stack])
+
+    def test_one_pass_matches_each_array_alone(self):
+        # diagonal stacks and clipped eigenvalue stacks of several shapes, each seeded with entries at
+        # exactly 0, at the clamp and just above it; all values differ, so a piece cut at a wrong offset
+        # or with a wrong shape changes an entropy or a slope
+        rng = np.random.default_rng(17)
+        edges = [0.0, ENTROPY_CLAMP, np.nextafter(ENTROPY_CLAMP, 1.0), 2 * ENTROPY_CLAMP]
+        arrays = []
+        for shape in [(4, 3, 3), (4, 3, 2), (4, 3), (4, 2), (5,), (2, 1, 9), (3, 4, 4), (1, 1)]:
+            p = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+            p.reshape(-1)[:len(edges)] = edges[:p.size]
+            arrays.append(p)
+        for mats in (rng.standard_normal((3, 4, 4)), rng.standard_normal((2, 9, 9))):
+            arrays.append(np.clip(np.linalg.eigvalsh(mats @ mats.swapaxes(1, 2) / 9.0 - 0.05), 0.0, None))
+        together = entropy_and_slope(*arrays)
+        assert len(together) == len(arrays)
+        for p, (h, slope) in zip(arrays, together):
+            (h_alone, slope_alone), = entropy_and_slope(p)
+            assert h.shape == p.shape[:-1] and slope.shape == p.shape
+            assert np.array_equal(h, h_alone) and np.array_equal(slope, slope_alone)
+            # and the rule itself: -sum p log2 p, slope -(log2 p + 1/ln 2), both 0 at or below the clamp
+            live = p > ENTROPY_CLAMP
+            assert np.abs(h + np.where(live, p * np.log2(np.where(live, p, 1.0)), 0.0).sum(axis=-1)).max() <= 1e-12
+            assert np.array_equal(slope == 0.0, ~live)
+            assert np.abs(slope[live] + np.log2(p[live]) + 1.0 / np.log(2.0)).max(initial=0.0) <= 1e-12
+        # the same arrays in another order get the same values
+        for (h, slope), (h_rev, slope_rev) in zip(together, reversed(entropy_and_slope(*reversed(arrays)))):
+            assert np.array_equal(h, h_rev) and np.array_equal(slope, slope_rev)
 
     def test_binary_entropy(self):
         assert abs(qb.binary_entropy(0.5) - 1.0) < 1e-15
