@@ -11,7 +11,9 @@ stacks, cq states, dephasing images) comes from one grouped Kronecker power,
 certifies (numerically) whether one receiver's marginal can be post-processed
 into the other's.  It tries, in order: identity, the dephasing basis, then
 least squares and an optimized measure-prepare fit for commuting B probes, or a
-linear fit and a QR-retraction fit for non-commuting.
+linear fit and a QR-retraction fit for non-commuting.  It stops once a map
+certifies or meets the contraction floor, the trace-norm lower bound that no
+map's residual can fall below.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .states import (
     SystemLayout,
     _hermitize,
     layout,
+    trace_norms,
 )
 
 KRAUS_TOL = 1e-9
@@ -450,6 +453,7 @@ class DegradednessReport:
     degrading_map: KrausChannel
     certified: bool
     method: str
+    floor: float  # no map's residual can fall below it
 
     def __iter__(self):
         yield self.residual
@@ -505,7 +509,18 @@ def _residual_of_stack(stack: np.ndarray, b_stack: np.ndarray, c_stack: np.ndarr
     """Worst trace norm |Phi(b_p) - c_p|_1 over the probes for one Kraus stack (n_env, dc, db)."""
     p, dc, _ = c_stack.shape
     diffs = (_transfer(stack[None])[0] @ b_stack.transpose(1, 2, 0).reshape(-1, p)).T.reshape(p, dc, dc) - c_stack
-    return float(np.linalg.svd(_hermitize(diffs), compute_uv=False).sum(axis=1).max())
+    return float(trace_norms(diffs).max())
+
+
+def _contraction_floor(b_stack: np.ndarray, c_stack: np.ndarray) -> float:
+    """max over probe pairs p < q of (|c_p - c_q|_1 - |b_p - b_q|_1) / 2, and 0 if no pair gains.
+
+    A CPTP map contracts the trace norm, so by the triangle inequality through
+    Phi(b_p) and Phi(b_q) no map's residual falls below it.
+    """
+    p, q = np.triu_indices(len(b_stack), 1)
+    gains = trace_norms(c_stack[p] - c_stack[q]) - trace_norms(b_stack[p] - b_stack[q])
+    return float(np.max(gains, initial=0.0)) / 2
 
 
 def _measure_prepare_stack(basis: np.ndarray, preps: np.ndarray) -> np.ndarray:
@@ -674,6 +689,19 @@ _STRATEGIES = (
 )
 
 
+def _search_state(bc_or_pair, cfg) -> SimpleNamespace:
+    """What the strategies read: probe stacks and dimensions, commuting B and its basis, spec, rng, cfg and fit."""
+    from .optimize import maximize_batch
+
+    b_states, c_states, commute = _probe_pairs(bc_or_pair)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5E9]))
+    s = SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
+                        spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
+                        basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
+    s.fit = lambda decode, inits: maximize_batch(_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
+    return s
+
+
 def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     """Search for a degrading map turning the B marginal into the C marginal.
 
@@ -689,24 +717,21 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     6. kraus (QR retraction): non-commuting B probes, Kraus-stack fit.
 
     A map replaces the best only with a strictly smaller residual.  The first
-    two always run, the rest only while no map certifies (residual <= 1e-6).
+    two always run, the rest only while the best residual is above both 1e-6
+    and the contraction floor, which the report carries: no map's residual
+    falls below max_{p<q} (|c_p - c_q|_1 - |b_p - b_q|_1) / 2.
     """
-    from .optimize import OptimizerConfig, maximize_batch
+    from .optimize import OptimizerConfig
 
-    cfg = cfg or OptimizerConfig()
-    b_states, c_states, commute = _probe_pairs(bc_or_pair)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5E9]))
-    s = SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1],
-                        spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
-                        basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
-    s.fit = lambda decode, inits: maximize_batch(_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
+    s = _search_state(bc_or_pair, cfg or OptimizerConfig())
+    floor = _contraction_floor(s.b, s.c)
     best, best_residual, best_method = None, np.inf, "none"
     for method, commuting, maps in _STRATEGIES:
-        if commuting is not None and (commuting != commute or best_residual <= CERTIFY_THRESHOLD):
+        if commuting is not None and (commuting != s.commute or best_residual <= max(CERTIFY_THRESHOLD, floor)):
             continue
         for stack in maps(s):
             r = _residual_of_stack(stack, s.b, s.c)
             if r < best_residual:
                 best, best_residual, best_method = stack, r, method
     dmap = KrausChannel(best, layout(("C", s.dc)), validate=False)
-    return DegradednessReport(best_residual, dmap, bool(best_residual <= CERTIFY_THRESHOLD), best_method)
+    return DegradednessReport(best_residual, dmap, bool(best_residual <= CERTIFY_THRESHOLD), best_method, floor)

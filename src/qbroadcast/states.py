@@ -297,8 +297,12 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValidationError(
             f"trace_distance dimension mismatch: {rho.matrix.shape} vs {sigma.matrix.shape}"
         )
-    diff = _hermitize(rho.matrix - sigma.matrix)
-    return float(np.linalg.svd(diff, compute_uv=False).sum())
+    return float(trace_norms(rho.matrix - sigma.matrix))
+
+
+def trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norm (sum of singular values) of the Hermitian part over the last two axes, per matrix."""
+    return np.linalg.svd(_hermitize(stack), compute_uv=False).sum(axis=-1)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

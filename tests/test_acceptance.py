@@ -341,11 +341,12 @@ def test_criterion_09_degradedness_both_directions():
         for p in probe_densities(pinching.in_dim))
     rev = qb.degradedness_residual((nc, nb))
     ok = (fwd.certified and fwd.residual <= 1e-6 and worst_map <= 1e-6
-          and not rev.certified and rev.residual > 0.1)
+          and not rev.certified and rev.residual > 0.1 and rev.floor > 0.1)
     report(9, ok, f"pinching is degraded toward C (residual {fwd.residual:.1e}, "
                   f"recovered map reproduces the C marginal within "
                   f"{worst_map:.1e}) but not toward B (residual "
-                  f"{rev.residual:.3f} > 0.1)")
+                  f"{rev.residual:.3f}, no map below the contraction floor "
+                  f"{rev.floor:.3f} > 0.1)")
 
 
 def test_criterion_10_worked_rate_examples():

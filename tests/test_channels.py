@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.channels import _images, _kraus_fit, _prep_decode, _probe_densities, _retraction_decode
+from qbroadcast.channels import (
+    _STRATEGIES,
+    _contraction_floor,
+    _images,
+    _kraus_fit,
+    _prep_decode,
+    _probe_densities,
+    _residual_of_stack,
+    _retraction_decode,
+    _search_state,
+)
+from qbroadcast.optimize import OptimizerConfig
 from qbroadcast.optimize import seeded_rng
 from qbroadcast.states import _hermitize
 
@@ -598,3 +609,70 @@ class TestDegradedness:
         assert isinstance(rep.method, str)
         # the degrading map consumes the dim-3 B output
         assert rep.degrading_map.in_dim == 3
+
+
+def floor_and_every_residual(bc_or_pair, cfg):
+    """The search's contraction floor, the residual of every map every applicable strategy yields, and
+    whether the B probes commute."""
+    s = _search_state(bc_or_pair, cfg)
+    residuals = [_residual_of_stack(stack, s.b, s.c)
+                 for _, commuting, maps in _STRATEGIES if commuting in (None, s.commute) for stack in maps(s)]
+    return _contraction_floor(s.b, s.c), residuals, s.commute
+
+
+def floor_cases(seed):
+    """A random Kraus pair both ways (dims 2-3), and random cq channels with commuting and non-commuting B."""
+    rng = np.random.default_rng(seed)
+    d_in, db, dc = (int(d) for d in rng.integers(2, 4, size=3))
+
+    def channel(name, d):
+        n_env = max(int(rng.integers(1, 3)), -(-d_in // d))  # random_channel's isometry needs d * n_env >= d_in
+        return qb.KrausChannel(random_channel(rng, d_in, d, n_env), qb.layout((name, d)))
+
+    ch_b, ch_c = channel("B", db), channel("C", dc)
+    lay, x = qb.layout(("B", db), ("C", dc)), int(rng.integers(2, 4))
+    c_lay = qb.layout(("C", dc))
+    commuting = [np.kron(np.diag(rng.dirichlet(np.ones(db))), qb.random_density_matrix(c_lay, rng).matrix)
+                 for _ in range(x)]
+    generic = [qb.random_density_matrix(lay, rng).matrix for _ in range(x)]
+    cq = [qb.CqBroadcastChannel(range(x), states, lay) for states in (commuting, generic)]
+    return [(ch_b, ch_c), (ch_c, ch_b)] + cq
+
+
+class TestContractionFloor:
+    """Trace distance contracts under CPTP maps, so no map's residual falls below the floor."""
+
+    def test_no_map_beats_the_floor(self):
+        cfg = OptimizerConfig(restarts=2, max_iters=20)
+        floors, kinds = [], set()
+        for seed in range(30):
+            for case in floor_cases(seed):
+                floor, residuals, commute = floor_and_every_residual(case, cfg)
+                assert residuals
+                # both sides are sums of rounded singular values
+                assert all(floor <= r + 1e-12 for r in residuals), (seed, floor, min(residuals))
+                floors.append(floor)
+                kinds.add(commute)
+        assert kinds == {True, False}
+        assert sum(f > 0.1 for f in floors) >= 10  # the bound has teeth on these cases
+
+    def test_builtins(self):
+        pinching, pinching_cq = qb.make_pinching(), qb.make_pinching_cq()
+        assert qb.degradedness_residual(pinching).floor == 0.0
+        mb, mc = pinching.marginals()
+        rev = qb.degradedness_residual((mc, mb))
+        assert abs(rev.floor - 1.0) <= 1e-12 and rev.floor < rev.residual
+        assert qb.degradedness_residual(pinching_cq).floor == 0.0
+
+    def test_zero_on_a_degraded_pair(self):
+        rng = np.random.default_rng(18)
+        base, post = random_channel(rng, 3, 2, 2), random_channel(rng, 2, 3, 2)
+        ch_b = qb.KrausChannel(base, qb.layout(("B", 2)))
+        ch_c = qb.KrausChannel([p @ k for p in post for k in base], qb.layout(("C", 3)))
+        rep = qb.degradedness_residual((ch_b, ch_c))
+        assert rep.certified
+        assert rep.floor <= 1e-12
+
+    def test_single_probe(self):
+        b, c = np.eye(2, dtype=complex)[None] / 2, np.diag([1.0, 0.0]).astype(complex)[None]
+        assert _contraction_floor(b, c) == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast import cli
+from qbroadcast import cli, optimize
 from qbroadcast.cli import WITNESS_FORMAT, _build_parser, run
 from qbroadcast.specio import complex_to_json
 
@@ -530,6 +530,18 @@ class TestCheckDegraded:
         assert "certified: false" in out
         residual = float(out.split("residual: ")[1].splitlines()[0])
         assert residual > 0.1
+
+    @pytest.mark.parametrize("channel,fits", [("pinching-cq", 0), ("pinching", 1)])
+    def test_reverse_fits_only_above_the_floor(self, capsys, monkeypatch, channel, fits):
+        # pinching-cq's least-squares map meets the contraction floor 1, so the measure-prepare fit is skipped;
+        # pinching's best map before the fit sits above its floor 1, so the fit still runs
+        calls, real = [], optimize.maximize_batch
+        monkeypatch.setattr(optimize, "maximize_batch", lambda *a: calls.append(1) or real(*a))
+        assert run(["check", "degraded", "--channel", channel, "--reverse"]) == 0
+        assert len(calls) == fits
+        (_, _, residual, certified, method), = [v for v in DEGRADED_VERDICTS if v[:2] == (channel, True)]
+        assert capsys.readouterr().out.splitlines() == [f"residual: {residual}", f"certified: {certified}",
+                                                        f"method: {method}"]
 
 
 class TestOracleCommands:

@@ -92,9 +92,9 @@ class TestValidationBoundary:
         assert catchers == {"errors.prefixed", "cli.run"}
 
 
-def log2_sites(source: str, module: str) -> set:
-    """Where a module reads a ``.log2`` attribute: ``module.function`` of the innermost enclosing def,
-    else ``module``."""
+def attribute_sites(source: str, module: str, attr: str) -> set:
+    """Where a module reads an ``.attr`` attribute (``np.log2``, ``np.linalg.svd``): ``module.function`` of
+    the innermost enclosing def, else ``module``."""
     sites = set()
 
     def visit(node, owner):
@@ -102,20 +102,36 @@ def log2_sites(source: str, module: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{module}.{child.name}")
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "log2":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 sites.add(owner)
             visit(child, owner)
     visit(ast.parse(source), module)
     return sites
 
 
+def package_sites(attr: str) -> set:
+    return set().union(*(attribute_sites(p.read_text(encoding="utf-8"), p.stem, attr) for p in MODULES))
+
+
 class TestOneEntropyRule:
     def test_log2_only_in_the_entropy_rules(self):
         # the engine's one -p log2 p rule, the scalar binary entropy, and the oracles' own independent rule
-        sites = set().union(*(log2_sites(p.read_text(encoding="utf-8"), p.stem) for p in MODULES))
-        assert sites == {"states.entropy_and_slope", "states.binary_entropy", "bruteforce._table_entropy"}
+        assert package_sites("log2") == {"states.entropy_and_slope", "states.binary_entropy",
+                                         "bruteforce._table_entropy"}
 
     def test_detects_a_second_copy(self):
         source = ("import numpy as np\nclass K:\n    def h(self, p):\n        return np.log2(p)\n"
                   "ONE = np.log2(2.0)\ndef outer():\n    return lambda p: np.log2(p)\n")
-        assert log2_sites(source, "mod") == {"mod.h", "mod", "mod.outer"}
+        assert attribute_sites(source, "mod", "log2") == {"mod.h", "mod", "mod.outer"}
+
+
+class TestOneTraceNormRule:
+    def test_svd_only_in_the_trace_norm_rule_and_fidelity(self):
+        # trace distance, the degrading-map residual and its contraction floor all go through states.trace_norms
+        assert package_sites("svd") == {"states.trace_norms", "states.fidelity"}
+
+    def test_detects_a_second_copy(self):
+        source = ("import numpy as np\nfrom .states import trace_norms\ndef residual(d):\n"
+                  "    return np.linalg.svd(d, compute_uv=False).sum(axis=-1).max()\n"
+                  "def floor(d):\n    return trace_norms(d).max()\n")
+        assert attribute_sites(source, "channels", "svd") == {"channels.residual"}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast.states import ENTROPY_CLAMP, entropy_and_slope, entropy_of_spectrum
+from qbroadcast.states import ENTROPY_CLAMP, _hermitize, entropy_and_slope, entropy_of_spectrum, trace_norms
 
 from conftest import spectrum_entropy
 
@@ -112,6 +112,17 @@ class TestDistances:
             b = qb.random_density_matrix(lay, rng)
             c = qb.random_density_matrix(lay, rng)
             assert qb.trace_distance(a, c) <= qb.trace_distance(a, b) + qb.trace_distance(b, c) + 1e-12
+
+    def test_trace_norms_of_a_stack_match_each_matrix(self):
+        # one batched rule: each row is bit for bit the trace distance of its pair and the sum of its singular values
+        rng = np.random.default_rng(4)
+        lay = qb.layout(("A", 3))
+        pairs = [(qb.random_density_matrix(lay, rng), qb.random_density_matrix(lay, rng)) for _ in range(5)]
+        norms = trace_norms(np.stack([a.matrix - b.matrix for a, b in pairs]))
+        assert norms.shape == (5,)
+        for norm, (a, b) in zip(norms, pairs):
+            assert norm == qb.trace_distance(a, b)
+            assert norm == np.linalg.svd(_hermitize(a.matrix - b.matrix), compute_uv=False).sum()
 
 
 class TestPurify:
