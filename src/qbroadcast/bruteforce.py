@@ -65,14 +65,14 @@ def compositions(total: int, parts: int):
         yield tuple(row)
 
 
-def _enumerate_joints(mesh: int, t_size: int, n_x: int, max_candidates: int) -> np.ndarray:
+def _enumerate_joints(mesh: int, t_size: int, n_x: int) -> np.ndarray:
     """One joint per relabeling of the labels: the composition-table rows whose label blocks (rows of
     p(t, .)) ascend lexicographically, in table order.  Rows grow a block at a time, taking each block of
     mass <= their rest (exactly the rest at the last label) at or after their last one, so the full table is
-    never built; its stars-and-bars count is the budget, and the orbit sizes t_size!/prod(multiplicity!) sum to it."""
+    never built; the orbit sizes t_size!/prod(multiplicity!) sum to the stars-and-bars count, the budget."""
     count = composition_count(mesh, t_size * n_x)
-    if count > max_candidates:
-        raise BudgetError(f"grid enumeration would need {count} candidates (limit {max_candidates}); "
+    if count > MAX_CANDIDATES:
+        raise BudgetError(f"grid enumeration would need {count} candidates (limit {MAX_CANDIDATES}); "
                           f"reduce mesh or t_size")
     blocks = _composition_table(mesh, n_x + (t_size > 1))[:, :n_x]  # every usable block, lexicographic order
     mass = blocks.sum(axis=1, dtype=np.intp)
@@ -128,10 +128,10 @@ def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarra
     return Frontier(resampled, dict(meta, resampled=True))
 
 
-def _scan(mode: str, rates, mesh: int, t_size: int, n_x: int, max_candidates: int, r_grid: int | None) -> Frontier:
+def _scan(mode: str, rates, mesh: int, t_size: int, n_x: int, r_grid: int | None) -> Frontier:
     """An oracle's frontier: ``rates(joints) -> (commons, personals)`` on every joint of
     ``_enumerate_joints``, ``_CHUNK`` rows at a time, clipped at 0 and passed to ``_pareto_points``."""
-    joints = _enumerate_joints(mesh, t_size, n_x, max_candidates)
+    joints = _enumerate_joints(mesh, t_size, n_x)
     commons, personals = np.empty(len(joints)), np.empty(len(joints))
     for lo in range(0, len(joints), _CHUNK):
         commons[lo:lo + _CHUNK], personals[lo:lo + _CHUNK] = rates(joints[lo:lo + _CHUNK])
@@ -139,13 +139,12 @@ def _scan(mode: str, rates, mesh: int, t_size: int, n_x: int, max_candidates: in
     return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, r_grid)
 
 
-def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int | None = None,
-                     max_candidates: int = MAX_CANDIDATES) -> Frontier:
+def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int | None = None) -> Frontier:
     """Exact Pareto frontier of (min label-Holevo, conditional label-Holevo to B)
     over every mesh-grid joint distribution p(t, x).
 
     The nominal budget envelope is |X| <= 3, t_size <= 4, mesh <= 12; anything
-    whose stars-and-bars count stays under ``max_candidates`` is accepted.
+    whose stars-and-bars count stays under ``MAX_CANDIDATES`` is accepted.
     """
     if not isinstance(w, CqBroadcastChannel):
         raise ValidationError("grid oracle expects a cq broadcast channel")
@@ -166,7 +165,7 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
         (cond_b, h_b), (cond_c, h_c) = holevo
         return np.minimum(h_b - cond_b, h_c - cond_c), cond_b - p_x @ h_b_x
 
-    return _scan("oracle-grid", rates, mesh, t_size, n_x, max_candidates, r_grid)
+    return _scan("oracle-grid", rates, mesh, t_size, n_x, r_grid)
 
 
 @dataclass
@@ -183,8 +182,7 @@ class CardinalityReport:
     extended: Frontier
 
 
-def cardinality_probe(w: CqBroadcastChannel, bound: int, extra: int, mesh: int,
-                      max_candidates: int = MAX_CANDIDATES) -> CardinalityReport:
+def cardinality_probe(w: CqBroadcastChannel, bound: int, extra: int, mesh: int) -> CardinalityReport:
     """Compare grid frontiers at t_size = bound and bound + extra.
 
     ``improvement`` is the largest personal-rate gain over the base frontier's
@@ -194,8 +192,8 @@ def cardinality_probe(w: CqBroadcastChannel, bound: int, extra: int, mesh: int,
     """
     if extra < 1:
         raise ValidationError("extra must be at least 1: the extended alphabet has to contain the base one")
-    base = grid_cq_frontier(w, bound, mesh, max_candidates=max_candidates)
-    extended = grid_cq_frontier(w, bound + extra, mesh, max_candidates=max_candidates)
+    base = grid_cq_frontier(w, bound, mesh)
+    extended = grid_cq_frontier(w, bound + extra, mesh)
     improvement = 0.0
     at_common = 0.0
     for pt in base.points:
@@ -209,8 +207,7 @@ def cardinality_probe(w: CqBroadcastChannel, bound: int, extra: int, mesh: int,
 
 
 def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, mesh: int,
-                              t_size: int | None = None,
-                              max_candidates: int = MAX_CANDIDATES) -> Frontier:
+                              t_size: int | None = None) -> Frontier:
     """Exhaustive (I(T;Z), I(X;Y|T)) frontier for a classical cascade X -> Y -> Z.
 
     Pure probability-table computation, independent of the matrix machinery.
@@ -231,4 +228,4 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
         return (h_t + _table_entropy(p_tz.sum(axis=1)) - _table_entropy(p_tz),
                 _table_entropy(joint) + _table_entropy(p_ty) - _table_entropy(joint[..., None] * p1.T) - h_t)
 
-    return _scan("oracle-classical", rates, mesh, t_size, n_x, max_candidates, None)
+    return _scan("oracle-classical", rates, mesh, t_size, n_x, None)

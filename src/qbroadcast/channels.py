@@ -2,18 +2,18 @@
 
 A broadcast channel is a CPTP map from one input to a two-receiver output
 B (x) C.  A channel holds one read-only (n, out, in) Kraus stack: its action is
-``_images``, and its isometric extension, complementary channel and marginals
-are reshapes or transposes of that stack.  A classical-input (cq) channel holds
-its symbols and one read-only (x, d_B*d_C, d_B*d_C) stack of conditional states:
-its receiver marginals are one batched trace.  Every k-use channel (Kraus
-stacks, cq states, dephasing images) comes from one grouped Kronecker power,
-``_kron_power``.  The degrading-map search at the bottom
-certifies (numerically) whether one receiver's marginal can be post-processed
-into the other's.  It tries, in order: identity, the dephasing basis, then
-least squares and an optimized measure-prepare fit for commuting B probes, or a
-linear fit and a QR-retraction fit for non-commuting.  It stops once a map
-certifies or meets the contraction floor, the trace-norm lower bound that no
-map's residual can fall below.
+``_images``, and its isometric extension, complementary channel, marginals and
+receiver swap are reshapes or transposes of that stack.  A classical-input (cq)
+channel holds its symbols and one read-only (x, d_B*d_C, d_B*d_C) stack of
+conditional states: its receiver marginals are one batched trace, its receiver
+swap one transpose.  Every k-use channel (Kraus stacks, cq states, dephasing
+images) comes from one grouped Kronecker power, ``_kron_power``.  The
+degrading-map search at the bottom certifies (numerically) whether one
+receiver's marginal can be post-processed into the other's.  It tries, in
+order: identity, the dephasing basis, then least squares and an optimized
+measure-prepare fit for commuting B probes, or a linear fit and a QR-retraction
+fit for non-commuting.  It stops once a map certifies or meets the contraction
+floor, the trace-norm lower bound that no map's residual can fall below.
 """
 
 from __future__ import annotations
@@ -216,6 +216,13 @@ class BroadcastChannel(KrausChannel):
         """(channel to B, channel to C)."""
         return self.marginal(self.b_label), self.marginal(self.c_label)
 
+    def swapped(self) -> "BroadcastChannel":
+        """The channel with its receivers exchanged: the (n, d_B, d_C, d_in) stack's receiver axes
+        swapped and the layout reversed.  It carries no DephasingSpec, which writes to B."""
+        db, dc = self.out_layout.dims
+        ops = self.ops.reshape(-1, db, dc, self.in_dim).transpose(0, 2, 1, 3).reshape(self.ops.shape)
+        return BroadcastChannel(ops, SystemLayout(self.out_layout.parts[::-1]), validate=False)
+
     def tensor_power(self, k: int) -> "BroadcastChannel":
         """k parallel uses: ``_kron_power`` of the (n, d_B, d_C, d_in) Kraus stack, B and C factors each merged."""
         if k == 1:
@@ -282,6 +289,12 @@ class CqBroadcastChannel:
             weights = {x: float(w) for x, w in zip(self.symbols, arr)}
         return CqState(weights, {x: DensityMatrix(rho, self.out_layout, validate=False)
                                  for x, rho in zip(self.symbols, self.states)})
+
+    def swapped(self) -> "CqBroadcastChannel":
+        """The channel with its receivers exchanged: one transpose swaps every conditional's B and C factors."""
+        db, dc = self.out_layout.dims
+        states = self.states.reshape(-1, db, dc, db, dc).transpose(0, 2, 1, 4, 3).reshape(self.states.shape)
+        return CqBroadcastChannel(self.symbols, states, SystemLayout(self.out_layout.parts[::-1]), validate=False)
 
     def commuting_b(self) -> bool:
         """Whether all B-marginal conditionals pairwise commute."""
@@ -434,11 +447,14 @@ def make_classical_cascade(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray) -> 
     return CqBroadcastChannel(range(nx), states, layout(("B", ny), ("C", nz)), validate=False)
 
 
+def _bsc_tables(flip1: float, flip2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The p(y|x) and p(z|y) tables of BSC(flip1) followed by BSC(flip2)."""
+    return tuple(np.array([[1 - f, f], [f, 1 - f]]) for f in (flip1, flip2))
+
+
 def make_bsc_cascade(flip1: float = 0.1, flip2: float = 0.2) -> CqBroadcastChannel:
     """Binary symmetric cascade: BSC(flip1) to B, then BSC(flip2) from B to C."""
-    p1 = np.array([[1 - flip1, flip1], [flip1, 1 - flip1]])
-    p2 = np.array([[1 - flip2, flip2], [flip2, 1 - flip2]])
-    return make_classical_cascade(p1, p2)
+    return make_classical_cascade(*_bsc_tables(flip1, flip2))
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +707,10 @@ _STRATEGIES = (
 
 def _search_state(bc_or_pair, cfg) -> SimpleNamespace:
     """What the strategies read: probe stacks and dimensions, commuting B and its basis, spec, rng, cfg and fit."""
-    from .optimize import maximize_batch
+    from .optimize import maximize_batch, seeded_rng
 
     b_states, c_states, commute = _probe_pairs(bc_or_pair)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5E9]))
+    rng = seeded_rng(cfg.seed, 0x5E9)
     s = SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
                         spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
                         basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: each command parses its arguments, calls the library
+and prints; every channel, witness and table rule lives in the library.
 
 Frontier output is CSV with columns ``common_rate,personal_rate,witness_id``,
 12 significant digits, newline endings; reruns with the same arguments are
@@ -25,8 +26,8 @@ from .bruteforce import (
     grid_cq_frontier,
     mesh_tolerance,
 )
-from .channels import BroadcastChannel, CqBroadcastChannel, degradedness_residual, make_bsc_cascade
-from .errors import BudgetError, ValidationError
+from .channels import CqBroadcastChannel, _bsc_tables, degradedness_residual, make_bsc_cascade
+from .errors import BudgetError, ValidationError, prefixed
 from .optimize import OptimizerConfig
 from .quantities import (
     _entropy_of,
@@ -36,6 +37,7 @@ from .quantities import (
     mutual_information,
 )
 from .regions import (
+    _stored_rates,
     cq_broadcast_frontier,
     cq_entanglement_frontier,
     dephasing_cq_frontier,
@@ -44,7 +46,6 @@ from .regions import (
     qq_frontier,
 )
 from .specio import BUILTIN_CHANNELS, parse_channel_spec, parse_state_spec, serialize_channel
-from .states import SystemLayout
 
 WITNESS_FORMAT = "qbroadcast-witness-v1"
 
@@ -148,17 +149,7 @@ def _cmd_quantities(args) -> int:
 
 def _cmd_check_degraded(args) -> int:
     ch = _load_channel(args.channel)
-    if args.reverse:
-        if isinstance(ch, BroadcastChannel):
-            m_b, m_c = ch.marginals()
-            report = degradedness_residual((m_c, m_b))
-        else:  # one transpose swaps every conditional's B and C factors
-            db, dc = ch.out_layout.dims
-            states = ch.states.reshape(-1, db, dc, db, dc).transpose(0, 2, 1, 4, 3).reshape(ch.states.shape)
-            swapped = CqBroadcastChannel(ch.symbols, states, SystemLayout(ch.out_layout.parts[::-1]), validate=False)
-            report = degradedness_residual(swapped)
-    else:
-        report = degradedness_residual(ch)
+    report = degradedness_residual(ch.swapped() if args.reverse else ch)
     sys.stdout.write(f"residual: {_fmt(report.residual)}\n")
     sys.stdout.write(f"certified: {'true' if report.certified else 'false'}\n")
     sys.stdout.write(f"method: {report.method}\n")
@@ -197,12 +188,7 @@ def _cmd_oracle_classical(args) -> int:
         f1, f2 = (float(part) for part in args.cascade.split(","))
     except ValueError:
         raise ValidationError(f"cascade: expected two comma-separated flip probabilities, got {args.cascade!r}")
-    frontier = classical_degraded_region(
-        np.array([[1 - f1, f1], [f1, 1 - f1]]),
-        np.array([[1 - f2, f2], [f2, 1 - f2]]),
-        args.mesh,
-        t_size=args.t_size,
-    )
+    frontier = classical_degraded_region(*_bsc_tables(f1, f2), args.mesh, t_size=args.t_size)
     return _write_frontier(args.out, frontier.points, "cl", "oracle-classical", 1,
                            serialize_channel(make_bsc_cascade(f1, f2)), frontier.metadata)
 
@@ -214,27 +200,6 @@ def _cmd_pinching_boundary(args) -> int:
         raise BudgetError(f"points: {args.points} boundary samples exceed the limit {MAX_CANDIDATES}")
     pts = [pinching_boundary(p) for p in np.linspace(0.0, 1.0, args.points)]
     return _write_frontier(args.out, pts, "cf", "pinching-boundary", 1, None, {"points": args.points})
-
-
-def _recompute_entry(mode: str, channel, k: int, entry: dict) -> tuple[float, float]:
-    if "params" in entry:
-        params = entry["params"]
-        if not isinstance(params, dict):
-            raise ValidationError(f"{entry.get('witness_id', '?')}: params must be an object")
-    elif "joint" in entry:
-        if channel is None:
-            raise ValidationError(f"{entry.get('witness_id', '?')}: grid witness without a channel document")
-        params = {"joint": entry["joint"]}
-    elif entry.get("kind") == "closed-form":
-        try:
-            p = float(entry["p"])
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"{entry.get('witness_id', '?')}: a closed-form witness needs a numeric p")
-        pt = pinching_boundary(p)
-        return pt.common_rate, pt.personal_rate
-    else:
-        raise ValidationError(f"{entry.get('witness_id', '?')}: no re-evaluatable parameters")
-    return evaluate_witness(mode, channel, params, k=k)
 
 
 def _cmd_verify(args) -> int:
@@ -264,9 +229,7 @@ def _cmd_verify(args) -> int:
             r_target = float(entry.get("r_target", np.inf))
         except (KeyError, TypeError, ValueError):
             raise ValidationError(f"{wid}: stored common_rate, personal_rate and r_target must be numbers")
-        raw_c, raw_p = _recompute_entry(mode, channel, k, entry)
-        # a swept or resampled point stores its target common rate, which its witness may exceed
-        common, personal = max(0.0, min(r_target, raw_c)), max(0.0, raw_p)
+        common, personal = _stored_rates(*prefixed(wid, evaluate_witness, mode, channel, entry, k), r_target)
         dc = abs(common - stored_c)
         dp = abs(personal - stored_p)
         if max(dc, dp) <= args.tol:

@@ -19,8 +19,9 @@ target, and a binding receiver's that no asked row binds.  The conditional kind
 (cq and dephasing families) divides each softmax block of the exact gradient by
 its probabilities, the mirror direction s_i - <p, s> that still moves at the
 simplex boundary where their optima sit; the pure-state kind follows the exact
-gradient.  Closed-form and entropy-oracle evaluators for the small worked cases
-live at the bottom.
+gradient.  Witness re-evaluation lives at the bottom: ``evaluate_witness`` reads
+every witness kind a frontier stores, and ``_stored_rates`` turns raw rates into
+the rates a frontier row stores.
 
 The personal rate is data: each family's setup declares signed receiver
 entropies plus an optional per-symbol offset linear in the payload, and the
@@ -55,6 +56,7 @@ from .channels import BroadcastChannel, CqBroadcastChannel, degradedness_residua
 from .errors import BudgetError, ValidationError
 from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax, softmax_grad
 from .quantities import coherent_information
+from .specio import complex_from_json, complex_to_json
 from .states import ENTROPY_CLAMP, PureState, binary_entropy, entropy_and_slope, entropy_of_spectrum, matrix_entropy
 
 
@@ -114,10 +116,6 @@ class IndependentRates:
     rate_c: float
     feasible_b: bool
     feasible_c: bool
-
-
-def _clip_rate(x: float) -> float:
-    return 0.0 if x < 0.0 else float(x)
 
 
 def batched_entropy(mats: np.ndarray):
@@ -409,15 +407,8 @@ def _pure_structured(ev, rng) -> np.ndarray:
     return np.stack(rows)
 
 
-def _pure_load(value) -> np.ndarray:
-    pairs = np.asarray(value, dtype=float)
-    if pairs.shape[-1:] != (2,):
-        raise ValueError("amplitudes must be [real, imag] pairs")
-    return (pairs[..., 0] + 1j * pairs[..., 1])[None]
-
-
 # payload: one pure state on reference (x) input per label, flattened; witnesses
-# store each amplitude as a [real, imag] pair
+# store each amplitude as a [re, im] pair, by the rule of the channel documents
 _PURE = dict(
     decode=_pure_decode,
     decode_grad=_pure_decode_grad,
@@ -427,8 +418,8 @@ _PURE = dict(
     structured_rows=2,  # each draws its own perturbation
     init_scale=1.0,
     key="states",
-    dump=lambda phi: np.stack([phi.real, phi.imag], axis=-1).tolist(),
-    load=_pure_load,
+    dump=complex_to_json,
+    load=lambda value: complex_from_json(value, "states")[None],
 )
 
 
@@ -609,7 +600,7 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
             "raw_personal": raw_p,
             "converged": bool(info["converged"]),
         }
-        rows.append((_clip_rate(min(r_target, raw_c)), _clip_rate(raw_p), witness))
+        rows.append((*_stored_rates(raw_c, raw_p, r_target), witness))
         # a converged point at zero common rate is stationary for the next target too:
         # the personal rate is at a maximum and the common rate at its minimum, so the
         # exact gradient vanishes there and that target starts fresh instead
@@ -770,16 +761,27 @@ def build_evaluator(mode: str, channel, k: int = 1, t_size: int | None = None):
     return _LabelEnsembleEvaluator(mode, channel, k=k, t_size=t_size)
 
 
-def evaluate_witness(mode: str, channel, params: dict, k: int = 1) -> tuple[float, float]:
-    """Recompute (common, personal) from stored witness parameters.
+def evaluate_witness(mode: str, channel, witness: dict, k: int = 1) -> tuple[float, float]:
+    """Recompute raw (common, personal) from a witness as a ``RatePoint`` or a sidecar entry stores it.
 
-    ``params`` is a frontier witness (``p_t`` plus the mode's payload) or a
-    grid-oracle witness ``{"joint": p(t, x)}``, which is read as a single-use
-    ``cq`` witness whatever ``mode`` says.
+    ``params`` holds a frontier witness (``p_t`` plus the mode's payload); a grid-oracle
+    ``joint`` p(t, x) is read as a single-use ``cq`` witness whatever ``mode`` says; a
+    ``closed-form`` witness is the ``pinching_boundary`` sample at its ``p``.
     """
-    if "joint" in params:
+    if "params" in witness:
+        params = witness["params"]
+        if not isinstance(params, dict):
+            raise ValidationError("params must be an object")
         try:
-            joint = np.asarray(params["joint"], dtype=float)
+            t_size = len(params["p_t"])
+        except (KeyError, TypeError):
+            raise ValidationError("witness params need a p_t list")
+        return build_evaluator(mode, channel, k=k, t_size=t_size).rates_from_witness(params)
+    if "joint" in witness:
+        if channel is None:
+            raise ValidationError("grid witness without a channel document")
+        try:
+            joint = np.asarray(witness["joint"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"grid witness joint is not a numeric table: {exc}")
         if joint.ndim != 2:
@@ -795,9 +797,17 @@ def evaluate_witness(mode: str, channel, params: dict, k: int = 1) -> tuple[floa
         cond = joint / safe[:, None]
         cond[p_t == 0] = 1.0 / joint.shape[1]
         return ev.rates_from_witness({"p_t": p_t, "p_x_given_t": cond})
-    try:
-        t_size = len(params["p_t"])
-    except (KeyError, TypeError):
-        raise ValidationError("witness params need a p_t list")
-    ev = build_evaluator(mode, channel, k=k, t_size=t_size)
-    return ev.rates_from_witness(params)
+    if witness.get("kind") == "closed-form":
+        try:
+            p = float(witness["p"])
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError("a closed-form witness needs a numeric p")
+        pt = pinching_boundary(p)
+        return pt.common_rate, pt.personal_rate
+    raise ValidationError("no re-evaluatable parameters")
+
+
+def _stored_rates(common: float, personal: float, r_target: float = np.inf) -> tuple[float, float]:
+    """The (common, personal) a frontier row stores for its witness's raw rates: both clipped at 0,
+    the common rate first capped at the row's target, which a swept or resampled witness may exceed."""
+    return float(max(min(r_target, common), 0.0)), float(max(personal, 0.0))

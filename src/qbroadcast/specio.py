@@ -1,6 +1,8 @@
 """JSON documents for channels and states (the CLI writes and reads witness sidecars).
 
-Complex entries are stored as two-element [re, im] arrays.  Channel kinds:
+Complex entries are stored as two-element [re, im] arrays by ``complex_to_json``
+and read back by ``complex_from_json``; the pure-state witnesses of a frontier
+sidecar use the same rule.  Channel kinds:
 
 - ``{"kind": "builtin", "name": "pinching"}``
 - ``{"kind": "cq", "b_dim": .., "c_dim": .., "symbols": [..], "conditionals": [..]}``

@@ -47,7 +47,7 @@ class TestCompositions:
         for mesh, t_size, n_x in [(9, 4, 3), (6, 3, 2), (5, 2, 3), (4, 3, 3), (7, 1, 2), (5, 1, 3)]:
             ascending = [row for row in recursive(mesh, t_size * n_x) if all(
                 row[t * n_x:(t + 1) * n_x] <= row[(t + 1) * n_x:(t + 2) * n_x] for t in range(t_size - 1))]
-            joints = _enumerate_joints(mesh, t_size, n_x, max_candidates=composition_count(mesh, t_size * n_x))
+            joints = _enumerate_joints(mesh, t_size, n_x)
             assert joints.shape == (len(ascending), t_size, n_x)
             assert np.array_equal(joints.reshape(len(joints), -1) * float(mesh), np.array(ascending, dtype=float))
 
@@ -78,7 +78,7 @@ class TestGridOracle:
 
     def test_budget_error(self):
         with pytest.raises(qb.BudgetError):
-            grid_cq_frontier(qb.make_bsc_cascade(), 3, 12, max_candidates=100)
+            grid_cq_frontier(qb.make_bsc_cascade(), 3, 60)
 
     def test_noiseless_bit_frontier(self):
         fr = grid_cq_frontier(qb.make_noiseless_bit(), 2, 8)
@@ -237,7 +237,7 @@ class TestGridKernels:
             return -(evals * logs).sum(axis=-1)
 
         w = rotated_pinching_cq()
-        joints = _enumerate_joints(6, 3, w.n_symbols, qb.bruteforce.MAX_CANDIDATES)
+        joints = _enumerate_joints(6, 3, w.n_symbols)
         p_t = joints.sum(axis=2, keepdims=True)
         inv_p_t = 1.0 / np.where(p_t > 0, p_t, 1.0)  # as the oracle scales its label states
         for label in (w.b_label, w.c_label):
@@ -312,11 +312,17 @@ class TestRelabeling:
 
 class TestBudget:
     def test_refused_before_any_block_table(self, monkeypatch):
+        # MAX_CANDIDATES is the one budget: every oracle refuses a mesh whose stars-and-bars count exceeds it
         def refuse(*args):
             raise AssertionError("block table built for an over-budget enumeration")
 
+        # (mesh, t_size * |X|) of each call below; bsc at t_size 3, mesh 60 is 8.26M candidates
+        for mesh, cells in [(60, 6), (30, 12), (200, 6), (400, 4)]:
+            assert composition_count(mesh, cells) > qb.bruteforce.MAX_CANDIDATES
         monkeypatch.setattr(qb.bruteforce, "_composition_table", refuse)
         bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+        with pytest.raises(qb.BudgetError):
+            grid_cq_frontier(qb.make_bsc_cascade(), 3, 60)
         with pytest.raises(qb.BudgetError):
             grid_cq_frontier(qb.make_pinching_cq(), 4, 30)
         with pytest.raises(qb.BudgetError):

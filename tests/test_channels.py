@@ -12,12 +12,14 @@ from qbroadcast.channels import (
     _kraus_fit,
     _prep_decode,
     _probe_densities,
+    _probe_pairs,
     _residual_of_stack,
     _retraction_decode,
     _search_state,
 )
 from qbroadcast.optimize import OptimizerConfig
 from qbroadcast.optimize import seeded_rng
+from qbroadcast.specio import BUILTIN_CHANNELS
 from qbroadcast.states import _hermitize
 
 from conftest import central_differences, generic_dephasing, spectrum_entropy
@@ -519,6 +521,62 @@ class TestTensorPower:
         for item in (qb.make_pinching(), qb.make_pinching_cq(), qb.DephasingSpec(2, 2, random_unit_rows(rng, 3, 4))):
             with pytest.raises(qb.ValidationError):
                 item.tensor_power(0)
+
+
+def swap_cases():
+    """(name, channel): every builtin, then seeded random Kraus and cq channels with dense B and C of dims 2-3."""
+    cases = [(name, make()) for name, make in BUILTIN_CHANNELS.items()]
+    rng = np.random.default_rng(80)
+    for db, dc in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        lay = qb.layout(("B", db), ("C", dc))
+        cases.append((f"kraus-{db}x{dc}", qb.BroadcastChannel(random_channel(rng, 2, db * dc, 2), lay)))
+        states = [qb.random_density_matrix(lay, rng).matrix for _ in range(3)]
+        cases.append((f"cq-{db}x{dc}", qb.CqBroadcastChannel(["u", "v", "w"], states, lay)))
+    return cases
+
+
+SWAP_CASES = swap_cases()
+
+
+def receivers_reversed(ch):
+    """The receivers reversed without ``swapped``: the (to-C, to-B) marginal pair of a Kraus channel,
+    or each cq conditional reordered to C (x) B."""
+    if isinstance(ch, qb.BroadcastChannel):
+        m_b, m_c = ch.marginals()
+        return m_c, m_b
+    per_symbol = [qb.DensityMatrix(rho, ch.out_layout, validate=False).reorder(ch.out_layout.labels[::-1]).matrix
+                  for rho in ch.states]
+    return qb.CqBroadcastChannel(ch.symbols, np.stack(per_symbol),
+                                 qb.SystemLayout(ch.out_layout.parts[::-1]), validate=False)
+
+
+class TestSwapped:
+    @pytest.mark.parametrize("name,ch", SWAP_CASES, ids=[name for name, _ in SWAP_CASES])
+    def test_probes_match_the_reversed_view(self, name, ch):
+        swapped = ch.swapped()
+        assert swapped.out_layout.parts == ch.out_layout.parts[::-1]
+        (b, c, commute), (b_ref, c_ref, commute_ref) = _probe_pairs(swapped), _probe_pairs(receivers_reversed(ch))
+        assert np.array_equal(b, b_ref) and np.array_equal(c, c_ref) and commute == commute_ref
+
+    @pytest.mark.parametrize("name,ch", SWAP_CASES, ids=[name for name, _ in SWAP_CASES])
+    def test_swapping_twice_gives_the_same_report(self, name, ch):
+        twice = ch.swapped().swapped()
+        stack = "ops" if isinstance(ch, qb.BroadcastChannel) else "states"
+        assert np.array_equal(getattr(twice, stack), getattr(ch, stack)) and twice.out_layout == ch.out_layout
+        # a swap drops any DephasingSpec, so a Kraus channel's report is compared with that of its marginal pair:
+        # the same probes, without the dephasing-basis map the spec would offer
+        cfg = OptimizerConfig(restarts=2, max_iters=20)
+        once = qb.degradedness_residual(ch.marginals() if stack == "ops" else ch, cfg=cfg)
+        again = qb.degradedness_residual(twice, cfg=cfg)
+        assert (again.residual, again.certified, again.method, again.floor) == \
+            (once.residual, once.certified, once.method, once.floor)
+        assert np.array_equal(again.degrading_map.ops, once.degrading_map.ops)
+
+    @pytest.mark.parametrize("make", [qb.make_pinching, qb.make_ghz_copy, generic_dephasing])
+    def test_swapped_kraus_channel_carries_no_dephasing_spec(self, make):
+        ch = make()
+        assert ch.dephasing is not None
+        assert ch.swapped().dephasing is None
 
 
 class TestDegradedness:

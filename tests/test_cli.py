@@ -6,8 +6,11 @@ import pytest
 
 import qbroadcast as qb
 from qbroadcast import cli, optimize
+from qbroadcast.bruteforce import grid_cq_frontier
 from qbroadcast.cli import WITNESS_FORMAT, _build_parser, run
-from qbroadcast.specio import complex_to_json
+from qbroadcast.optimize import OptimizerConfig
+from qbroadcast.regions import _MODES, _stored_rates, _sweep, build_evaluator, evaluate_witness, pinching_boundary
+from qbroadcast.specio import BUILTIN_CHANNELS, complex_to_json
 
 
 def region_args(out, channel="noiseless-bit", mode="cq", size=("--grid", "3", "--restarts", "4")):
@@ -654,6 +657,42 @@ class TestPinchingBoundaryCommand:
     def test_needs_two_points(self, capsys):
         assert run(["pinching-boundary", "--points", "1"]) == 2
         assert "ERR_VALIDATE" in capsys.readouterr().err
+
+
+# (witness mode, builtin): every region mode on the first builtin it accepts, a resampled grid-oracle
+# frontier and the closed-form pinching boundary
+STORED_RATE_CASES = [(mode, next(name for name, make in BUILTIN_CHANNELS.items() if family.accepts(make())))
+                     for mode, (family, *_) in _MODES.items()] + [("oracle-grid", "pinching-cq"),
+                                                                  ("pinching-boundary", None)]
+
+
+def stored_rate_points(mode, name):
+    """(channel, frontier points) of a ``STORED_RATE_CASES`` entry at a tiny config."""
+    ch = BUILTIN_CHANNELS[name]() if name else None
+    if mode == "oracle-grid":
+        return ch, grid_cq_frontier(ch, 2, 6, r_grid=5).points
+    if mode == "pinching-boundary":
+        return ch, [pinching_boundary(p) for p in np.linspace(0.0, 1.0, 5)]
+    return ch, _sweep(build_evaluator(mode, ch, t_size=2), OptimizerConfig(restarts=2, max_iters=30, r_grid=3)).points
+
+
+class TestStoredRates:
+    @pytest.mark.parametrize("mode,name", STORED_RATE_CASES, ids=[mode for mode, _ in STORED_RATE_CASES])
+    def test_verify_stores_by_the_rule_frontiers_store_by(self, tmp_path, capsys, mode, name):
+        ch, points = stored_rate_points(mode, name)
+        capped = []
+        for pt in points:
+            raw = evaluate_witness(mode, ch, pt.witness)
+            assert _stored_rates(*raw, pt.witness.get("r_target", np.inf)) == (pt.common_rate, pt.personal_rate)
+            capped.append(raw[0] > pt.common_rate)
+        if mode == "oracle-grid":
+            assert any(capped)  # a resampled row keeps the witness of a grid point past its target
+        # verify applies the same rule, so every row re-evaluates with no tolerance at all
+        out = str(tmp_path / "front.csv")
+        cli._write_frontier(out, points, "pt", mode, 1, None if ch is None else qb.serialize_channel(ch), {})
+        capsys.readouterr()
+        assert run(["verify", "--witness", out + ".witness.json", "--tol", "0"]) == 0
+        assert capsys.readouterr().out.endswith(f"verified {len(points)} rows\n")
 
 
 class TestOneProcess:

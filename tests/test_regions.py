@@ -174,7 +174,7 @@ class TestWitnessDualRoute:
         w = qb.make_bsc_cascade()
         fr = qb.cq_broadcast_frontier(w, cfg=small_cfg(restarts=4), r_values=[0.1, 0.3], t_size=2)
         for pt in fr.points:
-            c, p = evaluate_witness("cq", w, pt.witness["params"])
+            c, p = evaluate_witness("cq", w, pt.witness)
             assert abs(c - pt.witness["raw_common"]) < 1e-12
             assert abs(p - pt.witness["raw_personal"]) < 1e-12
 
@@ -199,7 +199,7 @@ class TestWitnessDualRoute:
             common_dual = min(qb.mutual_information(rho, "T", "B"),
                               qb.mutual_information(rho, "T", "C"))
             personal_dual = qb.conditional_mutual_information(rho, "X", "B", "T")
-            c, p = evaluate_witness("cq", w, params)
+            c, p = evaluate_witness("cq", w, {"params": params})
             assert abs(c - common_dual) < 1e-9
             assert abs(p - personal_dual) < 1e-9
 
@@ -218,7 +218,7 @@ class TestWitnessDualRoute:
             blocks = [iso @ np.diag(row) @ iso.conj().T for row in cond]
             rho = qb.DensityMatrix(label_blocks(p_t, blocks),
                                    qb.layout(("T", 2), ("B", n), ("C", spec.c_dim), ("E", spec.e_dim)))
-            c, p = evaluate_witness("dephasing", ch, params)
+            c, p = evaluate_witness("dephasing", ch, {"params": params})
             assert abs(c - qb.mutual_information(rho, "T", "C")) < 1e-9
             h_b, h_ce = qb.conditional_entropy(rho, "B", "T"), qb.conditional_entropy(rho, {"C", "E"}, "T")
             assert abs(p - (h_b - h_ce)) < 1e-9
@@ -234,7 +234,7 @@ class TestWitnessDualRoute:
             outs = [ch.apply_to(psi.to_density(), "in") for psi in pure]
             rho = qb.DensityMatrix(label_blocks(p_t, [sigma.matrix for sigma in outs]),
                                    qb.layout(("T", 2), *outs[0].layout.parts))
-            c, p = evaluate_witness("cq-eg", ch, params)
+            c, p = evaluate_witness("cq-eg", ch, {"params": params})
             assert abs(c - min(qb.mutual_information(rho, "T", "B"), qb.mutual_information(rho, "T", "C"))) < 1e-9
             assert abs(p - sum(pt * qb.coherent_information(sigma, "R", "B") for pt, sigma in zip(p_t, outs))) < 1e-9
 
@@ -453,7 +453,7 @@ class TestCertification:
         assert cert.frontier is not None
         assert cert.frontier.metadata["mode"] == "cq-certified"
         pt = cert.frontier.points[-1]
-        c, p = evaluate_witness("cq-certified", qb.make_pinching_cq(), pt.witness["params"])
+        c, p = evaluate_witness("cq-certified", qb.make_pinching_cq(), pt.witness)
         assert abs(c - pt.witness["raw_common"]) < 1e-12
         assert abs(p - pt.witness["raw_personal"]) < 1e-12
 

@@ -135,3 +135,18 @@ class TestOneTraceNormRule:
                   "    return np.linalg.svd(d, compute_uv=False).sum(axis=-1).max()\n"
                   "def floor(d):\n    return trace_norms(d).max()\n")
         assert attribute_sites(source, "channels", "svd") == {"channels.residual"}
+
+
+class TestCliHoldsNoArrayMath:
+    # the CLI parses, calls one library function per command and prints: channel swaps, witness
+    # reading and probability tables live in the library
+    @pytest.mark.parametrize("attr", ["reshape", "transpose", "array"])
+    def test_cli_reads_no_array_math(self, attr):
+        assert {site for site in package_sites(attr) if site.split(".")[0] == "cli"} == set()
+
+    def test_detects_a_second_copy(self):
+        source = ("import numpy as np\ndef _cmd_check(ch):\n    db, dc = ch.dims\n"
+                  "    return ch.states.reshape(-1, db, dc, db, dc).transpose(0, 2, 1, 4, 3)\n"
+                  "def _cmd_table(f):\n    return np.array([[1 - f, f], [f, 1 - f]])\n")
+        assert {attr: attribute_sites(source, "cli", attr) for attr in ("reshape", "transpose", "array")} == \
+            {"reshape": {"cli._cmd_check"}, "transpose": {"cli._cmd_check"}, "array": {"cli._cmd_table"}}
