@@ -14,13 +14,14 @@ the ``Frontier`` and ``RatePoint`` containers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import CqBroadcastChannel, _cascade_tables
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, integer
 from .regions import Frontier, RatePoint, pareto_staircase
 
 MAX_CANDIDATES = 2_000_000
@@ -30,7 +31,7 @@ _CLAMP = 1e-12
 
 def mesh_tolerance(mesh: int) -> float:
     """Frontier slack attributable to the grid: 1.5 / mesh (0.15 at mesh 10)."""
-    return 1.5 / float(mesh)
+    return 1.5 / integer(mesh, "mesh", 1)
 
 
 def composition_count(total: int, parts: int) -> int:
@@ -41,22 +42,15 @@ def composition_count(total: int, parts: int) -> int:
 def _composition_table(total: int, parts: int) -> np.ndarray:
     """(count, parts) table of every composition of ``total``, rows in lexicographic order.
 
-    Built bottom-up one leading column at a time: the compositions of s into
-    w parts are, for each head h = 0..s in turn, h followed by the
-    compositions of s - h into w - 1 parts.  Stacked by descending sum, those
-    tails are one slice, the last ``composition_count(s, w)`` rows of the stack.
+    Stars and bars: each choice of ``parts - 1`` bar positions among ``total + parts - 1``
+    slots, in ``itertools.combinations`` order, is one row, its parts the gaps between bars.
     Entries use the smallest integer type that holds ``total``.
     """
-    if parts < 1:
-        raise ValidationError("compositions needs at least one part")
-    dtype = np.min_scalar_type(total)
-    stack = np.arange(total, -1, -1, dtype=dtype)[:, None]  # one part: sums total..0
-    for width in range(2, parts + 1):
-        counts = np.array([composition_count(s, width - 1) for s in range(total + 1)])
-        sums = range(total, -1, -1) if width < parts else (total,)
-        stack = np.concatenate([np.column_stack((np.repeat(np.arange(s + 1, dtype=dtype), counts[s::-1]),
-                                                 stack[len(stack) - composition_count(s, width):])) for s in sums])
-    return stack[:composition_count(total, parts)]
+    total, parts = integer(total, "total", 0), integer(parts, "parts", 1)
+    slots, count = total + parts - 1, composition_count(total, parts)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+                       dtype=np.intp, count=count * (parts - 1)).reshape(count, parts - 1)
+    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1).astype(np.min_scalar_type(total))
 
 
 def compositions(total: int, parts: int):
@@ -122,7 +116,7 @@ def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarra
     if r_grid is None:
         return frontier
     resampled = []
-    for r in np.linspace(0.0, frontier.max_common(), int(r_grid)):
+    for r in np.linspace(0.0, frontier.max_common(), r_grid):
         hit = frontier.point_at(r, slack=1e-12)  # a staircase always holds a point at max_common()
         resampled.append(RatePoint(float(r), hit.personal_rate, dict(hit.witness, r_target=float(r))))
     return Frontier(resampled, dict(meta, resampled=True))
@@ -135,7 +129,7 @@ def _scan(mode: str, rates, mesh: int, t_size: int, n_x: int, r_grid: int | None
     commons, personals = np.empty(len(joints)), np.empty(len(joints))
     for lo in range(0, len(joints), _CHUNK):
         commons[lo:lo + _CHUNK], personals[lo:lo + _CHUNK] = rates(joints[lo:lo + _CHUNK])
-    meta = {"mode": mode, "t_size": int(t_size), "mesh": mesh, "candidates": composition_count(mesh, t_size * n_x)}
+    meta = {"mode": mode, "t_size": t_size, "mesh": mesh, "candidates": composition_count(mesh, t_size * n_x)}
     return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, r_grid)
 
 
@@ -148,8 +142,8 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
     """
     if not isinstance(w, CqBroadcastChannel):
         raise ValidationError("grid oracle expects a cq broadcast channel")
-    if t_size < 1 or mesh < 1 or (r_grid is not None and r_grid < 1):
-        raise ValidationError("t_size, mesh and r_grid must be positive")
+    t_size, mesh = integer(t_size, "t_size", 1), integer(mesh, "mesh", 1)
+    r_grid = None if r_grid is None else integer(r_grid, "r_grid", 1)
     n_x = w.n_symbols
     kernels = [_receiver_kernel(w.marginal_conditionals(label)) for label in (w.b_label, w.c_label)]
     h_b_x = kernels[0][1](kernels[0][0])  # H(B | X = x) for each symbol x
@@ -190,8 +184,8 @@ def cardinality_probe(w: CqBroadcastChannel, bound: int, extra: int, mesh: int) 
     extended representative with the same rates, so the gain is nonnegative);
     ``reach_gain`` is the gain in maximal common rate.
     """
-    if extra < 1:
-        raise ValidationError("extra must be at least 1: the extended alphabet has to contain the base one")
+    # extra >= 1: the extended alphabet has to contain the base one
+    bound, extra, mesh = integer(bound, "bound", 1), integer(extra, "extra", 1), integer(mesh, "mesh", 1)
     base = grid_cq_frontier(w, bound, mesh)
     extended = grid_cq_frontier(w, bound + extra, mesh)
     improvement = 0.0
@@ -217,8 +211,7 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
     (ny, n_x), nz = p1.shape, p2.shape[0]
     if t_size is None:
         t_size = min(n_x, ny, nz) + 1
-    if t_size < 1 or mesh < 1:
-        raise ValidationError("t_size and mesh must be positive")
+    t_size, mesh = integer(t_size, "t_size", 1), integer(mesh, "mesh", 1)
     pz_x = p2 @ p1
 
     def rates(joint):

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, prefixed
+from .errors import ValidationError, integer, prefixed
+from .optimize import OptimizerConfig, maximize_batch, seeded_rng
 from .states import (
     CqState,
     DensityMatrix,
@@ -46,8 +47,7 @@ def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:
     Row (i_1 ... i_k), i_1 most significant, is stack[i_1] (x) ... (x) stack[i_k]
     with each axis d_j merged across the factors into d_j ** k.
     """
-    if k < 1:
-        raise ValidationError(f"tensor power needs k >= 1, got {k}")
+    k = integer(k, "k", 1)
     left, right = "abcdefgh"[:stack.ndim - 1], "ijklmnop"[:stack.ndim - 1]
     spec = f"y{left},z{right}->yz" + "".join(a + b for a, b in zip(left, right))
     out = stack
@@ -327,6 +327,8 @@ class DephasingSpec:
     images: np.ndarray  # (n_in, c_dim * e_dim)
 
     def __post_init__(self):
+        for name in ("c_dim", "e_dim"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, 1))
         images = np.asarray(self.images, dtype=complex)
         if images.ndim != 2 or images.shape[1] != self.c_dim * self.e_dim:
             raise ValidationError(
@@ -540,12 +542,13 @@ def _contraction_floor(b_stack: np.ndarray, c_stack: np.ndarray) -> float:
 
 
 def _measure_prepare_stack(basis: np.ndarray, preps: np.ndarray) -> np.ndarray:
-    """Kraus stack for measure-in-basis / prepare tau_j, eigendecomposing each prep."""
+    """Kraus stack for measure-in-basis / prepare tau_j, eigendecomposing each prep.
+
+    The preps are states, so each has an eigenvalue of at least 1/d_C and keeps a Kraus operator.
+    """
     vals, vecs = np.linalg.eigh(_hermitize(preps))
     outers = vecs.transpose(0, 2, 1)[..., None] * basis.conj().T[:, None, None, :]  # [j, r] = |v_jr><e_j|
     keep = vals > 1e-15
-    if not keep.any():
-        return np.zeros((1, preps.shape[1], len(basis)), dtype=complex)
     return np.sqrt(vals[keep])[:, None, None] * outers[keep]
 
 
@@ -707,8 +710,6 @@ _STRATEGIES = (
 
 def _search_state(bc_or_pair, cfg) -> SimpleNamespace:
     """What the strategies read: probe stacks and dimensions, commuting B and its basis, spec, rng, cfg and fit."""
-    from .optimize import maximize_batch, seeded_rng
-
     b_states, c_states, commute = _probe_pairs(bc_or_pair)
     rng = seeded_rng(cfg.seed, 0x5E9)
     s = SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
@@ -737,8 +738,6 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     and the contraction floor, which the report carries: no map's residual
     falls below max_{p<q} (|c_p - c_q|_1 - |b_p - b_q|_1) / 2.
     """
-    from .optimize import OptimizerConfig
-
     s = _search_state(bc_or_pair, cfg or OptimizerConfig())
     floor = _contraction_floor(s.b, s.c)
     best, best_residual, best_method = None, np.inf, "none"

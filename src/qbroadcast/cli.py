@@ -27,7 +27,7 @@ from .bruteforce import (
     mesh_tolerance,
 )
 from .channels import CqBroadcastChannel, _bsc_tables, degradedness_residual, make_bsc_cascade
-from .errors import BudgetError, ValidationError, prefixed
+from .errors import BudgetError, ValidationError, integer, prefixed
 from .optimize import OptimizerConfig
 from .quantities import (
     _entropy_of,
@@ -97,7 +97,7 @@ def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, cha
                         "personal_rate": float(pt.personal_rate), **pt.witness})
     _emit("\n".join(lines) + "\n", out)
     if out is not None:
-        doc = {"format": WITNESS_FORMAT, "mode": mode, "k": int(k), "channel": channel_doc,
+        doc = {"format": WITNESS_FORMAT, "mode": mode, "k": k, "channel": channel_doc,
                "metadata": metadata, "points": entries}
         _write_text(out + ".witness.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
@@ -194,12 +194,11 @@ def _cmd_oracle_classical(args) -> int:
 
 
 def _cmd_pinching_boundary(args) -> int:
-    if args.points < 2:
-        raise ValidationError("points: need at least 2 boundary samples")
-    if args.points > MAX_CANDIDATES:
-        raise BudgetError(f"points: {args.points} boundary samples exceed the limit {MAX_CANDIDATES}")
-    pts = [pinching_boundary(p) for p in np.linspace(0.0, 1.0, args.points)]
-    return _write_frontier(args.out, pts, "cf", "pinching-boundary", 1, None, {"points": args.points})
+    points = integer(args.points, "points", 2)
+    if points > MAX_CANDIDATES:
+        raise BudgetError(f"points: {points} boundary samples exceed the limit {MAX_CANDIDATES}")
+    pts = [pinching_boundary(p) for p in np.linspace(0.0, 1.0, points)]
+    return _write_frontier(args.out, pts, "cf", "pinching-boundary", 1, None, {"points": points})
 
 
 def _cmd_verify(args) -> int:
@@ -214,9 +213,7 @@ def _cmd_verify(args) -> int:
     mode = doc.get("mode", "")
     if not isinstance(mode, str):
         raise ValidationError(f"witness: mode must be a string, got {mode!r}")
-    k = doc.get("k", 1)
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValidationError(f"witness: k must be an integer, got {k!r}")
+    k = integer(doc.get("k", 1), "witness: k", 1)
     channel = parse_channel_spec(doc["channel"]) if doc.get("channel") else None
     points = doc.get("points", [])
     if not isinstance(points, list) or not all(isinstance(entry, dict) for entry in points):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one rule that names the input field an error came from."""
+"""Exception types shared across the package, and the two input rules every boundary uses: ``prefixed``
+names the field an error came from, ``integer`` checks every count."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -15,3 +18,12 @@ def prefixed(field: str, make, *args):
         return make(*args)
     except ValidationError as exc:
         raise ValidationError(f"{field}: {exc}") from None
+
+
+def integer(value, field: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int; a bool, a non-integer (float, NaN, str) or a value below ``minimum``
+    is a ``ValidationError`` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{field}: must be an integer{bound}, got {value!r}")
+    return int(value)

@@ -12,12 +12,11 @@ sweep's mirror direction for distributions).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import integer
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,8 @@ class OptimizerConfig:
     r_grid: int = 33
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "r_grid"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"OptimizerConfig.{name} must be an integer, got {value!r}")
-            if not value > 0:
-                raise ValidationError(f"OptimizerConfig.{name} must be positive")
+        for name in ("restarts", "max_iters", "r_grid", "seed"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, None if name == "seed" else 1))
 
 
 _LADDER = 4  # trial step sizes evaluated per line search

@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import BroadcastChannel, CqBroadcastChannel, degradedness_residual
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, integer
 from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax, softmax_grad
 from .quantities import coherent_information
 from .specio import complex_from_json, complex_to_json
@@ -219,16 +219,12 @@ class _LabelEnsembleEvaluator:
         self.family, self.common, self.rate_labels = _MODES[mode]
         if not self.family.accepts(channel):
             raise ValidationError(f"{self.family.what} {self.family.requires}")
-        if k < 1:
-            raise ValidationError(f"tensor power needs k >= 1, got {k}")
-        self.k = k
+        self.k = k = integer(k, "k", 1)
         # the budget is checked on sizes read off the single-use channel, before the k-use one exists
         inputs = channel.n_symbols if isinstance(channel, CqBroadcastChannel) else channel.in_dim
         db, dc = (d ** k for d in channel.out_layout.dims)
         self.payload_len, bound = self.family.sizes(inputs ** k, db, dc, self.common)
-        self.t_size = int(t_size) if t_size is not None else bound
-        if self.t_size < 1:
-            raise ValidationError("t_size must be at least 1")
+        self.t_size = integer(t_size, "t_size", 1) if t_size is not None else bound
         self.n_params = self.t_size + self.t_size * self.payload_len
         _budget_check(db * dc * self.t_size, self.n_params, self.family.what)
         self.fixed = self.family.setup(channel.tensor_power(k))

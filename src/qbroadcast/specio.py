@@ -10,8 +10,10 @@ sidecar use the same rule.  Channel kinds:
 - ``{"kind": "isometry", "b_dim": .., "c_dim": .., "matrix": ..}``
 - ``{"kind": "dephasing", "c_dim": .., "e_dim": .., "images": [..]}``
 
-Each field is read once.  Shapes are checked here; the library constructors
-check everything else, and ``errors.prefixed`` names the field in their errors.
+Each field is read once.  Shapes are checked here and every count (``b_dim``,
+``c_dim``, ``e_dim``, a layout dim) by ``errors.integer``; the library
+constructors check everything else, and ``errors.prefixed`` names the field in
+their errors.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .channels import (
     make_pinching,
     make_pinching_cq,
 )
-from .errors import ValidationError, prefixed
+from .errors import ValidationError, integer, prefixed
 from .states import DensityMatrix, PureState, SystemLayout, layout
 
 BUILTIN_CHANNELS = {
@@ -85,13 +87,6 @@ def _require(doc: dict, field: str, kinds=None):
     return value
 
 
-def _positive_int(doc: dict, field: str) -> int:
-    value = _require(doc, field)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValidationError(f"{field}: must be a positive integer")
-    return value
-
-
 def parse_channel_spec(source) -> CqBroadcastChannel | BroadcastChannel:
     """Build a channel from a JSON document (text or already-parsed dict)."""
     doc = _as_doc(source)
@@ -103,16 +98,14 @@ def parse_channel_spec(source) -> CqBroadcastChannel | BroadcastChannel:
             raise ValidationError(f"name: unknown builtin {name!r} (known: {known})")
         return BUILTIN_CHANNELS[name]()
     if kind == "dephasing":
-        c_dim = _positive_int(doc, "c_dim")
-        e_dim = _positive_int(doc, "e_dim")
+        c_dim, e_dim = (integer(_require(doc, field), field, 1) for field in ("c_dim", "e_dim"))
         images = complex_from_json(_require(doc, "images", list), "images")
         if images.ndim != 2 or images.shape[1] != c_dim * e_dim:
             raise ValidationError(f"images: expected rows of length {c_dim * e_dim}, got shape {images.shape}")
         return make_generalized_dephasing(prefixed("images", DephasingSpec, c_dim, e_dim, images))
     if kind not in ("cq", "kraus", "isometry"):
         raise ValidationError(f"kind: unknown channel kind {kind!r}")
-    b_dim = _positive_int(doc, "b_dim")
-    c_dim = _positive_int(doc, "c_dim")
+    b_dim, c_dim = (integer(_require(doc, field), field, 1) for field in ("b_dim", "c_dim"))
     system = layout(("B", b_dim), ("C", c_dim))
     if kind == "cq":
         symbols = _require(doc, "symbols", list)
@@ -183,9 +176,7 @@ def _layout_from_doc(data, field: str) -> SystemLayout:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise ValidationError(f"{field}[{i}]: expected [label, dim]")
         label, dim = entry
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ValidationError(f"{field}[{i}]: dim must be a positive integer")
-        parts.append((label, dim))
+        parts.append((label, integer(dim, f"{field}[{i}] dim", 1)))
     return layout(*parts)
 
 

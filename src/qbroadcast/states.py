@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -35,12 +35,10 @@ class SystemLayout:
     parts: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        parts = tuple((str(name), int(dim)) for name, dim in self.parts)
+        parts = tuple((str(name), integer(dim, f"subsystem {name!r} dimension", 1)) for name, dim in self.parts)
         object.__setattr__(self, "parts", parts)
         seen = set()
-        for name, dim in parts:
-            if dim < 1:
-                raise ValidationError(f"subsystem {name!r} has dimension {dim} < 1")
+        for name, _ in parts:
             if name in seen:
                 raise ValidationError(f"duplicate subsystem label {name!r}")
             seen.add(name)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
-from qbroadcast import cli, optimize
+from qbroadcast import channels, cli
 from qbroadcast.bruteforce import grid_cq_frontier
 from qbroadcast.cli import WITNESS_FORMAT, _build_parser, run
 from qbroadcast.optimize import OptimizerConfig
@@ -538,8 +538,8 @@ class TestCheckDegraded:
     def test_reverse_fits_only_above_the_floor(self, capsys, monkeypatch, channel, fits):
         # pinching-cq's least-squares map meets the contraction floor 1, so the measure-prepare fit is skipped;
         # pinching's best map before the fit sits above its floor 1, so the fit still runs
-        calls, real = [], optimize.maximize_batch
-        monkeypatch.setattr(optimize, "maximize_batch", lambda *a: calls.append(1) or real(*a))
+        calls, real = [], channels.maximize_batch
+        monkeypatch.setattr(channels, "maximize_batch", lambda *a: calls.append(1) or real(*a))
         assert run(["check", "degraded", "--channel", channel, "--reverse"]) == 0
         assert len(calls) == fits
         (_, _, residual, certified, method), = [v for v in DEGRADED_VERDICTS if v[:2] == (channel, True)]

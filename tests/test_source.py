@@ -92,9 +92,9 @@ class TestValidationBoundary:
         assert catchers == {"errors.prefixed", "cli.run"}
 
 
-def attribute_sites(source: str, module: str, attr: str) -> set:
-    """Where a module reads an ``.attr`` attribute (``np.log2``, ``np.linalg.svd``): ``module.function`` of
-    the innermost enclosing def, else ``module``."""
+def node_sites(source: str, module: str, hit) -> set:
+    """Where a module has a node ``hit`` accepts: ``module.function`` of the innermost enclosing def, else
+    ``module``."""
     sites = set()
 
     def visit(node, owner):
@@ -102,15 +102,31 @@ def attribute_sites(source: str, module: str, attr: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{module}.{child.name}")
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr:
+            if hit(child):
                 sites.add(owner)
             visit(child, owner)
     visit(ast.parse(source), module)
     return sites
 
 
+def attribute_sites(source: str, module: str, attr: str) -> set:
+    """Where a module reads an ``.attr`` attribute (``np.log2``, ``np.linalg.svd``)."""
+    return node_sites(source, module, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
+
+
 def package_sites(attr: str) -> set:
     return set().union(*(attribute_sites(p.read_text(encoding="utf-8"), p.stem, attr) for p in MODULES))
+
+
+def integer_check(node) -> bool:
+    """``Integral``, read as a name or an attribute, or an ``isinstance`` call whose types are or hold ``bool``."""
+    if getattr(node, "id", None) == "Integral" or getattr(node, "attr", None) == "Integral":
+        return True
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            and len(node.args) == 2):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds)
 
 
 class TestOneEntropyRule:
@@ -135,6 +151,22 @@ class TestOneTraceNormRule:
                   "    return np.linalg.svd(d, compute_uv=False).sum(axis=-1).max()\n"
                   "def floor(d):\n    return trace_norms(d).max()\n")
         assert attribute_sites(source, "channels", "svd") == {"channels.residual"}
+
+
+class TestOneIntegerRule:
+    def test_integer_checks_only_in_the_errors_rule(self):
+        # every count (dims, k, t_size, mesh, restarts, ...) goes through errors.integer
+        sites = set().union(*(node_sites(p.read_text(encoding="utf-8"), p.stem, integer_check) for p in MODULES))
+        assert sites == {"errors.integer"}
+
+    def test_detects_a_second_copy(self):
+        source = ("import numbers\nfrom numbers import Integral\ndef _positive_int(v):\n"
+                  "    if not isinstance(v, int) or isinstance(v, bool) or v < 1:\n        raise ValueError(v)\n"
+                  "class Config:\n    def check(self, v):\n        return isinstance(v, (bool, float))\n"
+                  "COUNT = isinstance(3, numbers.Integral)\ndef dims(v):\n    return isinstance(v, Integral)\n"
+                  "def other(v):\n    return isinstance(v, int) and int(v)\n")
+        assert node_sites(source, "specio", integer_check) == {"specio._positive_int", "specio.check", "specio",
+                                                               "specio.dims"}
 
 
 class TestCliHoldsNoArrayMath:
