@@ -18,10 +18,11 @@ the common rate's in a penalty stage where no asked row falls short of the
 target, and a binding receiver's that no asked row binds.  The conditional kind
 (cq and dephasing families) divides each softmax block of the exact gradient by
 its probabilities, the mirror direction s_i - <p, s> that still moves at the
-simplex boundary where their optima sit; the pure-state kind follows the exact
-gradient.  Witness re-evaluation lives at the bottom: ``evaluate_witness`` reads
-every witness kind a frontier stores, and ``_stored_rates`` turns raw rates into
-the rates a frontier row stores.
+simplex boundary where their optima sit, and takes first-order steps on it; the
+pure-state kind follows the exact gradient with L-BFGS steps.  Witness
+re-evaluation lives at the bottom: ``evaluate_witness`` reads every witness kind
+a frontier stores, and ``_stored_rates`` turns raw rates into the rates a
+frontier row stores.
 
 The personal rate is data: each family's setup declares signed receiver
 entropies plus an optional per-symbol offset linear in the payload, and the
@@ -193,7 +194,7 @@ class _Family(NamedTuple):
     decode: Callable  # raw (m, t, payload length) -> payload batch
     decode_grad: Callable  # (raw, payload, d/d payload) -> d/d raw
     check: Callable  # (payload batch, what) -> raises ValidationError unless it is a decoded payload
-    direction: Callable  # (p_t, payload, exact gradient) -> the ascent direction ``_sweep`` follows
+    direction: Callable | None  # (p_t, payload, exact gradient) -> ascent direction; None: the gradient, by L-BFGS
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
     structured_rows: int  # cold-start restarts that get a structured row (1 unless it depends on the rng)
     init_scale: float  # standard deviation of the seeded random init rows
@@ -255,9 +256,10 @@ class _LabelEnsembleEvaluator:
         ``batched_entropy``).  ``grads(rows, personal=True, common=True)`` is
         (d common / d theta, d personal / d theta, ascent) at those rows of the batch,
         a gradient None when not asked; ``ascent`` maps a gradient there to the
-        family's direction.  Entropy gradients come through the Holevo term (the
-        common rate follows each row's binding receiver) or the personal term, then
-        through the family's states map and both decodes (from ``raw``).  Only the
+        family's direction, and is None where that is the gradient itself.
+        Entropy gradients come through the Holevo term (the common rate follows
+        each row's binding receiver) or the personal term, then through the
+        family's states map and both decodes (from ``raw``).  Only the
         asked rows are pulled back, and only through the receivers they bind.
         """
         t = self.t_size
@@ -298,7 +300,8 @@ class _LabelEnsembleEvaluator:
                              for r, sign in self.personal.items()},
                 0.0 if self.offset is None else p[:, :, None] * -self.offset) if personal else None
             d_common = backward(seed_p, seed_rho, 0.0) if common else None
-            return d_common, d_personal, functools.partial(self.family.direction, p, pay)
+            direction = self.family.direction
+            return d_common, d_personal, None if direction is None else functools.partial(direction, p, pay)
 
         return self._per_use(chi.min(axis=0)), self._per_use((p_t * term).sum(axis=1)), grads
 
@@ -409,7 +412,7 @@ _PURE = dict(
     decode=_pure_decode,
     decode_grad=_pure_decode_grad,
     check=_check_unit_norm,
-    direction=lambda p_t, phi, grad: grad,  # rescaling p(t) here measured worse
+    direction=None,
     structured=_pure_structured,
     structured_rows=2,  # each draws its own perturbation
     init_scale=1.0,
@@ -557,32 +560,40 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
 
             def directions_at(rows):
                 if mu is None:
-                    d_c, _, ascent = grads(rows, personal=False)
-                    return ascent(d_c)
-                coef = 2.0 * mu * gap[rows]
-                d_c, d_p, ascent = grads(rows, common=bool(coef.any()))
-                return ascent(d_p if d_c is None else d_p + coef[:, None] * d_c)
+                    g, _, ascent = grads(rows, personal=False)
+                else:
+                    coef = 2.0 * mu * gap[rows]
+                    d_c, g, ascent = grads(rows, common=bool(coef.any()))
+                    g = g if d_c is None else g + coef[:, None] * d_c
+                return g if ascent is None else ascent(g)
             return (c if mu is None else p - mu * gap * gap), directions_at
-        thetas, vals, info = maximize_batch(stage, thetas, cfg)
+        thetas, vals, info = maximize_batch(stage, thetas, cfg, exact_gradient=ev.family.direction is None)
         work["iterations"] += info["iterations"]
         work["stages"] += 1
         work["stages_converged"] += info["converged"]
         return thetas, vals, info
 
+    if r_values is not None:
+        try:
+            r_values = np.asarray(r_values, dtype=float)
+            ok = r_values.ndim == 1 and np.isfinite(r_values).all()
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValidationError("r_values: must be a 1-d list of finite numbers")
     inits = ev.inits(cfg.restarts, (cfg.seed, 0xC0FFEE), warm=None)
     r_max_thetas, common_vals, _ = ascend(inits)
     r_max = max(float(common_vals.max()), 0.0)
     if r_values is None:
         r_values = np.linspace(0.0, r_max, cfg.r_grid)
-    else:
-        r_values = np.asarray(r_values, dtype=float)
     rows = []
     # a first target above zero starts from the r_max optimum, which meets it when it is
     # reachable at all; at zero the constraint is vacuous and the start is cold
     warm = r_max_thetas[int(np.argmax(common_vals))] if len(r_values) and r_values[0] > 0 else None
     for pi, r_target in enumerate(r_values):
         thetas = ev.inits(cfg.restarts, (cfg.seed, pi), warm)
-        for mu in PENALTY_SCALES:
+        # at or below zero the penalty is 0 for every Holevo quantity: later stages would solve the same problem
+        for mu in PENALTY_SCALES if r_target > 0 else PENALTY_SCALES[:1]:
             thetas, vals, info = ascend(thetas, mu, r_target)
         best = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
         theta = thetas[best]

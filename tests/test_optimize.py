@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbroadcast.errors import ValidationError
-from qbroadcast.optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax
+from qbroadcast.optimize import MEMORY, OptimizerConfig, maximize_batch, seeded_rng, softmax, two_loop
 from qbroadcast.regions import PENALTY_SCALES
 
 from conftest import central_differences
@@ -38,6 +38,42 @@ class TestOptimizerConfig:
         assert OptimizerConfig(restarts=np.int64(3)).restarts == 3
 
 
+def reference_two_loop(g, pairs):
+    """Nocedal & Wright's two-loop recursion for one row, its (s, y) pairs newest first."""
+    q, alphas = g.copy(), []
+    for s, y in pairs:
+        alphas.append((s @ q) / (s @ y))
+        q = q - alphas[-1] * y
+    r = q * ((pairs[0][0] @ pairs[0][1]) / (pairs[0][1] @ pairs[0][1])) if pairs else q
+    for (s, y), a in reversed(list(zip(pairs, alphas))):
+        r = r + (a - (y @ r) / (s @ y)) * s
+    return r
+
+
+class TestTwoLoop:
+    def test_matches_per_row_reference_at_ragged_fills(self):
+        rng = seeded_rng(5)
+        fills, n = [0, 1, 3, MEMORY, 2, 0], 4
+        # stale finite pairs sit in every empty slot, as after a cleared memory; rho = 0 must hide them
+        s, y = rng.standard_normal((2, len(fills), MEMORY, n))
+        rho = np.zeros((len(fills), MEMORY))
+        for i, fill in enumerate(fills):
+            for j in range(fill):
+                y[i, j] = s[i, j] + 0.3 * rng.standard_normal(n)
+                if s[i, j] @ y[i, j] < 0:
+                    y[i, j] = -y[i, j]
+                rho[i, j] = 1.0 / (s[i, j] @ y[i, j])
+        g = rng.standard_normal((len(fills), n))
+        out = two_loop(g, s, y, rho)
+        for i, fill in enumerate(fills):
+            ref = reference_two_loop(g[i], [(s[i, j], y[i, j]) for j in range(fill)])
+            assert np.allclose(out[i], ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(out[[0, 5]], g[[0, 5]])  # no pairs: the gradient itself
+        # the secant equation of the newest pair: H y_0 = s_0
+        held = [i for i, fill in enumerate(fills) if fill]
+        assert np.allclose(two_loop(y[held, 0], s[held], y[held], rho[held]), s[held, 0], rtol=1e-10, atol=1e-12)
+
+
 class TestMaximizeBatch:
     def test_concave_quadratic(self):
         # maximum of -(x - t)^2 summed over coordinates sits at t
@@ -70,6 +106,37 @@ class TestMaximizeBatch:
         inits = np.linspace(-3.0, 3.0, 7)[:, None]
         _, vals, _ = maximize_batch(one_pass(f, grad), inits, OptimizerConfig(restarts=7))
         assert vals.max() > 0.999
+        # L-BFGS steps reach the taller bump too, and every restart retires before max_iters
+        _, vals, info = maximize_batch(one_pass(f, grad), inits, OptimizerConfig(restarts=7), exact_gradient=True)
+        assert vals.max() > 1.0 - 1e-12 and info["converged"]
+
+    def test_l_bfgs_on_an_ill_conditioned_quadratic(self):
+        # curvatures 1 to 100: the first-order step crawls to max_iters, L-BFGS retires every restart
+        scale = np.logspace(0, 2, 6)
+
+        def fn(thetas):
+            return -(scale * thetas * thetas).sum(axis=1), lambda rows: -2.0 * scale * thetas[rows]
+
+        inits = seeded_rng(4).standard_normal((3, 6))
+        _, slow, crawl = maximize_batch(fn, inits, OptimizerConfig())
+        _, vals, info = maximize_batch(fn, inits, OptimizerConfig(), exact_gradient=True)
+        assert not crawl["converged"] and slow.min() < -1e-7
+        assert info["converged"] and info["iterations"] < 100 and vals.min() > -1e-16
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["first-order", "l-bfgs"])
+    @pytest.mark.parametrize("inits", [[[1.0, 1.0]], [[1.0, -0.5], [0.3, 2.0]]], ids=["one", "two"])
+    def test_iterations_count_ladder_calls(self, inits, exact):
+        # a stage that stops early reports the ladder calls it made, whether its last restart
+        # retires by its step or through GRAD_TOL
+        calls = []
+
+        def fn(thetas):
+            calls.append(thetas.shape)
+            return -(thetas * thetas).sum(axis=1), lambda rows: -2.0 * thetas[rows]
+
+        _, _, info = maximize_batch(fn, np.array(inits), OptimizerConfig(), exact_gradient=exact)
+        assert info["converged"]
+        assert len(calls) == 1 + info["iterations"] < 1 + OptimizerConfig().max_iters
 
     def test_batched_calls_only(self):
         # one call per iteration; directions only at accepted trials, from the call that scored them
