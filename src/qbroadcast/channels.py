@@ -715,7 +715,7 @@ def _search_state(bc_or_pair, cfg) -> SimpleNamespace:
     s = SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
                         spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
                         basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
-    s.fit = lambda decode, inits: maximize_batch(_kraus_fit(s.b, s.c, decode), inits, cfg, exact_gradient=True)[:2]
+    s.fit = lambda decode, inits: maximize_batch(_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
     return s
 
 

@@ -118,9 +118,7 @@ def _cmd_region(args) -> int:
 def _cmd_quantities(args) -> int:
     rho = parse_state_spec(_read_text(args.state, "state"))
     labels = list(rho.layout.labels)
-    subsets = []
-    for size in range(1, len(labels) + 1):
-        subsets.extend(itertools.combinations(labels, size))
+    subsets = [s for size in range(1, len(labels) + 1) for s in itertools.combinations(labels, size)]
     out = {
         "layout": [[label, dim] for label, dim in rho.layout.parts],
         "entropy": {",".join(s): _entropy_of(rho, set(s)) for s in subsets},
@@ -129,20 +127,13 @@ def _cmd_quantities(args) -> int:
         "coherent_information": {},
         "conditional_mutual_information": {},
     }
-    for a in labels:
-        for b in labels:
-            if a == b:
-                continue
-            out["conditional_entropy"][f"{a}|{b}"] = conditional_entropy(rho, a, b)
-            out["coherent_information"][f"{a}>{b}"] = coherent_information(rho, a, b)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            out["mutual_information"][f"{a};{b}"] = mutual_information(rho, a, b)
-            for c in labels:
-                if c in (a, b):
-                    continue
-                key = f"{a};{b}|{c}"
-                out["conditional_mutual_information"][key] = conditional_mutual_information(rho, a, b, c)
+    for a, b in itertools.permutations(labels, 2):
+        out["conditional_entropy"][f"{a}|{b}"] = conditional_entropy(rho, a, b)
+        out["coherent_information"][f"{a}>{b}"] = coherent_information(rho, a, b)
+    for a, b in itertools.combinations(labels, 2):
+        out["mutual_information"][f"{a};{b}"] = mutual_information(rho, a, b)
+        for c in (c for c in labels if c not in (a, b)):
+            out["conditional_mutual_information"][f"{a};{b}|{c}"] = conditional_mutual_information(rho, a, b, c)
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -12,17 +12,17 @@ targets traces the upper boundary and stores the achieving parameters as a
 re-evaluatable witness; its rows, like the exhaustive oracles' candidates, become
 a frontier through the one ``pareto_staircase``.  Each optimizer stage is one
 function: a ``rates_grad`` pass scores a batch, and only the rows the optimizer
-accepts are pulled back to the payload kind's ``direction``, skipping every
-pull-back whose coefficient is exactly 0: the personal rate's in the r_max stage,
-the common rate's in a penalty stage where no asked row falls short of the
-target, and a binding receiver's that no asked row binds.  The conditional kind
-(cq and dephasing families) divides each softmax block of the exact gradient by
-its probabilities, the mirror direction s_i - <p, s> that still moves at the
-simplex boundary where their optima sit, and takes first-order steps on it; the
-pure-state kind follows the exact gradient with L-BFGS steps.  Witness
-re-evaluation lives at the bottom: ``evaluate_witness`` reads every witness kind
-a frontier stores, and ``_stored_rates`` turns raw rates into the rates a
-frontier row stores.
+accepts are pulled back to the exact gradient, skipping every pull-back whose
+coefficient is exactly 0: the personal rate's in the r_max stage, the common
+rate's in a penalty stage where no asked row falls short of the target, and a
+binding receiver's that no asked row binds.  The conditional kind (cq and
+dephasing families) declares ``dense`` BFGS steps: its logit curvature scales
+with p_i, so at the simplex boundary where its optima sit it spans orders of
+magnitude that a few L-BFGS pairs forget; ``_sweep`` budgets those (n, n)
+inverse Hessians.  The pure-state kind takes L-BFGS steps, on which the dense
+rule made more passes.  Witness re-evaluation lives at the bottom:
+``evaluate_witness`` reads every witness kind a frontier stores, and
+``_stored_rates`` turns raw rates into the rates a frontier row stores.
 
 The personal rate is data: each family's setup declares signed receiver
 entropies plus an optional per-symbol offset linear in the payload, and the
@@ -164,15 +164,20 @@ def pareto_staircase(commons: np.ndarray, personals: np.ndarray, witness: Callab
 
 PENALTY_SCALES = (1e2, 1e4, 1e6)  # increasing penalty schedule that enforces the common-rate target
 MATRIX_BUDGET = 4096  # dense dimension product an evaluator may allocate before warning/refusing
+HESSIAN_BUDGET = 64  # MB of inverse Hessians (``maximize_batch``'s ``dense``) a sweep may hold before warning/refusing
 
 
 def _budget_check(dense_load: int, n_params: int, what: str):
     if n_params > MATRIX_BUDGET:
         raise BudgetError(f"{what}: {n_params} optimizer parameters exceed matrix budget {MATRIX_BUDGET}")
-    if dense_load > 16 * MATRIX_BUDGET:
-        raise BudgetError(f"{what}: dense load {dense_load} exceeds 16x matrix budget {MATRIX_BUDGET}")
-    if dense_load > MATRIX_BUDGET:
-        warnings.warn(f"{what}: dense load {dense_load} exceeds matrix budget {MATRIX_BUDGET}")
+    _warn_or_refuse(f"{what}: dense load", dense_load, "matrix budget", MATRIX_BUDGET)
+
+
+def _warn_or_refuse(what: str, load, name: str, budget, unit: str = ""):
+    if load > 16 * budget:
+        raise BudgetError(f"{what} {load:.0f}{unit} exceeds 16x {name} {budget}{unit}")
+    if load > budget:
+        warnings.warn(f"{what} {load:.0f}{unit} exceeds {name} {budget}{unit}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,7 @@ class _Family(NamedTuple):
     decode: Callable  # raw (m, t, payload length) -> payload batch
     decode_grad: Callable  # (raw, payload, d/d payload) -> d/d raw
     check: Callable  # (payload batch, what) -> raises ValidationError unless it is a decoded payload
-    direction: Callable | None  # (p_t, payload, exact gradient) -> ascent direction; None: the gradient, by L-BFGS
+    dense: bool  # whether its ascent keeps a dense inverse Hessian (``maximize_batch``'s ``dense``), else L-BFGS
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
     structured_rows: int  # cold-start restarts that get a structured row (1 unless it depends on the rng)
     init_scale: float  # standard deviation of the seeded random init rows
@@ -254,9 +259,8 @@ class _LabelEnsembleEvaluator:
         Every per-label state and binding label mixture is built first, then all the
         diagonal ones go through one ``entropy_and_slope`` call (dense ones through
         ``batched_entropy``).  ``grads(rows, personal=True, common=True)`` is
-        (d common / d theta, d personal / d theta, ascent) at those rows of the batch,
-        a gradient None when not asked; ``ascent`` maps a gradient there to the
-        family's direction, and is None where that is the gradient itself.
+        (d common / d theta, d personal / d theta) at those rows of the batch, None
+        when not asked.
         Entropy gradients come through the Holevo term (the common rate follows
         each row's binding receiver) or the personal term, then through the
         family's states map and both decodes (from ``raw``).  Only the
@@ -299,9 +303,7 @@ class _LabelEnsembleEvaluator:
                 term[rows], {r: _per_row(p, states[r]) * (g[r][rows] if sign > 0 else -g[r][rows])
                              for r, sign in self.personal.items()},
                 0.0 if self.offset is None else p[:, :, None] * -self.offset) if personal else None
-            d_common = backward(seed_p, seed_rho, 0.0) if common else None
-            direction = self.family.direction
-            return d_common, d_personal, None if direction is None else functools.partial(direction, p, pay)
+            return backward(seed_p, seed_rho, 0.0) if common else None, d_personal
 
         return self._per_use(chi.min(axis=0)), self._per_use((p_t * term).sum(axis=1)), grads
 
@@ -351,15 +353,6 @@ def _check_unit_norm(phi: np.ndarray, what: str):
         raise ValidationError(f"{what} has a state whose norm is not 1 within 1e-9")
 
 
-def _mirror_direction(p_t: np.ndarray, cond: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """s_i - <p, s> per softmax block: the logit gradient p_i (s_i - <p, s>) over p_i, 0 where p_i == 0.
-
-    This mirror (exponentiated-gradient) direction keeps moving at the simplex boundary, where the cq
-    and dephasing optima sit; its inner product with the logit gradient is Var_p(s) >= 0."""
-    p = np.concatenate([p_t, cond.reshape(len(p_t), -1)], axis=1)
-    return np.divide(grad, p, out=np.zeros_like(grad), where=p > 0)
-
-
 def _conditional_structured(ev, rng) -> np.ndarray:
     rows = np.zeros((ev.t_size, ev.payload_len))
     rows[np.arange(ev.t_size), np.arange(ev.t_size) % ev.payload_len] = 8.0
@@ -371,7 +364,7 @@ _CONDITIONAL = dict(
     decode=softmax,
     decode_grad=lambda raw, cond, g: softmax_grad(cond, g),
     check=_check_distributions,
-    direction=_mirror_direction,
+    dense=True,
     structured=_conditional_structured,
     structured_rows=1,
     init_scale=2.0,
@@ -412,7 +405,7 @@ _PURE = dict(
     decode=_pure_decode,
     decode_grad=_pure_decode_grad,
     check=_check_unit_norm,
-    direction=None,
+    dense=False,
     structured=_pure_structured,
     structured_rows=2,  # each draws its own perturbation
     init_scale=1.0,
@@ -547,27 +540,28 @@ _MODES = {
 
 
 def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None) -> Frontier:
+    if ev.family.dense:  # restarts (n, n) inverse Hessians, and twice that in ``dense_update``'s temporaries
+        mb = 3 * cfg.restarts * ev.n_params ** 2 * 8 / 2 ** 20
+        _warn_or_refuse(f"{ev.family.what}: inverse Hessians", mb, "Hessian budget", HESSIAN_BUDGET, " MB")
     work = {"iterations": 0, "stages": 0, "stages_converged": 0}
 
     def ascend(thetas, mu=None, r=0.0):
         """One ``maximize_batch`` stage, counted in ``work``: the common rate when ``mu`` is None, else
         the personal rate less mu max(0, r - common)^2.  One ``rates_grad`` pass per call scores the
-        batch; the family's direction is taken at the rows the optimizer asks for, and the common
-        rate is pulled back there only when its penalty coefficient is nonzero at one of them."""
+        batch; its gradient is taken at the rows the optimizer asks for, and the common rate is
+        pulled back there only when its penalty coefficient is nonzero at one of them."""
         def stage(th):
             c, p, grads = ev.rates_grad(th)
             gap = np.maximum(0.0, r - c)
 
             def directions_at(rows):
                 if mu is None:
-                    g, _, ascent = grads(rows, personal=False)
-                else:
-                    coef = 2.0 * mu * gap[rows]
-                    d_c, g, ascent = grads(rows, common=bool(coef.any()))
-                    g = g if d_c is None else g + coef[:, None] * d_c
-                return g if ascent is None else ascent(g)
+                    return grads(rows, personal=False)[0]
+                coef = 2.0 * mu * gap[rows]
+                d_c, g = grads(rows, common=bool(coef.any()))
+                return g if d_c is None else g + coef[:, None] * d_c
             return (c if mu is None else p - mu * gap * gap), directions_at
-        thetas, vals, info = maximize_batch(stage, thetas, cfg, exact_gradient=ev.family.direction is None)
+        thetas, vals, info = maximize_batch(stage, thetas, cfg, dense=ev.family.dense)
         work["iterations"] += info["iterations"]
         work["stages"] += 1
         work["stages_converged"] += info["converged"]

@@ -204,8 +204,8 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("cq", "--channel", "pinching-cq", "--grid", "2", "--restarts", "4", "--seed", "1001"),
-         "21419af376e4dcf5ce7233a82c4fe1caf19807c26e276305c501666f1df30a40",
-         "7b79625f7a8a5661bf6151d1f63d7b5c460b7a73a780af974b7dd356570bce80"),
+         "029bd562af8d555ce95ad4f1167eaf76273671c74af5a2b0feb2f9ecee0c127b",
+         "64a92aa047a78889d2fcb3f2d141a8a675182bffae3f8991aee590c426b479fc"),
         (("cq-eg", "--channel", "pinching", "--t-size", "2", "--grid", "2", "--restarts", "2", "--seed", "1001"),
          "98e15d7946244b53bfcbfda162832e0822367abce3801377b9c567a455695c2c",
          "c1310371b4119f98cb4207321d1c30b80ae793e8285b0961ab610cee8e943cc7"),
@@ -219,14 +219,14 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("dephasing", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
-         "2e485e68d93a291cc407dbc76eaacba36785d3edc595887fe79cba160b05b77e",
-         "d01e66a98a04539d44041ae66a158ee072d8a747fdcb1243b035e3700fb6114f"),
+         "f928b7962febd6153783cf649daa78ae5fa4008198d737e73fc06db2c2eba1a2",
+         "c36d4464f1567f9866a8855df07231b15dc0cb9d1b152f2852f19feea9c2c1b8"),
         (("qq", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
-         "2e485e68d93a291cc407dbc76eaacba36785d3edc595887fe79cba160b05b77e",
-         "49665d5abeed534ed95ac31bca9aa094acdc3678016f318bc9774cd11b5c1090"),
+         "f928b7962febd6153783cf649daa78ae5fa4008198d737e73fc06db2c2eba1a2",
+         "3b9cc2db63cabb4681efe8a1a28261b48f7e0b0e6cde9bac19490b6f1e1c499e"),
         (("cq", "--channel", "pinching-cq", "--k", "2", "--grid", "2", "--restarts", "4", "--seed", "1001"),
-         "1e07fec38bd47f38e8f9a207b3ca2350258db771e93ef7ab1498b9f882d462f1",
-         "9d3c68eb218f5b0e2e2d7ec2d89717ab46918ae3bb4c4979154ef05ad6699a1b"),
+         "d661b616b2c592db4e469fd7ae6a53520cd3ccbe9448e289dc80f8880219d8d7",
+         "0452addebc5cab7df168ece3071415bf3b0c473cb0a61ccff626b622f412ffa0"),
         (("cq-eg", "--channel", "{two_kraus}", "--t-size", "2", "--grid", "2", "--restarts", "2"),
          "e6dd1f78ae6e6a667b8b45de5a5948a43376a7c54b46622ce9b38f082e832b69",
          "40350f528e4881d98df9ef75254c819793caace51470816b7d04855b57e1374a"),

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qbroadcast.errors import ValidationError
-from qbroadcast.optimize import MEMORY, OptimizerConfig, maximize_batch, seeded_rng, softmax, two_loop
+from qbroadcast import optimize
+from qbroadcast.optimize import (MEMORY, OptimizerConfig, dense_update, maximize_batch, seeded_rng, softmax,
+                                 two_loop)
 from qbroadcast.regions import PENALTY_SCALES
 
 from conftest import central_differences
@@ -74,6 +76,62 @@ class TestTwoLoop:
         assert np.allclose(two_loop(y[held, 0], s[held], y[held], rho[held]), s[held, 0], rtol=1e-10, atol=1e-12)
 
 
+class TestDenseUpdate:
+    def test_secant_equation_and_symmetry(self):
+        # H y = s after one update, and H stays symmetric; a wrong rho or a missing transpose breaks both
+        rng = seeded_rng(6)
+        a = rng.standard_normal((4, 5, 5))
+        h = a @ a.swapaxes(1, 2) + 0.1 * np.eye(5)
+        s = rng.standard_normal((4, 5))
+        y = s + 0.3 * rng.standard_normal((4, 5))
+        sy = (s * y).sum(axis=1)
+        assert (sy > 0).all()
+        out = dense_update(h, s, y, sy)
+        assert np.abs((out @ y[:, :, None])[..., 0] - s).max() <= 1e-12
+        assert np.array_equal(out, out.swapaxes(1, 2))
+
+    def test_zero_pair_leaves_its_row(self):
+        # the loop updates every live restart at once and pads the rows without a stored pair with
+        # s = y = 0, s.y = 1: those rows must come out bit for bit, the others as if updated alone
+        rng = seeded_rng(8)
+        a = rng.standard_normal((3, 4, 4))
+        h = a @ a.swapaxes(1, 2) + np.eye(4)
+        s, y = rng.standard_normal((2, 3, 4))
+        y = s + 0.1 * y
+        s[1], y[1] = 0.0, 0.0
+        sy = np.where(np.arange(3) == 1, 1.0, (s * y).sum(axis=1))
+        alone = dense_update(h[[0, 2]].copy(), s[[0, 2]], y[[0, 2]], sy[[0, 2]])
+        out = dense_update(h.copy(), s, y, sy)
+        assert np.array_equal(out[1], h[1])
+        assert np.array_equal(out[[0, 2]], alone)
+
+    def test_h_g_that_does_not_ascend_takes_the_first_order_trial(self, monkeypatch):
+        # the first stored pair leaves a negative definite H: the next ladder drops it and steps along
+        # the unit gradient, and the pair after that starts again from (s.y / y.y) I
+        real, updates, calls = optimize.dense_update, [], []
+
+        def first_negated(*args):
+            updates.append(args)
+            return (-1.0 if len(updates) == 1 else 1.0) * real(*args)
+
+        monkeypatch.setattr(optimize, "dense_update", first_negated)
+        curv = np.array([1.0, 4.0])
+
+        def fn(thetas):
+            calls.append(thetas.copy())
+            return -(curv * thetas * thetas).sum(axis=1), lambda rows: -2.0 * curv * thetas[rows]
+
+        maximize_batch(fn, np.array([[1.0, 0.5]]), OptimizerConfig(restarts=1, max_iters=3), dense=True)
+        f = lambda x: -(curv * x * x).sum(axis=-1)
+        x1, x2 = calls[1][np.argmax(f(calls[1]))], calls[2][np.argmax(f(calls[2]))]
+        g1, g2 = -2.0 * curv * x1, -2.0 * curv * x2
+        rungs = 1.3 * np.linalg.norm(x1 - [1.0, 0.5]) * 0.5 ** np.arange(4)
+        assert np.allclose(calls[2], x1 + rungs[:, None] * g1 / np.linalg.norm(g1), rtol=0, atol=1e-15)
+        s, y = x2 - x1, g1 - g2
+        h = real((s @ y) / (y @ y) * np.eye(2)[None], s[None], y[None], np.array([s @ y]))[0]
+        assert np.allclose(calls[3][0], x2 + h @ g2, rtol=0, atol=1e-15)
+
+
 class TestMaximizeBatch:
     def test_concave_quadratic(self):
         # maximum of -(x - t)^2 summed over coordinates sits at t
@@ -106,26 +164,29 @@ class TestMaximizeBatch:
         inits = np.linspace(-3.0, 3.0, 7)[:, None]
         _, vals, _ = maximize_batch(one_pass(f, grad), inits, OptimizerConfig(restarts=7))
         assert vals.max() > 0.999
-        # L-BFGS steps reach the taller bump too, and every restart retires before max_iters
-        _, vals, info = maximize_batch(one_pass(f, grad), inits, OptimizerConfig(restarts=7), exact_gradient=True)
+        # dense BFGS steps reach the taller bump too, and every restart retires before max_iters
+        _, vals, info = maximize_batch(one_pass(f, grad), inits, OptimizerConfig(restarts=7), dense=True)
         assert vals.max() > 1.0 - 1e-12 and info["converged"]
 
     def test_l_bfgs_on_an_ill_conditioned_quadratic(self):
-        # curvatures 1 to 100: the first-order step crawls to max_iters, L-BFGS retires every restart
-        scale = np.logspace(0, 2, 6)
-
-        def fn(thetas):
-            return -(scale * thetas * thetas).sum(axis=1), lambda rows: -2.0 * scale * thetas[rows]
+        # curvatures 1 to 100 in 6 coordinates: L-BFGS retires every restart.  Curvatures 1 to 1e4 in 12
+        # coordinates: its five pairs forget the spread and it crawls to max_iters; dense BFGS retires
+        def quadratic(n, top):
+            scale = np.logspace(0, top, n)
+            return lambda thetas: (-(scale * thetas * thetas).sum(axis=1), lambda rows: -2.0 * scale * thetas[rows])
 
         inits = seeded_rng(4).standard_normal((3, 6))
-        _, slow, crawl = maximize_batch(fn, inits, OptimizerConfig())
-        _, vals, info = maximize_batch(fn, inits, OptimizerConfig(), exact_gradient=True)
+        _, vals, info = maximize_batch(quadratic(6, 2), inits, OptimizerConfig())
+        assert info["converged"] and info["iterations"] < 100 and vals.min() > -1e-16
+        inits = seeded_rng(4).standard_normal((3, 12))
+        _, slow, crawl = maximize_batch(quadratic(12, 4), inits, OptimizerConfig())
+        _, vals, info = maximize_batch(quadratic(12, 4), inits, OptimizerConfig(), dense=True)
         assert not crawl["converged"] and slow.min() < -1e-7
         assert info["converged"] and info["iterations"] < 100 and vals.min() > -1e-16
 
-    @pytest.mark.parametrize("exact", [False, True], ids=["first-order", "l-bfgs"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["l-bfgs", "dense"])
     @pytest.mark.parametrize("inits", [[[1.0, 1.0]], [[1.0, -0.5], [0.3, 2.0]]], ids=["one", "two"])
-    def test_iterations_count_ladder_calls(self, inits, exact):
+    def test_iterations_count_ladder_calls(self, inits, dense):
         # a stage that stops early reports the ladder calls it made, whether its last restart
         # retires by its step or through GRAD_TOL
         calls = []
@@ -134,7 +195,7 @@ class TestMaximizeBatch:
             calls.append(thetas.shape)
             return -(thetas * thetas).sum(axis=1), lambda rows: -2.0 * thetas[rows]
 
-        _, _, info = maximize_batch(fn, np.array(inits), OptimizerConfig(), exact_gradient=exact)
+        _, _, info = maximize_batch(fn, np.array(inits), OptimizerConfig(), dense=dense)
         assert info["converged"]
         assert len(calls) == 1 + info["iterations"] < 1 + OptimizerConfig().max_iters
 
@@ -154,12 +215,14 @@ class TestMaximizeBatch:
             return f(thetas), directions_at
 
         # restart 0 starts at the maximum, so its zero direction retires it at once; restart 2
-        # sits so close to it that every rung of its first ladder overshoots
+        # sits so close to it that every rung of its first ladder overshoots.  Each L-BFGS step after
+        # a restart's first accepted one lands on the maximum, which retires it
         inits = np.array([[0.0, 0.0], [1.0, 1.0], [1e-3, 0.0]])
         _, _, info = maximize_batch(fn, inits, OptimizerConfig(restarts=3, max_iters=5))
-        assert len(calls) == 1 + info["iterations"] == 6
+        assert len(calls) == 1 + info["iterations"] == 4
         assert calls[0].shape == (3, 2) and asked[0] == (0, [0, 1, 2])
-        assert all(c.shape == (4 * 2, 2) for c in calls[1:])  # four ladder rows per active restart
+        # four ladder rows per active restart
+        assert [c.shape for c in calls[1:]] == [(4 * 2, 2), (4 * 2, 2), (4, 2)]
         # the first ladder accepts restart 1's best rung only; restart 2 keeps its point and its
         # direction, and climbs along it from there with a sixteenth of the step
         assert asked[1] == (1, [int(np.argmax(f(calls[1][:4])))])
@@ -167,7 +230,7 @@ class TestMaximizeBatch:
         assert np.allclose(calls[2][4:], inits[2] - steps * [1.0, 0.0])
         for c in range(1, len(calls)):
             rows = dict(asked[1:]).get(c, [])
-            for block in range(2):
+            for block in range(len(calls[c]) // 4):
                 ladder = calls[c][4 * block: 4 * block + 4]
                 start = 2.0 * ladder[1] - ladder[0]  # rung j steps 0.5^j of the first rung
                 improved = f(ladder).max() > f(start[None])[0]

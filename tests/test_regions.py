@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ class TestEntropyKernels:
         for make in (rotated_pinching_cq, c_rotated_pinching_cq):
             dense = build_evaluator("cq", make(), t_size=3)
             (*a, grads_a), (*b, grads_b) = diag.rates_grad(thetas), dense.rates_grad(thetas)
-            for x, y in zip(a + list(grads_a(np.arange(6))[:2]), b + list(grads_b(np.arange(6))[:2])):
+            for x, y in zip(a + list(grads_a(np.arange(6))), b + list(grads_b(np.arange(6)))):
                 assert np.abs(x - y).max() <= 1e-10
 
     def test_dense_load_over_budget_warns(self):
@@ -324,6 +325,37 @@ class TestEntropyKernels:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+    def test_inverse_hessians_over_budget_refused_before_any_restart(self, monkeypatch):
+        # a million restarts of the 12-parameter dephasing sweep would hold 10^6 x 12^2 x 8 B of inverse
+        # Hessians and twice that in update temporaries; the refusal comes before a restart is drawn
+        def no_inits(*args, **kwargs):
+            raise AssertionError("restarts drawn for an over-budget sweep")
+
+        monkeypatch.setattr(regions._LabelEnsembleEvaluator, "inits", no_inits)
+        with pytest.raises(qb.BudgetError, match="dephasing frontier: inverse Hessians 3296 MB exceeds 16x "
+                                                 "Hessian budget 64 MB"):
+            qb.dephasing_cq_frontier(qb.make_pinching(), OptimizerConfig(restarts=10 ** 6))
+
+    def test_inverse_hessians_over_budget_warn(self, monkeypatch):
+        # 20,000 restarts hold 66 MB; the warning, made an error here, stops the sweep before it starts
+        monkeypatch.setattr(regions._LabelEnsembleEvaluator, "inits", lambda *args, **kwargs: pytest.fail("not warned"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="cq frontier: inverse Hessians 66 MB exceeds Hessian budget 64 MB"):
+                qb.cq_broadcast_frontier(qb.make_pinching_cq(), cfg=OptimizerConfig(restarts=20000))
+
+    def test_l_bfgs_families_hold_no_inverse_hessian(self, monkeypatch):
+        # the pure-state family keeps (s, y) pairs, O(restarts n), so a million restarts pass the budget
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(regions._LabelEnsembleEvaluator, "inits", drawn)
+        with pytest.raises(Drawn):
+            qb.cq_entanglement_frontier(qb.make_pinching(), cfg=OptimizerConfig(restarts=10 ** 6))
 
 
 class TestRestartInits:
@@ -367,7 +399,7 @@ class TestRateGradients:
         ev = build_evaluator(mode, make(), k=k, t_size=t_size)
         thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
         grads = ev.rates_grad(thetas)[2]
-        d_common, d_personal, _ = grads(np.arange(4))
+        d_common, d_personal = grads(np.arange(4))
         for got, pick in ((d_common, 0), (d_personal, 1)):
             ref = central_differences(lambda th: ev.rates_grad(th)[pick])(thetas)
             assert np.abs(ref).max() > 1e-3  # the check is not vacuous
@@ -381,7 +413,7 @@ class TestRateGradients:
         # a penalty stage whose coefficient is 0 at every asked row skips the common pull-back
         ev = build_evaluator("cq", qb.make_pinching_cq())
         grads = ev.rates_grad(seeded_rng(19).standard_normal((6, ev.n_params)))[2]
-        skipped, d_personal, _ = grads([4, 1, 2], common=False)
+        skipped, d_personal = grads([4, 1, 2], common=False)
         assert skipped is None and np.array_equal(d_personal, grads([4, 1, 2])[1])
 
     def test_unbound_receiver_skipped(self):
@@ -394,59 +426,56 @@ class TestRateGradients:
         binds_c = common == only_c.rates_grad(thetas)[0]
         assert binds_c.any() and not binds_c.all()
         rows = [int(np.flatnonzero(~binds_c)[0]), int(np.flatnonzero(binds_c)[0])]  # one binds B, one C
-        d_common, d_personal, _ = grads(rows)
+        d_common, d_personal = grads(rows)
         for at, row in enumerate(rows):
-            alone_common, alone_personal, _ = grads([row])
+            alone_common, alone_personal = grads([row])
             assert np.array_equal(alone_common[0], d_common[at])
             assert np.array_equal(alone_personal[0], d_personal[at])
 
 
+def assert_directions_are_stage_gradients(monkeypatch, mode, make, k, t_size):
+    """Both quasi-Newton rules need the exact gradient of the stage objective: the common rate in the
+    r_max stage, and in a penalty stage the personal rate less mu max(0, r - common)^2 at a target
+    some rows fall short of and some meet."""
+    ev = build_evaluator(mode, make(), k=k, t_size=t_size)
+    thetas = seeded_rng(29).standard_normal((6, ev.n_params))
+    common = np.sort(ev.rates_grad(thetas)[0])
+    i = 1 + int(np.argmax(np.diff(common)[1:4]))  # the widest gap with two rows on either side
+    r = 0.5 * (common[i] + common[i + 1])
+    assert np.abs(common - r).min() > 1e-4  # no row sits at the penalty's kink
+    stages, real = [], regions.maximize_batch
+    monkeypatch.setattr(regions, "maximize_batch", lambda fn, *a, **kw: stages.append(fn) or real(fn, *a, **kw))
+    regions._sweep(ev, OptimizerConfig(restarts=2, max_iters=1), r_values=[r])
+    for stage in stages[:2]:  # the r_max stage, then the first penalty stage at r
+        got = stage(thetas)[1](np.arange(6))
+        ref = central_differences(lambda th: stage(th)[0])(thetas)
+        assert np.abs(ref).max() > 1e-3  # the check is not vacuous
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
 class TestAscentDirection:
-    @pytest.mark.parametrize("mode,make", [("cq", qb.make_pinching_cq), ("cq-certified", qb.make_pinching_cq),
-                                           ("dephasing", qb.make_pinching), ("qq-dephasing", qb.make_pinching)])
-    def test_conditional_direction_is_centred_and_ascends(self, mode, make):
-        ev = build_evaluator(mode, make(), t_size=3)
-        thetas = 3.0 * seeded_rng(13).standard_normal((5, ev.n_params))
-        thetas[0, 0] = thetas[0, ev.t_size] = -800.0  # p(t=0) and p(x=0|t=0) underflow to exactly 0
-        p_t, cond, _ = ev.decode(thetas)
-        probs = np.concatenate([p_t, cond.reshape(len(thetas), -1)], axis=1)
-        assert probs[0, 0] == 0.0 and probs[0, ev.t_size] == 0.0
-        d_common, d_personal, ascent = ev.rates_grad(thetas)[2](np.arange(5))
-        for grad in (d_common, d_personal):
-            with np.errstate(divide="raise", invalid="raise"):
-                direction = ascent(grad)
-            assert direction[0, 0] == 0.0 and direction[0, ev.t_size] == 0.0
-            # s_i - <p, s> per softmax block: it times p is the logit gradient, its p-weighted mean is 0
-            assert np.abs(probs * direction - grad).max() <= 1e-12
-            blocks = [(p_t, direction[:, :ev.t_size])] + [
-                (cond[:, t], direction[:, ev.t_size:].reshape(cond.shape)[:, t]) for t in range(ev.t_size)]
-            for p, d in blocks:
-                assert np.abs((p * d).sum(axis=1)).max() <= 1e-12
-            # its inner product with the logit gradient is Var_p(s) >= 0
-            assert ((direction * grad).sum(axis=1) >= 0.0).all()
-            assert (direction * grad).sum() > 1e-3
+    @pytest.mark.parametrize("mode,make,k,t_size", GRADIENT_CASES[:4], ids=[c[0] for c in GRADIENT_CASES[:4]])
+    def test_conditional_direction_is_the_gradient(self, monkeypatch, mode, make, k, t_size):
+        # the logit gradient itself, which the dense rule follows; no mirror map divides it by p
+        assert_directions_are_stage_gradients(monkeypatch, mode, make, k, t_size)
 
-    @pytest.mark.parametrize("mode", ["cq-eg", "qq"])
-    def test_pure_direction_is_the_gradient(self, mode):
-        # no ascent map: the sweep hands the exact gradient to maximize_batch unchanged
-        ev = build_evaluator(mode, qb.make_pinching(), t_size=2)
-        thetas = seeded_rng(13).standard_normal((3, ev.n_params))
-        _, grad, ascent = ev.rates_grad(thetas)[2](np.arange(3))
-        assert ascent is None and grad.shape == (3, ev.n_params)
+    @pytest.mark.parametrize("mode,make,k,t_size", GRADIENT_CASES[4:6], ids=[c[0] for c in GRADIENT_CASES[4:6]])
+    def test_pure_direction_is_the_gradient(self, monkeypatch, mode, make, k, t_size):
+        assert_directions_are_stage_gradients(monkeypatch, mode, make, k, t_size)
 
-    @pytest.mark.parametrize("front,make,exact", [
-        (qb.cq_broadcast_frontier, qb.make_pinching_cq, False), (qb.dephasing_cq_frontier, qb.make_pinching, False),
-        (qb.cq_entanglement_frontier, qb.make_pinching, True),
-        (qb.qq_frontier, lambda: qb.make_pinching().swapped(), True)],
+    @pytest.mark.parametrize("front,make,dense", [
+        (qb.cq_broadcast_frontier, qb.make_pinching_cq, True), (qb.dephasing_cq_frontier, qb.make_pinching, True),
+        (qb.cq_entanglement_frontier, qb.make_pinching, False),
+        (qb.qq_frontier, lambda: qb.make_pinching().swapped(), False)],
         ids=["cq", "dephasing", "cq-eg", "qq"])
-    def test_step_rule_follows_the_family(self, monkeypatch, front, make, exact):
-        # L-BFGS steps only where the direction is the objective's exact gradient; the mirror direction
-        # of the conditional families is not a gradient field, so they keep the first-order step
+    def test_step_rule_follows_the_family(self, monkeypatch, front, make, dense):
+        # dense BFGS steps on the softmax distributions of the conditional families, whose logit
+        # curvature spans orders of magnitude at the simplex boundary; L-BFGS on the pure states
         seen, real = [], regions.maximize_batch
         monkeypatch.setattr(regions, "maximize_batch",
-                            lambda *a, **kw: seen.append(kw.get("exact_gradient", False)) or real(*a, **kw))
+                            lambda *a, **kw: seen.append(kw.get("dense", False)) or real(*a, **kw))
         front(make(), cfg=OptimizerConfig(restarts=2, r_grid=2, max_iters=3))
-        assert seen and set(seen) == {exact}
+        assert seen and set(seen) == {dense}
 
 
 class TestBoundaryOptima:
@@ -464,6 +493,17 @@ class TestBoundaryOptima:
         assert fr.metadata["stages"] == 5
         assert fr.metadata["iterations"] < 5 * 300
         assert 0 <= fr.metadata["stages_converged"] <= 5
+
+    def test_cq_converges_every_stage(self):
+        # the sweep-cq config: every stage stops before max_iters, and so does every witness's restart set
+        fr = qb.cq_broadcast_frontier(qb.make_pinching_cq(), cfg=OptimizerConfig(restarts=4, r_grid=2, seed=1001))
+        assert fr.metadata["stages_converged"] == fr.metadata["stages"] == 5
+        assert all(pt.witness["converged"] for pt in fr.points)
+
+    def test_dephasing_converges_every_stage(self):
+        fr = qb.dephasing_cq_frontier(qb.make_pinching(), cfg=OptimizerConfig(restarts=4, r_grid=5, seed=7))
+        assert fr.metadata["stages_converged"] == fr.metadata["stages"] == 14
+        assert len(fr.points) == 5 and all(pt.witness["converged"] for pt in fr.points)
 
 
 class TestCertification:
