@@ -10,9 +10,9 @@ swap one transpose.  Every k-use channel (Kraus stacks, cq states, dephasing
 images) comes from one grouped Kronecker power, ``_kron_power``.  The
 degrading-map search at the bottom certifies (numerically) whether one
 receiver's marginal can be post-processed into the other's.  It tries, in
-order: identity, the dephasing basis, then least squares and an optimized
-measure-prepare fit for commuting B probes, or a linear fit and a QR-retraction
-fit for non-commuting.  It stops once a map certifies or meets the contraction
+order: identity, the dephasing basis, a linear fit for every probe set, then
+an optimized measure-prepare fit for commuting B probes or a QR-retraction fit
+for non-commuting.  It stops once a map certifies or meets the contraction
 floor, the trace-norm lower bound that no map's residual can fall below.
 """
 
@@ -523,11 +523,11 @@ def _transfer(stacks: np.ndarray) -> np.ndarray:
     return gram.reshape(m, dc, db, dc, db).transpose(0, 3, 1, 4, 2).reshape(m, dc * dc, db * db)
 
 
-def _residual_of_stack(stack: np.ndarray, b_stack: np.ndarray, c_stack: np.ndarray) -> float:
-    """Worst trace norm |Phi(b_p) - c_p|_1 over the probes for one Kraus stack (n_env, dc, db)."""
+def _residuals(stacks: np.ndarray, b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
+    """Worst trace norm |Phi(b_p) - c_p|_1 over the probes for each Kraus stack of (m, n_env, dc, db)."""
     p, dc, _ = c_stack.shape
-    diffs = (_transfer(stack[None])[0] @ b_stack.transpose(1, 2, 0).reshape(-1, p)).T.reshape(p, dc, dc) - c_stack
-    return float(trace_norms(diffs).max())
+    images = _transfer(stacks) @ b_stack.transpose(1, 2, 0).reshape(-1, p)  # (m, dc*dc, p)
+    return trace_norms(images.transpose(0, 2, 1).reshape(len(stacks), p, dc, dc) - c_stack).max(axis=-1)
 
 
 def _contraction_floor(b_stack: np.ndarray, c_stack: np.ndarray) -> float:
@@ -539,17 +539,6 @@ def _contraction_floor(b_stack: np.ndarray, c_stack: np.ndarray) -> float:
     p, q = np.triu_indices(len(b_stack), 1)
     gains = trace_norms(c_stack[p] - c_stack[q]) - trace_norms(b_stack[p] - b_stack[q])
     return float(np.max(gains, initial=0.0)) / 2
-
-
-def _measure_prepare_stack(basis: np.ndarray, preps: np.ndarray) -> np.ndarray:
-    """Kraus stack for measure-in-basis / prepare tau_j, eigendecomposing each prep.
-
-    The preps are states, so each has an eigenvalue of at least 1/d_C and keeps a Kraus operator.
-    """
-    vals, vecs = np.linalg.eigh(_hermitize(preps))
-    outers = vecs.transpose(0, 2, 1)[..., None] * basis.conj().T[:, None, None, :]  # [j, r] = |v_jr><e_j|
-    keep = vals > 1e-15
-    return np.sqrt(vals[keep])[:, None, None] * outers[keep]
 
 
 def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
@@ -656,67 +645,52 @@ def _common_eigenbasis(mats: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return vecs
 
 
-def _dephasing_basis_maps(s) -> list:
+def _dephasing_basis_maps(s):
     """Measure the input basis and prepare |psi_x> on C: a dephasing channel with a trivial E."""
     if s.spec is None or (s.spec.n_in, s.spec.c_dim, s.spec.e_dim) != (s.db, s.dc, 1):
         return []
-    ops = np.zeros((s.db, s.dc, s.db), dtype=complex)
-    ops[np.arange(s.db), :, np.arange(s.db)] = s.spec.images
-    return [ops]
+    ops = np.zeros((1, s.db, s.dc, s.db), dtype=complex)
+    ops[0, np.arange(s.db), :, np.arange(s.db)] = s.spec.images
+    return ops
 
 
-def _least_squares_maps(s) -> list:
-    """Measure the common eigenbasis and prepare the least-squares preps, when they are states."""
-    q = np.diagonal(s.basis.conj().T @ s.b @ s.basis, axis1=1, axis2=2).real  # (p, j)
-    sol, *_ = np.linalg.lstsq(q.astype(complex), s.c.reshape(len(q), -1), rcond=None)
-    preps = sol.reshape(s.db, s.dc, s.dc)
-    herm = _hermitize(preps)
-    if (np.abs(preps - herm).max() > 1e-8 or np.abs(np.trace(herm, axis1=1, axis2=2).real - 1.0).max() > 1e-8
-            or np.linalg.eigvalsh(herm).min() < -1e-9):
-        return []
-    return [_measure_prepare_stack(s.basis, preps)]
+def _fit_maps(s, decode, inits: np.ndarray) -> np.ndarray:
+    """Every restart's map of one Kraus-stack fit: the fit ascends the summed squared Frobenius
+    residual, not the worst trace norm the search keeps, so its best restart need not be the best map."""
+    thetas, _ = maximize_batch(_kraus_fit(s.b, s.c, decode), inits, s.cfg)[:2]
+    return decode(thetas)[0]
 
 
-def _prep_fit_maps(s) -> list:
-    """Every restart of the measure-prepare fit: its optimum is flat in directions the residual sees."""
-    decode = _prep_decode(s.basis, s.dc)
-    thetas, _ = s.fit(decode, s.rng.standard_normal((s.cfg.restarts, s.db * 2 * s.dc * s.dc)))
-    return list(decode(thetas)[0])
-
-
-def _retraction_maps(s) -> list:
-    """The best restart of the QR-retraction fit, with restart 0 at the linear fit."""
-    flat = np.zeros((s.db * s.dc * s.dc, s.db), dtype=complex)
+def _retraction_inits(s) -> np.ndarray:
+    """Random QR-retraction restarts in the decode's (2, db*dc*dc, db) layout, restart 0 at the linear fit."""
     fit = _choi_fit_stack(s.b, s.c).reshape(-1, s.db)
-    flat[: len(fit)] = fit
-    inits = s.rng.standard_normal((s.cfg.restarts, 2 * flat.size))
-    inits[0] = np.concatenate([flat.real.ravel(), flat.imag.ravel()])
-    decode = _retraction_decode(s.dc, s.db)
-    thetas, values = s.fit(decode, inits)
-    return [decode(thetas[np.argmax(values)][None])[0][0]]
+    inits = s.rng.standard_normal((s.cfg.restarts, 2, s.db * s.dc * s.dc, s.db))
+    inits[0] = 0.0
+    inits[0, :, :len(fit)] = fit.real, fit.imag
+    return inits.reshape(s.cfg.restarts, -1)
 
 
-# Degrading-map strategies in search order: (method, B probes served -- None any,
-# True commuting, False non-commuting -- and candidate maps of the search state).
+# Degrading-map strategies in search order: (method, the all_b_commute values it serves -- None for
+# every probe set, run before any gate -- and the search state's candidate Kraus stacks, (m, n_env, dc, db)).
 _STRATEGIES = (
-    ("identity", None, lambda s: [np.eye(s.dc, dtype=complex)[None]] if s.db == s.dc else []),
+    ("identity", None, lambda s: np.eye(s.dc, dtype=complex)[None, None] if s.db == s.dc else []),
     ("measure-prepare (dephasing basis)", None, _dephasing_basis_maps),
-    ("measure-prepare (least squares)", True, _least_squares_maps),
-    ("measure-prepare (optimized)", True, _prep_fit_maps),
-    ("kraus (linear fit)", False, lambda s: [_choi_fit_stack(s.b, s.c)]),
-    ("kraus (QR retraction)", False, _retraction_maps),
+    ("kraus (linear fit)", (True, False), lambda s: _choi_fit_stack(s.b, s.c)[None]),
+    ("measure-prepare (optimized)", (True,), lambda s: _fit_maps(
+        s, _prep_decode(s.basis, s.dc), s.rng.standard_normal((s.cfg.restarts, s.db * 2 * s.dc * s.dc)))),
+    ("kraus (QR retraction)", (False,), lambda s: _fit_maps(s, _retraction_decode(s.dc, s.db), _retraction_inits(s))),
 )
 
 
 def _search_state(bc_or_pair, cfg) -> SimpleNamespace:
-    """What the strategies read: probe stacks and dimensions, commuting B and its basis, spec, rng, cfg and fit."""
+    """What the strategies read: probe stacks and dimensions, commuting B and its basis, spec, rng and cfg.
+
+    The common eigenbasis draws from the rng before any fit does."""
     b_states, c_states, commute = _probe_pairs(bc_or_pair)
     rng = seeded_rng(cfg.seed, 0x5E9)
-    s = SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
-                        spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
-                        basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
-    s.fit = lambda decode, inits: maximize_batch(_kraus_fit(s.b, s.c, decode), inits, cfg)[:2]
-    return s
+    return SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
+                           spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
+                           basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
 
 
 def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
@@ -728,25 +702,28 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
 
     1. identity: B and C of the same dimension;
     2. measure-prepare (dephasing basis): a dephasing channel with a trivial E;
-    3. measure-prepare (least squares): commuting B probes;
+    3. kraus (linear fit): every probe set, the least-squares transfer matrix
+       projected to CPTP;
     4. measure-prepare (optimized): commuting B probes, Kraus-stack fit;
-    5. kraus (linear fit): non-commuting B probes;
-    6. kraus (QR retraction): non-commuting B probes, Kraus-stack fit.
+    5. kraus (QR retraction): non-commuting B probes, Kraus-stack fit.
 
-    A map replaces the best only with a strictly smaller residual.  The first
-    two always run, the rest only while the best residual is above both 1e-6
-    and the contraction floor, which the report carries: no map's residual
-    falls below max_{p<q} (|c_p - c_q|_1 - |b_p - b_q|_1) / 2.
+    Each fit hands the search every restart's map.  A map replaces the best
+    only with a strictly smaller residual.  The first two always run, the rest
+    only while the best residual is above both 1e-6 and the contraction floor,
+    which the report carries: no map's residual falls below
+    max_{p<q} (|c_p - c_q|_1 - |b_p - b_q|_1) / 2.
     """
     s = _search_state(bc_or_pair, cfg or OptimizerConfig())
     floor = _contraction_floor(s.b, s.c)
     best, best_residual, best_method = None, np.inf, "none"
-    for method, commuting, maps in _STRATEGIES:
-        if commuting is not None and (commuting != s.commute or best_residual <= max(CERTIFY_THRESHOLD, floor)):
+    for method, serves, maps in _STRATEGIES:
+        if serves is not None and (s.commute not in serves or best_residual <= max(CERTIFY_THRESHOLD, floor)):
             continue
-        for stack in maps(s):
-            r = _residual_of_stack(stack, s.b, s.c)
-            if r < best_residual:
-                best, best_residual, best_method = stack, r, method
+        stacks = maps(s)
+        if len(stacks):
+            r = _residuals(stacks, s.b, s.c)
+            i = int(np.argmin(r))  # the first of equal residuals, as a strictly smaller one replaces the best
+            if r[i] < best_residual:
+                best, best_residual, best_method = stacks[i], float(r[i]), method
     dmap = KrausChannel(best, layout(("C", s.dc)), validate=False)
     return DegradednessReport(best_residual, dmap, bool(best_residual <= CERTIFY_THRESHOLD), best_method, floor)

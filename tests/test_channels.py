@@ -13,7 +13,7 @@ from qbroadcast.channels import (
     _prep_decode,
     _probe_densities,
     _probe_pairs,
-    _residual_of_stack,
+    _residuals,
     _retraction_decode,
     _search_state,
 )
@@ -579,6 +579,18 @@ class TestSwapped:
         assert ch.swapped().dephasing is None
 
 
+def non_commuting_degraded() -> qb.CqBroadcastChannel:
+    """Non-commuting pure B states and C = a fixed random channel of B: degraded."""
+    rng = np.random.default_rng(0)
+    post = random_channel(rng, 2, 2, 2)
+    states = []
+    for x in range(2):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        b = np.outer(v, v.conj()) / np.vdot(v, v).real
+        states.append(np.kron(b, apply_kraus(post, b)))
+    return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 2), ("C", 2)), validate=False)
+
+
 class TestDegradedness:
     def test_pinching_forward_exact(self):
         rep = qb.degradedness_residual(qb.make_pinching())
@@ -600,9 +612,12 @@ class TestDegradedness:
         assert rep.residual > 0.1
         assert not rep.certified
 
-    def test_cascade_commuting_path(self):
-        rep = qb.degradedness_residual(qb.make_bsc_cascade(0.1, 0.2))
-        assert rep.residual <= 1e-9
+    @pytest.mark.parametrize("make", [qb.make_bsc_cascade, qb.make_pinching_cq])
+    def test_cascade_commuting_path(self, make):
+        # commuting degraded probes: the linear fit is the least-squares measure-prepare map
+        rep = qb.degradedness_residual(make())
+        assert rep.method == "kraus (linear fit)"
+        assert rep.residual <= 1e-12
         assert rep.certified
 
     def test_identity_pair(self):
@@ -622,20 +637,24 @@ class TestDegradedness:
         assert rep.residual <= 1e-6
 
     def test_qr_retraction_certifies(self):
-        # non-commuting pure B states and C = a fixed random channel of B: degraded,
-        # and only the QR-retraction fit finds the map
-        rng = np.random.default_rng(0)
-        post = random_channel(rng, 2, 2, 2)
-        states = []
-        for x in range(2):
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            b = np.outer(v, v.conj()) / np.vdot(v, v).real
-            states.append(np.kron(b, apply_kraus(post, b)))
-        w = qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 2), ("C", 2)), validate=False)
+        # only the QR-retraction fit finds the map
+        w = non_commuting_degraded()
         assert not w.commuting_b()
         rep = qb.degradedness_residual(w)
         assert rep.method == "kraus (QR retraction)"
         assert rep.certified
+
+    @pytest.mark.parametrize("case", ["degraded", "dephasing-reverse"])
+    def test_qr_retraction_hands_over_every_restart(self, case):
+        w = non_commuting_degraded() if case == "degraded" else generic_dephasing().swapped()
+        cfg = OptimizerConfig(restarts=5, max_iters=40)
+        s = _search_state(w, cfg)
+        assert not s.commute
+        (maps,) = [maps for method, _, maps in _STRATEGIES if method == "kraus (QR retraction)"]
+        stacks = maps(s)
+        assert len(stacks) == cfg.restarts
+        rep = qb.degradedness_residual(w, cfg=cfg)
+        assert (rep.residual <= _residuals(stacks, s.b, s.c)).all()
 
     @pytest.mark.parametrize("fit", ["measure-prepare", "qr-retraction"])
     def test_kraus_fit_gradient(self, fit):
@@ -673,8 +692,8 @@ def floor_and_every_residual(bc_or_pair, cfg):
     """The search's contraction floor, the residual of every map every applicable strategy yields, and
     whether the B probes commute."""
     s = _search_state(bc_or_pair, cfg)
-    residuals = [_residual_of_stack(stack, s.b, s.c)
-                 for _, commuting, maps in _STRATEGIES if commuting in (None, s.commute) for stack in maps(s)]
+    stacks = [maps(s) for _, serves, maps in _STRATEGIES if serves is None or s.commute in serves]
+    residuals = [r for stack in stacks if len(stack) for r in _residuals(stack, s.b, s.c)]
     return _contraction_floor(s.b, s.c), residuals, s.commute
 
 

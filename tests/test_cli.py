@@ -465,9 +465,9 @@ class TestQuantitiesCommand:
 # (the forward document residual is rounding noise), only that it is at most 1e-12
 DEGRADED_VERDICTS = [
     ("pinching", False, "0", "true", "measure-prepare (dephasing basis)"),
-    ("pinching", True, "1.04925299629", "false", "measure-prepare (optimized)"),
-    ("pinching-cq", False, "0", "true", "measure-prepare (least squares)"),
-    ("pinching-cq", True, "1", "false", "measure-prepare (least squares)"),
+    ("pinching", True, "1.04822012578", "false", "kraus (linear fit)"),
+    ("pinching-cq", False, "0", "true", "kraus (linear fit)"),
+    ("pinching-cq", True, "1", "false", "kraus (linear fit)"),
     ("noiseless-bit", False, "0", "true", "identity"),
     ("noiseless-bit", True, "0", "true", "identity"),
     ("constant", False, "0", "true", "identity"),
@@ -536,8 +536,8 @@ class TestCheckDegraded:
 
     @pytest.mark.parametrize("channel,fits", [("pinching-cq", 0), ("pinching", 1)])
     def test_reverse_fits_only_above_the_floor(self, capsys, monkeypatch, channel, fits):
-        # pinching-cq's least-squares map meets the contraction floor 1, so the measure-prepare fit is skipped;
-        # pinching's best map before the fit sits above its floor 1, so the fit still runs
+        # pinching-cq's linear fit meets the contraction floor 1, so the measure-prepare fit is skipped;
+        # pinching's linear fit sits above its floor 1, so the fit still runs
         calls, real = [], channels.maximize_batch
         monkeypatch.setattr(channels, "maximize_batch", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         assert run(["check", "degraded", "--channel", channel, "--reverse"]) == 0

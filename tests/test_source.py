@@ -153,6 +153,18 @@ class TestOneTraceNormRule:
         assert attribute_sites(source, "channels", "svd") == {"channels.residual"}
 
 
+class TestOneLeastSquaresRule:
+    def test_lstsq_only_in_the_linear_fit(self):
+        # the degrading-map search has one closed-form fit, the linear one, for every probe set
+        assert package_sites("lstsq") == {"channels._choi_fit_stack"}
+
+    def test_detects_a_second_copy(self):
+        source = ("import numpy as np\ndef _choi_fit_stack(b, c):\n    return np.linalg.lstsq(b, c)[0]\n"
+                  "def _least_squares_maps(q, c):\n    sol, *_ = np.linalg.lstsq(q, c, rcond=None)\n    return sol\n")
+        assert attribute_sites(source, "channels", "lstsq") == {"channels._choi_fit_stack",
+                                                               "channels._least_squares_maps"}
+
+
 class TestOneIntegerRule:
     def test_integer_checks_only_in_the_errors_rule(self):
         # every count (dims, k, t_size, mesh, restarts, ...) goes through errors.integer
