@@ -661,9 +661,15 @@ def _fit_maps(s, decode, inits: np.ndarray) -> np.ndarray:
     return decode(thetas)[0]
 
 
+def _linear_fit_maps(s) -> np.ndarray:
+    """The linear fit, kept on the search state as the QR fit's restart 0; the gate only tightens, so it runs first."""
+    s.linear = _choi_fit_stack(s.b, s.c)
+    return s.linear[None]
+
+
 def _retraction_inits(s) -> np.ndarray:
     """Random QR-retraction restarts in the decode's (2, db*dc*dc, db) layout, restart 0 at the linear fit."""
-    fit = _choi_fit_stack(s.b, s.c).reshape(-1, s.db)
+    fit = s.linear.reshape(-1, s.db)
     inits = s.rng.standard_normal((s.cfg.restarts, 2, s.db * s.dc * s.dc, s.db))
     inits[0] = 0.0
     inits[0, :, :len(fit)] = fit.real, fit.imag
@@ -675,7 +681,7 @@ def _retraction_inits(s) -> np.ndarray:
 _STRATEGIES = (
     ("identity", None, lambda s: np.eye(s.dc, dtype=complex)[None, None] if s.db == s.dc else []),
     ("measure-prepare (dephasing basis)", None, _dephasing_basis_maps),
-    ("kraus (linear fit)", (True, False), lambda s: _choi_fit_stack(s.b, s.c)[None]),
+    ("kraus (linear fit)", (True, False), _linear_fit_maps),
     ("measure-prepare (optimized)", (True,), lambda s: _fit_maps(
         s, _prep_decode(s.basis, s.dc), s.rng.standard_normal((s.cfg.restarts, s.db * 2 * s.dc * s.dc)))),
     ("kraus (QR retraction)", (False,), lambda s: _fit_maps(s, _retraction_decode(s.dc, s.db), _retraction_inits(s))),

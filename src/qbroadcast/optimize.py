@@ -85,7 +85,8 @@ def maximize_batch(fn, inits: np.ndarray, cfg: OptimizerConfig, dense: bool = Fa
     step stores its pair when s.y > 1e-16 and sets ``step`` to |s| ``STEP_GROW``; an H g that does not
     ascend or a failed ladder drops the curvature, and only a failed first-order ladder shrinks the step.
     A restart retires when its step falls below ``STEP_MIN`` or its gradient norm under ``GRAD_TOL``;
-    ``info["iterations"]`` counts ladders.
+    ``info["stopped"]`` says per row whether it retired before ``max_iters``, ``info["converged"]`` whether
+    every row did, and ``info["iterations"]`` counts ladders.
     """
     thetas = np.array(inits, dtype=float)
     if thetas.ndim != 2:
@@ -158,7 +159,9 @@ def maximize_batch(fn, inits: np.ndarray, cfg: OptimizerConfig, dense: bool = Fa
             steps[bad] *= STEP_SHRINK ** _LADDER
             alive[bad] = ~(steps[bad] < STEP_MIN)
     thetas[live], values[live] = x, v
-    return thetas, values, {"iterations": iters, "converged": bool(not alive.any())}
+    stopped = np.ones(m, dtype=bool)
+    stopped[live[alive]] = False
+    return thetas, values, {"iterations": iters, "converged": bool(stopped.all()), "stopped": stopped}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

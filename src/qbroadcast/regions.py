@@ -10,17 +10,20 @@ kind and the payload-to-receiver-states map), the receivers that bind the
 common rate, and its rate labels.  A penalty sweep over a grid of common-rate
 targets traces the upper boundary and stores the achieving parameters as a
 re-evaluatable witness; its rows, like the exhaustive oracles' candidates, become
-a frontier through the one ``pareto_staircase``.  Each optimizer stage is one
-function: a ``rates_grad`` pass scores a batch, and only the rows the optimizer
-accepts are pulled back to the exact gradient, skipping every pull-back whose
-coefficient is exactly 0: the personal rate's in the r_max stage, the common
-rate's in a penalty stage where no asked row falls short of the target, and a
-binding receiver's that no asked row binds.  The conditional kind (cq and
-dephasing families) declares ``dense`` BFGS steps: its logit curvature scales
-with p_i, so at the simplex boundary where its optima sit it spans orders of
-magnitude that a few L-BFGS pairs forget; ``_sweep`` budgets those (n, n)
-inverse Hessians.  The pure-state kind takes L-BFGS steps, on which the dense
-rule made more passes.  Witness re-evaluation lives at the bottom:
+a frontier through the one ``pareto_staircase``.  The sweep stacks every target's
+restarts into one batch, each row carrying its target in a last parameter column
+that no step moves: one call finds r_max, then one call per penalty rung serves
+every target.  Each optimizer stage is one function: a ``rates_grad`` pass scores
+a batch, and only the rows the optimizer accepts are pulled back to the exact
+gradient, skipping every pull-back whose coefficient is exactly 0: the personal
+rate's in the r_max stage, the common rate's in a penalty stage where no asked row
+falls short of its target, and a binding receiver's that no asked row binds.  The
+conditional kind (cq and dephasing families) declares ``dense`` BFGS steps: its
+logit curvature scales with p_i, so at the simplex boundary where its optima sit
+it spans orders of magnitude that a few L-BFGS pairs forget; ``_sweep`` chunks the
+targets so that a call's (n, n) inverse Hessians fit ``HESSIAN_BUDGET``.  The
+pure-state kind takes L-BFGS steps, on which the dense rule made more passes.
+Witness re-evaluation lives at the bottom:
 ``evaluate_witness`` reads every witness kind a frontier stores, and
 ``_stored_rates`` turns raw rates into the rates a frontier row stores.
 
@@ -58,7 +61,7 @@ from .errors import BudgetError, ValidationError, integer
 from .optimize import OptimizerConfig, maximize_batch, seeded_rng, softmax, softmax_grad
 from .quantities import coherent_information
 from .specio import complex_from_json, complex_to_json
-from .states import ENTROPY_CLAMP, PureState, binary_entropy, entropy_and_slope, entropy_of_spectrum, matrix_entropy
+from .states import PureState, binary_entropy, entropy_and_slope, entropy_of_spectrum, matrix_entropy
 
 
 @dataclass
@@ -540,32 +543,38 @@ _MODES = {
 
 
 def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None) -> Frontier:
-    if ev.family.dense:  # restarts (n, n) inverse Hessians, and twice that in ``dense_update``'s temporaries
+    chunk = None  # targets per call: all of them, unless their inverse Hessians outgrow the budget
+    if ev.family.dense:  # restarts (n, n) inverse Hessians a target, and twice that in ``dense_update``'s temporaries
         mb = 3 * cfg.restarts * ev.n_params ** 2 * 8 / 2 ** 20
         _warn_or_refuse(f"{ev.family.what}: inverse Hessians", mb, "Hessian budget", HESSIAN_BUDGET, " MB")
+        chunk = max(1, int(HESSIAN_BUDGET // mb))
     work = {"iterations": 0, "stages": 0, "stages_converged": 0}
 
-    def ascend(thetas, mu=None, r=0.0):
-        """One ``maximize_batch`` stage, counted in ``work``: the common rate when ``mu`` is None, else
-        the personal rate less mu max(0, r - common)^2.  One ``rates_grad`` pass per call scores the
-        batch; its gradient is taken at the rows the optimizer asks for, and the common rate is
-        pulled back there only when its penalty coefficient is nonzero at one of them."""
+    def ascend(thetas, mu=None):
+        """One ``maximize_batch`` call, counted in ``work``, on rows carrying their target r in a last column:
+        the common rate when ``mu`` is None, else the personal rate less mu max(0, r - common)^2.  The common
+        rate is pulled back only where its coefficient is nonzero, and r's direction is an exact zero."""
         def stage(th):
-            c, p, grads = ev.rates_grad(th)
-            gap = np.maximum(0.0, r - c)
+            c, p, grads = ev.rates_grad(th[:, :-1])
+            gap = np.maximum(0.0, th[:, -1] - c)
 
             def directions_at(rows):
                 if mu is None:
-                    return grads(rows, personal=False)[0]
-                coef = 2.0 * mu * gap[rows]
-                d_c, g = grads(rows, common=bool(coef.any()))
-                return g if d_c is None else g + coef[:, None] * d_c
+                    g = grads(rows, personal=False)[0]
+                else:
+                    coef = 2.0 * mu * gap[rows]
+                    d_c, g = grads(rows, common=bool(coef.any()))
+                    g = g if d_c is None else g + coef[:, None] * d_c
+                return np.concatenate((g, np.zeros((len(g), 1))), axis=1)
             return (c if mu is None else p - mu * gap * gap), directions_at
         thetas, vals, info = maximize_batch(stage, thetas, cfg, dense=ev.family.dense)
         work["iterations"] += info["iterations"]
         work["stages"] += 1
         work["stages_converged"] += info["converged"]
         return thetas, vals, info
+
+    def tagged(pi, r, warm=None):  # target r's restart rows, drawn on the (seed, pi) path, r in the last column
+        return np.column_stack((ev.inits(cfg.restarts, (cfg.seed, pi), warm), np.full(cfg.restarts, r)))
 
     if r_values is not None:
         try:
@@ -575,49 +584,31 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
             ok = False
         if not ok:
             raise ValidationError("r_values: must be a 1-d list of finite numbers")
-    inits = ev.inits(cfg.restarts, (cfg.seed, 0xC0FFEE), warm=None)
-    r_max_thetas, common_vals, _ = ascend(inits)
+    r_max_thetas, common_vals, _ = ascend(tagged(0xC0FFEE, 0.0))
     r_max = max(float(common_vals.max()), 0.0)
     if r_values is None:
         r_values = np.linspace(0.0, r_max, cfg.r_grid)
+    # a target above zero starts from the r_max optimum, which meets it when it is reachable at all;
+    # at or below zero the constraint is vacuous and the start is cold
+    warm = r_max_thetas[int(np.argmax(common_vals)), :-1]
+    chunk = chunk or max(1, len(r_values))
     rows = []
-    # a first target above zero starts from the r_max optimum, which meets it when it is
-    # reachable at all; at zero the constraint is vacuous and the start is cold
-    warm = r_max_thetas[int(np.argmax(common_vals))] if len(r_values) and r_values[0] > 0 else None
-    for pi, r_target in enumerate(r_values):
-        thetas = ev.inits(cfg.restarts, (cfg.seed, pi), warm)
-        # at or below zero the penalty is 0 for every Holevo quantity: later stages would solve the same problem
-        for mu in PENALTY_SCALES if r_target > 0 else PENALTY_SCALES[:1]:
-            thetas, vals, info = ascend(thetas, mu, r_target)
-        best = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
-        theta = thetas[best]
-        c_arr, p_arr, _ = ev.rates_grad(theta[None])
-        raw_c, raw_p = float(c_arr[0]), float(p_arr[0])
-        witness = {
-            "params": ev.witness_params(theta),
-            "restart": best,
-            "r_target": float(r_target),
-            "raw_common": raw_c,
-            "raw_personal": raw_p,
-            "converged": bool(info["converged"]),
-        }
-        rows.append((*_stored_rates(raw_c, raw_p, r_target), witness))
-        # a converged point at zero common rate is stationary for the next target too:
-        # the personal rate is at a maximum and the common rate at its minimum, so the
-        # exact gradient vanishes there and that target starts fresh instead
-        warm = None if info["converged"] and raw_c <= ENTROPY_CLAMP else theta
-    meta = {
-        "mode": ev.mode,
-        "rates": ev.rate_labels,
-        **(metadata or {}),
-        "k": ev.k,
-        "t_size": ev.t_size,
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
-        "grid": int(len(r_values)),
-        "r_max": r_max,
-        **work,
-    }
+    for lo in range(0, len(r_values), chunk):
+        targets = r_values[lo:lo + chunk]
+        thetas = np.concatenate([tagged(pi, r, warm if r > 0 else None) for pi, r in enumerate(targets, lo)])
+        for mu in PENALTY_SCALES:
+            thetas, vals, info = ascend(thetas, mu)
+        by_target = zip(targets, thetas.reshape(len(targets), cfg.restarts, -1), vals.reshape(len(targets), -1),
+                        info["stopped"].reshape(len(targets), -1))
+        for r_target, restarts, v, stopped in by_target:
+            best = int(np.flatnonzero(v >= v.max() - 1e-12)[0])
+            theta = restarts[best, :-1]
+            (raw_c,), (raw_p,), _ = ev.rates_grad(theta[None])
+            witness = {"params": ev.witness_params(theta), "restart": best, "r_target": float(r_target),
+                       "raw_common": float(raw_c), "raw_personal": float(raw_p), "converged": bool(stopped.all())}
+            rows.append((*_stored_rates(raw_c, raw_p, r_target), witness))
+    meta = {"mode": ev.mode, "rates": ev.rate_labels, **(metadata or {}), "k": ev.k, "t_size": ev.t_size,
+            "seed": cfg.seed, "restarts": cfg.restarts, "grid": int(len(r_values)), "r_max": r_max, **work}
     return Frontier(pareto_staircase(np.array([row[0] for row in rows]), np.array([row[1] for row in rows]),
                                      lambda i: rows[i][2]), meta)
 

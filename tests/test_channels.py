@@ -650,8 +650,9 @@ class TestDegradedness:
         cfg = OptimizerConfig(restarts=5, max_iters=40)
         s = _search_state(w, cfg)
         assert not s.commute
-        (maps,) = [maps for method, _, maps in _STRATEGIES if method == "kraus (QR retraction)"]
-        stacks = maps(s)
+        rows = {method: maps for method, _, maps in _STRATEGIES}
+        rows["kraus (linear fit)"](s)  # the QR row runs after it and starts from the stack it keeps
+        stacks = rows["kraus (QR retraction)"](s)
         assert len(stacks) == cfg.restarts
         rep = qb.degradedness_residual(w, cfg=cfg)
         assert (rep.residual <= _residuals(stacks, s.b, s.c)).all()

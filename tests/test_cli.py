@@ -205,10 +205,10 @@ class TestRegionCommand:
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("cq", "--channel", "pinching-cq", "--grid", "2", "--restarts", "4", "--seed", "1001"),
          "029bd562af8d555ce95ad4f1167eaf76273671c74af5a2b0feb2f9ecee0c127b",
-         "64a92aa047a78889d2fcb3f2d141a8a675182bffae3f8991aee590c426b479fc"),
+         "4a8bb0d557af582cb847f24f9f65730669716f0b7e918a47cb96bf62201ad3b4"),
         (("cq-eg", "--channel", "pinching", "--t-size", "2", "--grid", "2", "--restarts", "2", "--seed", "1001"),
-         "98e15d7946244b53bfcbfda162832e0822367abce3801377b9c567a455695c2c",
-         "c1310371b4119f98cb4207321d1c30b80ae793e8285b0961ab610cee8e943cc7"),
+         "56a08b55f01d5ff8ec81dee17fa7d26165b2d300fe8c7ba8add3740356acc130",
+         "35043c1ec253107e4000dcaf4692625d785c7d07812c178ce1ab51948d676cf5"),
     ], ids=["sweep-cq", "sweep-eg"])
     def test_benchmark_sweep_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the benchmark's sweep configs, pinned so that their CSV and sidecar bytes cannot drift silently
@@ -219,17 +219,17 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("dephasing", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
-         "f928b7962febd6153783cf649daa78ae5fa4008198d737e73fc06db2c2eba1a2",
-         "c36d4464f1567f9866a8855df07231b15dc0cb9d1b152f2852f19feea9c2c1b8"),
+         "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
+         "0fd513f77208048ee901e7610920db8e5ab3bad83ba1655236d3ca831ed62676"),
         (("qq", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
-         "f928b7962febd6153783cf649daa78ae5fa4008198d737e73fc06db2c2eba1a2",
-         "3b9cc2db63cabb4681efe8a1a28261b48f7e0b0e6cde9bac19490b6f1e1c499e"),
+         "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
+         "785219f97dbf1bca61974cb16eb0902b17d99a85dc47f6b94cebf2243843b694"),
         (("cq", "--channel", "pinching-cq", "--k", "2", "--grid", "2", "--restarts", "4", "--seed", "1001"),
          "d661b616b2c592db4e469fd7ae6a53520cd3ccbe9448e289dc80f8880219d8d7",
-         "0452addebc5cab7df168ece3071415bf3b0c473cb0a61ccff626b622f412ffa0"),
+         "5b6e25921c63514e5877bc78c015fd6c425dcf3d57f2237c697b6846077a602b"),
         (("cq-eg", "--channel", "{two_kraus}", "--t-size", "2", "--grid", "2", "--restarts", "2"),
-         "e6dd1f78ae6e6a667b8b45de5a5948a43376a7c54b46622ce9b38f082e832b69",
-         "40350f528e4881d98df9ef75254c819793caace51470816b7d04855b57e1374a"),
+         "ee74f966ce02cb1cb6747f6e36ecaae13836ad2249d1b56fb0bf127bb2392f93",
+         "e7b72d8311e11d21d6a803dbe5582c5a9523be9817a8c6aa69748fe4bb90dd52"),
     ], ids=["dephasing", "qq-dephasing", "cq-k2", "cq-eg-two-kraus"])
     def test_mode_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the paths the benchmark does not run, pinned like its sweeps: the dephasing and qq-dephasing

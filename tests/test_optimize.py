@@ -199,6 +199,14 @@ class TestMaximizeBatch:
         assert info["converged"]
         assert len(calls) == 1 + info["iterations"] < 1 + OptimizerConfig().max_iters
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["l-bfgs", "dense"])
+    def test_stopped_per_row(self, dense):
+        # restart 0 starts at the maximum and retires through GRAD_TOL; restart 1 is still climbing at max_iters
+        fn = one_pass(lambda t: -(t * t).sum(axis=1), lambda t: -2.0 * t)
+        _, _, info = maximize_batch(fn, np.array([[0.0, 0.0], [1.0, 1.0]]), OptimizerConfig(max_iters=1), dense=dense)
+        assert info["stopped"].tolist() == [True, False]
+        assert not info["converged"]
+
     def test_batched_calls_only(self):
         # one call per iteration; directions only at accepted trials, from the call that scored them
         calls, asked = [], []

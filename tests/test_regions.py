@@ -7,8 +7,8 @@ import pytest
 import qbroadcast as qb
 from qbroadcast import regions
 from qbroadcast.optimize import OptimizerConfig, seeded_rng
-from qbroadcast.regions import (_MODES as MODES, Frontier, RatePoint, build_evaluator, evaluate_witness,
-                                pareto_staircase)
+from qbroadcast.regions import (_MODES as MODES, PENALTY_SCALES, Frontier, RatePoint, build_evaluator,
+                                evaluate_witness, pareto_staircase)
 from qbroadcast.specio import BUILTIN_CHANNELS
 
 from conftest import (c_rotated_pinching_cq, central_differences, generic_dephasing, h2, pinching_cq_truth,
@@ -436,7 +436,8 @@ class TestRateGradients:
 def assert_directions_are_stage_gradients(monkeypatch, mode, make, k, t_size):
     """Both quasi-Newton rules need the exact gradient of the stage objective: the common rate in the
     r_max stage, and in a penalty stage the personal rate less mu max(0, r - common)^2 at a target
-    some rows fall short of and some meet."""
+    some rows fall short of and some meet.  Each row carries r in a last column whose direction is an
+    exact zero, so no step moves it."""
     ev = build_evaluator(mode, make(), k=k, t_size=t_size)
     thetas = seeded_rng(29).standard_normal((6, ev.n_params))
     common = np.sort(ev.rates_grad(thetas)[0])
@@ -446,9 +447,15 @@ def assert_directions_are_stage_gradients(monkeypatch, mode, make, k, t_size):
     stages, real = [], regions.maximize_batch
     monkeypatch.setattr(regions, "maximize_batch", lambda fn, *a, **kw: stages.append(fn) or real(fn, *a, **kw))
     regions._sweep(ev, OptimizerConfig(restarts=2, max_iters=1), r_values=[r])
+
+    def tagged(th):
+        return np.column_stack((th, np.full(len(th), r)))
+
     for stage in stages[:2]:  # the r_max stage, then the first penalty stage at r
-        got = stage(thetas)[1](np.arange(6))
-        ref = central_differences(lambda th: stage(th)[0])(thetas)
+        got = stage(tagged(thetas))[1](np.arange(6))
+        assert got.shape == (6, ev.n_params + 1) and not got[:, -1].any()
+        got = got[:, :-1]
+        ref = central_differences(lambda th: stage(tagged(th))[0])(thetas)
         assert np.abs(ref).max() > 1e-3  # the check is not vacuous
         assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
 
@@ -480,8 +487,8 @@ class TestAscentDirection:
 
 class TestBoundaryOptima:
     # the cq and dephasing optima are deterministic p(x|t); at the sweep-cq size the whole
-    # frontier reaches its closed form well inside the 5 x 300 iteration budget: the r_max stage,
-    # one stage at target 0, where the penalty vanishes, and three at the top target
+    # frontier reaches its closed form well inside the 4 x 300 iteration budget: the r_max call,
+    # then one call per penalty rung on both targets' rows (365 and 388 iterations at seed 1001)
     @pytest.mark.parametrize("front,make,truth", [(qb.cq_broadcast_frontier, qb.make_pinching_cq, pinching_cq_truth),
                                                    (qb.dephasing_cq_frontier, qb.make_pinching, pinching_truth)],
                              ids=["cq", "dephasing"])
@@ -490,20 +497,57 @@ class TestBoundaryOptima:
         assert abs(fr.metadata["r_max"] - 1.0) <= 1e-9
         for pt in fr.points:
             assert abs(pt.personal_rate - truth(pt.common_rate)) <= 1e-6
-        assert fr.metadata["stages"] == 5
-        assert fr.metadata["iterations"] < 5 * 300
-        assert 0 <= fr.metadata["stages_converged"] <= 5
+        assert fr.metadata["stages"] == 4
+        assert fr.metadata["iterations"] < 4 * 300
+        assert 0 <= fr.metadata["stages_converged"] <= 4
 
     def test_cq_converges_every_stage(self):
-        # the sweep-cq config: every stage stops before max_iters, and so does every witness's restart set
+        # the sweep-cq config: every call stops before max_iters, and so does every witness's restart set
         fr = qb.cq_broadcast_frontier(qb.make_pinching_cq(), cfg=OptimizerConfig(restarts=4, r_grid=2, seed=1001))
-        assert fr.metadata["stages_converged"] == fr.metadata["stages"] == 5
+        assert fr.metadata["stages_converged"] == fr.metadata["stages"] == 4
         assert all(pt.witness["converged"] for pt in fr.points)
 
     def test_dephasing_converges_every_stage(self):
+        # five targets share the r_max call and one call per penalty rung: 330 iterations at seed 7
         fr = qb.dephasing_cq_frontier(qb.make_pinching(), cfg=OptimizerConfig(restarts=4, r_grid=5, seed=7))
-        assert fr.metadata["stages_converged"] == fr.metadata["stages"] == 14
+        assert fr.metadata["stages_converged"] == fr.metadata["stages"] == 4
         assert len(fr.points) == 5 and all(pt.witness["converged"] for pt in fr.points)
+
+
+def counted_calls(monkeypatch) -> list:
+    """The row count of every ``maximize_batch`` call the sweep makes from now on."""
+    calls, real = [], regions.maximize_batch
+    monkeypatch.setattr(regions, "maximize_batch",
+                        lambda fn, inits, *a, **kw: calls.append(len(inits)) or real(fn, inits, *a, **kw))
+    return calls
+
+
+class TestOneCallPerRung:
+    @pytest.mark.parametrize("front,make,grid", [
+        (qb.cq_broadcast_frontier, qb.make_pinching_cq, 1), (qb.cq_broadcast_frontier, qb.make_pinching_cq, 9),
+        (qb.dephasing_cq_frontier, qb.make_pinching, 4), (qb.cq_entanglement_frontier, qb.make_pinching, 6)],
+        ids=["cq-grid-1", "cq-grid-9", "dephasing-grid-4", "cq-eg-grid-6"])
+    def test_calls_whatever_the_grid(self, monkeypatch, front, make, grid):
+        # every target's restarts share one batch: the r_max call, then one call per penalty rung
+        calls = counted_calls(monkeypatch)
+        fr = front(make(), cfg=OptimizerConfig(restarts=3, r_grid=grid, max_iters=20))
+        assert calls == [3] + [3 * grid] * len(PENALTY_SCALES)
+        assert fr.metadata["stages"] == 1 + len(PENALTY_SCALES) and fr.metadata["grid"] == grid
+
+    @pytest.mark.parametrize("front,mode,make", [(qb.cq_broadcast_frontier, "cq", qb.make_pinching_cq),
+                                                 (qb.dephasing_cq_frontier, "dephasing", qb.make_pinching)],
+                             ids=["cq", "dephasing"])
+    def test_one_target_per_call_reproduces_one_call(self, monkeypatch, front, mode, make):
+        cfg = OptimizerConfig(restarts=4, r_grid=5, seed=7)
+        one = front(make(), cfg=cfg)
+        n = build_evaluator(mode, make()).n_params
+        # one target's inverse Hessians, as the sweep estimates them, fit the budget and two do not
+        monkeypatch.setattr(regions, "HESSIAN_BUDGET", 1.5 * 3 * cfg.restarts * n ** 2 * 8 / 2 ** 20)
+        calls = counted_calls(monkeypatch)
+        each = front(make(), cfg=cfg)
+        assert calls == [4] * (1 + 5 * len(PENALTY_SCALES))
+        assert len(each) == len(one) and np.abs(each.as_array() - one.as_array()).max() <= 1e-12
+        assert [pt.witness["restart"] for pt in each.points] == [pt.witness["restart"] for pt in one.points]
 
 
 class TestCertification:
@@ -558,7 +602,6 @@ class TestDephasingFrontier:
         assert fr.value_at(0.0) > 0.995
 
     def test_tracks_closed_form_at_midpoint(self):
-        # warm-started ramp up to the target, as the full-grid sweep would do
         fr = qb.dephasing_cq_frontier(qb.make_pinching(), cfg=small_cfg(restarts=8),
                                       r_values=[0.0, 0.3, 0.6, h2(0.75)])
         # closed form: personal 0.75 at common h2(0.75)

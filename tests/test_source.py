@@ -65,16 +65,38 @@ class TestPrivateNames:
         assert unread_private_names([a, b]) == {"_LIMIT", "_dead", "_Gone"}
 
 
+def perfbench_spans():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 class TestPerfbenchSpans:
     def test_every_entry_point_exists(self):
         # a span around a name the package no longer has reads 0 without failing the benchmark
-        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = perfbench_spans()
         missing = {(module, attr) for _, targets in spans.ENTRY_POINTS for module, attr in targets
                    if not hasattr(importlib.import_module(f"qbroadcast.{module}"), attr)}
         assert missing <= {("bruteforce", "_spectra_entropy"), ("cli", "_write_sidecar")}
+
+    def test_traced_sweep_counts_optimizer_runs(self, tmp_path):
+        # the tracer wraps maximize_batch's fn as a one-argument objective and reads bool(info["converged"]),
+        # so a sweep must still hand it both
+        spans = perfbench_spans()
+        modules = {name: importlib.import_module(f"qbroadcast.{name}")
+                   for name in ("bruteforce", "channels", "cli", "optimize", "regions", "specio")}
+        tracer = spans.Tracer(modules)
+        tracer.install()
+        try:
+            argv = ["region", "cq", "--channel", "pinching-cq", "--grid", "2", "--restarts", "2"]
+            assert modules["cli"].run([*argv, "--out", str(tmp_path / "cq.csv")]) == 0
+        finally:
+            tracer.uninstall()
+        metrics = spans.layer_metrics(tracer.spans, tracer.notes, 0, set())
+        assert metrics["optimize.runs"] > 0 and metrics["optimize.objective_calls"] > metrics["optimize.runs"]
+        assert metrics["regions.targets"] == 2
 
 
 class TestValidationBoundary:
