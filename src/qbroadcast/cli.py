@@ -205,7 +205,10 @@ def _cmd_verify(args) -> int:
     if not isinstance(mode, str):
         raise ValidationError(f"witness: mode must be a string, got {mode!r}")
     k = integer(doc.get("k", 1), "witness: k", 1)
-    channel = parse_channel_spec(doc["channel"]) if doc.get("channel") else None
+    channel = doc.get("channel")
+    if not isinstance(channel, (dict, type(None))):
+        raise ValidationError(f"witness: channel: expected a channel document object, got {type(channel).__name__}")
+    channel = None if channel is None else prefixed("witness: channel", parse_channel_spec, channel)
     points = doc.get("points", [])
     if not isinstance(points, list) or not all(isinstance(entry, dict) for entry in points):
         raise ValidationError("witness: points must be a list of objects")

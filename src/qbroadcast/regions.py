@@ -15,9 +15,9 @@ restarts into one batch, each row carrying its target in a last parameter column
 that no step moves: one call finds r_max, then one call per penalty rung serves
 every target.  Each optimizer stage is one function: a ``rates_grad`` pass scores
 a batch, and only the rows the optimizer accepts are pulled back to the exact
-gradient, skipping every pull-back whose coefficient is exactly 0: the personal
-rate's in the r_max stage, the common rate's in a penalty stage where no asked row
-falls short of its target, and a binding receiver's that no asked row binds.  The
+gradient, by one backward pass weighted (1, 0) on (common, personal) for r_max and
+(2 mu gap, 1) in a penalty rung; a term whose weight is 0 at every asked row is
+not pulled back.  The
 conditional kind (cq and dephasing families) declares ``dense`` BFGS steps: its
 logit curvature scales with p_i, so at the simplex boundary where its optima sit
 it spans orders of magnitude that a few L-BFGS pairs forget; ``_sweep`` chunks the
@@ -261,13 +261,11 @@ class _LabelEnsembleEvaluator:
 
         Every per-label state and binding label mixture is built first, then all the
         diagonal ones go through one ``entropy_and_slope`` call (dense ones through
-        ``batched_entropy``).  ``grads(rows, personal=True, common=True)`` is
-        (d common / d theta, d personal / d theta) at those rows of the batch, None
-        when not asked.
-        Entropy gradients come through the Holevo term (the common rate follows
-        each row's binding receiver) or the personal term, then through the
-        family's states map and both decodes (from ``raw``).  Only the
-        asked rows are pulled back, and only through the receivers they bind.
+        ``batched_entropy``).  ``grads(rows, w_common, w_personal)`` is the gradient of
+        w_common common + w_personal personal at those rows, each weight a scalar or one
+        per asked row, from one backward pass through the family's states map and both
+        decodes (from ``raw``).  A term is pulled back only if its weight is nonzero at
+        some asked row; a binding receiver's weight is masked by the rows it binds.
         """
         t = self.t_size
         states = self.family.states(self, payload)
@@ -283,30 +281,29 @@ class _LabelEnsembleEvaluator:
         if self.offset is not None:
             term = term - payload @ self.offset
 
-        def grads(rows, personal: bool = True, common: bool = True):
+        def grads(rows, w_common, w_personal):
             m, p, pay, bind = len(rows), p_t[rows], payload[rows], binding[rows]
-
-            def backward(seed_p, seed_rho, seed_payload):
-                d_payload = seed_payload + self.family.adjoint(self, pay, seed_rho)
-                d_raw = self.family.decode_grad(raw[rows], pay, d_payload).reshape(m, -1)
-                return self._per_use(np.concatenate([softmax_grad(p, seed_p), d_raw], axis=1))
-
-            seed_p, seed_rho = 0, {}
-            for i, r in enumerate(self.common if common else ()):
-                mask = bind == i
-                if not mask.any():
-                    continue  # its seeds would be exact zeros
-                rho, gm = states[r][rows], g_mix[i][rows]
-                # tr(G rho_t) = sum_ij conj(G_ij) rho_t,ij for Hermitian G
-                trace = rho.reshape(m, t, -1) @ gm.conj().reshape(m, -1, 1)
-                seed_p = seed_p + mask[:, None] * (trace[..., 0].real - h[r][rows])
-                d_rho = _per_row(p, rho) * (gm[:, None] - g[r][rows])
-                seed_rho[r] = _per_row(mask, d_rho) * d_rho
-            d_personal = backward(
-                term[rows], {r: _per_row(p, states[r]) * (g[r][rows] if sign > 0 else -g[r][rows])
-                             for r, sign in self.personal.items()},
-                0.0 if self.offset is None else p[:, :, None] * -self.offset) if personal else None
-            return backward(seed_p, seed_rho, 0.0) if common else None, d_personal
+            w_common, w_personal = np.asarray(w_common, dtype=float), np.asarray(w_personal, dtype=float)
+            seed_p, seed_rho, seed_payload = 0.0, {}, 0.0
+            for i, r in enumerate(self.common if w_common.any() else ()):
+                w = np.where(bind == i, w_common, 0.0)
+                if w.any():  # else its seeds would be exact zeros
+                    rho, gm = states[r][rows], g_mix[i][rows]
+                    # tr(G rho_t) = sum_ij conj(G_ij) rho_t,ij for Hermitian G
+                    trace = rho.reshape(m, t, -1) @ gm.conj().reshape(m, -1, 1)
+                    seed_p = seed_p + w[:, None] * (trace[..., 0].real - h[r][rows])
+                    seed_rho[r] = _per_row(w[:, None] * p, rho) * (gm[:, None] - g[r][rows])
+            if w_personal.any():
+                w = w_personal.reshape(-1, 1)
+                seed_p, wp = seed_p + w * term[rows], w * p
+                for r, sign in self.personal.items():
+                    d_rho = _per_row(wp if sign > 0 else -wp, states[r]) * g[r][rows]
+                    seed_rho[r] = seed_rho[r] + d_rho if r in seed_rho else d_rho
+                if self.offset is not None:
+                    seed_payload = wp[:, :, None] * -self.offset
+            d_payload = seed_payload + self.family.adjoint(self, pay, seed_rho)
+            d_raw = self.family.decode_grad(raw[rows], pay, d_payload).reshape(m, -1)
+            return self._per_use(np.concatenate([softmax_grad(p, seed_p), d_raw], axis=1))
 
         return self._per_use(chi.min(axis=0)), self._per_use((p_t * term).sum(axis=1)), grads
 
@@ -336,9 +333,10 @@ class _LabelEnsembleEvaluator:
             payload = self.family.load(params[key])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{self.mode} witness params are not numeric arrays: {exc}")
-        if p_t.shape != (1, self.t_size) or payload.shape != want:
-            raise ValidationError(f"{self.mode} witness {key!r} has shape {payload.shape[1:]}, "
-                                  f"expected {want[1:]} for {self.t_size} labels")
+        for name, arr, shape in (("p_t", p_t, (1, self.t_size)), (key, payload, want)):
+            if arr.shape != shape:
+                raise ValidationError(f"{self.mode} witness {name!r} has shape {arr.shape[1:]}, "
+                                      f"expected {shape[1:]} for {self.t_size} labels")
         _check_distributions(p_t, f"{self.mode} witness 'p_t'")
         self.family.check(payload, f"{self.mode} witness {key!r}")
         c, p, _ = self.forward(p_t, payload)
@@ -552,21 +550,17 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
 
     def ascend(thetas, mu=None):
         """One ``maximize_batch`` call, counted in ``work``, on rows carrying their target r in a last column:
-        the common rate when ``mu`` is None, else the personal rate less mu max(0, r - common)^2.  The common
-        rate is pulled back only where its coefficient is nonzero, and r's direction is an exact zero."""
+        the common rate when ``mu`` is None, else the personal rate less mu max(0, r - common)^2, whose
+        gradient is the pull-back weighted (2 mu max(0, r - common), 1).  r's direction is an exact zero."""
         def stage(th):
             c, p, grads = ev.rates_grad(th[:, :-1])
-            gap = np.maximum(0.0, th[:, -1] - c)
-
-            def directions_at(rows):
-                if mu is None:
-                    g = grads(rows, personal=False)[0]
-                else:
-                    coef = 2.0 * mu * gap[rows]
-                    d_c, g = grads(rows, common=bool(coef.any()))
-                    g = g if d_c is None else g + coef[:, None] * d_c
-                return np.concatenate((g, np.zeros((len(g), 1))), axis=1)
-            return (c if mu is None else p - mu * gap * gap), directions_at
+            if mu is None:
+                value, w_common, w_personal = c, np.ones_like(c), 0.0
+            else:
+                gap = np.maximum(0.0, th[:, -1] - c)
+                value, w_common, w_personal = p - mu * gap * gap, 2.0 * mu * gap, 1.0
+            return value, lambda rows: np.concatenate(
+                (grads(rows, w_common[rows], w_personal), np.zeros((len(rows), 1))), axis=1)
         thetas, vals, info = maximize_batch(stage, thetas, cfg, dense=ev.family.dense)
         work["iterations"] += info["iterations"]
         work["stages"] += 1
@@ -588,9 +582,10 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
     r_max = max(float(common_vals.max()), 0.0)
     if r_values is None:
         r_values = np.linspace(0.0, r_max, cfg.r_grid)
-    # a target above zero starts from the r_max optimum, which meets it when it is reachable at all;
-    # at or below zero the constraint is vacuous and the start is cold
-    warm = r_max_thetas[int(np.argmax(common_vals)), :-1]
+    # a target above zero starts from the r_max optimum, which meets it when it is reachable at all; at or
+    # below zero the constraint is vacuous and the start is cold.  The optimum can be a stationary point of
+    # the penalty objective (the r_max corner of noiseless-bit), so a lone restart starts cold too
+    warm = r_max_thetas[int(np.argmax(common_vals)), :-1] if cfg.restarts > 1 else None
     chunk = chunk or max(1, len(r_values))
     rows = []
     for lo in range(0, len(r_values), chunk):
@@ -598,13 +593,12 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
         thetas = np.concatenate([tagged(pi, r, warm if r > 0 else None) for pi, r in enumerate(targets, lo)])
         for mu in PENALTY_SCALES:
             thetas, vals, info = ascend(thetas, mu)
-        by_target = zip(targets, thetas.reshape(len(targets), cfg.restarts, -1), vals.reshape(len(targets), -1),
-                        info["stopped"].reshape(len(targets), -1))
-        for r_target, restarts, v, stopped in by_target:
-            best = int(np.flatnonzero(v >= v.max() - 1e-12)[0])
-            theta = restarts[best, :-1]
-            (raw_c,), (raw_p,), _ = ev.rates_grad(theta[None])
-            witness = {"params": ev.witness_params(theta), "restart": best, "r_target": float(r_target),
+        best = [int(np.flatnonzero(v >= v.max() - 1e-12)[0]) for v in vals.reshape(len(targets), -1)]
+        chosen = thetas.reshape(len(targets), cfg.restarts, -1)[np.arange(len(targets)), best, :-1]
+        raw = ev.rates_grad(chosen)[:2]
+        for r_target, b, theta, raw_c, raw_p, stopped in zip(targets, best, chosen, *raw,
+                                                             info["stopped"].reshape(len(targets), -1)):
+            witness = {"params": ev.witness_params(theta), "restart": b, "r_target": float(r_target),
                        "raw_common": float(raw_c), "raw_personal": float(raw_p), "converged": bool(stopped.all())}
             rows.append((*_stored_rates(raw_c, raw_p, r_target), witness))
     meta = {"mode": ev.mode, "rates": ev.rate_labels, **(metadata or {}), "k": ev.k, "t_size": ev.t_size,

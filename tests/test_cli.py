@@ -204,11 +204,11 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("cq", "--channel", "pinching-cq", "--grid", "2", "--restarts", "4", "--seed", "1001"),
-         "029bd562af8d555ce95ad4f1167eaf76273671c74af5a2b0feb2f9ecee0c127b",
-         "4a8bb0d557af582cb847f24f9f65730669716f0b7e918a47cb96bf62201ad3b4"),
+         "1d4d0157b5231109e1ac8aaadf58ae0613a9088a9e004037fc47ae82f41af88e",
+         "402ba3bc0de4e33f1e6d8a24f05f9589914f4134337aa91dceb3e28fe53c1a31"),
         (("cq-eg", "--channel", "pinching", "--t-size", "2", "--grid", "2", "--restarts", "2", "--seed", "1001"),
-         "56a08b55f01d5ff8ec81dee17fa7d26165b2d300fe8c7ba8add3740356acc130",
-         "35043c1ec253107e4000dcaf4692625d785c7d07812c178ce1ab51948d676cf5"),
+         "98e15d7946244b53bfcbfda162832e0822367abce3801377b9c567a455695c2c",
+         "ff556853739ac34d454cd8263695a17cfebbd35d012f7241da13a50d04c5b72d"),
     ], ids=["sweep-cq", "sweep-eg"])
     def test_benchmark_sweep_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the benchmark's sweep configs, pinned so that their CSV and sidecar bytes cannot drift silently
@@ -220,16 +220,16 @@ class TestRegionCommand:
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("dephasing", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
          "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
-         "0fd513f77208048ee901e7610920db8e5ab3bad83ba1655236d3ca831ed62676"),
+         "07566c61832bcdae4beb8ea1b8b0ff172bebb44f8362688616aa6469410b3873"),
         (("qq", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
          "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
-         "785219f97dbf1bca61974cb16eb0902b17d99a85dc47f6b94cebf2243843b694"),
+         "4ea8069459abd4479cce929e6a2ee72a3e30f35758937dcfc93420c8c3f4aaf3"),
         (("cq", "--channel", "pinching-cq", "--k", "2", "--grid", "2", "--restarts", "4", "--seed", "1001"),
-         "d661b616b2c592db4e469fd7ae6a53520cd3ccbe9448e289dc80f8880219d8d7",
-         "5b6e25921c63514e5877bc78c015fd6c425dcf3d57f2237c697b6846077a602b"),
+         "d27b661e3345c2e77036ec6ada6055dc6e88ffddb934e34ed7557d3fcaf8d7c1",
+         "1daca6d8f3420db2339c97f0d44b7bbebe31e35d94944c2a19eab57b02f3b1ef"),
         (("cq-eg", "--channel", "{two_kraus}", "--t-size", "2", "--grid", "2", "--restarts", "2"),
-         "ee74f966ce02cb1cb6747f6e36ecaae13836ad2249d1b56fb0bf127bb2392f93",
-         "e7b72d8311e11d21d6a803dbe5582c5a9523be9817a8c6aa69748fe4bb90dd52"),
+         "0b739bbf8142dd6a4455895858f75a6a08aa65fb33e6f75f118a5f8705c440db",
+         "53758dfc7e5b33650b3939d8e50d18d1464f36456085877769d0c0a1c89558c0"),
     ], ids=["dephasing", "qq-dephasing", "cq-k2", "cq-eg-two-kraus"])
     def test_mode_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the paths the benchmark does not run, pinned like its sweeps: the dephasing and qq-dephasing
@@ -296,6 +296,27 @@ class TestRegionCommand:
         assert run(["verify", "--witness", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ERR_VALIDATE: ") and err.count("\n") == 1
+
+    def test_verify_names_the_misshapen_array(self, tmp_path, capsys):
+        bad = tmp_path / "w.json"
+        point = {"witness_id": "pt-000", "common_rate": 0.0, "personal_rate": 0.0,
+                 "params": {"p_t": [[1.0]], "p_x_given_t": [[0.5, 0.5]]}}
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1,
+                                   "channel": qb.serialize_channel(qb.make_noiseless_bit()), "points": [point]}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert capsys.readouterr().err == ("ERR_VALIDATE: pt-000: cq witness 'p_t' has shape (1, 1), "
+                                           "expected (1,) for 1 labels\n")
+
+    @pytest.mark.parametrize("channel,message", [
+        ("junk", "witness: channel: expected a channel document object, got str"),
+        ({"kind": "nope"}, "witness: channel: kind: unknown channel kind 'nope'"),
+        ({"kind": "cq", "b_dim": 2}, "witness: channel: c_dim: missing required field"),
+    ], ids=["text", "unknown-kind", "missing-field"])
+    def test_verify_prefixes_channel_errors(self, tmp_path, capsys, channel, message):
+        bad = tmp_path / "w.json"
+        bad.write_text(json.dumps({"format": WITNESS_FORMAT, "mode": "cq", "k": 1, "channel": channel, "points": []}))
+        assert run(["verify", "--witness", str(bad)]) == 2
+        assert capsys.readouterr().err == f"ERR_VALIDATE: {message}\n"
 
     @pytest.mark.parametrize("mode,make,params", [
         # stored common rate 2 on a 1-bit channel: the negative weight flips the clipped

@@ -53,6 +53,13 @@ def one_kraus_wide_c_channel():
     return random_isometry_channel(1, 8)
 
 
+def random_cq():
+    """A seeded cq channel on B (2) x C (2) whose three conditionals are random mixed states."""
+    lay = qb.layout(("B", 2), ("C", 2))
+    rng = np.random.default_rng(43)
+    return qb.CqBroadcastChannel(range(3), [qb.random_density_matrix(lay, rng).matrix for _ in range(3)], lay)
+
+
 def coherent_info_ref(mat, dims, a_axes, b_axes):
     """I(A>B) = H(B) - H(AB) computed with plain numpy on a raw matrix."""
     h_ab = spectrum_entropy(trace_keep(mat, dims, sorted(a_axes + b_axes)))
@@ -163,6 +170,12 @@ class TestCqFrontierEngine:
         with pytest.raises(qb.ValidationError, match="r_values"):
             qb.cq_broadcast_frontier(qb.make_noiseless_bit(), cfg=small_cfg(restarts=2), r_values=r_values)
 
+    def test_lone_restart_starts_cold(self):
+        # noiseless-bit's r_max optimum is a stationary point of the penalty objective: a lone restart
+        # warm-started there stays at the r_max corner and misses the (0.5, 0.5) point
+        fr = qb.cq_broadcast_frontier(qb.make_noiseless_bit(), cfg=OptimizerConfig(restarts=1, r_grid=3))
+        assert abs(fr.value_at(0.5, slack=1e-6) - 0.5) <= 1e-6
+
     def test_two_uses_do_not_lose_rate(self):
         w = qb.make_bsc_cascade()
         one = qb.cq_broadcast_frontier(w, cfg=small_cfg(restarts=4), r_values=[0.2], t_size=2)
@@ -267,6 +280,19 @@ class TestStoredWitnessArithmetic:
             assert ev.rates_from_witness(ev.witness_params(theta)) == (common[0], personal[0])
 
 
+    @pytest.mark.parametrize("front,mode,make,kw", [
+        (qb.cq_broadcast_frontier, "cq", qb.make_pinching_cq, {}),
+        (qb.dephasing_cq_frontier, "dephasing", qb.make_pinching, {}),
+        (qb.cq_entanglement_frontier, "cq-eg", qb.make_pinching, {"t_size": 2})], ids=["cq", "dephasing", "cq-eg"])
+    def test_sweep_witness_rescores_to_the_bit(self, front, mode, make, kw):
+        # a chunk's witness rates come from one forward pass over its targets' best rows, and each
+        # witness re-scored alone gives the same bits
+        fr = front(make(), cfg=OptimizerConfig(restarts=3, r_grid=4, max_iters=40), **kw)
+        assert len(fr.points) >= 2
+        for pt in fr.points:
+            assert evaluate_witness(mode, make(), pt.witness) == (pt.witness["raw_common"], pt.witness["raw_personal"])
+
+
 class TestPureStateRoute:
     # the output of a pure input is pure on R B C E, so S(RB) = S(CE): with one Kraus operator the
     # evaluator reads it as the common rate's S(C) whatever the dimensions, else it builds RB
@@ -307,7 +333,9 @@ class TestEntropyKernels:
         for make in (rotated_pinching_cq, c_rotated_pinching_cq):
             dense = build_evaluator("cq", make(), t_size=3)
             (*a, grads_a), (*b, grads_b) = diag.rates_grad(thetas), dense.rates_grad(thetas)
-            for x, y in zip(a + list(grads_a(np.arange(6))), b + list(grads_b(np.arange(6)))):
+            a += [grads_a(np.arange(6), *weights) for weights in WEIGHTS]
+            b += [grads_b(np.arange(6), *weights) for weights in WEIGHTS]
+            for x, y in zip(a, b):
                 assert np.abs(x - y).max() <= 1e-10
 
     def test_dense_load_over_budget_warns(self):
@@ -385,36 +413,57 @@ GRADIENT_CASES = [
 ]
 
 
+def adjoint_calls(ev) -> list:
+    """The receivers of every family ``adjoint`` call ``ev`` makes from now on, one sorted list per call."""
+    calls, real = [], ev.family.adjoint
+    ev.family = ev.family._replace(adjoint=lambda e, pay, d: calls.append(sorted(d)) or real(e, pay, d))
+    return calls
+
+
+# (w_common, w_personal) pairs for ``grads``: the r_max stage's, the personal rate alone, and penalty-rung
+# rows whose common weight is zero at some rows, each weight a scalar or one value per asked row
+WEIGHTS = [(1.0, 0.0), (0.0, 1.0), (np.array([0.0, 2.5, 0.0, 40.0, 0.0, 7.0]), 1.0),
+           (np.array([3.0, 0.0, 1.0, 0.0, 2.0, 0.0]), np.array([1.0, 0.5, 0.0, 0.0, 2.0, 1.0]))]
+
+
 class TestRateGradients:
     # the rotated channel runs the cq mode on the dense kernel; the generic dephasing
     # channel mixes its diagonal B receiver with dense C and CE receivers.  The pinching
-    # cq-eg and qq cases take S(C) for S(RB); the three-Kraus cq-eg case builds RB
+    # cq-eg and qq cases take S(C) for S(RB); the three-Kraus cq-eg case builds RB.  The
+    # random cq channel's mixed B conditionals give the only offset that is not constant in x
     @pytest.mark.parametrize(
         "mode,make,k,t_size",
         GRADIENT_CASES + [("cq", rotated_pinching_cq, 1, 3), ("dephasing", generic_dephasing, 1, 3),
-                          ("cq-eg", three_kraus_channel, 1, 2)],
+                          ("cq-eg", three_kraus_channel, 1, 2), ("cq", random_cq, 1, 2)],
         ids=[f"{c[0]}-k{c[2]}" for c in GRADIENT_CASES] + ["cq-rotated-k1", "dephasing-generic-k1",
-                                                           "cq-eg-three-kraus-k1"])
+                                                           "cq-eg-three-kraus-k1", "cq-random-k1"])
     def test_matches_central_differences(self, mode, make, k, t_size):
         ev = build_evaluator(mode, make(), k=k, t_size=t_size)
-        thetas = seeded_rng(5, k).standard_normal((4, ev.n_params))
+        thetas = seeded_rng(5, k).standard_normal((6, ev.n_params))
+        calls = adjoint_calls(ev)
         grads = ev.rates_grad(thetas)[2]
-        d_common, d_personal = grads(np.arange(4))
-        for got, pick in ((d_common, 0), (d_personal, 1)):
-            ref = central_differences(lambda th: ev.rates_grad(th)[pick])(thetas)
+        d_common, d_personal = (central_differences(lambda th: ev.rates_grad(th)[pick])(thetas) for pick in (0, 1))
+        for w_common, w_personal in WEIGHTS:
+            calls.clear()
+            got = grads(np.arange(6), w_common, w_personal)
+            assert len(calls) == 1  # the common and personal terms share one backward pass
+            ref = np.reshape(w_common, (-1, 1)) * d_common + np.reshape(w_personal, (-1, 1)) * d_personal
             assert np.abs(ref).max() > 1e-3  # the check is not vacuous
             assert np.abs(got - ref).max() <= 1e-6
-        # rows pulled back alone match their rows of the whole batch, with or without the personal rate
-        assert np.array_equal(grads([2, 0], personal=False)[0], d_common[[2, 0]])
-        assert grads([2, 0], personal=False)[1] is None
-        assert np.array_equal(grads([3])[1], d_personal[[3]])
+            # rows pulled back alone match their rows of the whole batch
+            rows = [4, 1, 3]
+            alone = grads(rows, *(w[rows] if np.ndim(w) else w for w in (w_common, w_personal)))
+            assert np.array_equal(alone, got[rows])
 
     def test_personal_pull_back_without_the_common_one(self):
-        # a penalty stage whose coefficient is 0 at every asked row skips the common pull-back
+        # a penalty rung whose common weight is 0 at every asked row pulls back only the personal
+        # receivers; those rows match their rows of the whole batch
         ev = build_evaluator("cq", qb.make_pinching_cq())
+        calls = adjoint_calls(ev)
         grads = ev.rates_grad(seeded_rng(19).standard_normal((6, ev.n_params)))[2]
-        skipped, d_personal = grads([4, 1, 2], common=False)
-        assert skipped is None and np.array_equal(d_personal, grads([4, 1, 2])[1])
+        d_personal = grads([4, 1, 2], np.zeros(3), 1.0)
+        assert calls == [["B"]]
+        assert np.array_equal(d_personal, grads(np.arange(6), 0.0, 1.0)[[4, 1, 2]])
 
     def test_unbound_receiver_skipped(self):
         # a row pulled back alone skips the receiver it does not bind; its gradients are still the ones
@@ -426,11 +475,13 @@ class TestRateGradients:
         binds_c = common == only_c.rates_grad(thetas)[0]
         assert binds_c.any() and not binds_c.all()
         rows = [int(np.flatnonzero(~binds_c)[0]), int(np.flatnonzero(binds_c)[0])]  # one binds B, one C
-        d_common, d_personal = grads(rows)
-        for at, row in enumerate(rows):
-            alone_common, alone_personal = grads([row])
-            assert np.array_equal(alone_common[0], d_common[at])
-            assert np.array_equal(alone_personal[0], d_personal[at])
+        calls = adjoint_calls(ev)
+        for weights in ((1.0, 0.0), (1.0, 1.0)):
+            both = grads(rows, *weights)
+            for at, (row, bound) in enumerate(zip(rows, ("B", "C"))):
+                calls.clear()
+                assert np.array_equal(grads([row], *weights)[0], both[at])
+                assert calls == [sorted({bound} | ({"B"} if weights[1] else set()))]
 
 
 def assert_directions_are_stage_gradients(monkeypatch, mode, make, k, t_size):
