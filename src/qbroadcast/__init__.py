@@ -90,79 +90,3 @@ from .states import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_CHANNELS",
-    "BroadcastChannel",
-    "BudgetError",
-    "CardinalityReport",
-    "CqBroadcastChannel",
-    "CqCertification",
-    "CqState",
-    "DegradednessReport",
-    "DensityMatrix",
-    "DephasingSpec",
-    "Frontier",
-    "IndependentRates",
-    "KrausChannel",
-    "MergingRates",
-    "OptimizerConfig",
-    "PureState",
-    "RatePoint",
-    "SystemLayout",
-    "ValidationError",
-    "basis_state",
-    "binary_entropy",
-    "build_evaluator",
-    "cardinality_probe",
-    "certify_single_letter_cq",
-    "channel_coherent_information",
-    "classical_degraded_region",
-    "coherent_information",
-    "complementary",
-    "completely_dephase",
-    "composition_count",
-    "compositions",
-    "conditional_entropy",
-    "conditional_mutual_information",
-    "cq_broadcast_frontier",
-    "cq_entanglement_frontier",
-    "degradedness_residual",
-    "dephasing_cq_frontier",
-    "evaluate_witness",
-    "fidelity",
-    "grid_cq_frontier",
-    "holevo_information",
-    "independent_rates",
-    "isometric_extension",
-    "layout",
-    "make_bsc_cascade",
-    "make_classical_cascade",
-    "make_completely_dephasing",
-    "make_constant_cq",
-    "make_generalized_dephasing",
-    "make_ghz_copy",
-    "make_identity_channel",
-    "make_noiseless_bit",
-    "make_pinching",
-    "make_pinching_cq",
-    "maximally_entangled",
-    "maximize_batch",
-    "merging_rates",
-    "mesh_tolerance",
-    "mutual_information",
-    "parse_channel_spec",
-    "parse_state_spec",
-    "partial_trace",
-    "pinching_boundary",
-    "purify",
-    "qq_frontier",
-    "random_density_matrix",
-    "random_pure_state",
-    "seeded_rng",
-    "serialize_channel",
-    "serialize_state",
-    "tensor_product",
-    "trace_distance",
-    "von_neumann_entropy",
-]

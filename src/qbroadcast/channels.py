@@ -10,10 +10,11 @@ swap one transpose.  Every k-use channel (Kraus stacks, cq states, dephasing
 images) comes from one grouped Kronecker power, ``_kron_power``.  The
 degrading-map search at the bottom certifies (numerically) whether one
 receiver's marginal can be post-processed into the other's.  It tries, in
-order: identity, the dephasing basis, a linear fit for every probe set, then
-an optimized measure-prepare fit for commuting B probes or a QR-retraction fit
-for non-commuting.  It stops once a map certifies or meets the contraction
-floor, the trace-norm lower bound that no map's residual can fall below.
+order: a linear fit for every probe set, which is a channel on every input,
+then an optimized measure-prepare fit for commuting B probes or a
+QR-retraction fit for non-commuting ones.  It stops once a map certifies or
+meets the contraction floor, the trace-norm lower bound that no map's residual
+can fall below.
 """
 
 from __future__ import annotations
@@ -546,8 +547,11 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
 
     Solves the linear system mapping each B-side probe to its C-side target,
     rearranges the solution into block form, clips it to positive semidefinite,
-    and rescales so the Kraus operators close to the identity.  Exact when a
-    degrading map exists and the probes span; otherwise a warm start.
+    and rescales it so its partial trace over C is the identity on the input
+    directions where that trace exceeds 1e-9.  On the others, which the probes
+    (nearly) leave unseen, the map prepares the maximally mixed state, so the
+    stack is a channel on every input.  Exact when a degrading map exists and
+    the probes span; otherwise a warm start.
     """
     p, db, _ = b_stack.shape
     dc = c_stack.shape[1]
@@ -557,12 +561,12 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
     j = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     red = np.einsum("icjc->ij", j.reshape(db, dc, db, dc))
     rv, rw = np.linalg.eigh(_hermitize(red))
-    g = (rw * (1.0 / np.sqrt(np.maximum(rv, 1e-12)))) @ rw.conj().T
-    gi = np.kron(g, np.eye(dc, dtype=complex))
-    vals, vecs = np.linalg.eigh(_hermitize(gi @ j @ gi.conj().T))
+    seen, unseen = rw[:, rv > 1e-9], rw[:, rv <= 1e-9]
+    gi, mixed = (np.multiply.outer(a, np.eye(dc)).transpose(0, 2, 1, 3).reshape(db * dc, -1)  # a (x) I_C
+                 for a in ((seen * (1.0 / np.sqrt(rv[rv > 1e-9]))) @ seen.conj().T, unseen @ unseen.conj().T / dc))
+    vals, vecs = np.linalg.eigh(_hermitize(gi @ j @ gi.conj().T + mixed))
     keep = np.flatnonzero(vals > 1e-12)[::-1]  # eigenvalues ascend: largest first
-    ops = np.sqrt(vals[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, db, dc).transpose(0, 2, 1)
-    return ops if len(keep) else np.zeros((1, dc, db), dtype=complex)
+    return np.sqrt(vals[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, db, dc).transpose(0, 2, 1)
 
 
 def _kraus_fit(b_stack: np.ndarray, c_stack: np.ndarray, decode):
@@ -645,15 +649,6 @@ def _common_eigenbasis(mats: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return vecs
 
 
-def _dephasing_basis_maps(s):
-    """Measure the input basis and prepare |psi_x> on C: a dephasing channel with a trivial E."""
-    if s.spec is None or (s.spec.n_in, s.spec.c_dim, s.spec.e_dim) != (s.db, s.dc, 1):
-        return []
-    ops = np.zeros((1, s.db, s.dc, s.db), dtype=complex)
-    ops[0, np.arange(s.db), :, np.arange(s.db)] = s.spec.images
-    return ops
-
-
 def _fit_maps(s, decode, inits: np.ndarray) -> np.ndarray:
     """Every restart's map of one Kraus-stack fit: the fit ascends the summed squared Frobenius
     residual, not the worst trace norm the search keeps, so its best restart need not be the best map."""
@@ -670,33 +665,35 @@ def _linear_fit_maps(s) -> np.ndarray:
 def _retraction_inits(s) -> np.ndarray:
     """Random QR-retraction restarts in the decode's (2, db*dc*dc, db) layout, restart 0 at the linear fit."""
     fit = s.linear.reshape(-1, s.db)
-    inits = s.rng.standard_normal((s.cfg.restarts, 2, s.db * s.dc * s.dc, s.db))
+    inits = seeded_rng(*s.seed).standard_normal((s.cfg.restarts, 2, s.db * s.dc * s.dc, s.db))
     inits[0] = 0.0
     inits[0, :, :len(fit)] = fit.real, fit.imag
     return inits.reshape(s.cfg.restarts, -1)
 
 
-# Degrading-map strategies in search order: (method, the all_b_commute values it serves -- None for
-# every probe set, run before any gate -- and the search state's candidate Kraus stacks, (m, n_env, dc, db)).
+def _prep_maps(s) -> np.ndarray:
+    """Every restart's map of the measure-prepare fit, in a common eigenbasis of the B probes drawn first."""
+    rng = seeded_rng(*s.seed)
+    decode = _prep_decode(_common_eigenbasis(s.b, rng), s.dc)
+    return _fit_maps(s, decode, rng.standard_normal((s.cfg.restarts, s.db * 2 * s.dc * s.dc)))
+
+
+# Degrading-map strategies in search order: (method, the all_b_commute values it serves, and the search
+# state's candidate Kraus stacks, (m, n_env, dc, db)).
 _STRATEGIES = (
-    ("identity", None, lambda s: np.eye(s.dc, dtype=complex)[None, None] if s.db == s.dc else []),
-    ("measure-prepare (dephasing basis)", None, _dephasing_basis_maps),
     ("kraus (linear fit)", (True, False), _linear_fit_maps),
-    ("measure-prepare (optimized)", (True,), lambda s: _fit_maps(
-        s, _prep_decode(s.basis, s.dc), s.rng.standard_normal((s.cfg.restarts, s.db * 2 * s.dc * s.dc)))),
+    ("measure-prepare (optimized)", (True,), _prep_maps),
     ("kraus (QR retraction)", (False,), lambda s: _fit_maps(s, _retraction_decode(s.dc, s.db), _retraction_inits(s))),
 )
 
 
 def _search_state(bc_or_pair, cfg) -> SimpleNamespace:
-    """What the strategies read: probe stacks and dimensions, commuting B and its basis, spec, rng and cfg.
-
-    The common eigenbasis draws from the rng before any fit does."""
+    """What the strategies read: probe stacks and dimensions, whether the B probes commute, cfg, and the seed
+    path of the random draws.  The two optimizing fits serve disjoint probe sets, so a search builds at most
+    one generator from that path, and only once a fit runs."""
     b_states, c_states, commute = _probe_pairs(bc_or_pair)
-    rng = seeded_rng(cfg.seed, 0x5E9)
     return SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
-                           spec=bc_or_pair.dephasing if isinstance(bc_or_pair, BroadcastChannel) else None,
-                           basis=_common_eigenbasis(b_states, rng) if commute else None, rng=rng, cfg=cfg)
+                           seed=(cfg.seed, 0x5E9), cfg=cfg)
 
 
 def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
@@ -706,27 +703,24 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     map's residual is its worst trace-norm distance from the C targets.  The
     strategies, in order and where each applies:
 
-    1. identity: B and C of the same dimension;
-    2. measure-prepare (dephasing basis): a dephasing channel with a trivial E;
-    3. kraus (linear fit): every probe set, the least-squares transfer matrix
-       projected to CPTP;
-    4. measure-prepare (optimized): commuting B probes, Kraus-stack fit;
-    5. kraus (QR retraction): non-commuting B probes, Kraus-stack fit.
+    1. kraus (linear fit): every probe set, the least-squares transfer matrix
+       projected to CPTP, a channel on every input (exact to rounding on the
+       identity and on dephasing channels);
+    2. measure-prepare (optimized): commuting B probes, Kraus-stack fit;
+    3. kraus (QR retraction): non-commuting B probes, Kraus-stack fit.
 
     Each fit hands the search every restart's map.  A map replaces the best
-    only with a strictly smaller residual.  The first two always run, the rest
-    only while the best residual is above both 1e-6 and the contraction floor,
-    which the report carries: no map's residual falls below
+    only with a strictly smaller residual.  A strategy runs only while the best
+    residual is above both 1e-6 and the contraction floor, which the report
+    carries: no map's residual falls below
     max_{p<q} (|c_p - c_q|_1 - |b_p - b_q|_1) / 2.
     """
     s = _search_state(bc_or_pair, cfg or OptimizerConfig())
     floor = _contraction_floor(s.b, s.c)
     best, best_residual, best_method = None, np.inf, "none"
     for method, serves, maps in _STRATEGIES:
-        if serves is not None and (s.commute not in serves or best_residual <= max(CERTIFY_THRESHOLD, floor)):
-            continue
-        stacks = maps(s)
-        if len(stacks):
+        if s.commute in serves and best_residual > max(CERTIFY_THRESHOLD, floor):
+            stacks = maps(s)
             r = _residuals(stacks, s.b, s.c)
             i = int(np.argmin(r))  # the first of equal residuals, as a strictly smaller one replaces the best
             if r[i] < best_residual:

@@ -4,7 +4,8 @@ Everything here is computed from scratch (bisection on binary entropy, plain
 table entropies) so test expectations never route through the package's own
 entropy code.  ``central_differences`` is the reference gradient of every
 gradient test.  ``rotated_pinching_cq`` is the shared non-diagonal test channel;
-``c_rotated_pinching_cq`` and ``generic_dephasing`` mix diagonal and dense receivers.
+``c_rotated_pinching_cq`` and ``generic_dephasing`` mix diagonal and dense receivers;
+``seeded_dephasing_doc`` is the seeded channel document of the degradedness checks.
 """
 
 import math
@@ -143,3 +144,13 @@ def generic_dephasing():
     rng = np.random.default_rng(31)
     vecs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     return qb.make_generalized_dephasing(qb.DephasingSpec(2, 2, vecs / np.linalg.norm(vecs, axis=1, keepdims=True)))
+
+
+def seeded_dephasing_doc(seed=1001):
+    """Generalized dephasing, 3 inputs, C dim 2: unit C vectors drawn around base seed 12345 with noise 0.05."""
+    base = np.random.default_rng(12345)
+    vecs = base.standard_normal((3, 2)) + 1j * base.standard_normal((3, 2))
+    rng = np.random.default_rng(seed)
+    vecs = vecs + 0.05 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return {"kind": "dephasing", "c_dim": 2, "e_dim": 1, "images": np.stack([vecs.real, vecs.imag], axis=-1).tolist()}

@@ -22,7 +22,7 @@ from qbroadcast.optimize import seeded_rng
 from qbroadcast.specio import BUILTIN_CHANNELS
 from qbroadcast.states import _hermitize
 
-from conftest import central_differences, generic_dephasing, spectrum_entropy
+from conftest import central_differences, generic_dephasing, seeded_dephasing_doc, spectrum_entropy
 
 
 def random_channel(rng, d_in, d_out, n_env):
@@ -563,10 +563,9 @@ class TestSwapped:
         twice = ch.swapped().swapped()
         stack = "ops" if isinstance(ch, qb.BroadcastChannel) else "states"
         assert np.array_equal(getattr(twice, stack), getattr(ch, stack)) and twice.out_layout == ch.out_layout
-        # a swap drops any DephasingSpec, so a Kraus channel's report is compared with that of its marginal pair:
-        # the same probes, without the dephasing-basis map the spec would offer
+        # a swap drops any DephasingSpec, which the search does not read
         cfg = OptimizerConfig(restarts=2, max_iters=20)
-        once = qb.degradedness_residual(ch.marginals() if stack == "ops" else ch, cfg=cfg)
+        once = qb.degradedness_residual(ch, cfg=cfg)
         again = qb.degradedness_residual(twice, cfg=cfg)
         assert (again.residual, again.certified, again.method, again.floor) == \
             (once.residual, once.certified, once.method, once.floor)
@@ -589,6 +588,19 @@ def non_commuting_degraded() -> qb.CqBroadcastChannel:
         b = np.outer(v, v.conj()) / np.vdot(v, v).real
         states.append(np.kron(b, apply_kraus(post, b)))
     return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 2), ("C", 2)), validate=False)
+
+
+def few_symbol_degraded_cq(unprobed: bool = False) -> qb.CqBroadcastChannel:
+    """Two diagonal B states with d_B = 3 and C = a fixed random channel of B: degraded and commuting, with
+    fewer symbols than d_B.  With ``unprobed`` neither B state weighs the third basis state."""
+    rng = np.random.default_rng(0)
+    post = random_channel(rng, 3, 2, 2)
+    states = []
+    for _ in range(2):
+        p = rng.dirichlet(np.ones(2 if unprobed else 3))
+        b = np.diag(np.r_[p, 0.0] if unprobed else p).astype(complex)
+        states.append(np.kron(b, apply_kraus(post, b)))
+    return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 3), ("C", 2)))
 
 
 class TestDegradedness:
@@ -644,6 +656,18 @@ class TestDegradedness:
         assert rep.method == "kraus (QR retraction)"
         assert rep.certified
 
+    def test_measure_prepare_fit_certifies_few_symbols(self):
+        # two commuting B probes underdetermine a map on d_B = 3: the linear fit misses it, the measure-prepare fit
+        # finds it
+        w = few_symbol_degraded_cq()
+        s = _search_state(w, OptimizerConfig())
+        assert s.commute
+        linear = {method: maps for method, _, maps in _STRATEGIES}["kraus (linear fit)"]
+        assert _residuals(linear(s), s.b, s.c)[0] > 1e-6
+        rep = qb.degradedness_residual(w)
+        assert rep.method == "measure-prepare (optimized)"
+        assert rep.certified
+
     @pytest.mark.parametrize("case", ["degraded", "dephasing-reverse"])
     def test_qr_retraction_hands_over_every_restart(self, case):
         w = non_commuting_degraded() if case == "degraded" else generic_dephasing().swapped()
@@ -689,12 +713,50 @@ class TestDegradedness:
         assert rep.degrading_map.in_dim == 3
 
 
+def returned_map_cases():
+    """Every builtin and seeded dephasing document (seeds 1-20 and 1001) both ways, every ``floor_cases``
+    input of seeds 0-39, and the few-symbol cq channel whose B states leave one basis state unprobed."""
+    channels = [make() for make in BUILTIN_CHANNELS.values()]
+    channels += [qb.parse_channel_spec(seeded_dephasing_doc(seed)) for seed in [*range(1, 21), 1001]]
+    cases = [case for ch in channels for case in (ch, ch.swapped())]
+    return cases + [case for seed in range(40) for case in floor_cases(seed)] + [few_symbol_degraded_cq(unprobed=True)]
+
+
+class TestDegradingMapIsAChannel:
+    """The linear fit drops the input directions its probes leave (nearly) unseen and prepares the maximally
+    mixed state there, so every map the search returns is trace preserving."""
+
+    def test_every_returned_map_passes_the_kraus_check(self):
+        cfg = OptimizerConfig(restarts=2, max_iters=20)
+        for i, case in enumerate(returned_map_cases()):
+            dmap = qb.degradedness_residual(case, cfg=cfg).degrading_map
+            try:
+                qb.KrausChannel(dmap.ops, dmap.out_layout)  # sum K†K = I within KRAUS_TOL
+            except qb.ValidationError as err:
+                pytest.fail(f"case {i}: {err}")
+
+    @pytest.mark.parametrize("seed,index", [(6, 0), (6, 1), (9, 1)])
+    def test_linear_fit_certifies_near_unprobed_inputs(self, seed, index):
+        # near-unprobed inputs: these pairs certify only if the fit drops the directions whose partial trace is
+        # tiny instead of scaling them up
+        rep = qb.degradedness_residual(floor_cases(seed)[index], cfg=OptimizerConfig(restarts=2, max_iters=20))
+        assert rep.method == "kraus (linear fit)"
+        assert rep.certified
+
+    def test_unprobed_input_prepares_the_maximally_mixed_state(self):
+        rep = qb.degradedness_residual(few_symbol_degraded_cq(unprobed=True))
+        assert rep.method == "kraus (linear fit)"
+        assert rep.certified
+        image = _images(rep.degrading_map.ops, np.diag([0.0, 0.0, 1.0]).astype(complex))
+        assert np.abs(image - np.eye(2) / 2).max() <= 1e-12
+
+
 def floor_and_every_residual(bc_or_pair, cfg):
     """The search's contraction floor, the residual of every map every applicable strategy yields, and
     whether the B probes commute."""
     s = _search_state(bc_or_pair, cfg)
-    stacks = [maps(s) for _, serves, maps in _STRATEGIES if serves is None or s.commute in serves]
-    residuals = [r for stack in stacks if len(stack) for r in _residuals(stack, s.b, s.c)]
+    stacks = [maps(s) for _, serves, maps in _STRATEGIES if s.commute in serves]
+    residuals = [r for stack in stacks for r in _residuals(stack, s.b, s.c)]
     return _contraction_floor(s.b, s.c), residuals, s.commute
 
 

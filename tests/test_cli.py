@@ -12,6 +12,8 @@ from qbroadcast.optimize import OptimizerConfig
 from qbroadcast.regions import _MODES, _stored_rates, _sweep, build_evaluator, evaluate_witness, pinching_boundary
 from qbroadcast.specio import BUILTIN_CHANNELS, complex_to_json
 
+from conftest import seeded_dephasing_doc
+
 
 def region_args(out, channel="noiseless-bit", mode="cq", size=("--grid", "3", "--restarts", "4")):
     return ["region", mode, "--channel", channel, *size, "--out", str(out)]
@@ -485,29 +487,19 @@ class TestQuantitiesCommand:
 # (channel, reverse, residual line, certified, method); None pins no residual digits
 # (the forward document residual is rounding noise), only that it is at most 1e-12
 DEGRADED_VERDICTS = [
-    ("pinching", False, "0", "true", "measure-prepare (dephasing basis)"),
+    ("pinching", False, "2.11173317032e-15", "true", "kraus (linear fit)"),
     ("pinching", True, "1.04822012578", "false", "kraus (linear fit)"),
     ("pinching-cq", False, "0", "true", "kraus (linear fit)"),
     ("pinching-cq", True, "1", "false", "kraus (linear fit)"),
-    ("noiseless-bit", False, "0", "true", "identity"),
-    ("noiseless-bit", True, "0", "true", "identity"),
-    ("constant", False, "0", "true", "identity"),
-    ("constant", True, "0", "true", "identity"),
-    ("ghz-copy", False, "0", "true", "identity"),
-    ("ghz-copy", True, "0", "true", "identity"),
-    ("dephasing-doc", False, None, "true", "measure-prepare (dephasing basis)"),
+    ("noiseless-bit", False, "0", "true", "kraus (linear fit)"),
+    ("noiseless-bit", True, "0", "true", "kraus (linear fit)"),
+    ("constant", False, "0", "true", "kraus (linear fit)"),
+    ("constant", True, "0", "true", "kraus (linear fit)"),
+    ("ghz-copy", False, "0", "true", "kraus (linear fit)"),
+    ("ghz-copy", True, "0", "true", "kraus (linear fit)"),
+    ("dephasing-doc", False, None, "true", "kraus (linear fit)"),
     ("dephasing-doc", True, "0.890609954859", "false", "kraus (linear fit)"),
 ]
-
-
-def _seeded_dephasing_doc(seed=1001):
-    """Generalized dephasing, 3 inputs, C dim 2: unit C vectors drawn around base seed 12345 with noise 0.05."""
-    base = np.random.default_rng(12345)
-    vecs = base.standard_normal((3, 2)) + 1j * base.standard_normal((3, 2))
-    rng = np.random.default_rng(seed)
-    vecs = vecs + 0.05 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return {"kind": "dephasing", "c_dim": 2, "e_dim": 1, "images": np.stack([vecs.real, vecs.imag], axis=-1).tolist()}
 
 
 class TestCheckDegraded:
@@ -516,7 +508,7 @@ class TestCheckDegraded:
     def test_builtin_verdicts(self, tmp_path, capsys, channel, reverse, residual, certified, method):
         if channel == "dephasing-doc":
             channel = tmp_path / "dephasing.json"
-            channel.write_text(json.dumps(_seeded_dephasing_doc()))
+            channel.write_text(json.dumps(seeded_dephasing_doc()))
         assert run(["check", "degraded", "--channel", str(channel)] + (["--reverse"] if reverse else [])) == 0
         lines = capsys.readouterr().out.splitlines()
         if residual is None:
@@ -730,7 +722,7 @@ class TestOneProcess:
         assert run(["region", "cq", "--channel", "noiseless-bit", "--grid", "three"]) == 2
         assert capsys.readouterr().err.startswith("ERR_VALIDATE: argument --grid: invalid int value")
         assert run(["check", "degraded", "--channel", "pinching"]) == 0
-        assert capsys.readouterr().out.splitlines()[1:] == ["certified: true", "method: measure-prepare (dephasing basis)"]
+        assert capsys.readouterr().out.splitlines()[1:] == ["certified: true", "method: kraus (linear fit)"]
         assert run(region_args(out)) == 0
         assert (out.read_bytes(), side.read_bytes()) == first
 
