@@ -5,7 +5,8 @@ with the engine: every entropy is ``_table_entropy`` of probability tables.  The
 oracle picks where each receiver's spectra come from once (the diagonals of an exactly
 diagonal stack, else ``eigvalsh``), and mixtures are 2-D matrix products.  Joints
 p(t, x) are compositions of the mesh over t_size * |X| cells, one per relabeling of the
-labels t, which no rate depends on: the rows whose label blocks ascend.  Both oracles are one
+labels t, which no rate depends on: the rows whose label blocks ascend, grown in table order, so no
+finished row is sorted.  Both oracles are one
 ``_scan`` of those joints; each supplies only its rates on a chunk of them.  The Pareto pass is
 ``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a
 sweep keep points by the same rule; it is the only thing taken from ``regions`` besides
@@ -63,7 +64,9 @@ def _enumerate_joints(mesh: int, t_size: int, n_x: int) -> np.ndarray:
     """One joint per relabeling of the labels: the composition-table rows whose label blocks (rows of
     p(t, .)) ascend lexicographically, in table order.  Rows grow a block at a time, taking each block of
     mass <= their rest (exactly the rest at the last label) at or after their last one, so the full table is
-    never built; the orbit sizes t_size!/prod(multiplicity!) sum to the stars-and-bars count, the budget."""
+    never built; the orbit sizes t_size!/prod(multiplicity!) sum to the stars-and-bars count, the budget.
+    Blocks are numbered lexicographically, so children ordered by block index keep the rows in table order;
+    at the last label a row takes one mass, and its children come out in that order already."""
     count = composition_count(mesh, t_size * n_x)
     if count > MAX_CANDIDATES:
         raise BudgetError(f"grid enumeration would need {count} candidates (limit {MAX_CANDIDATES}); "
@@ -82,12 +85,15 @@ def _enumerate_joints(mesh: int, t_size: int, n_x: int) -> np.ndarray:
         take = np.searchsorted(key, (m + 1) * len(mass)) - start
         parent = np.repeat(pair, take)
         child = order[np.arange(parent.size) + np.repeat(start + take - take.cumsum(), take)]
+        if depth < t_size:  # children by block index; the last depth's already are
+            table = np.argsort(parent * len(mass) + child, kind="stable")
+            parent, child = parent[table], child[table]
         run = np.where(child == last[parent], run[parent] + 1, 1)
         orbit = orbit[parent] * depth // run
         rows, last, rest = np.column_stack((rows[parent], child)), child, rest[parent] - mass[child]
     if orbit.sum() != count:
         raise RuntimeError(f"{len(rows)} orbits hold {orbit.sum()} joints, stars-and-bars says {count}")
-    return blocks[rows[np.lexsort(rows.T[::-1])]].reshape(len(rows), t_size, n_x) / float(mesh)
+    return (blocks / float(mesh))[rows].reshape(len(rows), t_size, n_x)
 
 
 def _table_entropy(table: np.ndarray) -> np.ndarray:

@@ -88,18 +88,19 @@ def _emit(text: str, out: str | None):
 
 
 def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, channel_doc, metadata: dict) -> int:
-    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar."""
+    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar: compact JSON,
+    written first, so a sidecar that cannot be written leaves no new CSV behind."""
     lines, entries = ["common_rate,personal_rate,witness_id"], []
     for i, pt in enumerate(points):
         wid = f"{prefix}-{i:03d}"
         lines.append(f"{_fmt(pt.common_rate)},{_fmt(pt.personal_rate)},{wid}")
         entries.append({"witness_id": wid, "common_rate": float(pt.common_rate),
                         "personal_rate": float(pt.personal_rate), **pt.witness})
-    _emit("\n".join(lines) + "\n", out)
     if out is not None:
         doc = {"format": WITNESS_FORMAT, "mode": mode, "k": k, "channel": channel_doc,
                "metadata": metadata, "points": entries}
-        _write_text(out + ".witness.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_text(out + ".witness.json", json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 

@@ -146,10 +146,17 @@ def pareto_staircase(commons: np.ndarray, personals: np.ndarray, witness: Callab
 
     Rows are scanned from the highest common down, best personal first; a row is kept
     only when its personal rate beats the last kept one by more than 1e-12, and it
-    replaces that one when their commons agree to 12 decimals.  ``witness(i)`` is the
-    witness of row ``i``.  Sweeps and the exhaustive oracles both end here.
+    replaces that one when their commons agree to 12 decimals; among exact duplicates the
+    lowest row wins.  ``witness(i)`` is the witness of row ``i``.  Sweeps and the exhaustive
+    oracles both end here.  Only a row whose personal reaches that of every row with a higher
+    common can be kept: one argsort of the commons finds those, and only they are lexsorted.
     """
-    order = np.lexsort((-personals, -commons))
+    # >= keeps every row of a tie, and a stable sort keeps tied rows in row order, so the lexsort breaks
+    # ties by row index as on every row (it is also the sort lexsort runs, so it maps no new code pages)
+    by_common = np.argsort(-commons, kind="stable")
+    vals = personals[by_common]
+    rows = by_common[vals >= np.maximum.accumulate(vals)]
+    order = rows[np.lexsort((-personals[rows], -commons[rows]))]
     # only a strict running-maximum record can pass the loop's test, so drop the rest first
     vals = personals[order]
     records = order[vals > np.maximum.accumulate(np.concatenate(([-np.inf], vals)))[:-1]]

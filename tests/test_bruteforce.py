@@ -51,6 +51,17 @@ class TestCompositions:
             assert joints.shape == (len(ascending), t_size, n_x)
             assert np.array_equal(joints.reshape(len(joints), -1) * float(mesh), np.array(ascending, dtype=float))
 
+    @pytest.mark.parametrize("mesh,t_size,n_x", [(6, 3, 1), (4, 4, 1), (30, 3, 2)])
+    def test_joints_are_the_ascending_table_rows(self, mesh, t_size, n_x):
+        # blocks hold at most mesh, so a base mesh + 1 code of a block orders blocks lexicographically;
+        # the joints grow in table order, with no sort of the finished rows
+        table = _composition_table(mesh, t_size * n_x).astype(np.intp)
+        codes = table.reshape(len(table), t_size, n_x) @ (mesh + 1) ** np.arange(n_x - 1, -1, -1)
+        ascending = table[(np.diff(codes, axis=1) >= 0).all(axis=1)]
+        joints = _enumerate_joints(mesh, t_size, n_x)
+        assert joints.shape == (len(ascending), t_size, n_x)
+        assert np.array_equal(joints.reshape(len(joints), -1) * float(mesh), ascending)
+
     @pytest.mark.parametrize("total,parts", [(0, 1), (7, 1), (0, 4), (1, 5), (3, 2), (6, 4), (9, 4), (4, 7),
                                              (300, 2), (255, 3)])
     def test_table_matches_itertools_reference(self, total, parts):

@@ -207,10 +207,10 @@ class TestRegionCommand:
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("cq", "--channel", "pinching-cq", "--grid", "2", "--restarts", "4", "--seed", "1001"),
          "1d4d0157b5231109e1ac8aaadf58ae0613a9088a9e004037fc47ae82f41af88e",
-         "402ba3bc0de4e33f1e6d8a24f05f9589914f4134337aa91dceb3e28fe53c1a31"),
+         "9fb3cb044d485735696ebc81347c0b5b2b45cecbe3bdd95668b6b05311711aae"),
         (("cq-eg", "--channel", "pinching", "--t-size", "2", "--grid", "2", "--restarts", "2", "--seed", "1001"),
          "98e15d7946244b53bfcbfda162832e0822367abce3801377b9c567a455695c2c",
-         "ff556853739ac34d454cd8263695a17cfebbd35d012f7241da13a50d04c5b72d"),
+         "1add730288ecee37ae3b7bb60275b9642c6c3e85e29de2adaa8f5c934e1e767d"),
     ], ids=["sweep-cq", "sweep-eg"])
     def test_benchmark_sweep_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the benchmark's sweep configs, pinned so that their CSV and sidecar bytes cannot drift silently
@@ -222,16 +222,16 @@ class TestRegionCommand:
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("dephasing", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
          "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
-         "07566c61832bcdae4beb8ea1b8b0ff172bebb44f8362688616aa6469410b3873"),
+         "a30a773126cab4fa89c66b3fc67210cb18c2e392fe65c2c14640fe4041122a6f"),
         (("qq", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
          "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
-         "4ea8069459abd4479cce929e6a2ee72a3e30f35758937dcfc93420c8c3f4aaf3"),
+         "70ab38a0452a64faf65d4a6b554e739e0645553f03f92fe4e7b296500961b0ec"),
         (("cq", "--channel", "pinching-cq", "--k", "2", "--grid", "2", "--restarts", "4", "--seed", "1001"),
          "d27b661e3345c2e77036ec6ada6055dc6e88ffddb934e34ed7557d3fcaf8d7c1",
-         "1daca6d8f3420db2339c97f0d44b7bbebe31e35d94944c2a19eab57b02f3b1ef"),
+         "cede9721496d05132ace1b4b3dd82bba298afa73b4c7664d66cc6dcb86f89fde"),
         (("cq-eg", "--channel", "{two_kraus}", "--t-size", "2", "--grid", "2", "--restarts", "2"),
          "0b739bbf8142dd6a4455895858f75a6a08aa65fb33e6f75f118a5f8705c440db",
-         "53758dfc7e5b33650b3939d8e50d18d1464f36456085877769d0c0a1c89558c0"),
+         "8952e25b2e4e603fe777fc1d7b1ed7dea52478c10c2baa1c7a672b3fcb3a2c9d"),
     ], ids=["dephasing", "qq-dephasing", "cq-k2", "cq-eg-two-kraus"])
     def test_mode_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the paths the benchmark does not run, pinned like its sweeps: the dephasing and qq-dephasing
@@ -623,7 +623,34 @@ class TestOracleCommands:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "ccd6b9af91f626773a63749d627f1bb4e297649852c7aa7bae5156e8a3a31b47"
         assert hashlib.sha256((tmp_path / "grid.csv.witness.json").read_bytes()).hexdigest() == \
-            "ff50cb641f4a185ddbf80e2682d74e00ff5fe2df7785438a5ff69f8eb1f7376b"
+            "597bd6b43edf5ee6cac47167556901beaf5bbb81c451879f5e7f3887748b7a34"
+
+    def test_unwritable_sidecar_leaves_no_csv(self, tmp_path, capsys):
+        # the sidecar is written before the CSV, so a CSV never appears without its witnesses
+        out = tmp_path / "grid.csv"
+        (tmp_path / "grid.csv.witness.json").mkdir()
+        assert run(["oracle", "grid", "--channel", "noiseless-bit", "--t-size", "2", "--mesh", "6",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ERR_VALIDATE: out: cannot write")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "grid", "--channel", "noiseless-bit", "--t-size", "2", "--mesh", "6"),
+        ("region", "cq", "--channel", "noiseless-bit", "--grid", "3", "--restarts", "4"),
+    ], ids=["grid", "region"])
+    def test_indented_sidecar_verifies_alike(self, tmp_path, capsys, argv):
+        # sidecars are compact JSON; one in the older indented layout verifies with the same output
+        out = tmp_path / "front.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        side = tmp_path / "front.csv.witness.json"
+        doc = json.loads(side.read_text())
+        assert side.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        capsys.readouterr()
+        assert run(["verify", "--witness", str(side)]) == 0
+        compact = capsys.readouterr()
+        side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert run(["verify", "--witness", str(side)]) == 0
+        assert capsys.readouterr() == compact
 
     def test_grid_requires_cq(self, capsys):
         assert run(["oracle", "grid", "--channel", "pinching",

@@ -132,6 +132,48 @@ class TestParetoStaircase:
         for c, p in zip(commons, personals):
             assert ((kept[:, 0] >= c - 1e-12) & (kept[:, 1] >= p - 1e-12)).any(), (c, p)
 
+    @staticmethod
+    def assert_full_lexsort_rows(commons, personals):
+        """The staircase keeps the rows the rule keeps on every row: lexsort by common then personal, both
+        descending, ties by row index, then the record loop."""
+        ties = np.round(commons, 12)
+        kept, run = [], -np.inf
+        for i in np.lexsort((-personals, -commons)):
+            if personals[i] > run + 1e-12:
+                if kept and ties[kept[-1]] == ties[i]:
+                    kept.pop()
+                kept.append(int(i))
+                run = personals[i]
+        points = pareto_staircase(commons, personals, lambda i: {"row": int(i)})
+        assert [pt.witness["row"] for pt in points] == kept[::-1]
+        assert [(pt.common_rate, pt.personal_rate) for pt in points] == \
+            list(zip(commons[kept[::-1]], personals[kept[::-1]]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_prefilter_on_planted_rows(self, seed):
+        self.assert_full_lexsort_rows(*self.planted_rows(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prefilter_on_duplicate_grids(self, seed):
+        # few distinct (common, personal) values, each held by many rows: the lowest row of a tie must win
+        rng = np.random.default_rng(seed)
+        self.assert_full_lexsort_rows(rng.integers(0, 5, 600) / 4.0, rng.integers(0, 5, 600) / 4.0)
+
+    def test_prefilter_on_classical_candidates(self, monkeypatch):
+        # every candidate of the benchmark's classical oracle, as its Pareto pass receives them
+        seen, pareto = [], qb.bruteforce._pareto_points
+
+        def spy(commons, personals, *rest):
+            seen.append((commons, personals))
+            return pareto(commons, personals, *rest)
+
+        monkeypatch.setattr(qb.bruteforce, "_pareto_points", spy)
+        qb.bruteforce.classical_degraded_region(np.array([[0.9, 0.1], [0.1, 0.9]]),
+                                                np.array([[0.8, 0.2], [0.2, 0.8]]), 30, t_size=3)
+        ((commons, personals),) = seen
+        assert len(commons) == 54857
+        self.assert_full_lexsort_rows(commons, personals)
+
     def test_empty_and_single(self):
         assert pareto_staircase(np.array([]), np.array([]), lambda i: {}) == []
         (pt,) = pareto_staircase(np.array([0.5]), np.array([0.25]), lambda i: {"row": i})
