@@ -9,19 +9,16 @@ conditional states: its receiver marginals are one batched trace, its receiver
 swap one transpose.  Every k-use channel (Kraus stacks, cq states, dephasing
 images) comes from one grouped Kronecker power, ``_kron_power``.  The
 degrading-map search at the bottom certifies (numerically) whether one
-receiver's marginal can be post-processed into the other's.  It tries, in
-order: a linear fit for every probe set, which is a channel on every input,
-then an optimized measure-prepare fit for commuting B probes or a
-QR-retraction fit for non-commuting ones.  It stops once a map certifies or
-meets the contraction floor, the trace-norm lower bound that no map's residual
-can fall below.
+receiver's marginal can be post-processed into the other's.  It runs a linear
+fit, which is a channel on every input, and then a QR-retraction fit only when
+the contraction floor, the trace-norm lower bound that no map's residual can
+fall below, is at most 1e-6 and the linear fit did not certify.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -499,12 +496,10 @@ def _all_commute(mats: np.ndarray) -> bool:
     return not any(np.abs(a @ b - b @ a).max() > COMMUTE_TOL for i, a in enumerate(mats) for b in mats[i + 1:])
 
 
-def _probe_pairs(bc) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(B-side state stack, C-side state stack, all_b_commute) for the degrading search."""
+def _probe_pairs(bc) -> tuple[np.ndarray, np.ndarray]:
+    """(B-side state stack, C-side state stack) for the degrading search."""
     if isinstance(bc, CqBroadcastChannel):
-        b_states = bc.marginal_conditionals(bc.b_label)
-        c_states = bc.marginal_conditionals(bc.c_label)
-        return b_states, c_states, _all_commute(b_states)
+        return bc.marginal_conditionals(bc.b_label), bc.marginal_conditionals(bc.c_label)
     if isinstance(bc, BroadcastChannel):
         bc = bc.marginals()
     elif not (isinstance(bc, tuple) and len(bc) == 2):
@@ -513,8 +508,7 @@ def _probe_pairs(bc) -> tuple[np.ndarray, np.ndarray, bool]:
     if ch_b.in_dim != ch_c.in_dim:
         raise ValidationError("marginal pair must share the input dimension")
     probes = _probe_densities(ch_b.in_dim)
-    b_states, c_states = _images(ch_b.ops, probes), _images(ch_c.ops, probes)
-    return b_states, c_states, _all_commute(b_states)
+    return _images(ch_b.ops, probes), _images(ch_c.ops, probes)
 
 
 def _transfer(stacks: np.ndarray) -> np.ndarray:
@@ -569,18 +563,16 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
     return np.sqrt(vals[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, db, dc).transpose(0, 2, 1)
 
 
-def _kraus_fit(b_stack: np.ndarray, c_stack: np.ndarray, decode):
+def _kraus_fit(b_stack: np.ndarray, c_stack: np.ndarray):
     """One pass ``fn(thetas) -> (values, directions_at)`` of -sum_p |Phi_K(b_p) - c_p|_F^2 over the Kraus
-    stacks K = decode(theta); ``directions_at(rows)`` is its gradient at those rows of the batch.
+    stacks K = _retraction_decode(theta); ``directions_at(rows)`` is its gradient at those rows of the batch.
 
-    ``decode`` maps an (m, n) block to stacks (m, n_env, dc, db) and a pullback
-    ``(G, rows)`` from the complex gradient G in K at those rows (d objective =
-    Re sum conj(G) dK) to d/dtheta.  Value and gradient share the residual.
+    Value and gradient share the residual.
     """
     b_vec, c_vec = (x.transpose(1, 2, 0).reshape(-1, len(b_stack)) for x in (b_stack, c_stack))  # (d*d, p)
 
     def fn(thetas: np.ndarray):
-        stacks, pullback = decode(thetas)
+        stacks, pullback = _retraction_decode(thetas, c_stack.shape[1], b_stack.shape[1])
         resid = _transfer(stacks) @ b_vec - c_vec
 
         def directions_at(rows):
@@ -596,134 +588,70 @@ def _kraus_fit(b_stack: np.ndarray, c_stack: np.ndarray, decode):
     return fn
 
 
-def _prep_decode(basis: np.ndarray, dc: int):
-    """K_{j,a} = G_j[:, a] <e_j| / |G_j|_F: measure basis column e_j, prepare G_j G_j† / tr(G_j G_j†)."""
-    db = basis.shape[0]
+def _retraction_decode(thetas: np.ndarray, dc: int, db: int):
+    """Kraus stacks (m, db*dc, dc, db), each the Q factor of a complex (db*dc*dc, db) matrix of a row of
+    the (m, 2*db*dc*dc*db) block, and a pullback ``(G, rows)`` from the complex gradient G in those stacks
+    (d objective = Re sum conj(G) dK) to d/dtheta.
 
-    def decode(thetas: np.ndarray):
-        m = thetas.shape[0]
-        g = thetas.reshape(m, db, 2, dc, dc)
-        g = g[:, :, 0] + 1j * g[:, :, 1]  # (m, j, c, a)
-        norm = np.maximum(np.linalg.norm(g, axis=(2, 3)), 1e-15)[..., None, None]
-        stacks = (g / norm).transpose(0, 1, 3, 2)[..., None] * basis.conj().T[:, None, None, :]
-
-        def pullback(grad: np.ndarray, rows) -> np.ndarray:
-            n, gr, nr = len(rows), g[rows], norm[rows]
-            h = (grad.reshape(n, db, dc * dc, db) @ basis.T[:, :, None]).reshape(n, db, dc, dc).transpose(0, 1, 3, 2)
-            d_g = h / nr - (h.conj() * gr).real.sum(axis=(2, 3))[..., None, None] / nr ** 3 * gr
-            return np.stack([d_g.real, d_g.imag], axis=2).reshape(n, -1)
-
-        return stacks.reshape(m, db * dc, dc, db), pullback
-
-    return decode
-
-
-def _retraction_decode(dc: int, db: int):
-    """The Kraus stack is the Q factor of a complex (db*dc*dc, db) matrix.
-
-    Its pullback is the thin-QR rule (Seeger et al., "Auto-differentiating
+    The pullback is the thin-QR rule (Seeger et al., "Auto-differentiating
     linear algebra", 2017) for LAPACK's real diagonal of R.
     """
-    def decode(thetas: np.ndarray):
-        m = thetas.shape[0]
-        g = thetas.reshape(m, 2, -1, db)
-        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    m = thetas.shape[0]
+    g = thetas.reshape(m, 2, -1, db)
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
 
-        def pullback(grad: np.ndarray, rows) -> np.ndarray:
-            qr, gq = q[rows], grad.reshape(len(rows), *q.shape[1:])
-            b = qr.conj().transpose(0, 2, 1) @ gq
-            z = gq + qr @ (np.tril(b - b.conj().transpose(0, 2, 1), -1) + 1j * b.imag * np.eye(db) - b)
-            d_a = np.linalg.solve(r[rows], z.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-            return np.stack([d_a.real, d_a.imag], axis=1).reshape(len(rows), -1)
+    def pullback(grad: np.ndarray, rows) -> np.ndarray:
+        q_rows, gq = q[rows], grad.reshape(len(rows), *q.shape[1:])
+        b = q_rows.conj().transpose(0, 2, 1) @ gq
+        z = gq + q_rows @ (np.tril(b - b.conj().transpose(0, 2, 1), -1) + 1j * b.imag * np.eye(db) - b)
+        d_a = np.linalg.solve(r[rows], z.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+        return np.stack([d_a.real, d_a.imag], axis=1).reshape(len(rows), -1)
 
-        return q.reshape(m, db * dc, dc, db), pullback
-
-    return decode
+    return q.reshape(m, db * dc, dc, db), pullback
 
 
-def _common_eigenbasis(mats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Eigenbasis of a random Hermitian combination (generic, so it is common)."""
-    weights = rng.standard_normal(len(mats))
-    acc = sum(w * m for w, m in zip(weights, mats))
-    _, vecs = np.linalg.eigh(_hermitize(acc))
-    return vecs
-
-
-def _fit_maps(s, decode, inits: np.ndarray) -> np.ndarray:
-    """Every restart's map of one Kraus-stack fit: the fit ascends the summed squared Frobenius
-    residual, not the worst trace norm the search keeps, so its best restart need not be the best map."""
-    thetas, _ = maximize_batch(_kraus_fit(s.b, s.c, decode), inits, s.cfg)[:2]
-    return decode(thetas)[0]
-
-
-def _linear_fit_maps(s) -> np.ndarray:
-    """The linear fit, kept on the search state as the QR fit's restart 0; the gate only tightens, so it runs first."""
-    s.linear = _choi_fit_stack(s.b, s.c)
-    return s.linear[None]
-
-
-def _retraction_inits(s) -> np.ndarray:
-    """Random QR-retraction restarts in the decode's (2, db*dc*dc, db) layout, restart 0 at the linear fit."""
-    fit = s.linear.reshape(-1, s.db)
-    inits = seeded_rng(*s.seed).standard_normal((s.cfg.restarts, 2, s.db * s.dc * s.dc, s.db))
+def _retraction_inits(linear: np.ndarray, cfg) -> np.ndarray:
+    """Random QR-retraction restarts, (restarts, 2*db*dc*dc*db), restart 0 at the linear fit's (n, dc, db)
+    stack."""
+    _, dc, db = linear.shape
+    fit = linear.reshape(-1, db)
+    inits = seeded_rng(cfg.seed, 0x5E9).standard_normal((cfg.restarts, 2, db * dc * dc, db))
     inits[0] = 0.0
     inits[0, :, :len(fit)] = fit.real, fit.imag
-    return inits.reshape(s.cfg.restarts, -1)
-
-
-def _prep_maps(s) -> np.ndarray:
-    """Every restart's map of the measure-prepare fit, in a common eigenbasis of the B probes drawn first."""
-    rng = seeded_rng(*s.seed)
-    decode = _prep_decode(_common_eigenbasis(s.b, rng), s.dc)
-    return _fit_maps(s, decode, rng.standard_normal((s.cfg.restarts, s.db * 2 * s.dc * s.dc)))
-
-
-# Degrading-map strategies in search order: (method, the all_b_commute values it serves, and the search
-# state's candidate Kraus stacks, (m, n_env, dc, db)).
-_STRATEGIES = (
-    ("kraus (linear fit)", (True, False), _linear_fit_maps),
-    ("measure-prepare (optimized)", (True,), _prep_maps),
-    ("kraus (QR retraction)", (False,), lambda s: _fit_maps(s, _retraction_decode(s.dc, s.db), _retraction_inits(s))),
-)
-
-
-def _search_state(bc_or_pair, cfg) -> SimpleNamespace:
-    """What the strategies read: probe stacks and dimensions, whether the B probes commute, cfg, and the seed
-    path of the random draws.  The two optimizing fits serve disjoint probe sets, so a search builds at most
-    one generator from that path, and only once a fit runs."""
-    b_states, c_states, commute = _probe_pairs(bc_or_pair)
-    return SimpleNamespace(b=b_states, c=c_states, db=b_states.shape[1], dc=c_states.shape[1], commute=commute,
-                           seed=(cfg.seed, 0x5E9), cfg=cfg)
+    return inits.reshape(cfg.restarts, -1)
 
 
 def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     """Search for a degrading map turning the B marginal into the C marginal.
 
     The probes span the input (for cq channels they are the conditionals); a
-    map's residual is its worst trace-norm distance from the C targets.  The
-    strategies, in order and where each applies:
+    map's residual is its worst trace-norm distance from the C targets.  No
+    map's residual falls below the contraction floor the report carries,
+    max_{p<q} (|c_p - c_q|_1 - |b_p - b_q|_1) / 2, since trace distance
+    contracts under channels.  The search is two steps:
 
-    1. kraus (linear fit): every probe set, the least-squares transfer matrix
-       projected to CPTP, a channel on every input (exact to rounding on the
-       identity and on dephasing channels);
-    2. measure-prepare (optimized): commuting B probes, Kraus-stack fit;
-    3. kraus (QR retraction): non-commuting B probes, Kraus-stack fit.
+    1. kraus (linear fit): the least-squares transfer matrix projected to CPTP,
+       a channel on every input (exact to rounding on the identity and on
+       dephasing channels);
+    2. kraus (QR retraction): a Kraus-stack fit whose restart 0 is the linear
+       fit, run only when floor <= 1e-6 < the linear fit's residual, the one
+       case where a map can still certify.  Its best restart replaces the
+       linear fit only with a strictly smaller residual.
 
-    Each fit hands the search every restart's map.  A map replaces the best
-    only with a strictly smaller residual.  A strategy runs only while the best
-    residual is above both 1e-6 and the contraction floor, which the report
-    carries: no map's residual falls below
-    max_{p<q} (|c_p - c_q|_1 - |b_p - b_q|_1) / 2.
+    Above a floor of 1e-6 no map certifies, and ``residual`` is the linear
+    fit's: an upper bound on the best map's, with ``floor`` the lower bound.
     """
-    s = _search_state(bc_or_pair, cfg or OptimizerConfig())
-    floor = _contraction_floor(s.b, s.c)
-    best, best_residual, best_method = None, np.inf, "none"
-    for method, serves, maps in _STRATEGIES:
-        if s.commute in serves and best_residual > max(CERTIFY_THRESHOLD, floor):
-            stacks = maps(s)
-            r = _residuals(stacks, s.b, s.c)
-            i = int(np.argmin(r))  # the first of equal residuals, as a strictly smaller one replaces the best
-            if r[i] < best_residual:
-                best, best_residual, best_method = stacks[i], float(r[i]), method
-    dmap = KrausChannel(best, layout(("C", s.dc)), validate=False)
-    return DegradednessReport(best_residual, dmap, bool(best_residual <= CERTIFY_THRESHOLD), best_method, floor)
+    cfg = cfg or OptimizerConfig()
+    b, c = _probe_pairs(bc_or_pair)
+    floor = _contraction_floor(b, c)
+    best, method = _choi_fit_stack(b, c), "kraus (linear fit)"
+    residual = float(_residuals(best[None], b, c)[0])
+    if floor <= CERTIFY_THRESHOLD < residual:
+        thetas = maximize_batch(_kraus_fit(b, c), _retraction_inits(best, cfg), cfg)[0]
+        stacks = _retraction_decode(thetas, c.shape[1], b.shape[1])[0]
+        r = _residuals(stacks, b, c)
+        i = int(np.argmin(r))  # the first of equal residuals
+        if r[i] < residual:
+            best, residual, method = stacks[i], float(r[i]), "kraus (QR retraction)"
+    dmap = KrausChannel(best, layout(("C", c.shape[1])), validate=False)
+    return DegradednessReport(residual, dmap, residual <= CERTIFY_THRESHOLD, method, floor)

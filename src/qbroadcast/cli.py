@@ -11,6 +11,7 @@ ERR_VALIDATE), 3 budget (stderr prefix ERR_BUDGET).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -88,8 +89,8 @@ def _emit(text: str, out: str | None):
 
 
 def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, channel_doc, metadata: dict) -> int:
-    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar: compact JSON,
-    written first, so a sidecar that cannot be written leaves no new CSV behind."""
+    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar in compact JSON:
+    both files or neither.  The sidecar is written first, and removed again when the CSV cannot be written."""
     lines, entries = ["common_rate,personal_rate,witness_id"], []
     for i, pt in enumerate(points):
         wid = f"{prefix}-{i:03d}"
@@ -100,7 +101,13 @@ def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, cha
         doc = {"format": WITNESS_FORMAT, "mode": mode, "k": k, "channel": channel_doc,
                "metadata": metadata, "points": entries}
         _write_text(out + ".witness.json", json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    _emit("\n".join(lines) + "\n", out)
+    try:
+        _emit("\n".join(lines) + "\n", out)
+    except BaseException:
+        if out is not None:
+            with contextlib.suppress(OSError):
+                pathlib.Path(out + ".witness.json").unlink()
+        raise
     return 0
 
 

@@ -154,3 +154,28 @@ def seeded_dephasing_doc(seed=1001):
     vecs = vecs + 0.05 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return {"kind": "dephasing", "c_dim": 2, "e_dim": 1, "images": np.stack([vecs.real, vecs.imag], axis=-1).tolist()}
+
+
+def random_channel(rng, d_in, d_out, n_env):
+    """Haar-ish channel from a random isometry, as a list of Kraus operators."""
+    g = rng.standard_normal((d_out * n_env, d_in)) + 1j * rng.standard_normal((d_out * n_env, d_in))
+    v, _ = np.linalg.qr(g)
+    v = v[:, :d_in]
+    return [v[e::n_env, :] for e in range(n_env)]
+
+
+def apply_kraus(ops, rho):
+    return sum(k @ rho @ k.conj().T for k in ops)
+
+
+def few_symbol_degraded_cq(unprobed: bool = False) -> qb.CqBroadcastChannel:
+    """Two diagonal B states with d_B = 3 and C = a fixed random channel of B: degraded and commuting, with
+    fewer symbols than d_B.  With ``unprobed`` neither B state weighs the third basis state."""
+    rng = np.random.default_rng(0)
+    post = random_channel(rng, 3, 2, 2)
+    states = []
+    for _ in range(2):
+        p = rng.dirichlet(np.ones(2 if unprobed else 3))
+        b = np.diag(np.r_[p, 0.0] if unprobed else p).astype(complex)
+        states.append(np.kron(b, apply_kraus(post, b)))
+    return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 3), ("C", 2)))

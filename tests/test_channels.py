@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 
@@ -5,36 +6,25 @@ import numpy as np
 import pytest
 
 import qbroadcast as qb
+from qbroadcast import channels
 from qbroadcast.channels import (
-    _STRATEGIES,
+    _all_commute,
+    _choi_fit_stack,
     _contraction_floor,
     _images,
     _kraus_fit,
-    _prep_decode,
     _probe_densities,
     _probe_pairs,
     _residuals,
     _retraction_decode,
-    _search_state,
+    _retraction_inits,
 )
-from qbroadcast.optimize import OptimizerConfig
-from qbroadcast.optimize import seeded_rng
+from qbroadcast.optimize import OptimizerConfig, maximize_batch, seeded_rng
 from qbroadcast.specio import BUILTIN_CHANNELS
 from qbroadcast.states import _hermitize
 
-from conftest import central_differences, generic_dephasing, seeded_dephasing_doc, spectrum_entropy
-
-
-def random_channel(rng, d_in, d_out, n_env):
-    """Haar-ish channel from a random isometry, as a list of Kraus operators."""
-    g = rng.standard_normal((d_out * n_env, d_in)) + 1j * rng.standard_normal((d_out * n_env, d_in))
-    v, _ = np.linalg.qr(g)
-    v = v[:, :d_in]
-    return [v[e::n_env, :] for e in range(n_env)]
-
-
-def apply_kraus(ops, rho):
-    return sum(k @ rho @ k.conj().T for k in ops)
+from conftest import (apply_kraus, central_differences, few_symbol_degraded_cq, generic_dephasing, random_channel,
+                      seeded_dephasing_doc, spectrum_entropy)
 
 
 class TestKrausChannel:
@@ -555,8 +545,8 @@ class TestSwapped:
     def test_probes_match_the_reversed_view(self, name, ch):
         swapped = ch.swapped()
         assert swapped.out_layout.parts == ch.out_layout.parts[::-1]
-        (b, c, commute), (b_ref, c_ref, commute_ref) = _probe_pairs(swapped), _probe_pairs(receivers_reversed(ch))
-        assert np.array_equal(b, b_ref) and np.array_equal(c, c_ref) and commute == commute_ref
+        (b, c), (b_ref, c_ref) = _probe_pairs(swapped), _probe_pairs(receivers_reversed(ch))
+        assert np.array_equal(b, b_ref) and np.array_equal(c, c_ref)
 
     @pytest.mark.parametrize("name,ch", SWAP_CASES, ids=[name for name, _ in SWAP_CASES])
     def test_swapping_twice_gives_the_same_report(self, name, ch):
@@ -588,19 +578,6 @@ def non_commuting_degraded() -> qb.CqBroadcastChannel:
         b = np.outer(v, v.conj()) / np.vdot(v, v).real
         states.append(np.kron(b, apply_kraus(post, b)))
     return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 2), ("C", 2)), validate=False)
-
-
-def few_symbol_degraded_cq(unprobed: bool = False) -> qb.CqBroadcastChannel:
-    """Two diagonal B states with d_B = 3 and C = a fixed random channel of B: degraded and commuting, with
-    fewer symbols than d_B.  With ``unprobed`` neither B state weighs the third basis state."""
-    rng = np.random.default_rng(0)
-    post = random_channel(rng, 3, 2, 2)
-    states = []
-    for _ in range(2):
-        p = rng.dirichlet(np.ones(2 if unprobed else 3))
-        b = np.diag(np.r_[p, 0.0] if unprobed else p).astype(complex)
-        states.append(np.kron(b, apply_kraus(post, b)))
-    return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 3), ("C", 2)))
 
 
 class TestDegradedness:
@@ -656,33 +633,29 @@ class TestDegradedness:
         assert rep.method == "kraus (QR retraction)"
         assert rep.certified
 
-    def test_measure_prepare_fit_certifies_few_symbols(self):
-        # two commuting B probes underdetermine a map on d_B = 3: the linear fit misses it, the measure-prepare fit
-        # finds it
+    def test_qr_fit_certifies_few_symbols(self):
+        # two commuting B probes underdetermine a map on d_B = 3: the linear fit misses it, the QR fit finds it
         w = few_symbol_degraded_cq()
-        s = _search_state(w, OptimizerConfig())
-        assert s.commute
-        linear = {method: maps for method, _, maps in _STRATEGIES}["kraus (linear fit)"]
-        assert _residuals(linear(s), s.b, s.c)[0] > 1e-6
+        b, c = _probe_pairs(w)
+        assert _all_commute(b)
+        assert _residuals(_choi_fit_stack(b, c)[None], b, c)[0] > 1e-6
         rep = qb.degradedness_residual(w)
-        assert rep.method == "measure-prepare (optimized)"
+        assert rep.floor <= 1e-6
+        assert rep.method == "kraus (QR retraction)"
         assert rep.certified
 
-    @pytest.mark.parametrize("case", ["degraded", "dephasing-reverse"])
+    @pytest.mark.parametrize("case", ["degraded", "few-symbol"])
     def test_qr_retraction_hands_over_every_restart(self, case):
-        w = non_commuting_degraded() if case == "degraded" else generic_dephasing().swapped()
+        w = non_commuting_degraded() if case == "degraded" else few_symbol_degraded_cq()
         cfg = OptimizerConfig(restarts=5, max_iters=40)
-        s = _search_state(w, cfg)
-        assert not s.commute
-        rows = {method: maps for method, _, maps in _STRATEGIES}
-        rows["kraus (linear fit)"](s)  # the QR row runs after it and starts from the stack it keeps
-        stacks = rows["kraus (QR retraction)"](s)
+        b, c = _probe_pairs(w)
+        assert _all_commute(b) == (case == "few-symbol")
+        stacks = qr_fit_maps(b, c, cfg)
         assert len(stacks) == cfg.restarts
         rep = qb.degradedness_residual(w, cfg=cfg)
-        assert (rep.residual <= _residuals(stacks, s.b, s.c)).all()
+        assert (rep.residual <= _residuals(stacks, b, c)).all()
 
-    @pytest.mark.parametrize("fit", ["measure-prepare", "qr-retraction"])
-    def test_kraus_fit_gradient(self, fit):
+    def test_kraus_fit_gradient(self):
         # a random fit: 6 Hermitian probes on a qubit B, targets on a qutrit C
         rng = seeded_rng(11)
         db, dc = 2, 3
@@ -692,13 +665,8 @@ class TestDegradedness:
             return a + a.conj().swapaxes(-1, -2)
 
         b, c = hermitian((6, db, db)), hermitian((6, dc, dc))
-        if fit == "measure-prepare":
-            basis, _ = np.linalg.qr(rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db)))
-            decode, n_params = _prep_decode(basis, dc), db * 2 * dc * dc
-        else:
-            decode, n_params = _retraction_decode(dc, db), 2 * db * dc * dc * db
-        fn = _kraus_fit(b, c, decode)
-        thetas = rng.standard_normal((5, n_params))
+        fn = _kraus_fit(b, c)
+        thetas = rng.standard_normal((5, 2 * db * dc * dc * db))
         _, directions_at = fn(thetas)
         grad = directions_at(np.arange(5))
         assert np.abs(grad).max() > 1.0
@@ -751,13 +719,19 @@ class TestDegradingMapIsAChannel:
         assert np.abs(image - np.eye(2) / 2).max() <= 1e-12
 
 
+def qr_fit_maps(b, c, cfg):
+    """Every restart's map of the search's QR-retraction fit on the probe stacks b and c, run whatever the floor."""
+    thetas = maximize_batch(_kraus_fit(b, c), _retraction_inits(_choi_fit_stack(b, c), cfg), cfg)[0]
+    return _retraction_decode(thetas, c.shape[1], b.shape[1])[0]
+
+
 def floor_and_every_residual(bc_or_pair, cfg):
-    """The search's contraction floor, the residual of every map every applicable strategy yields, and
-    whether the B probes commute."""
-    s = _search_state(bc_or_pair, cfg)
-    stacks = [maps(s) for _, serves, maps in _STRATEGIES if s.commute in serves]
-    residuals = [r for stack in stacks for r in _residuals(stack, s.b, s.c)]
-    return _contraction_floor(s.b, s.c), residuals, s.commute
+    """The search's contraction floor, the residual of the linear fit and of every QR-fit restart, and whether
+    the B probes commute."""
+    b, c = _probe_pairs(bc_or_pair)
+    stacks = [_choi_fit_stack(b, c)[None], qr_fit_maps(b, c, cfg)]
+    residuals = [r for stack in stacks for r in _residuals(stack, b, c)]
+    return _contraction_floor(b, c), residuals, _all_commute(b)
 
 
 def floor_cases(seed):
@@ -816,3 +790,31 @@ class TestContractionFloor:
     def test_single_probe(self):
         b, c = np.eye(2, dtype=complex)[None] / 2, np.diag([1.0, 0.0]).astype(complex)[None]
         assert _contraction_floor(b, c) == 0.0
+
+
+class TestFitRule:
+    """The QR fit, one ``maximize_batch`` call, runs exactly when floor <= 1e-6 < the linear fit's residual: above
+    that floor no map certifies, and a certifying linear fit leaves nothing to find."""
+
+    def test_fit_runs_only_while_a_certificate_is_possible(self, monkeypatch):
+        calls, real = [], channels.maximize_batch
+        monkeypatch.setattr(channels, "maximize_batch", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        cfg, kinds = OptimizerConfig(restarts=2, max_iters=20), collections.Counter()
+        for seed in range(30):
+            for index, case in enumerate(floor_cases(seed)):
+                b, c = _probe_pairs(case)
+                linear = _residuals(_choi_fit_stack(b, c)[None], b, c)[0]
+                calls.clear()
+                rep = qb.degradedness_residual(case, cfg=cfg)
+                if rep.floor > 1e-6:
+                    kind = "above the floor"
+                    assert (len(calls), rep.certified) == (0, False), (seed, index)
+                elif linear > 1e-6:
+                    kind = "fit"
+                    assert len(calls) == 1, (seed, index)
+                else:
+                    kind = "linear fit certifies"
+                    assert not calls and rep.certified, (seed, index)
+                kinds[kind, _all_commute(b)] += 1
+        assert set(kinds) >= {("above the floor", True), ("above the floor", False), ("fit", True), ("fit", False),
+                              ("linear fit certifies", False)}

@@ -12,7 +12,7 @@ from qbroadcast.optimize import OptimizerConfig
 from qbroadcast.regions import _MODES, _stored_rates, _sweep, build_evaluator, evaluate_witness, pinching_boundary
 from qbroadcast.specio import BUILTIN_CHANNELS, complex_to_json
 
-from conftest import seeded_dephasing_doc
+from conftest import few_symbol_degraded_cq, seeded_dephasing_doc
 
 
 def region_args(out, channel="noiseless-bit", mode="cq", size=("--grid", "3", "--restarts", "4")):
@@ -547,17 +547,25 @@ class TestCheckDegraded:
         residual = float(out.split("residual: ")[1].splitlines()[0])
         assert residual > 0.1
 
-    @pytest.mark.parametrize("channel,fits", [("pinching-cq", 0), ("pinching", 1)])
-    def test_reverse_fits_only_above_the_floor(self, capsys, monkeypatch, channel, fits):
-        # pinching-cq's linear fit meets the contraction floor 1, so the measure-prepare fit is skipped;
-        # pinching's linear fit sits above its floor 1, so the fit still runs
+    @pytest.mark.parametrize("channel,fits", [("pinching-cq", 0), ("pinching", 0), ("few-symbol-doc", 1)])
+    def test_reverse_fits_only_above_the_floor(self, tmp_path, capsys, monkeypatch, channel, fits):
+        # the QR fit runs only when the contraction floor is at most 1e-6 and the linear fit does not certify:
+        # pinching-cq's and pinching's floors are 1, so neither fits; the few-symbol cq channel, stored with its
+        # receivers swapped, has floor 0 and a linear fit 0.029 off, so it fits once
         calls, real = [], channels.maximize_batch
         monkeypatch.setattr(channels, "maximize_batch", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        assert run(["check", "degraded", "--channel", channel, "--reverse"]) == 0
+        if channel == "few-symbol-doc":
+            channel = tmp_path / "few.json"
+            channel.write_text(json.dumps(qb.serialize_channel(few_symbol_degraded_cq().swapped())))
+        assert run(["check", "degraded", "--channel", str(channel), "--reverse"]) == 0
         assert len(calls) == fits
-        (_, _, residual, certified, method), = [v for v in DEGRADED_VERDICTS if v[:2] == (channel, True)]
-        assert capsys.readouterr().out.splitlines() == [f"residual: {residual}", f"certified: {certified}",
-                                                        f"method: {method}"]
+        lines = capsys.readouterr().out.splitlines()
+        if fits:
+            assert float(lines[0].removeprefix("residual: ")) <= 1e-6
+            assert lines[1:] == ["certified: true", "method: kraus (QR retraction)"]
+        else:
+            (_, _, residual, certified, method), = [v for v in DEGRADED_VERDICTS if v[:2] == (channel, True)]
+            assert lines == [f"residual: {residual}", f"certified: {certified}", f"method: {method}"]
 
 
 class TestOracleCommands:
@@ -633,6 +641,15 @@ class TestOracleCommands:
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("ERR_VALIDATE: out: cannot write")
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["grid.csv", "grid.csv.witness.json"], ids=["csv", "sidecar"])
+    def test_unwritable_pair_leaves_no_file(self, tmp_path, capsys, blocked):
+        # the CSV and its sidecar appear together or not at all, and nothing else is left behind
+        (tmp_path / blocked).mkdir()
+        assert run(["oracle", "grid", "--channel", "noiseless-bit", "--t-size", "2", "--mesh", "6",
+                    "--out", str(tmp_path / "grid.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"ERR_VALIDATE: out: cannot write {str(tmp_path / blocked)!r}")
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
     @pytest.mark.parametrize("argv", [
         ("oracle", "grid", "--channel", "noiseless-bit", "--t-size", "2", "--mesh", "6"),

@@ -136,6 +136,12 @@ def attribute_sites(source: str, module: str, attr: str) -> set:
     return node_sites(source, module, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
+def read_sites(source: str, module: str, name: str) -> set:
+    """Where a module reads ``name``, as a bare name (``maximize_batch(...)``) or an attribute (``np.linalg.qr``)."""
+    return node_sites(source, module, lambda node: (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                                                    and node.id == name) or getattr(node, "attr", None) == name)
+
+
 def package_sites(attr: str) -> set:
     return set().union(*(attribute_sites(p.read_text(encoding="utf-8"), p.stem, attr) for p in MODULES))
 
@@ -185,6 +191,24 @@ class TestOneLeastSquaresRule:
                   "def _least_squares_maps(q, c):\n    sol, *_ = np.linalg.lstsq(q, c, rcond=None)\n    return sol\n")
         assert attribute_sites(source, "channels", "lstsq") == {"channels._choi_fit_stack",
                                                                "channels._least_squares_maps"}
+
+
+class TestOneDegradingMapFit:
+    def test_one_fit_call_and_one_decode(self):
+        # the degrading-map search runs its one optimizing fit from one place, over one Kraus decode
+        source = (pathlib.Path(qbroadcast.__file__).parent / "channels.py").read_text(encoding="utf-8")
+        assert read_sites(source, "channels", "maximize_batch") == {"channels.degradedness_residual"}
+        assert read_sites(source, "channels", "qr") == {"channels._retraction_decode"}
+
+    def test_detects_a_second_copy(self):
+        source = ("import numpy as np\nfrom .optimize import maximize_batch\n"
+                  "def degradedness_residual(fn, x, cfg):\n    return maximize_batch(fn, x, cfg)\n"
+                  "def _fit_maps(fn, x, cfg):\n    return maximize_batch(fn, x, cfg)[0]\n"
+                  "def _retraction_decode(a):\n    return np.linalg.qr(a)\n"
+                  "def _prep_decode(a):\n    from numpy.linalg import qr\n    return qr(a)[0]\n")
+        assert read_sites(source, "channels", "maximize_batch") == {"channels.degradedness_residual",
+                                                                    "channels._fit_maps"}
+        assert read_sites(source, "channels", "qr") == {"channels._retraction_decode", "channels._prep_decode"}
 
 
 class TestOneIntegerRule:
