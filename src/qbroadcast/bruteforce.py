@@ -1,16 +1,16 @@
 """Exhaustive reference frontiers over discretized distribution grids.
 
-Entropies are recomputed here from scratch, so the oracles share no entropy code
-with the engine: every entropy is ``_table_entropy`` of probability tables.  The cq
-oracle picks where each receiver's spectra come from once (the diagonals of an exactly
-diagonal stack, else ``eigvalsh``), and mixtures are 2-D matrix products.  Joints
-p(t, x) are compositions of the mesh over t_size * |X| cells, one per relabeling of the
-labels t, which no rate depends on: the rows whose label blocks ascend, grown in table order, so no
-finished row is sorted.  Both oracles are one
-``_scan`` of those joints; each supplies only its rates on a chunk of them.  The Pareto pass is
-``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a
-sweep keep points by the same rule; it is the only thing taken from ``regions`` besides
-the ``Frontier`` and ``RatePoint`` containers.
+Entropies are recomputed here from scratch, so the oracles share no entropy code with the engine: every
+entropy is ``_table_entropy`` of probability tables.  The cq oracle picks where each receiver's spectra come
+from once (the diagonals of an exactly diagonal stack, else ``eigvalsh``), and mixtures are 2-D matrix
+products.  Joints p(t, x) are compositions of the mesh over t_size * |X| cells, one per relabeling of the
+labels t, which no rate depends on: the rows whose label blocks ascend, grown in table order, so no finished
+row is sorted, and kept as block indices.  Both oracles are one ``_scan`` of those rows.  An oracle's rates
+sum terms of one label block p(t, .) over the labels, so it tabulates them once per block, and each chunk of
+rows gathers them and sums them in ``_table_entropy``'s order: the bytes of every candidate's full tables.
+The Pareto pass is ``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a sweep
+keep points by the same rule; it is the only thing taken from ``regions`` besides the ``Frontier`` and
+``RatePoint`` containers.
 """
 
 from __future__ import annotations
@@ -60,19 +60,23 @@ def compositions(total: int, parts: int):
         yield tuple(row)
 
 
+def _label_blocks(mesh: int, t_size: int, n_x: int) -> np.ndarray:
+    """Every block p(t, .) a label can hold, in mesh units and lexicographic order: mass <= mesh (= at t_size 1)."""
+    return _composition_table(mesh, n_x + (t_size > 1))[:, :n_x]
+
+
 def _enumerate_joints(mesh: int, t_size: int, n_x: int) -> np.ndarray:
-    """One joint per relabeling of the labels: the composition-table rows whose label blocks (rows of
-    p(t, .)) ascend lexicographically, in table order.  Rows grow a block at a time, taking each block of
-    mass <= their rest (exactly the rest at the last label) at or after their last one, so the full table is
-    never built; the orbit sizes t_size!/prod(multiplicity!) sum to the stars-and-bars count, the budget.
-    Blocks are numbered lexicographically, so children ordered by block index keep the rows in table order;
-    at the last label a row takes one mass, and its children come out in that order already."""
+    """One joint per relabeling of the labels, as a row of ``_label_blocks`` indices: the composition-table
+    rows whose label blocks ascend lexicographically, in table order.  Rows grow a block at a time, taking each
+    block of mass <= their rest (exactly the rest at the last label) at or after their last one, so the full
+    table is never built; the orbit sizes t_size!/prod(multiplicity!) sum to the stars-and-bars count, the
+    budget.  Blocks are numbered lexicographically, so children ordered by block index keep the rows in table
+    order; at the last label a row takes one mass, and its children come out in that order already."""
     count = composition_count(mesh, t_size * n_x)
     if count > MAX_CANDIDATES:
         raise BudgetError(f"grid enumeration would need {count} candidates (limit {MAX_CANDIDATES}); "
                           f"reduce mesh or t_size")
-    blocks = _composition_table(mesh, n_x + (t_size > 1))[:, :n_x]  # every usable block, lexicographic order
-    mass = blocks.sum(axis=1, dtype=np.intp)
+    mass = _label_blocks(mesh, t_size, n_x).sum(axis=1, dtype=np.intp)
     order = np.argsort(mass, kind="stable")  # blocks by mass, then by index
     key = mass[order] * len(mass) + order
     rows = np.zeros((1, 0), np.intp)
@@ -93,7 +97,7 @@ def _enumerate_joints(mesh: int, t_size: int, n_x: int) -> np.ndarray:
         rows, last, rest = np.column_stack((rows[parent], child)), child, rest[parent] - mass[child]
     if orbit.sum() != count:
         raise RuntimeError(f"{len(rows)} orbits hold {orbit.sum()} joints, stars-and-bars says {count}")
-    return (blocks / float(mesh))[rows].reshape(len(rows), t_size, n_x)
+    return rows
 
 
 def _table_entropy(table: np.ndarray) -> np.ndarray:
@@ -115,10 +119,10 @@ def _receiver_kernel(stack: np.ndarray):
     return mix, lambda rows: _table_entropy(np.clip(spectra(rows).reshape(-1, d), 0.0, None)).reshape(rows.shape[:-1])
 
 
-def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarray,
+def _pareto_points(commons: np.ndarray, personals: np.ndarray, blocks: np.ndarray, rows: np.ndarray,
                    meta: dict, r_grid: int | None) -> Frontier:
     """The shared Pareto staircase of the candidates, resampled at ``r_grid`` even commons when given."""
-    frontier = Frontier(pareto_staircase(commons, personals, lambda i: {"joint": joints[i].tolist()}), meta)
+    frontier = Frontier(pareto_staircase(commons, personals, lambda i: {"joint": blocks[rows[i]].tolist()}), meta)
     if r_grid is None:
         return frontier
     resampled = []
@@ -129,14 +133,17 @@ def _pareto_points(commons: np.ndarray, personals: np.ndarray, joints: np.ndarra
 
 
 def _scan(mode: str, rates, mesh: int, t_size: int, n_x: int, r_grid: int | None) -> Frontier:
-    """An oracle's frontier: ``rates(joints) -> (commons, personals)`` on every joint of
-    ``_enumerate_joints``, ``_CHUNK`` rows at a time, clipped at 0 and passed to ``_pareto_points``."""
-    joints = _enumerate_joints(mesh, t_size, n_x)
-    commons, personals = np.empty(len(joints)), np.empty(len(joints))
-    for lo in range(0, len(joints), _CHUNK):
-        commons[lo:lo + _CHUNK], personals[lo:lo + _CHUNK] = rates(joints[lo:lo + _CHUNK])
+    """An oracle's frontier: ``rates(blocks)`` tabulates the per-block terms once and returns ``chunk(rows) ->
+    (commons, personals)``, run on ``_CHUNK`` rows of ``_enumerate_joints`` at a time, clipped at 0 and passed
+    to ``_pareto_points``."""
+    rows = _enumerate_joints(mesh, t_size, n_x)
+    blocks = _label_blocks(mesh, t_size, n_x) / float(mesh)
+    chunk = rates(blocks)
+    commons, personals = np.empty(len(rows)), np.empty(len(rows))
+    for lo in range(0, len(rows), _CHUNK):
+        commons[lo:lo + _CHUNK], personals[lo:lo + _CHUNK] = chunk(rows[lo:lo + _CHUNK])
     meta = {"mode": mode, "t_size": t_size, "mesh": mesh, "candidates": composition_count(mesh, t_size * n_x)}
-    return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), joints, meta, r_grid)
+    return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), blocks, rows, meta, r_grid)
 
 
 def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int | None = None) -> Frontier:
@@ -154,16 +161,18 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
     kernels = [_receiver_kernel(w.marginal_conditionals(label)) for label in (w.b_label, w.c_label)]
     h_b_x = kernels[0][1](kernels[0][0])  # H(B | X = x) for each symbol x
 
-    def rates(joint):
-        p_t, p_x = joint.sum(axis=2), joint.sum(axis=1)
-        inv_p_t = (1.0 / np.where(p_t > 0, p_t, 1.0))[:, :, None]
-        holevo = []
-        for mix, entropy in kernels:
-            states = (joint.reshape(-1, n_x) @ mix).reshape(*joint.shape[:2], -1) * inv_p_t  # each label's state
-            h_t = np.where(p_t > 0, entropy(states), 0.0)
-            holevo.append(((p_t * h_t).sum(axis=1), entropy(p_x @ mix)))
-        (cond_b, h_b), (cond_c, h_c) = holevo
-        return np.minimum(h_b - cond_b, h_c - cond_c), cond_b - p_x @ h_b_x
+    def rates(blocks):
+        p_t = blocks.sum(axis=1)
+        inv_p_t = (1.0 / np.where(p_t > 0, p_t, 1.0))[:, None]
+        # p_t * H(label state) for each block and receiver
+        terms = [p_t * np.where(p_t > 0, entropy((blocks @ mix) * inv_p_t), 0.0) for mix, entropy in kernels]
+
+        def chunk(rows):
+            p_x = np.take(blocks, rows, axis=0).sum(axis=1)
+            (cond_b, h_b), (cond_c, h_c) = ((np.take(t, rows).sum(axis=1), entropy(p_x @ mix))
+                                            for t, (mix, entropy) in zip(terms, kernels))
+            return np.minimum(h_b - cond_b, h_c - cond_c), cond_b - p_x @ h_b_x
+        return chunk
 
     return _scan("oracle-grid", rates, mesh, t_size, n_x, r_grid)
 
@@ -220,11 +229,17 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
     t_size, mesh = integer(t_size, "t_size", 1), integer(mesh, "mesh", 1)
     pz_x = p2 @ p1
 
-    def rates(joint):
-        p_tz = (joint.reshape(-1, n_x) @ pz_x.T).reshape(*joint.shape[:2], nz)
-        p_ty = (joint.reshape(-1, n_x) @ p1.T).reshape(*joint.shape[:2], ny)
-        h_t = _table_entropy(joint.sum(axis=2))
-        return (h_t + _table_entropy(p_tz.sum(axis=1)) - _table_entropy(p_tz),
-                _table_entropy(joint) + _table_entropy(p_ty) - _table_entropy(joint[..., None] * p1.T) - h_t)
+    def rates(blocks):
+        # each block's p log p for every cell of its rows of p(t, z), p(t), p(t, x), p(t, y) and p(t, x, y); an
+        # entropy negates the sum of its cells in flat (label, cell) order, as _table_entropy does
+        p_tz = blocks @ pz_x.T
+        tables = [p_tz, blocks.sum(axis=1), blocks, blocks @ p1.T, blocks[..., None] * p1.T]
+        cells = [-_table_entropy(table.reshape(-1, 1)).reshape(len(blocks), -1) for table in tables]
+
+        def chunk(rows):
+            h_tz, h_t, h_tx, h_ty, h_txy = (-np.take(c, rows, axis=0).reshape(len(rows), -1).sum(axis=-1)
+                                            for c in cells)
+            return h_t + _table_entropy(np.take(p_tz, rows, axis=0).sum(axis=1)) - h_tz, h_tx + h_ty - h_txy - h_t
+        return chunk
 
     return _scan("oracle-classical", rates, mesh, t_size, n_x, None)

@@ -187,6 +187,8 @@ def _cmd_oracle_classical(args) -> int:
         f1, f2 = (float(part) for part in args.cascade.split(","))
     except ValueError:
         raise ValidationError(f"cascade: expected two comma-separated flip probabilities, got {args.cascade!r}")
+    if not (0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0):  # nan fails both comparisons
+        raise ValidationError(f"cascade: flip probabilities must lie in [0, 1], got {args.cascade!r}")
     frontier = classical_degraded_region(*_bsc_tables(f1, f2), args.mesh, t_size=args.t_size)
     return _write_frontier(args.out, frontier.points, "cl", "oracle-classical", 1,
                            serialize_channel(make_bsc_cascade(f1, f2)), frontier.metadata)

@@ -10,7 +10,9 @@ import qbroadcast as qb
 from qbroadcast.bruteforce import (
     _composition_table,
     _enumerate_joints,
+    _label_blocks,
     _receiver_kernel,
+    _table_entropy,
     classical_degraded_region,
     cardinality_probe,
     composition_count,
@@ -20,6 +22,11 @@ from qbroadcast.bruteforce import (
 )
 
 from conftest import rotated_pinching_cq
+
+
+def float_joints(mesh, t_size, n_x):
+    """The enumeration's (candidates, t_size, |X|) float joints p(t, x): each index row's blocks over the mesh."""
+    return (_label_blocks(mesh, t_size, n_x) / float(mesh))[_enumerate_joints(mesh, t_size, n_x)]
 
 
 class TestCompositions:
@@ -47,7 +54,7 @@ class TestCompositions:
         for mesh, t_size, n_x in [(9, 4, 3), (6, 3, 2), (5, 2, 3), (4, 3, 3), (7, 1, 2), (5, 1, 3)]:
             ascending = [row for row in recursive(mesh, t_size * n_x) if all(
                 row[t * n_x:(t + 1) * n_x] <= row[(t + 1) * n_x:(t + 2) * n_x] for t in range(t_size - 1))]
-            joints = _enumerate_joints(mesh, t_size, n_x)
+            joints = float_joints(mesh, t_size, n_x)
             assert joints.shape == (len(ascending), t_size, n_x)
             assert np.array_equal(joints.reshape(len(joints), -1) * float(mesh), np.array(ascending, dtype=float))
 
@@ -58,7 +65,7 @@ class TestCompositions:
         table = _composition_table(mesh, t_size * n_x).astype(np.intp)
         codes = table.reshape(len(table), t_size, n_x) @ (mesh + 1) ** np.arange(n_x - 1, -1, -1)
         ascending = table[(np.diff(codes, axis=1) >= 0).all(axis=1)]
-        joints = _enumerate_joints(mesh, t_size, n_x)
+        joints = float_joints(mesh, t_size, n_x)
         assert joints.shape == (len(ascending), t_size, n_x)
         assert np.array_equal(joints.reshape(len(joints), -1) * float(mesh), ascending)
 
@@ -248,7 +255,7 @@ class TestGridKernels:
             return -(evals * logs).sum(axis=-1)
 
         w = rotated_pinching_cq()
-        joints = _enumerate_joints(6, 3, w.n_symbols)
+        joints = float_joints(6, 3, w.n_symbols)
         p_t = joints.sum(axis=2, keepdims=True)
         inv_p_t = 1.0 / np.where(p_t > 0, p_t, 1.0)  # as the oracle scales its label states
         for label in (w.b_label, w.c_label):
@@ -307,10 +314,10 @@ class TestRelabeling:
             return pareto(commons, personals, *rest)
 
         def permuted(*args):
-            joints = enumerate_joints(*args)
-            order = np.argsort(np.random.default_rng(5).random(joints.shape[:2]), axis=1)
-            assert (order != np.arange(joints.shape[1])).any()
-            return np.take_along_axis(joints, order[:, :, None], axis=1)
+            rows = enumerate_joints(*args)  # (candidates, t_size) block indices
+            order = np.argsort(np.random.default_rng(5).random(rows.shape), axis=1)
+            assert (order != np.arange(rows.shape[1])).any()
+            return np.take_along_axis(rows, order, axis=1)
 
         monkeypatch.setattr(qb.bruteforce, "_pareto_points", spy)
         run()
@@ -319,6 +326,65 @@ class TestRelabeling:
         (c_sorted, p_sorted), (c_perm, p_perm) = seen
         assert c_sorted.size > 100
         assert np.abs(c_sorted - c_perm).max() <= 1e-12 and np.abs(p_sorted - p_perm).max() <= 1e-12
+
+
+def grid_full_tables(w, joints):
+    """Every candidate's grid rates from its own float joint: the label states of whole (t, x) tables."""
+    kernels = [_receiver_kernel(w.marginal_conditionals(label)) for label in (w.b_label, w.c_label)]
+    p_t, p_x = joints.sum(axis=2), joints.sum(axis=1)
+    inv_p_t = (1.0 / np.where(p_t > 0, p_t, 1.0))[:, :, None]
+    holevo = []
+    for mix, entropy in kernels:
+        states = (joints.reshape(-1, w.n_symbols) @ mix).reshape(*joints.shape[:2], -1) * inv_p_t
+        h_t = np.where(p_t > 0, entropy(states), 0.0)
+        holevo.append(((p_t * h_t).sum(axis=1), entropy(p_x @ mix)))
+    (cond_b, h_b), (cond_c, h_c) = holevo
+    return np.minimum(h_b - cond_b, h_c - cond_c), cond_b - p_x @ kernels[0][1](kernels[0][0])
+
+
+def classical_full_tables(p1, p2, joints):
+    """Every candidate's classical rates from its own float joint: entropies of whole (t, z), (t, x), (t, y)
+    and (t, x, y) tables."""
+    n_x = p1.shape[1]
+    p_tz = (joints.reshape(-1, n_x) @ (p2 @ p1).T).reshape(*joints.shape[:2], -1)
+    p_ty = (joints.reshape(-1, n_x) @ p1.T).reshape(*joints.shape[:2], -1)
+    h_t = _table_entropy(joints.sum(axis=2))
+    return (h_t + _table_entropy(p_tz.sum(axis=1)) - _table_entropy(p_tz),
+            _table_entropy(joints) + _table_entropy(p_ty) - _table_entropy(joints[..., None] * p1.T) - h_t)
+
+
+class TestBlockTables:
+    CASES = [
+        ("grid-diagonal", qb.make_pinching_cq, 4, 9),
+        ("grid-dense", rotated_pinching_cq, 3, 8),
+        ("classical-bsc", lambda: (np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[0.8, 0.2], [0.2, 0.8]])), 3, 30),
+        ("classical-2-3-2", lambda: (np.array([[0.7, 0.1], [0.2, 0.3], [0.1, 0.6]]),
+                                     np.array([[0.9, 0.4, 0.25], [0.1, 0.6, 0.75]])), 3, 14),
+    ]
+
+    @pytest.mark.parametrize("make,t_size,mesh", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+    def test_gathered_rates_are_the_full_table_bytes(self, make, t_size, mesh, monkeypatch):
+        # per-block terms gathered per candidate are the very bytes of each candidate's own full tables
+        seen = []
+        pareto = qb.bruteforce._pareto_points
+
+        def spy(commons, personals, *rest):
+            seen.append((commons.copy(), personals.copy()))
+            return pareto(commons, personals, *rest)
+
+        monkeypatch.setattr(qb.bruteforce, "_pareto_points", spy)
+        channel = make()
+        if isinstance(channel, tuple):  # the (p(y|x), p(z|y)) tables of a classical cascade
+            classical_degraded_region(*channel, mesh, t_size=t_size)
+            reference = classical_full_tables(*channel, float_joints(mesh, t_size, channel[0].shape[1]))
+        else:
+            grid_cq_frontier(channel, t_size, mesh)
+            reference = grid_full_tables(channel, float_joints(mesh, t_size, channel.n_symbols))
+        (commons, personals), = seen
+        assert commons.size > 1000
+        for got, want in zip((commons, personals), reference):
+            want = np.maximum(want, 0.0)  # as _scan clips before the Pareto pass
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class TestBudget:

@@ -74,11 +74,15 @@ class TestExitCodes:
         ["oracle", "grid", "--channel", "pinching-cq", "--t-size", "2", "--mesh", "4", "--r-grid", "0"],
         ["oracle", "classical", "--cascade", "nan,0.2", "--mesh", "4"],
         ["oracle", "classical", "--cascade", "0.1,inf", "--mesh", "4"],
+        ["oracle", "classical", "--cascade", "1.5,0.2", "--mesh", "4"],
         ["oracle", "cardinality", "--channel", "pinching-cq", "--bound", "2", "--extra", "-1", "--mesh", "4"],
-    ], ids=["r-grid-negative", "r-grid-0", "cascade-nan", "cascade-inf", "extra-negative"])
+    ], ids=["r-grid-negative", "r-grid-0", "cascade-nan", "cascade-inf", "cascade-above-1", "extra-negative"])
     def test_bad_oracle_settings(self, argv, capsys):
         assert run(argv) == 2
-        assert "ERR_VALIDATE" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ERR_VALIDATE" in err
+        if argv[1] == "classical":  # the flips are checked as given, not as the tables built from them
+            assert err.startswith("ERR_VALIDATE: cascade: ")
 
     def test_budget_error(self, capsys):
         assert run(["oracle", "grid", "--channel", "pinching-cq",
@@ -632,6 +636,16 @@ class TestOracleCommands:
             "ccd6b9af91f626773a63749d627f1bb4e297649852c7aa7bae5156e8a3a31b47"
         assert hashlib.sha256((tmp_path / "grid.csv.witness.json").read_bytes()).hexdigest() == \
             "597bd6b43edf5ee6cac47167556901beaf5bbb81c451879f5e7f3887748b7a34"
+
+    def test_benchmark_classical_bytes(self, tmp_path):
+        # the benchmark's classical config, pinned like the grid one
+        out = tmp_path / "classical.csv"
+        assert run(["oracle", "classical", "--cascade", "0.1,0.2", "--mesh", "30", "--t-size", "3",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "24d65a97353c9de204511db33bad81f7194caf0b2a3070fbdd3878f2dc5d331a"
+        assert hashlib.sha256((tmp_path / "classical.csv.witness.json").read_bytes()).hexdigest() == \
+            "a8f2d8b23a0c9bb8a75145f92f7ebb0f569eeea1973150eb5b59b11fd529975f"
 
     def test_unwritable_sidecar_leaves_no_csv(self, tmp_path, capsys):
         # the sidecar is written before the CSV, so a CSV never appears without its witnesses
