@@ -10,9 +10,10 @@ swap one transpose.  Every k-use channel (Kraus stacks, cq states, dephasing
 images) comes from one grouped Kronecker power, ``_kron_power``.  The
 degrading-map search at the bottom certifies (numerically) whether one
 receiver's marginal can be post-processed into the other's.  It runs a linear
-fit, which is a channel on every input, and then a QR-retraction fit only when
-the contraction floor, the trace-norm lower bound that no map's residual can
-fall below, is at most 1e-6 and the linear fit did not certify.
+fit, which is a channel on every input, and then a Douglas-Rachford fit of the
+Choi matrix, a convex feasibility problem, only when the contraction floor,
+the trace-norm lower bound that no map's residual can fall below, is at most
+1e-6 and the linear fit did not certify.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, integer, prefixed
-from .optimize import OptimizerConfig, maximize_batch, seeded_rng
 from .states import (
     CqState,
     DensityMatrix,
@@ -37,6 +37,7 @@ from .states import (
 KRAUS_TOL = 1e-9
 COMMUTE_TOL = 1e-9
 CERTIFY_THRESHOLD = 1e-6
+PROJECTION_STEPS = 500  # Douglas-Rachford step cap of the degrading-map fit
 
 
 def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:
@@ -536,23 +537,20 @@ def _contraction_floor(b_stack: np.ndarray, c_stack: np.ndarray) -> float:
     return float(np.max(gains, initial=0.0)) / 2
 
 
-def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
-    """Least-squares transfer-matrix fit, projected to a trace-preserving Kraus stack.
+def _psd(j: np.ndarray) -> np.ndarray:
+    """A Choi matrix, Hermitized, with its negative eigenvalues clipped to 0."""
+    vals, vecs = np.linalg.eigh(_hermitize(j))
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
 
-    Solves the linear system mapping each B-side probe to its C-side target,
-    rearranges the solution into block form, clips it to positive semidefinite,
-    and rescales it so its partial trace over C is the identity on the input
+
+def _channel(j: np.ndarray, db: int, dc: int) -> np.ndarray:
+    """The positive semidefinite (db*dc, db*dc) Choi matrix j made a trace-preserving Kraus stack (n, dc, db).
+
+    j is rescaled so its partial trace over C is the identity on the input
     directions where that trace exceeds 1e-9.  On the others, which the probes
     (nearly) leave unseen, the map prepares the maximally mixed state, so the
-    stack is a channel on every input.  Exact when a degrading map exists and
-    the probes span; otherwise a warm start.
+    stack is a channel on every input.
     """
-    p, db, _ = b_stack.shape
-    dc = c_stack.shape[1]
-    t, *_ = np.linalg.lstsq(b_stack.reshape(p, db * db), c_stack.reshape(p, dc * dc), rcond=None)
-    j = t.reshape(db, db, dc, dc).transpose(0, 2, 1, 3).reshape(db * dc, db * dc)
-    vals, vecs = np.linalg.eigh(_hermitize(j))
-    j = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     red = np.einsum("icjc->ij", j.reshape(db, dc, db, dc))
     rv, rw = np.linalg.eigh(_hermitize(red))
     seen, unseen = rw[:, rv > 1e-9], rw[:, rv <= 1e-9]
@@ -563,65 +561,44 @@ def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
     return np.sqrt(vals[keep])[:, None, None] * vecs[:, keep].T.reshape(-1, db, dc).transpose(0, 2, 1)
 
 
-def _kraus_fit(b_stack: np.ndarray, c_stack: np.ndarray):
-    """One pass ``fn(thetas) -> (values, directions_at)`` of -sum_p |Phi_K(b_p) - c_p|_F^2 over the Kraus
-    stacks K = _retraction_decode(theta); ``directions_at(rows)`` is its gradient at those rows of the batch.
+def _choi_fit_stack(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
+    """Least-squares transfer-matrix fit, rearranged into block (Choi) form, clipped to positive semidefinite
+    and made a channel on every input.  Exact when a degrading map exists and the probes span."""
+    p, db, _ = b_stack.shape
+    dc = c_stack.shape[1]
+    t, *_ = np.linalg.lstsq(b_stack.reshape(p, db * db), c_stack.reshape(p, dc * dc), rcond=None)
+    return _channel(_psd(t.reshape(db, db, dc, dc).transpose(0, 2, 1, 3).reshape(db * dc, db * dc)), db, dc)
 
-    Value and gradient share the residual.
+
+def _projection_fit(b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
+    """Douglas-Rachford splitting (Lions & Mercier 1979) between the positive semidefinite Choi matrices and the
+    trace-preserving ones that meet every probe, ended in the linear fit's tail: a Kraus stack (n, dc, db).
+
+    Each step is z <- z + A(2P(z) - z) - P(z), with P the eigenvalue clip ``_psd``.  On the transfer matrix T
+    (vec(Phi(rho)) = vec(rho) T, row-major), A is t0 + (I - Pi_B)(T - t0)(I - Pi_C): the probe rows act on its
+    left and the trace condition on its right, so the projectors commute.  It stops once the two steps agree
+    within 1e-13, or after ``PROJECTION_STEPS``.
     """
-    b_vec, c_vec = (x.transpose(1, 2, 0).reshape(-1, len(b_stack)) for x in (b_stack, c_stack))  # (d*d, p)
+    (p, db, _), dc = b_stack.shape, c_stack.shape[1]
+    b, u = b_stack.reshape(p, -1), np.eye(dc).reshape(1, -1)
+    pinv = np.linalg.pinv(b)
+    left, right = np.eye(db * db) - pinv @ b, np.eye(dc * dc) - u.T @ u / dc  # I - Pi_B, I - Pi_C
+    t0 = pinv @ c_stack.reshape(p, -1) @ right + np.eye(db).reshape(-1, 1) @ u / dc
 
-    def fn(thetas: np.ndarray):
-        stacks, pullback = _retraction_decode(thetas, c_stack.shape[1], b_stack.shape[1])
-        resid = _transfer(stacks) @ b_vec - c_vec
+    def choi(t):
+        return t.reshape(db, db, dc, dc).transpose(0, 2, 1, 3).reshape(db * dc, db * dc)
 
-        def directions_at(rows):
-            # Hermitian D_p = Phi_K(b_p) - c_p and b_p give G_e = -4 sum_p D_p K_e b_p
-            k = stacks[rows]
-            m, n_env, dc, db = k.shape
-            v = (resid[rows] @ b_vec.T).reshape(m, dc, dc, db, db)  # [c, f, d, b]
-            g = v.transpose(0, 1, 4, 2, 3).reshape(m, dc * db, -1) @ k.transpose(0, 2, 3, 1).reshape(m, -1, n_env)
-            return pullback(-4.0 * g.reshape(m, dc, db, n_env).transpose(0, 3, 1, 2), rows)
-
-        return -(resid.real ** 2 + resid.imag ** 2).sum(axis=(1, 2)), directions_at
-
-    return fn
-
-
-def _retraction_decode(thetas: np.ndarray, dc: int, db: int):
-    """Kraus stacks (m, db*dc, dc, db), each the Q factor of a complex (db*dc*dc, db) matrix of a row of
-    the (m, 2*db*dc*dc*db) block, and a pullback ``(G, rows)`` from the complex gradient G in those stacks
-    (d objective = Re sum conj(G) dK) to d/dtheta.
-
-    The pullback is the thin-QR rule (Seeger et al., "Auto-differentiating
-    linear algebra", 2017) for LAPACK's real diagonal of R.
-    """
-    m = thetas.shape[0]
-    g = thetas.reshape(m, 2, -1, db)
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-
-    def pullback(grad: np.ndarray, rows) -> np.ndarray:
-        q_rows, gq = q[rows], grad.reshape(len(rows), *q.shape[1:])
-        b = q_rows.conj().transpose(0, 2, 1) @ gq
-        z = gq + q_rows @ (np.tril(b - b.conj().transpose(0, 2, 1), -1) + 1j * b.imag * np.eye(db) - b)
-        d_a = np.linalg.solve(r[rows], z.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-        return np.stack([d_a.real, d_a.imag], axis=1).reshape(len(rows), -1)
-
-    return q.reshape(m, db * dc, dc, db), pullback
+    z = t0
+    for _ in range(PROJECTION_STEPS):
+        x = _psd(choi(z)).reshape(db, dc, db, dc).transpose(0, 2, 1, 3).reshape(db * db, dc * dc)
+        y = t0 + left @ (2 * x - z - t0) @ right
+        z = z + y - x
+        if np.abs(y - x).max() <= 1e-13:
+            break
+    return _channel(_psd(choi(y)), db, dc)
 
 
-def _retraction_inits(linear: np.ndarray, cfg) -> np.ndarray:
-    """Random QR-retraction restarts, (restarts, 2*db*dc*dc*db), restart 0 at the linear fit's (n, dc, db)
-    stack."""
-    _, dc, db = linear.shape
-    fit = linear.reshape(-1, db)
-    inits = seeded_rng(cfg.seed, 0x5E9).standard_normal((cfg.restarts, 2, db * dc * dc, db))
-    inits[0] = 0.0
-    inits[0, :, :len(fit)] = fit.real, fit.imag
-    return inits.reshape(cfg.restarts, -1)
-
-
-def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
+def degradedness_residual(bc_or_pair) -> DegradednessReport:
     """Search for a degrading map turning the B marginal into the C marginal.
 
     The probes span the input (for cq channels they are the conditionals); a
@@ -633,25 +610,22 @@ def degradedness_residual(bc_or_pair, cfg=None) -> DegradednessReport:
     1. kraus (linear fit): the least-squares transfer matrix projected to CPTP,
        a channel on every input (exact to rounding on the identity and on
        dephasing channels);
-    2. kraus (QR retraction): a Kraus-stack fit whose restart 0 is the linear
-       fit, run only when floor <= 1e-6 < the linear fit's residual, the one
-       case where a map can still certify.  Its best restart replaces the
-       linear fit only with a strictly smaller residual.
+    2. kraus (Douglas-Rachford): a convex feasibility fit of the Choi matrix,
+       run only when floor <= 1e-6 < the linear fit's residual, the one case
+       where a map can still certify.  It replaces the linear fit only with a
+       strictly smaller residual.
 
     Above a floor of 1e-6 no map certifies, and ``residual`` is the linear
     fit's: an upper bound on the best map's, with ``floor`` the lower bound.
     """
-    cfg = cfg or OptimizerConfig()
     b, c = _probe_pairs(bc_or_pair)
     floor = _contraction_floor(b, c)
     best, method = _choi_fit_stack(b, c), "kraus (linear fit)"
     residual = float(_residuals(best[None], b, c)[0])
     if floor <= CERTIFY_THRESHOLD < residual:
-        thetas = maximize_batch(_kraus_fit(b, c), _retraction_inits(best, cfg), cfg)[0]
-        stacks = _retraction_decode(thetas, c.shape[1], b.shape[1])[0]
-        r = _residuals(stacks, b, c)
-        i = int(np.argmin(r))  # the first of equal residuals
-        if r[i] < residual:
-            best, residual, method = stacks[i], float(r[i]), "kraus (QR retraction)"
+        fit = _projection_fit(b, c)
+        r = float(_residuals(fit[None], b, c)[0])
+        if r < residual:
+            best, residual, method = fit, r, "kraus (Douglas-Rachford)"
     dmap = KrausChannel(best, layout(("C", c.shape[1])), validate=False)
     return DegradednessReport(residual, dmap, residual <= CERTIFY_THRESHOLD, method, floor)

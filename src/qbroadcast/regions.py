@@ -654,7 +654,7 @@ def certify_single_letter_cq(w: CqBroadcastChannel, cfg: OptimizerConfig | None 
     """
     cfg = cfg or OptimizerConfig()
     commuting = w.commuting_b()
-    report = degradedness_residual(w, cfg=cfg)
+    report = degradedness_residual(w)
     certified = bool(commuting and report.certified)
     frontier = None
     if certified:

@@ -179,3 +179,17 @@ def few_symbol_degraded_cq(unprobed: bool = False) -> qb.CqBroadcastChannel:
         b = np.diag(np.r_[p, 0.0] if unprobed else p).astype(complex)
         states.append(np.kron(b, apply_kraus(post, b)))
     return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 3), ("C", 2)))
+
+
+def degraded_commuting_cq(seed) -> qb.CqBroadcastChannel:
+    """Random diagonal B states (d_B, d_C in 2-3, 2 to d_B + 1 symbols) and C = a random channel of B: degraded and
+    commuting."""
+    rng = np.random.default_rng(seed)
+    db, dc = (int(d) for d in rng.integers(2, 4, size=2))
+    x = int(rng.integers(2, db + 2))
+    post = random_channel(rng, db, dc, 2)
+    states = []
+    for _ in range(x):
+        b = np.diag(rng.dirichlet(np.ones(db))).astype(complex)
+        states.append(np.kron(b, apply_kraus(post, b)))
+    return qb.CqBroadcastChannel(range(x), states, qb.layout(("B", db), ("C", dc)))

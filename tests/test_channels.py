@@ -12,18 +12,15 @@ from qbroadcast.channels import (
     _choi_fit_stack,
     _contraction_floor,
     _images,
-    _kraus_fit,
     _probe_densities,
     _probe_pairs,
+    _projection_fit,
     _residuals,
-    _retraction_decode,
-    _retraction_inits,
 )
-from qbroadcast.optimize import OptimizerConfig, maximize_batch, seeded_rng
 from qbroadcast.specio import BUILTIN_CHANNELS
 from qbroadcast.states import _hermitize
 
-from conftest import (apply_kraus, central_differences, few_symbol_degraded_cq, generic_dephasing, random_channel,
+from conftest import (apply_kraus, degraded_commuting_cq, few_symbol_degraded_cq, generic_dephasing, random_channel,
                       seeded_dephasing_doc, spectrum_entropy)
 
 
@@ -554,9 +551,8 @@ class TestSwapped:
         stack = "ops" if isinstance(ch, qb.BroadcastChannel) else "states"
         assert np.array_equal(getattr(twice, stack), getattr(ch, stack)) and twice.out_layout == ch.out_layout
         # a swap drops any DephasingSpec, which the search does not read
-        cfg = OptimizerConfig(restarts=2, max_iters=20)
-        once = qb.degradedness_residual(ch, cfg=cfg)
-        again = qb.degradedness_residual(twice, cfg=cfg)
+        once = qb.degradedness_residual(ch)
+        again = qb.degradedness_residual(twice)
         assert (again.residual, again.certified, again.method, again.floor) == \
             (once.residual, once.certified, once.method, once.floor)
         assert np.array_equal(again.degrading_map.ops, once.degrading_map.ops)
@@ -578,6 +574,19 @@ def non_commuting_degraded() -> qb.CqBroadcastChannel:
         b = np.outer(v, v.conj()) / np.vdot(v, v).real
         states.append(np.kron(b, apply_kraus(post, b)))
     return qb.CqBroadcastChannel(range(2), states, qb.layout(("B", 2), ("C", 2)), validate=False)
+
+
+# every input of ``floor_cases`` seeds 0-39, ``degraded_commuting_cq`` seeds 500-539 and the two channels
+# above on which the fit runs and a map certifies
+CERTIFIED_BY_THE_FIT = {
+    **{f"floor-{seed}-{index}": functools.partial(lambda seed, index: floor_cases(seed)[index], seed, index)
+       for seed, index in [(0, 3), (4, 3), (7, 3), (8, 3), (10, 3), (13, 3), (14, 2), (15, 3), (17, 3), (18, 3),
+                           (19, 3), (23, 3), (27, 3), (28, 3), (36, 3)]},
+    **{f"degraded-commuting-{seed}": functools.partial(degraded_commuting_cq, seed)
+       for seed in [504, 505, 507, 508, 519, 526, 531, 534]},
+    "few-symbol": few_symbol_degraded_cq,
+    "non-commuting": non_commuting_degraded,
+}
 
 
 class TestDegradedness:
@@ -626,53 +635,33 @@ class TestDegradedness:
         assert rep.residual <= 1e-6
 
     def test_qr_retraction_certifies(self):
-        # only the QR-retraction fit finds the map
+        # the linear fit misses the map on these non-commuting probes; the Douglas-Rachford fit finds it
         w = non_commuting_degraded()
         assert not w.commuting_b()
         rep = qb.degradedness_residual(w)
-        assert rep.method == "kraus (QR retraction)"
+        assert rep.method == "kraus (Douglas-Rachford)"
         assert rep.certified
 
     def test_qr_fit_certifies_few_symbols(self):
-        # two commuting B probes underdetermine a map on d_B = 3: the linear fit misses it, the QR fit finds it
+        # two commuting B probes underdetermine a map on d_B = 3: the linear fit misses it, the Douglas-Rachford
+        # fit finds it
         w = few_symbol_degraded_cq()
         b, c = _probe_pairs(w)
         assert _all_commute(b)
         assert _residuals(_choi_fit_stack(b, c)[None], b, c)[0] > 1e-6
         rep = qb.degradedness_residual(w)
         assert rep.floor <= 1e-6
-        assert rep.method == "kraus (QR retraction)"
+        assert rep.method == "kraus (Douglas-Rachford)"
         assert rep.certified
 
-    @pytest.mark.parametrize("case", ["degraded", "few-symbol"])
-    def test_qr_retraction_hands_over_every_restart(self, case):
-        w = non_commuting_degraded() if case == "degraded" else few_symbol_degraded_cq()
-        cfg = OptimizerConfig(restarts=5, max_iters=40)
+    @pytest.mark.parametrize("make", list(CERTIFIED_BY_THE_FIT.values()), ids=list(CERTIFIED_BY_THE_FIT))
+    def test_fit_certifies_to_rounding(self, make):
+        # a convex fit certifies at rounding level, not at the 1e-6 threshold
+        w = make()
         b, c = _probe_pairs(w)
-        assert _all_commute(b) == (case == "few-symbol")
-        stacks = qr_fit_maps(b, c, cfg)
-        assert len(stacks) == cfg.restarts
-        rep = qb.degradedness_residual(w, cfg=cfg)
-        assert (rep.residual <= _residuals(stacks, b, c)).all()
-
-    def test_kraus_fit_gradient(self):
-        # a random fit: 6 Hermitian probes on a qubit B, targets on a qutrit C
-        rng = seeded_rng(11)
-        db, dc = 2, 3
-
-        def hermitian(shape):
-            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return a + a.conj().swapaxes(-1, -2)
-
-        b, c = hermitian((6, db, db)), hermitian((6, dc, dc))
-        fn = _kraus_fit(b, c)
-        thetas = rng.standard_normal((5, 2 * db * dc * dc * db))
-        _, directions_at = fn(thetas)
-        grad = directions_at(np.arange(5))
-        assert np.abs(grad).max() > 1.0
-        assert np.abs(grad - central_differences(lambda th: fn(th)[0])(thetas)).max() <= 1e-6
-        # rows pulled back alone match their rows of the whole batch
-        assert np.array_equal(directions_at(np.array([3, 1])), grad[[3, 1]])
+        rep = qb.degradedness_residual(w)
+        assert rep.floor <= 1e-6 < _residuals(_choi_fit_stack(b, c)[None], b, c)[0]  # the fit runs
+        assert rep.certified and rep.residual <= 1e-12, rep.residual
 
     def test_report_fields(self):
         rep = qb.degradedness_residual(qb.make_pinching())
@@ -695,9 +684,8 @@ class TestDegradingMapIsAChannel:
     mixed state there, so every map the search returns is trace preserving."""
 
     def test_every_returned_map_passes_the_kraus_check(self):
-        cfg = OptimizerConfig(restarts=2, max_iters=20)
         for i, case in enumerate(returned_map_cases()):
-            dmap = qb.degradedness_residual(case, cfg=cfg).degrading_map
+            dmap = qb.degradedness_residual(case).degrading_map
             try:
                 qb.KrausChannel(dmap.ops, dmap.out_layout)  # sum K†K = I within KRAUS_TOL
             except qb.ValidationError as err:
@@ -707,7 +695,7 @@ class TestDegradingMapIsAChannel:
     def test_linear_fit_certifies_near_unprobed_inputs(self, seed, index):
         # near-unprobed inputs: these pairs certify only if the fit drops the directions whose partial trace is
         # tiny instead of scaling them up
-        rep = qb.degradedness_residual(floor_cases(seed)[index], cfg=OptimizerConfig(restarts=2, max_iters=20))
+        rep = qb.degradedness_residual(floor_cases(seed)[index])
         assert rep.method == "kraus (linear fit)"
         assert rep.certified
 
@@ -719,17 +707,11 @@ class TestDegradingMapIsAChannel:
         assert np.abs(image - np.eye(2) / 2).max() <= 1e-12
 
 
-def qr_fit_maps(b, c, cfg):
-    """Every restart's map of the search's QR-retraction fit on the probe stacks b and c, run whatever the floor."""
-    thetas = maximize_batch(_kraus_fit(b, c), _retraction_inits(_choi_fit_stack(b, c), cfg), cfg)[0]
-    return _retraction_decode(thetas, c.shape[1], b.shape[1])[0]
-
-
-def floor_and_every_residual(bc_or_pair, cfg):
-    """The search's contraction floor, the residual of the linear fit and of every QR-fit restart, and whether
-    the B probes commute."""
+def floor_and_every_residual(bc_or_pair):
+    """The search's contraction floor, the residual of the linear fit and of the Douglas-Rachford fit (run
+    whatever the floor), and whether the B probes commute."""
     b, c = _probe_pairs(bc_or_pair)
-    stacks = [_choi_fit_stack(b, c)[None], qr_fit_maps(b, c, cfg)]
+    stacks = [_choi_fit_stack(b, c)[None], _projection_fit(b, c)[None]]
     residuals = [r for stack in stacks for r in _residuals(stack, b, c)]
     return _contraction_floor(b, c), residuals, _all_commute(b)
 
@@ -757,11 +739,10 @@ class TestContractionFloor:
     """Trace distance contracts under CPTP maps, so no map's residual falls below the floor."""
 
     def test_no_map_beats_the_floor(self):
-        cfg = OptimizerConfig(restarts=2, max_iters=20)
         floors, kinds = [], set()
         for seed in range(30):
             for case in floor_cases(seed):
-                floor, residuals, commute = floor_and_every_residual(case, cfg)
+                floor, residuals, commute = floor_and_every_residual(case)
                 assert residuals
                 # both sides are sums of rounded singular values
                 assert all(floor <= r + 1e-12 for r in residuals), (seed, floor, min(residuals))
@@ -793,25 +774,26 @@ class TestContractionFloor:
 
 
 class TestFitRule:
-    """The QR fit, one ``maximize_batch`` call, runs exactly when floor <= 1e-6 < the linear fit's residual: above
-    that floor no map certifies, and a certifying linear fit leaves nothing to find."""
+    """The Douglas-Rachford fit, one ``_projection_fit`` call, runs exactly when floor <= 1e-6 < the linear fit's
+    residual: above that floor no map certifies, and a certifying linear fit leaves nothing to find."""
 
     def test_fit_runs_only_while_a_certificate_is_possible(self, monkeypatch):
-        calls, real = [], channels.maximize_batch
-        monkeypatch.setattr(channels, "maximize_batch", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        cfg, kinds = OptimizerConfig(restarts=2, max_iters=20), collections.Counter()
+        calls, real = [], channels._projection_fit
+        monkeypatch.setattr(channels, "_projection_fit", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        kinds = collections.Counter()
         for seed in range(30):
             for index, case in enumerate(floor_cases(seed)):
                 b, c = _probe_pairs(case)
                 linear = _residuals(_choi_fit_stack(b, c)[None], b, c)[0]
                 calls.clear()
-                rep = qb.degradedness_residual(case, cfg=cfg)
+                rep = qb.degradedness_residual(case)
                 if rep.floor > 1e-6:
                     kind = "above the floor"
                     assert (len(calls), rep.certified) == (0, False), (seed, index)
                 elif linear > 1e-6:
                     kind = "fit"
                     assert len(calls) == 1, (seed, index)
+                    assert rep.method in ("kraus (linear fit)", "kraus (Douglas-Rachford)"), (seed, index)
                 else:
                     kind = "linear fit certifies"
                     assert not calls and rep.certified, (seed, index)

@@ -553,11 +553,11 @@ class TestCheckDegraded:
 
     @pytest.mark.parametrize("channel,fits", [("pinching-cq", 0), ("pinching", 0), ("few-symbol-doc", 1)])
     def test_reverse_fits_only_above_the_floor(self, tmp_path, capsys, monkeypatch, channel, fits):
-        # the QR fit runs only when the contraction floor is at most 1e-6 and the linear fit does not certify:
-        # pinching-cq's and pinching's floors are 1, so neither fits; the few-symbol cq channel, stored with its
-        # receivers swapped, has floor 0 and a linear fit 0.029 off, so it fits once
-        calls, real = [], channels.maximize_batch
-        monkeypatch.setattr(channels, "maximize_batch", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        # the Douglas-Rachford fit runs only when the contraction floor is at most 1e-6 and the linear fit does not
+        # certify: pinching-cq's and pinching's floors are 1, so neither fits; the few-symbol cq channel, stored with
+        # its receivers swapped, has floor 0 and a linear fit 0.029 off, so it fits once
+        calls, real = [], channels._projection_fit
+        monkeypatch.setattr(channels, "_projection_fit", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         if channel == "few-symbol-doc":
             channel = tmp_path / "few.json"
             channel.write_text(json.dumps(qb.serialize_channel(few_symbol_degraded_cq().swapped())))
@@ -566,7 +566,7 @@ class TestCheckDegraded:
         lines = capsys.readouterr().out.splitlines()
         if fits:
             assert float(lines[0].removeprefix("residual: ")) <= 1e-6
-            assert lines[1:] == ["certified: true", "method: kraus (QR retraction)"]
+            assert lines[1:] == ["certified: true", "method: kraus (Douglas-Rachford)"]
         else:
             (_, _, residual, certified, method), = [v for v in DEGRADED_VERDICTS if v[:2] == (channel, True)]
             assert lines == [f"residual: {residual}", f"certified: {certified}", f"method: {method}"]

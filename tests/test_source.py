@@ -195,19 +195,24 @@ class TestOneLeastSquaresRule:
 
 class TestOneDegradingMapFit:
     def test_one_fit_call_and_one_decode(self):
-        # the degrading-map search runs its one optimizing fit from one place, over one Kraus decode
+        # the degrading-map search makes its one fit call, a Douglas-Rachford projection, from one place, and
+        # neither imports the optimizer nor decodes Kraus parameters through a QR factorization
         source = (pathlib.Path(qbroadcast.__file__).parent / "channels.py").read_text(encoding="utf-8")
-        assert read_sites(source, "channels", "maximize_batch") == {"channels.degradedness_residual"}
-        assert read_sites(source, "channels", "qr") == {"channels._retraction_decode"}
+        for name in ("maximize_batch", "seeded_rng", "OptimizerConfig", "qr"):
+            assert read_sites(source, "channels", name) == set(), name
+        modules = {node.module for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)}
+        assert "optimize" not in modules
+        assert read_sites(source, "channels", "_projection_fit") == {"channels.degradedness_residual"}
 
     def test_detects_a_second_copy(self):
         source = ("import numpy as np\nfrom .optimize import maximize_batch\n"
-                  "def degradedness_residual(fn, x, cfg):\n    return maximize_batch(fn, x, cfg)\n"
-                  "def _fit_maps(fn, x, cfg):\n    return maximize_batch(fn, x, cfg)[0]\n"
-                  "def _retraction_decode(a):\n    return np.linalg.qr(a)\n"
+                  "def degradedness_residual(b, c):\n    return _projection_fit(b, c)\n"
+                  "def _fit_maps(b, c):\n    return _projection_fit(b, c)[None]\n"
+                  "def _retraction_decode(fn, x, cfg):\n    return np.linalg.qr(maximize_batch(fn, x, cfg)[0])\n"
                   "def _prep_decode(a):\n    from numpy.linalg import qr\n    return qr(a)[0]\n")
-        assert read_sites(source, "channels", "maximize_batch") == {"channels.degradedness_residual",
+        assert read_sites(source, "channels", "_projection_fit") == {"channels.degradedness_residual",
                                                                     "channels._fit_maps"}
+        assert read_sites(source, "channels", "maximize_batch") == {"channels._retraction_decode"}
         assert read_sites(source, "channels", "qr") == {"channels._retraction_decode", "channels._prep_decode"}
 
 
