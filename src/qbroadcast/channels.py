@@ -512,18 +512,9 @@ def _probe_pairs(bc) -> tuple[np.ndarray, np.ndarray]:
     return _images(ch_b.ops, probes), _images(ch_c.ops, probes)
 
 
-def _transfer(stacks: np.ndarray) -> np.ndarray:
-    """Transfer matrices T (m, dc*dc, db*db) of Kraus stacks (m, n_env, dc, db): vec(Phi(rho)) = T vec(rho)."""
-    m, n_env, dc, db = stacks.shape
-    gram = stacks.conj().transpose(0, 2, 3, 1).reshape(m, dc * db, n_env) @ stacks.reshape(m, n_env, dc * db)
-    return gram.reshape(m, dc, db, dc, db).transpose(0, 3, 1, 4, 2).reshape(m, dc * dc, db * db)
-
-
-def _residuals(stacks: np.ndarray, b_stack: np.ndarray, c_stack: np.ndarray) -> np.ndarray:
-    """Worst trace norm |Phi(b_p) - c_p|_1 over the probes for each Kraus stack of (m, n_env, dc, db)."""
-    p, dc, _ = c_stack.shape
-    images = _transfer(stacks) @ b_stack.transpose(1, 2, 0).reshape(-1, p)  # (m, dc*dc, p)
-    return trace_norms(images.transpose(0, 2, 1).reshape(len(stacks), p, dc, dc) - c_stack).max(axis=-1)
+def _residual(ops: np.ndarray, b_stack: np.ndarray, c_stack: np.ndarray) -> float:
+    """Worst trace norm |Phi(b_p) - c_p|_1 over the probes of the Kraus stack ops (n, dc, db)."""
+    return float(trace_norms(_images(ops, b_stack) - c_stack).max())
 
 
 def _contraction_floor(b_stack: np.ndarray, c_stack: np.ndarray) -> float:
@@ -621,10 +612,10 @@ def degradedness_residual(bc_or_pair) -> DegradednessReport:
     b, c = _probe_pairs(bc_or_pair)
     floor = _contraction_floor(b, c)
     best, method = _choi_fit_stack(b, c), "kraus (linear fit)"
-    residual = float(_residuals(best[None], b, c)[0])
+    residual = _residual(best, b, c)
     if floor <= CERTIFY_THRESHOLD < residual:
         fit = _projection_fit(b, c)
-        r = float(_residuals(fit[None], b, c)[0])
+        r = _residual(fit, b, c)
         if r < residual:
             best, residual, method = fit, r, "kraus (Douglas-Rachford)"
     dmap = KrausChannel(best, layout(("C", c.shape[1])), validate=False)

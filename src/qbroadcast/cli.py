@@ -266,19 +266,16 @@ def _build_parser() -> argparse.ArgumentParser:
     region.add_argument("--seed", type=int, default=7)
     region.add_argument("--t-size", type=int, default=None, dest="t_size")
     region.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    region.set_defaults(func=_cmd_region)
 
     quantities = sub.add_parser("quantities", help="entropic functionals of a state document")
     quantities.add_argument("--state", required=True)
     quantities.add_argument("--out", default=None)
-    quantities.set_defaults(func=_cmd_quantities)
 
     check = sub.add_parser("check", help="structural checks")
     check_sub = check.add_subparsers(dest="check_command", required=True, parser_class=_Parser)
     degraded = check_sub.add_parser("degraded", help="search for a degrading map between receivers")
     degraded.add_argument("--channel", required=True)
     degraded.add_argument("--reverse", action="store_true", help="check the C-to-B direction")
-    degraded.set_defaults(func=_cmd_check_degraded)
 
     oracle = sub.add_parser("oracle", help="exhaustive grid references")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True, parser_class=_Parser)
@@ -289,31 +286,26 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--mesh", type=int, required=True)
     grid.add_argument("--r-grid", type=int, default=None, dest="r_grid")
     grid.add_argument("--out", default=None)
-    grid.set_defaults(func=_cmd_oracle_grid)
 
     card = oracle_sub.add_parser("cardinality", help="label-alphabet saturation probe")
     card.add_argument("--channel", required=True)
     card.add_argument("--bound", type=int, required=True)
     card.add_argument("--extra", type=int, required=True)
     card.add_argument("--mesh", type=int, required=True)
-    card.set_defaults(func=_cmd_oracle_cardinality)
 
     classical = oracle_sub.add_parser("classical", help="Shannon frontier for a symmetric cascade")
     classical.add_argument("--cascade", required=True, metavar="FLIP1,FLIP2")
     classical.add_argument("--mesh", type=int, required=True)
     classical.add_argument("--t-size", type=int, default=None, dest="t_size")
     classical.add_argument("--out", default=None)
-    classical.set_defaults(func=_cmd_oracle_classical)
 
     boundary = sub.add_parser("pinching-boundary", help="closed-form pinching boundary samples")
     boundary.add_argument("--points", type=int, default=33)
     boundary.add_argument("--out", default=None)
-    boundary.set_defaults(func=_cmd_pinching_boundary)
 
     verify = sub.add_parser("verify", help="re-evaluate a witness sidecar")
     verify.add_argument("--witness", required=True)
     verify.add_argument("--tol", type=float, default=1e-6)
-    verify.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -322,7 +314,12 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return globals()[args.func.__name__](args)  # looked up per run, so a replaced _cmd_* is the one called
+        handlers = {"region": _cmd_region, "quantities": _cmd_quantities, "degraded": _cmd_check_degraded,
+                    "grid": _cmd_oracle_grid, "cardinality": _cmd_oracle_cardinality,
+                    "classical": _cmd_oracle_classical, "pinching-boundary": _cmd_pinching_boundary,
+                    "verify": _cmd_verify}  # built per run, so a replaced _cmd_* is the one called
+        leaf = getattr(args, "check_command", None) or getattr(args, "oracle_command", None) or args.command
+        return handlers[leaf](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValidationError as exc:

@@ -211,7 +211,7 @@ class _Family(NamedTuple):
     check: Callable  # (payload batch, what) -> raises ValidationError unless it is a decoded payload
     dense: bool  # whether its ascent keeps a dense inverse Hessian (``maximize_batch``'s ``dense``), else L-BFGS
     structured: Callable  # (evaluator, rng) -> (t, payload length) structured init rows
-    structured_rows: int  # cold-start restarts that get a structured row (1 unless it depends on the rng)
+    structured_rows: int  # restarts that get a structured row (1 unless it depends on the rng)
     init_scale: float  # standard deviation of the seeded random init rows
     key: str  # witness key of the payload
     dump: Callable  # one label set's payload -> JSON value
@@ -314,13 +314,12 @@ class _LabelEnsembleEvaluator:
 
         return self._per_use(chi.min(axis=0)), self._per_use((p_t * term).sum(axis=1)), grads
 
-    def inits(self, n_restarts: int, path, warm: np.ndarray | None) -> np.ndarray:
-        """Warm start plus one structured row, or the family's ``structured_rows``, then seeded random rows."""
-        first_random = 2 if warm is not None else self.family.structured_rows
-        rows = [] if warm is None else [np.array(warm)]
-        for r in range(len(rows), n_restarts):
+    def inits(self, n_restarts: int, path) -> np.ndarray:
+        """The family's ``structured_rows`` structured rows, then seeded random rows."""
+        rows = []
+        for r in range(n_restarts):
             rng = seeded_rng(*path, r)
-            if r < first_random:
+            if r < self.family.structured_rows:
                 rows.append(np.concatenate([np.zeros(self.t_size), self.family.structured(self, rng).reshape(-1)]))
             else:
                 rows.append(rng.standard_normal(self.n_params) * self.family.init_scale)
@@ -574,8 +573,8 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
         work["stages_converged"] += info["converged"]
         return thetas, vals, info
 
-    def tagged(pi, r, warm=None):  # target r's restart rows, drawn on the (seed, pi) path, r in the last column
-        return np.column_stack((ev.inits(cfg.restarts, (cfg.seed, pi), warm), np.full(cfg.restarts, r)))
+    def tagged(pi, r):  # target r's restart rows, drawn on the (seed, pi) path, r in the last column
+        return np.column_stack((ev.inits(cfg.restarts, (cfg.seed, pi)), np.full(cfg.restarts, r)))
 
     if r_values is not None:
         try:
@@ -585,19 +584,14 @@ def _sweep(ev, cfg: OptimizerConfig, r_values=None, metadata: dict | None = None
             ok = False
         if not ok:
             raise ValidationError("r_values: must be a 1-d list of finite numbers")
-    r_max_thetas, common_vals, _ = ascend(tagged(0xC0FFEE, 0.0))
-    r_max = max(float(common_vals.max()), 0.0)
+    r_max = max(float(ascend(tagged(0xC0FFEE, 0.0))[1].max()), 0.0)
     if r_values is None:
         r_values = np.linspace(0.0, r_max, cfg.r_grid)
-    # a target above zero starts from the r_max optimum, which meets it when it is reachable at all; at or
-    # below zero the constraint is vacuous and the start is cold.  The optimum can be a stationary point of
-    # the penalty objective (the r_max corner of noiseless-bit), so a lone restart starts cold too
-    warm = r_max_thetas[int(np.argmax(common_vals)), :-1] if cfg.restarts > 1 else None
     chunk = chunk or max(1, len(r_values))
     rows = []
     for lo in range(0, len(r_values), chunk):
         targets = r_values[lo:lo + chunk]
-        thetas = np.concatenate([tagged(pi, r, warm if r > 0 else None) for pi, r in enumerate(targets, lo)])
+        thetas = np.concatenate([tagged(pi, r) for pi, r in enumerate(targets, lo)])
         for mu in PENALTY_SCALES:
             thetas, vals, info = ascend(thetas, mu)
         best = [int(np.flatnonzero(v >= v.max() - 1e-12)[0]) for v in vals.reshape(len(targets), -1)]

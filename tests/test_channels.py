@@ -15,7 +15,7 @@ from qbroadcast.channels import (
     _probe_densities,
     _probe_pairs,
     _projection_fit,
-    _residuals,
+    _residual,
 )
 from qbroadcast.specio import BUILTIN_CHANNELS
 from qbroadcast.states import _hermitize
@@ -648,7 +648,7 @@ class TestDegradedness:
         w = few_symbol_degraded_cq()
         b, c = _probe_pairs(w)
         assert _all_commute(b)
-        assert _residuals(_choi_fit_stack(b, c)[None], b, c)[0] > 1e-6
+        assert _residual(_choi_fit_stack(b, c), b, c) > 1e-6
         rep = qb.degradedness_residual(w)
         assert rep.floor <= 1e-6
         assert rep.method == "kraus (Douglas-Rachford)"
@@ -660,7 +660,7 @@ class TestDegradedness:
         w = make()
         b, c = _probe_pairs(w)
         rep = qb.degradedness_residual(w)
-        assert rep.floor <= 1e-6 < _residuals(_choi_fit_stack(b, c)[None], b, c)[0]  # the fit runs
+        assert rep.floor <= 1e-6 < _residual(_choi_fit_stack(b, c), b, c)  # the fit runs
         assert rep.certified and rep.residual <= 1e-12, rep.residual
 
     def test_report_fields(self):
@@ -711,8 +711,7 @@ def floor_and_every_residual(bc_or_pair):
     """The search's contraction floor, the residual of the linear fit and of the Douglas-Rachford fit (run
     whatever the floor), and whether the B probes commute."""
     b, c = _probe_pairs(bc_or_pair)
-    stacks = [_choi_fit_stack(b, c)[None], _projection_fit(b, c)[None]]
-    residuals = [r for stack in stacks for r in _residuals(stack, b, c)]
+    residuals = [_residual(fit(b, c), b, c) for fit in (_choi_fit_stack, _projection_fit)]
     return _contraction_floor(b, c), residuals, _all_commute(b)
 
 
@@ -784,7 +783,7 @@ class TestFitRule:
         for seed in range(30):
             for index, case in enumerate(floor_cases(seed)):
                 b, c = _probe_pairs(case)
-                linear = _residuals(_choi_fit_stack(b, c)[None], b, c)[0]
+                linear = _residual(_choi_fit_stack(b, c), b, c)
                 calls.clear()
                 rep = qb.degradedness_residual(case)
                 if rep.floor > 1e-6:

@@ -210,11 +210,11 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("cq", "--channel", "pinching-cq", "--grid", "2", "--restarts", "4", "--seed", "1001"),
-         "1d4d0157b5231109e1ac8aaadf58ae0613a9088a9e004037fc47ae82f41af88e",
-         "9fb3cb044d485735696ebc81347c0b5b2b45cecbe3bdd95668b6b05311711aae"),
+         "afb0562720ff80a6463838030725bc166ad527b9959121e4229a224cf1c4af27",
+         "6bad240a13f03b8aca06c1281c82e7b9687ff6ba40dc25ee2f603e214b3a71cb"),
         (("cq-eg", "--channel", "pinching", "--t-size", "2", "--grid", "2", "--restarts", "2", "--seed", "1001"),
-         "98e15d7946244b53bfcbfda162832e0822367abce3801377b9c567a455695c2c",
-         "1add730288ecee37ae3b7bb60275b9642c6c3e85e29de2adaa8f5c934e1e767d"),
+         "4a3607c372a3f3f5cb9b53c3f079c41984031ca0154b7a195029868abcca95ae",
+         "09cb749381922e07ca5586eec2e8d0eb64470f2532e219624dd9b27ca334b38d"),
     ], ids=["sweep-cq", "sweep-eg"])
     def test_benchmark_sweep_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the benchmark's sweep configs, pinned so that their CSV and sidecar bytes cannot drift silently
@@ -225,17 +225,17 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("argv,csv_sha,sidecar_sha", [
         (("dephasing", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
-         "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
-         "a30a773126cab4fa89c66b3fc67210cb18c2e392fe65c2c14640fe4041122a6f"),
+         "f928b7962febd6153783cf649daa78ae5fa4008198d737e73fc06db2c2eba1a2",
+         "af9ce6e88680b324f55cd5749515e41876946ca494ba868d683150aced6df168"),
         (("qq", "--channel", "pinching", "--grid", "3", "--restarts", "4"),
-         "58354caf21ee3f87ef179cb3a5c0942421e9e7bc43d6c7dd4b729cf6b1d9bf57",
-         "70ab38a0452a64faf65d4a6b554e739e0645553f03f92fe4e7b296500961b0ec"),
+         "f928b7962febd6153783cf649daa78ae5fa4008198d737e73fc06db2c2eba1a2",
+         "677dec7515f35c958f5b92938dffd4fd68215321c376b52f2bd68f546bae38ca"),
         (("cq", "--channel", "pinching-cq", "--k", "2", "--grid", "2", "--restarts", "4", "--seed", "1001"),
          "d27b661e3345c2e77036ec6ada6055dc6e88ffddb934e34ed7557d3fcaf8d7c1",
          "cede9721496d05132ace1b4b3dd82bba298afa73b4c7664d66cc6dcb86f89fde"),
         (("cq-eg", "--channel", "{two_kraus}", "--t-size", "2", "--grid", "2", "--restarts", "2"),
-         "0b739bbf8142dd6a4455895858f75a6a08aa65fb33e6f75f118a5f8705c440db",
-         "8952e25b2e4e603fe777fc1d7b1ed7dea52478c10c2baa1c7a672b3fcb3a2c9d"),
+         "31d66c81e90caed791cf54ce8ffad7ac8e2aa03b8953cffca1c0a5f9283a7f14",
+         "48f8334f4948908853a1e6194bbe0c70c87569968f01cc37ff6a4214b50d0d1a"),
     ], ids=["dephasing", "qq-dephasing", "cq-k2", "cq-eg-two-kraus"])
     def test_mode_bytes(self, tmp_path, argv, csv_sha, sidecar_sha):
         # the paths the benchmark does not run, pinned like its sweeps: the dephasing and qq-dephasing
@@ -793,4 +793,23 @@ class TestOneProcess:
         monkeypatch.setattr(cli, "_cmd_verify", lambda args: calls.append(args.witness) or real(args))
         assert run(["verify", "--witness", str(out) + ".witness.json"]) == 0
         assert calls == [str(out) + ".witness.json"]
+        assert capsys.readouterr().out.endswith("verified 3 rows\n")
+
+    def test_parser_built_under_a_replaced_command_calls_the_original(self, tmp_path, capsys):
+        # a parser first built while _cmd_verify is replaced, as a tracer wraps it, holds no handler:
+        # once the original is back, verify reaches it
+        real = cli._cmd_verify
+
+        def wrapper(args):
+            return real(args)
+
+        cli._build_parser.cache_clear()
+        cli._cmd_verify = wrapper
+        try:
+            cli._build_parser()
+        finally:
+            cli._cmd_verify = real
+        out = tmp_path / "boundary.csv"
+        assert run(["pinching-boundary", "--points", "3", "--out", str(out)]) == 0
+        assert run(["verify", "--witness", str(out) + ".witness.json"]) == 0
         assert capsys.readouterr().out.endswith("verified 3 rows\n")

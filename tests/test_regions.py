@@ -214,7 +214,7 @@ class TestCqFrontierEngine:
 
     def test_lone_restart_starts_cold(self):
         # noiseless-bit's r_max optimum is a stationary point of the penalty objective: a lone restart
-        # warm-started there stays at the r_max corner and misses the (0.5, 0.5) point
+        # started there would stay at the r_max corner and miss the (0.5, 0.5) point; it starts cold
         fr = qb.cq_broadcast_frontier(qb.make_noiseless_bit(), cfg=OptimizerConfig(restarts=1, r_grid=3))
         assert abs(fr.value_at(0.5, slack=1e-6) - 0.5) <= 1e-6
 
@@ -433,14 +433,26 @@ class TestRestartInits:
                                            ("cq-eg", qb.make_pinching)], ids=["cq", "dephasing", "ensemble"])
     def test_rows_are_distinct(self, mode, make):
         ev = build_evaluator(mode, make())
-        cold = ev.inits(4, (7, 0), None)
+        rows = ev.inits(4, (7, 0))
         for i in range(4):
             for j in range(i):
-                assert not np.array_equal(cold[i], cold[j])
-        # a warm start takes slot 0 and moves the structured row to slot 1
-        warm = ev.inits(4, (7, 0), cold[3])
-        assert np.array_equal(warm[0], cold[3])
-        assert not np.array_equal(warm[1], warm[2])
+                assert not np.array_equal(rows[i], rows[j])
+
+    @pytest.mark.parametrize("front,mode,make", [(qb.cq_broadcast_frontier, "cq", qb.make_pinching_cq),
+                                                 (qb.dephasing_cq_frontier, "dephasing", qb.make_pinching),
+                                                 (qb.cq_entanglement_frontier, "cq-eg", qb.make_pinching)],
+                             ids=["cq", "dephasing", "ensemble"])
+    def test_every_target_starts_cold(self, monkeypatch, front, mode, make):
+        # the r_max call draws on the 0xC0FFEE path; every target's restarts then enter the first penalty
+        # rung exactly as drawn on its own (seed, target) path, none from the r_max optimum
+        calls = counted_inits(monkeypatch)
+        fr = front(make(), cfg=OptimizerConfig(restarts=3, r_grid=4, seed=11, max_iters=5))
+        ev = build_evaluator(mode, make())
+        assert fr.metadata["r_max"] > 0
+        assert np.array_equal(calls[0], np.column_stack((ev.inits(3, (11, 0xC0FFEE)), np.zeros(3))))
+        targets = np.linspace(0.0, fr.metadata["r_max"], 4)
+        assert np.array_equal(calls[1], np.concatenate(
+            [np.column_stack((ev.inits(3, (11, pi)), np.full(3, r))) for pi, r in enumerate(targets)]))
 
 
 # (mode, channel builder, k, t_size): every mode of the table plus one two-use case
@@ -581,7 +593,7 @@ class TestAscentDirection:
 class TestBoundaryOptima:
     # the cq and dephasing optima are deterministic p(x|t); at the sweep-cq size the whole
     # frontier reaches its closed form well inside the 4 x 300 iteration budget: the r_max call,
-    # then one call per penalty rung on both targets' rows (365 and 388 iterations at seed 1001)
+    # then one call per penalty rung on both targets' cold rows (361 and 391 iterations at seed 1001)
     @pytest.mark.parametrize("front,make,truth", [(qb.cq_broadcast_frontier, qb.make_pinching_cq, pinching_cq_truth),
                                                    (qb.dephasing_cq_frontier, qb.make_pinching, pinching_truth)],
                              ids=["cq", "dephasing"])
@@ -601,18 +613,23 @@ class TestBoundaryOptima:
         assert all(pt.witness["converged"] for pt in fr.points)
 
     def test_dephasing_converges_every_stage(self):
-        # five targets share the r_max call and one call per penalty rung: 330 iterations at seed 7
+        # five targets share the r_max call and one call per penalty rung: 327 iterations at seed 7
         fr = qb.dephasing_cq_frontier(qb.make_pinching(), cfg=OptimizerConfig(restarts=4, r_grid=5, seed=7))
         assert fr.metadata["stages_converged"] == fr.metadata["stages"] == 4
         assert len(fr.points) == 5 and all(pt.witness["converged"] for pt in fr.points)
 
 
-def counted_calls(monkeypatch) -> list:
-    """The row count of every ``maximize_batch`` call the sweep makes from now on."""
+def counted_inits(monkeypatch, record=np.copy) -> list:
+    """``record`` of the initial rows of every ``maximize_batch`` call the sweep makes from now on."""
     calls, real = [], regions.maximize_batch
     monkeypatch.setattr(regions, "maximize_batch",
-                        lambda fn, inits, *a, **kw: calls.append(len(inits)) or real(fn, inits, *a, **kw))
+                        lambda fn, inits, *a, **kw: calls.append(record(inits)) or real(fn, inits, *a, **kw))
     return calls
+
+
+def counted_calls(monkeypatch) -> list:
+    """The row count of every ``maximize_batch`` call the sweep makes from now on."""
+    return counted_inits(monkeypatch, len)
 
 
 class TestOneCallPerRung:

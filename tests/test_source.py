@@ -245,3 +245,20 @@ class TestCliHoldsNoArrayMath:
                   "def _cmd_table(f):\n    return np.array([[1 - f, f], [f, 1 - f]])\n")
         assert {attr: attribute_sites(source, "cli", attr) for attr in ("reshape", "transpose", "array")} == \
             {"reshape": {"cli._cmd_check"}, "transpose": {"cli._cmd_check"}, "array": {"cli._cmd_table"}}
+
+
+class TestOneDispatchRule:
+    # run picks the handler by the leaf subcommand's name from a table it builds per call: the cached
+    # parser holds no function, and no handler is found again by its own __name__
+    def test_dispatch_reads_no_function_names(self):
+        source = (pathlib.Path(qbroadcast.__file__).parent / "cli.py").read_text(encoding="utf-8")
+        assert "cli.run" not in read_sites(source, "cli", "__name__")
+        for name in ("globals", "set_defaults", "func"):
+            assert read_sites(source, "cli", name) == set(), name
+
+    def test_detects_a_second_copy(self):
+        source = ("def _build_parser(sub, f):\n    sub.set_defaults(func=f)\n"
+                  "def run(args):\n    return globals()[args.func.__name__](args)\n")
+        assert read_sites(source, "cli", "__name__") == {"cli.run"}
+        assert {name: read_sites(source, "cli", name) for name in ("globals", "set_defaults", "func")} == \
+            {"globals": {"cli.run"}, "set_defaults": {"cli._build_parser"}, "func": {"cli.run"}}
