@@ -15,6 +15,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import pathlib
 import sys
 
@@ -66,8 +67,13 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _write_text(path: str, text: str):
+    """The one file write: rewrite in place, then cut a regular file to the new length.  Never truncating
+    to zero first keeps ext4's flush-on-close off the path; devices and FIFOs reject ``ftruncate``."""
     try:
-        pathlib.Path(path).write_text(text, encoding="utf-8", newline="")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(text.encode("utf-8"))
+            if os.path.isfile(path):
+                f.truncate()
     except OSError as exc:
         raise ValidationError(f"out: cannot write {path!r} ({exc.strerror or exc})")
 

@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -710,6 +713,82 @@ class TestOracleCommands:
     def test_classical_flag_parsing(self, capsys):
         assert run(["oracle", "classical", "--cascade", "0.1", "--mesh", "6"]) == 2
         assert "cascade" in capsys.readouterr().err
+
+
+def grid_args(out, mesh=6):
+    return ["oracle", "grid", "--channel", "noiseless-bit", "--t-size", "2", "--mesh", str(mesh), "--out", str(out)]
+
+
+def pair_bytes(out) -> tuple:
+    return out.read_bytes(), pathlib.Path(str(out) + ".witness.json").read_bytes()
+
+
+class TestOutputFiles:
+    # an existing output is rewritten in place and then cut to its new length, never truncated to zero
+    # first: the same bytes as a write into an empty directory, the same inode, links and modes kept
+    @pytest.fixture
+    def fresh(self, tmp_path):
+        (tmp_path / "fresh").mkdir()
+        out = tmp_path / "fresh" / "grid.csv"
+        assert run(grid_args(out)) == 0
+        return pair_bytes(out)
+
+    def test_rerun_keeps_bytes_and_inode(self, tmp_path, fresh):
+        out, side = tmp_path / "grid.csv", tmp_path / "grid.csv.witness.json"
+        assert run(grid_args(out)) == 0
+        inodes = out.stat().st_ino, side.stat().st_ino
+        assert run(grid_args(out)) == 0
+        assert pair_bytes(out) == fresh
+        assert (out.stat().st_ino, side.stat().st_ino) == inodes
+
+    def test_longer_junk_is_cut_to_the_new_bytes(self, tmp_path, fresh):
+        out, side = tmp_path / "grid.csv", tmp_path / "grid.csv.witness.json"
+        for path in (out, side):
+            path.write_bytes(b"j" * 2**20)
+        assert run(grid_args(out)) == 0
+        assert pair_bytes(out) == fresh
+
+    def test_symlinked_out_stays_a_link(self, tmp_path, fresh):
+        target, link = tmp_path / "target.csv", tmp_path / "grid.csv"
+        target.write_bytes(b"j" * 4096)
+        link.symlink_to(target)
+        assert run(grid_args(link)) == 0
+        assert link.is_symlink() and target.read_bytes() == fresh[0]
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path, fresh):
+        out, other = tmp_path / "grid.csv", tmp_path / "other.csv"
+        assert run(grid_args(out, mesh=8)) == 0
+        os.link(out, other)
+        assert run(grid_args(out)) == 0
+        assert out.stat().st_nlink == 2 and other.read_bytes() == fresh[0]
+
+    def test_mode_is_kept(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert run(grid_args(out)) == 0
+        out.chmod(0o600)
+        assert run(grid_args(out, mesh=8)) == 0
+        assert out.stat().st_mode & 0o777 == 0o600
+
+    def test_device_out_is_not_truncated(self, tmp_path, capsys):
+        # /dev/null rejects ftruncate, so only regular files are cut to length
+        state = tmp_path / "epr.json"
+        state.write_text(json.dumps(_epr_doc()))
+        assert run(["quantities", "--state", str(state), "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("blocked", ["grid.csv", "grid.csv.witness.json"], ids=["csv", "sidecar"])
+    def test_refused_open_is_a_validation_error(self, tmp_path, capsys, monkeypatch, blocked):
+        real = os.open
+
+        def refuse(path, *args, **kwargs):
+            if str(path) == str(tmp_path / blocked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real(path, *args, **kwargs)
+        monkeypatch.setattr(os, "open", refuse)
+        assert run(grid_args(tmp_path / "grid.csv")) == 2
+        assert capsys.readouterr().err == \
+            f"ERR_VALIDATE: out: cannot write {str(tmp_path / blocked)!r} (Permission denied)\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPinchingBoundaryCommand:

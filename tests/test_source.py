@@ -1,11 +1,13 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 
 import pytest
 
 import qbroadcast
+from qbroadcast.cli import run
 
 MODULES = sorted(p for p in pathlib.Path(qbroadcast.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -262,3 +264,50 @@ class TestOneDispatchRule:
         assert read_sites(source, "cli", "__name__") == {"cli.run"}
         assert {name: read_sites(source, "cli", name) for name in ("globals", "set_defaults", "func")} == \
             {"globals": {"cli.run"}, "set_defaults": {"cli._build_parser"}, "func": {"cli.run"}}
+
+
+WRITE_NAMES = {"write_text", "write_bytes", "O_TRUNC", "O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND"}
+
+
+def file_write(node) -> bool:
+    """A read of a file-writing method or ``os.open`` flag, or an ``open`` call in a write mode."""
+    if getattr(node, "id", None) in WRITE_NAMES or getattr(node, "attr", None) in WRITE_NAMES:
+        return True
+    func = getattr(node, "func", None)
+    if not (isinstance(node, ast.Call) and "open" in (getattr(func, "id", None), getattr(func, "attr", None))):
+        return False
+    modes = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "mode")]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str) and set(m.value) & set("wax+") for m in modes)
+
+
+class TestOneWriteRule:
+    # every --out goes through cli._write_text, which rewrites a file in place and never truncates it to zero
+    # first (on ext4 a file truncated to zero is flushed on close, and its next truncation waits for that)
+    def test_one_writer_and_no_truncation(self):
+        assert set().union(*(node_sites(p.read_text(encoding="utf-8"), p.stem, file_write) for p in MODULES)) == \
+            {"cli._write_text"}
+        assert package_sites("O_TRUNC") == set()
+
+    def test_detects_a_second_copy(self):
+        source = ("import os, pathlib\ndef _write_text(p, t):\n    pathlib.Path(p).write_text(t)\n"
+                  "def _dump(p, b):\n    with open(p, 'wb') as f:\n        f.write(b)\n"
+                  "def _append(p, b):\n    with pathlib.Path(p).open(mode='a') as f:\n        f.write(b)\n"
+                  "def _raw(p):\n    return os.open(p, os.O_WRONLY | os.O_TRUNC)\n"
+                  "def _read(p):\n    with open(p) as f, open(p, 'rb') as g:\n        return f.read(), g.read()\n")
+        assert node_sites(source, "cli", file_write) == {"cli._write_text", "cli._dump", "cli._append", "cli._raw"}
+        assert attribute_sites(source, "cli", "O_TRUNC") == {"cli._raw"}
+
+    @pytest.mark.parametrize("argv", [
+        ("region", "cq", "--channel", "noiseless-bit", "--grid", "3", "--restarts", "4"),
+        ("oracle", "classical", "--cascade", "0.1,0.2", "--mesh", "6"),
+    ], ids=["region", "classical"])
+    def test_rewrite_opens_without_truncation(self, tmp_path, monkeypatch, argv):
+        # onto an existing CSV/sidecar pair, every open goes through os.open and none asks for O_TRUNC
+        out = tmp_path / "front.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        real, opened = os.open, []
+        monkeypatch.setattr(os, "open", lambda path, flags, *rest: opened.append((str(path), flags))
+                            or real(path, flags, *rest))
+        assert run([*argv, "--out", str(out)]) == 0
+        assert {str(out), str(out) + ".witness.json"} <= {path for path, _ in opened}
+        assert [path for path, flags in opened if flags & os.O_TRUNC] == []
