@@ -7,10 +7,11 @@ products.  Joints p(t, x) are compositions of the mesh over t_size * |X| cells, 
 labels t, which no rate depends on: the rows whose label blocks ascend, grown in table order, so no finished
 row is sorted, and kept as block indices.  Both oracles are one ``_scan`` of those rows.  An oracle's rates
 sum terms of one label block p(t, .) over the labels, so it tabulates them once per block, and each chunk of
-rows gathers them and sums them in ``_table_entropy``'s order: the bytes of every candidate's full tables.
-The Pareto pass is ``regions.pareto_staircase``, the one the frontier sweeps end in, so an oracle and a sweep
-keep points by the same rule; it is the only thing taken from ``regions`` besides the ``Frontier`` and
-``RatePoint`` containers.
+rows gathers them a column at a time and adds the columns with ``_ordered_sum`` in the order numpy's ``.sum``
+adds the full tables (in sequence over the label axis of p(x) and p(z), pairwise over a flat run of (label,
+cell) terms), so every rate has the bytes of the full tables.  The Pareto pass is ``regions.pareto_staircase``,
+the one the frontier sweeps end in, so an oracle and a sweep keep points by the same rule; it is the only thing
+taken from ``regions`` besides the ``Frontier`` and ``RatePoint`` containers.
 """
 
 from __future__ import annotations
@@ -107,6 +108,25 @@ def _table_entropy(table: np.ndarray) -> np.ndarray:
     return -(flat * logs).sum(axis=-1)
 
 
+def _ordered_sum(term, n: int, pairwise: bool):
+    """term(0) + ... + term(n - 1) as numpy's float ``.sum`` adds n terms from +0.0: in sequence along a strided
+    axis; along a contiguous one (``pairwise``) in sequence below 8 terms, up to 128 in eight running sums taken
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) then the rest in sequence, above that in halves cut at a multiple of 8."""
+    if pairwise and n > 128:
+        half = n // 2 - n // 2 % 8
+        return _ordered_sum(term, half, True) + _ordered_sum(lambda i: term(half + i), n - half, True)
+    total, tail = 0.0, 0
+    if pairwise and n >= 8:
+        r = [0.0 + term(j) for j in range(8)]  # copies, so the adds below write no term
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                r[j] += term(i + j)
+        total, tail = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), n - n % 8
+    for i in range(tail, n):
+        total += term(i)
+    return total
+
+
 def _receiver_kernel(stack: np.ndarray):
     """(mixing matrix, entropy of mixed rows) for one receiver's (x, d, d) stack.  An exactly diagonal
     stack mixes real diagonals whose spectra are those diagonals sorted ascending, as ``eigvalsh`` returns
@@ -133,15 +153,15 @@ def _pareto_points(commons: np.ndarray, personals: np.ndarray, blocks: np.ndarra
 
 
 def _scan(mode: str, rates, mesh: int, t_size: int, n_x: int, r_grid: int | None) -> Frontier:
-    """An oracle's frontier: ``rates(blocks)`` tabulates the per-block terms once and returns ``chunk(rows) ->
-    (commons, personals)``, run on ``_CHUNK`` rows of ``_enumerate_joints`` at a time, clipped at 0 and passed
-    to ``_pareto_points``."""
+    """An oracle's frontier: ``rates(blocks)`` tabulates the per-block terms once and returns ``chunk(labels) ->
+    (commons, personals)``, run on ``_CHUNK`` rows of ``_enumerate_joints`` at a time, transposed so that
+    ``labels[l]`` is every row's block at label l, clipped at 0 and passed to ``_pareto_points``."""
     rows = _enumerate_joints(mesh, t_size, n_x)
     blocks = _label_blocks(mesh, t_size, n_x) / float(mesh)
     chunk = rates(blocks)
     commons, personals = np.empty(len(rows)), np.empty(len(rows))
     for lo in range(0, len(rows), _CHUNK):
-        commons[lo:lo + _CHUNK], personals[lo:lo + _CHUNK] = chunk(rows[lo:lo + _CHUNK])
+        commons[lo:lo + _CHUNK], personals[lo:lo + _CHUNK] = chunk(rows[lo:lo + _CHUNK].T.copy())
     meta = {"mode": mode, "t_size": t_size, "mesh": mesh, "candidates": composition_count(mesh, t_size * n_x)}
     return _pareto_points(np.maximum(commons, 0.0), np.maximum(personals, 0.0), blocks, rows, meta, r_grid)
 
@@ -167,10 +187,10 @@ def grid_cq_frontier(w: CqBroadcastChannel, t_size: int, mesh: int, r_grid: int 
         # p_t * H(label state) for each block and receiver
         terms = [p_t * np.where(p_t > 0, entropy((blocks @ mix) * inv_p_t), 0.0) for mix, entropy in kernels]
 
-        def chunk(rows):
-            p_x = np.take(blocks, rows, axis=0).sum(axis=1)
-            (cond_b, h_b), (cond_c, h_c) = ((np.take(t, rows).sum(axis=1), entropy(p_x @ mix))
-                                            for t, (mix, entropy) in zip(terms, kernels))
+        def chunk(labels):
+            p_x = _ordered_sum(lambda l: blocks.take(labels[l], axis=0), t_size, False)
+            (cond_b, h_b), (cond_c, h_c) = ((_ordered_sum(lambda l: t.take(labels[l]), t_size, True),
+                                             entropy(p_x @ mix)) for t, (mix, entropy) in zip(terms, kernels))
             return np.minimum(h_b - cond_b, h_c - cond_c), cond_b - p_x @ h_b_x
         return chunk
 
@@ -230,16 +250,17 @@ def classical_degraded_region(p_y_given_x: np.ndarray, p_z_given_y: np.ndarray, 
     pz_x = p2 @ p1
 
     def rates(blocks):
-        # each block's p log p for every cell of its rows of p(t, z), p(t), p(t, x), p(t, y) and p(t, x, y); an
-        # entropy negates the sum of its cells in flat (label, cell) order, as _table_entropy does
+        # each block's p log p for every cell of its rows of p(t, z), p(t), p(t, x), p(t, y) and p(t, x, y), as
+        # (cells, blocks); an entropy negates the sum of its cells in flat (label, cell) order, as _table_entropy does
         p_tz = blocks @ pz_x.T
         tables = [p_tz, blocks.sum(axis=1), blocks, blocks @ p1.T, blocks[..., None] * p1.T]
-        cells = [-_table_entropy(table.reshape(-1, 1)).reshape(len(blocks), -1) for table in tables]
+        cells = [-_table_entropy(table.reshape(-1, 1)).reshape(len(blocks), -1).T.copy() for table in tables]
 
-        def chunk(rows):
-            h_tz, h_t, h_tx, h_ty, h_txy = (-np.take(c, rows, axis=0).reshape(len(rows), -1).sum(axis=-1)
-                                            for c in cells)
-            return h_t + _table_entropy(np.take(p_tz, rows, axis=0).sum(axis=1)) - h_tz, h_tx + h_ty - h_txy - h_t
+        def chunk(labels):
+            h_tz, h_t, h_tx, h_ty, h_txy = (-_ordered_sum(lambda j: c[j % len(c)].take(labels[j // len(c)]),
+                                                          t_size * len(c), True) for c in cells)
+            p_z = _ordered_sum(lambda l: p_tz.take(labels[l], axis=0), t_size, False)
+            return h_t + _table_entropy(p_z) - h_tz, h_tx + h_ty - h_txy - h_t
         return chunk
 
     return _scan("oracle-classical", rates, mesh, t_size, n_x, None)

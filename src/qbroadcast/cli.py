@@ -66,15 +66,25 @@ def _read_text(path: str, what: str) -> str:
         raise ValidationError(f"{what}: {path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
-def _write_text(path: str, text: str):
-    """The one file write: rewrite in place, then cut a regular file to the new length.  Never truncating
-    to zero first keeps ext4's flush-on-close off the path; devices and FIFOs reject ``ftruncate``."""
+def _write_text(files):
+    """The one file write.  It opens every (path, text) of a command before writing any, so a refused open leaves
+    the old files as they were and removes only those this call created; then it rewrites each in place and cuts
+    a regular file to the new length.  Never truncating to zero first keeps ext4's flush-on-close off the path;
+    devices and FIFOs reject ``ftruncate``.  A write that fails part way (a full disk) is not undone."""
+    created = [path for path, _ in files if not os.path.lexists(path)]
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-            f.write(text.encode("utf-8"))
-            if os.path.isfile(path):
-                f.truncate()
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path, _ in files:
+                handles.append(stack.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")))
+            for f, (path, text) in zip(handles, files):
+                f.write(text.encode("utf-8"))
+                if os.path.isfile(path):
+                    f.truncate()
     except OSError as exc:
+        for name in created:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
         raise ValidationError(f"out: cannot write {path!r} ({exc.strerror or exc})")
 
 
@@ -87,33 +97,26 @@ def _load_channel(arg: str):
     raise ValidationError(f"channel: {arg!r} is neither a builtin ({known}) nor an existing file")
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | None, sidecar: str | None = None):
+    """``text`` to ``out`` (stdout when None), and a given ``sidecar`` to ``out``'s witness sidecar with it."""
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_text(out, text)
+        _write_text([(out + ".witness.json", sidecar)] * (sidecar is not None) + [(out, text)])
 
 
 def _write_frontier(out: str | None, points, prefix: str, mode: str, k: int, channel_doc, metadata: dict) -> int:
-    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar in compact JSON:
-    both files or neither.  The sidecar is written first, and removed again when the CSV cannot be written."""
+    """A frontier's CSV to ``out`` (stdout when None) and, with ``out``, its witness sidecar in compact JSON."""
     lines, entries = ["common_rate,personal_rate,witness_id"], []
     for i, pt in enumerate(points):
         wid = f"{prefix}-{i:03d}"
         lines.append(f"{_fmt(pt.common_rate)},{_fmt(pt.personal_rate)},{wid}")
         entries.append({"witness_id": wid, "common_rate": float(pt.common_rate),
                         "personal_rate": float(pt.personal_rate), **pt.witness})
-    if out is not None:
-        doc = {"format": WITNESS_FORMAT, "mode": mode, "k": k, "channel": channel_doc,
-               "metadata": metadata, "points": entries}
-        _write_text(out + ".witness.json", json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    try:
-        _emit("\n".join(lines) + "\n", out)
-    except BaseException:
-        if out is not None:
-            with contextlib.suppress(OSError):
-                pathlib.Path(out + ".witness.json").unlink()
-        raise
+    doc = {"format": WITNESS_FORMAT, "mode": mode, "k": k, "channel": channel_doc, "metadata": metadata,
+           "points": entries}
+    _emit("\n".join(lines) + "\n", out, None if out is None else
+          json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
 

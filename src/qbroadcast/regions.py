@@ -149,11 +149,21 @@ def pareto_staircase(commons: np.ndarray, personals: np.ndarray, witness: Callab
     replaces that one when their commons agree to 12 decimals; among exact duplicates the
     lowest row wins.  ``witness(i)`` is the witness of row ``i``.  Sweeps and the exhaustive
     oracles both end here.  Only a row whose personal reaches that of every row with a higher
-    common can be kept: one argsort of the commons finds those, and only they are lexsorted.
+    common can be kept: one argsort of the commons finds those, and only they are lexsorted.  First a row goes
+    when a higher one of 1024 even buckets of the finite commons (a NaN common in the lowest) holds a larger
+    personal: it would fail that test and never holds the best personal above a row; a NaN personal goes too.
     """
+    finite = np.isfinite(commons)
+    lo, hi = commons.min(where=finite, initial=np.inf) / 2, commons.max(where=finite, initial=-np.inf) / 2
+    with np.errstate(all="ignore"):  # commons halved, so no span overflows; a NaN scale puts a row in bucket 0
+        scaled = (commons / 2 - lo) * (1023 / (hi - lo))
+    bucket = np.where(scaled >= 0, np.minimum(scaled, 1023), -1).astype(np.intp) + 1
+    best = np.full(1026, -np.inf)  # bucket 0 (NaN commons), the 1024 even ones, and an empty one above
+    np.fmax.at(best, bucket, personals)
+    unbeaten = np.flatnonzero(personals >= np.fmax.accumulate(best[::-1])[::-1][bucket + 1])
     # >= keeps every row of a tie, and a stable sort keeps tied rows in row order, so the lexsort breaks
     # ties by row index as on every row (it is also the sort lexsort runs, so it maps no new code pages)
-    by_common = np.argsort(-commons, kind="stable")
+    by_common = unbeaten[np.argsort(-commons[unbeaten], kind="stable")]
     vals = personals[by_common]
     rows = by_common[vals >= np.maximum.accumulate(vals)]
     order = rows[np.lexsort((-personals[rows], -commons[rows]))]

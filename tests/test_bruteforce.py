@@ -11,6 +11,7 @@ from qbroadcast.bruteforce import (
     _composition_table,
     _enumerate_joints,
     _label_blocks,
+    _ordered_sum,
     _receiver_kernel,
     _table_entropy,
     classical_degraded_region,
@@ -357,6 +358,7 @@ class TestBlockTables:
     CASES = [
         ("grid-diagonal", qb.make_pinching_cq, 4, 9),
         ("grid-dense", rotated_pinching_cq, 3, 8),
+        ("grid-8-labels", qb.make_noiseless_bit, 8, 9),  # 8 label terms: the eight running sums of a .sum
         ("classical-bsc", lambda: (np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[0.8, 0.2], [0.2, 0.8]])), 3, 30),
         ("classical-2-3-2", lambda: (np.array([[0.7, 0.1], [0.2, 0.3], [0.1, 0.6]]),
                                      np.array([[0.9, 0.4, 0.25], [0.1, 0.6, 0.75]])), 3, 14),
@@ -385,6 +387,33 @@ class TestBlockTables:
         for got, want in zip((commons, personals), reference):
             want = np.maximum(want, 0.0)  # as _scan clips before the Pareto pass
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def awkward_terms(rng, shape):
+    """Floats whose sum depends on the order: spread magnitudes, signed zeros, subnormals, rows of -0.0."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    a[rng.random(shape) < 0.1] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    a[rng.random(shape) < 0.05] = 5e-324
+    a[rng.random(shape) < 0.05] = -3e-310
+    a[0] = -0.0
+    return a
+
+
+class TestOrderedSum:
+    # the oracles' label sums add gathered columns one by one, in the very order numpy's .sum adds the same terms
+    # (the helper runs first, so a term it wrote to would show in the reference sum too)
+    @pytest.mark.parametrize("n", range(1, 141))
+    def test_contiguous_sum_bytes(self, n):
+        a = awkward_terms(np.random.default_rng(n), (64, n))
+        got = _ordered_sum(lambda j: a[:, j], n, True)
+        assert got.tobytes() == a.sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 130])
+    def test_label_axis_sum_bytes(self, n):
+        a = awkward_terms(np.random.default_rng(1000 + n), (64, n, 3))
+        got = _ordered_sum(lambda l: a[:, l], n, False)
+        assert got.tobytes() == a.sum(axis=1).tobytes()
 
 
 class TestBudget:

@@ -790,6 +790,23 @@ class TestOutputFiles:
             f"ERR_VALIDATE: out: cannot write {str(tmp_path / blocked)!r} (Permission denied)\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("blocked", ["grid.csv", "grid.csv.witness.json"], ids=["csv", "sidecar"])
+    def test_refused_open_keeps_the_old_pair(self, tmp_path, capsys, monkeypatch, blocked):
+        # both files are opened before either is written, so a refused open over an existing pair leaves both
+        out = tmp_path / "grid.csv"
+        assert run(grid_args(out, mesh=8)) == 0
+        old, real = pair_bytes(out), os.open
+
+        def refuse(path, *args, **kwargs):
+            if str(path) == str(tmp_path / blocked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real(path, *args, **kwargs)
+        monkeypatch.setattr(os, "open", refuse)
+        assert run(grid_args(out)) == 2
+        assert capsys.readouterr().err.startswith("ERR_VALIDATE: out: cannot write")
+        assert pair_bytes(out) == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "grid.csv.witness.json"]
+
 
 class TestPinchingBoundaryCommand:
     def test_endpoints(self, capsys):

@@ -146,8 +146,9 @@ class TestParetoStaircase:
                 run = personals[i]
         points = pareto_staircase(commons, personals, lambda i: {"row": int(i)})
         assert [pt.witness["row"] for pt in points] == kept[::-1]
-        assert [(pt.common_rate, pt.personal_rate) for pt in points] == \
-            list(zip(commons[kept[::-1]], personals[kept[::-1]]))
+        # as bytes, so a kept NaN common compares equal to itself
+        assert np.array([(pt.common_rate, pt.personal_rate) for pt in points]).reshape(-1, 2).tobytes() == \
+            np.column_stack([commons[kept[::-1]], personals[kept[::-1]]]).tobytes()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_prefilter_on_planted_rows(self, seed):
@@ -173,6 +174,50 @@ class TestParetoStaircase:
         ((commons, personals),) = seen
         assert len(commons) == 54857
         self.assert_full_lexsort_rows(commons, personals)
+
+    @staticmethod
+    def edge_rows(case, rng):
+        commons, personals = rng.integers(0, 40, 300) / 16.0, rng.integers(0, 40, 300) / 16.0
+        if case in ("nan-commons", "nan-both"):
+            commons[rng.integers(0, 300, 30)] = np.nan
+            personals[np.flatnonzero(np.isnan(commons))[:2]] = 3.0  # NaN commons holding the best personals
+        if case in ("nan-personals", "nan-both"):
+            personals[rng.integers(0, 300, 30)] = np.nan
+        if case == "all-nan-commons":
+            commons[:] = np.nan
+        if case == "all-equal":
+            commons[:] = 0.75
+        if case == "bucket-edges":  # even steps of the span, 1024 buckets: commons on bucket boundaries
+            commons = np.concatenate([np.arange(1024) / 1023 * 2.0, rng.integers(0, 1024, 300) / 1023 * 2.0])
+            personals = np.concatenate([2.0 - commons[:1024] + rng.uniform(-0.01, 0.01, 1024),
+                                        rng.uniform(0, 2, 300)])
+        if case == "infinite":
+            commons[:3], personals[3:6] = [np.inf, -np.inf, np.inf], [np.inf, -np.inf, np.inf]
+        if case == "infinite-top":  # +inf commons below the best personal: they head the scan and must stay
+            commons[:3], personals[:3] = np.inf, [0.5, 1.0, 0.25]
+        if case == "tiny-span":  # a subnormal span: its bucket width overflows
+            commons = rng.integers(0, 3, 300) * 5e-324
+        if case == "huge-span":  # a span past the largest float, the top rows below the best personal
+            commons = rng.choice([-1.7e308, -1.0, 0.0, 1.0, 1.7e308], 300)
+            personals = np.where(commons > 1.0, 0.5, 1.0) * rng.uniform(0, 2, 300)
+        if case == "more-rows-than-buckets":
+            commons, personals = rng.uniform(0, 3, 5000), rng.uniform(0, 3, 5000)
+        if case == "fewer-rows-than-buckets":
+            commons, personals = rng.uniform(0, 3, 12), rng.uniform(0, 3, 12)
+        return commons, personals
+
+    @pytest.mark.parametrize("case", ["nan-commons", "nan-personals", "nan-both", "all-nan-commons", "all-equal",
+                                      "bucket-edges", "infinite", "infinite-top", "tiny-span", "huge-span",
+                                      "more-rows-than-buckets", "fewer-rows-than-buckets"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prefilter_edge_cases(self, case, seed):
+        # the bucket prefilter drops no row the full lexsort would keep, on any input
+        with np.errstate(over="ignore"):  # the 12-decimal tie rounding overflows past 1.8e296
+            self.assert_full_lexsort_rows(*self.edge_rows(case, np.random.default_rng(seed)))
+
+    def test_prefilter_drops_no_row_of_one(self):
+        for common, personal in [(0.5, 0.25), (np.nan, 0.25), (0.5, np.nan), (np.inf, 1.0)]:
+            self.assert_full_lexsort_rows(np.array([common]), np.array([personal]))
 
     def test_empty_and_single(self):
         assert pareto_staircase(np.array([]), np.array([]), lambda i: {}) == []

@@ -171,6 +171,21 @@ class TestOneEntropyRule:
         assert attribute_sites(source, "mod", "log2") == {"mod.h", "mod", "mod.outer"}
 
 
+class TestOneLabelSumRule:
+    # an oracle's chunk reduces the terms it gathers per label only through bruteforce._ordered_sum, which
+    # adds them in numpy's order one column at a time: no (rows, labels, cells) array is built and summed
+    def test_chunks_sum_only_through_the_helper(self):
+        source = (pathlib.Path(qbroadcast.__file__).parent / "bruteforce.py").read_text(encoding="utf-8")
+        assert "bruteforce.chunk" not in attribute_sites(source, "bruteforce", "sum")
+        assert "bruteforce.chunk" in read_sites(source, "bruteforce", "_ordered_sum")
+
+    def test_detects_a_second_copy(self):
+        source = ("import numpy as np\ndef grid(blocks, terms):\n    def rates(b):\n"
+                  "        p_t = b.sum(axis=1)\n        def chunk(rows):\n"
+                  "            return np.take(terms, rows).sum(axis=1)\n        return chunk\n    return rates\n")
+        assert attribute_sites(source, "bruteforce", "sum") == {"bruteforce.rates", "bruteforce.chunk"}
+
+
 class TestOneTraceNormRule:
     def test_svd_only_in_the_trace_norm_rule_and_fidelity(self):
         # trace distance, the degrading-map residual and its contraction floor all go through states.trace_norms
